@@ -128,7 +128,12 @@ func run(args []string) error {
 	}
 	var transport *faults.Transport
 	if len(specs) > 0 {
-		transport = faults.NewTransport(nil, 1)
+		// The fault wrapper sits on the pooled transport the proxy would
+		// have built for itself, so injected latency is added to the same
+		// keep-alive path the unfaulted demo measures.
+		pooled := httpcluster.NewUpstreamTransport(backends)
+		defer pooled.CloseIdleConnections()
+		transport = faults.NewTransport(pooled, 1)
 		pcfg.Transport = transport
 	}
 	proxy, err := httpcluster.StartProxy(pcfg, backends)

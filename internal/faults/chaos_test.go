@@ -77,7 +77,11 @@ func runChaosArm(t *testing.T, shape, arm string) chaosArm {
 		backends = append(backends, httpcluster.NewBackend(name, app.URL(), 16))
 	}
 
-	tr := faults.NewTransport(nil, 42)
+	// Faults are injected on the pooled transport the proxy would have
+	// built for itself, so the matrix measures the keep-alive path.
+	pooled := httpcluster.NewUpstreamTransport(backends)
+	defer pooled.CloseIdleConnections()
+	tr := faults.NewTransport(pooled, 42)
 	resil := &httpcluster.Resilience{
 		AttemptTimeout: 500 * time.Millisecond,
 		MaxRetries:     2,

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,9 +149,10 @@ const (
 // transitions with their event emission, the failure-streak window,
 // and the quarantine-probe lifecycle.
 type Backend struct {
-	name string
-	url  string
-	base time.Time // time base the packed recovery deadline is encoded against
+	name   string
+	url    string
+	target *url.URL  // url parsed once for Proxy.roundTrip; nil when it does not parse
+	base   time.Time // time base the packed recovery deadline is encoded against
 
 	free        atomic.Int64  // idle endpoint-pool tokens
 	capacity    int           // endpoint pool size
@@ -170,13 +172,17 @@ type Backend struct {
 }
 
 // NewBackend returns a backend with the given endpoint pool size.
-func NewBackend(name, url string, endpoints int) *Backend {
+func NewBackend(name, rawURL string, endpoints int) *Backend {
 	if endpoints < 1 {
 		endpoints = 1
 	}
+	// A URL that does not parse fails each request sent to it, as it did
+	// when every round trip parsed it anew.
+	target, _ := url.Parse(rawURL)
 	b := &Backend{
 		name:     name,
-		url:      url,
+		url:      rawURL,
+		target:   target,
 		base:     time.Now(),
 		capacity: endpoints,
 	}

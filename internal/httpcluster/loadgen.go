@@ -201,22 +201,43 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadGenConfig, thresholds 
 		wg.Add(1)
 		go func(client int) {
 			defer wg.Done()
-			client = client % loadStatsShards
-			httpClient := &http.Client{Timeout: 10 * time.Second}
-			for ctx.Err() == nil {
-				start := time.Now()
-				ok := doRequest(ctx, httpClient, baseURL+cfg.Path)
-				out.Record(client, time.Since(start), ok)
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(cfg.ThinkTime):
-				}
-			}
+			runClient(ctx, client%loadStatsShards, baseURL+cfg.Path, cfg.ThinkTime, out)
 		}(i)
 	}
 	wg.Wait()
 	return out
+}
+
+// runClient is one closed-loop client: a request, the think time, the
+// next request. It keeps the one keep-alive connection a closed loop
+// needs on a transport of its own, so clients never contend for a shared
+// idle pool, and releases it on return.
+func runClient(ctx context.Context, shard int, url string, think time.Duration, out *LoadStats) {
+	transport := newPooledTransport(1)
+	defer transport.CloseIdleConnections()
+	httpClient := &http.Client{Timeout: 10 * time.Second, Transport: transport}
+	// Created by the first wait and reused: the timer has always fired
+	// and been drained by the time it is reset.
+	var timer *time.Timer
+	for ctx.Err() == nil {
+		start := time.Now()
+		ok := doRequest(ctx, httpClient, url)
+		out.Record(shard, time.Since(start), ok)
+		if think <= 0 {
+			continue
+		}
+		if timer == nil {
+			timer = time.NewTimer(think)
+			defer timer.Stop()
+		} else {
+			timer.Reset(think)
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-timer.C:
+		}
+	}
 }
 
 func doRequest(ctx context.Context, client *http.Client, url string) bool {

@@ -8,16 +8,17 @@ import (
 // Resilience configures the proxy's graceful-degradation path. When nil
 // the proxy keeps the paper's baseline behavior — workers block
 // indefinitely for a slot, one upstream attempt per request, no
-// deadline beyond the client timeout — which is exactly the behavior
-// the millibottleneck amplification chain exploits. With Resilience
-// set, the proxy bounds every stage instead: a shed budget on the
+// deadline short of the 10 s default attempt bound — which is exactly
+// the behavior the millibottleneck amplification chain exploits. With
+// Resilience set, the proxy bounds every stage instead: a shed budget on the
 // worker-pool wait (fast-fail 503 instead of goroutine pile-up), a
 // per-attempt deadline on backend calls, and bounded
 // retry-on-next-backend gated by a global retry budget so a stalled
 // backend cannot convert into a retry storm (the paper's TCP
 // retransmission cluster, in HTTP form).
 type Resilience struct {
-	// AttemptTimeout bounds one upstream round trip. Zero means 2s.
+	// AttemptTimeout bounds one upstream attempt, round trip and body
+	// read. Zero means 2s.
 	AttemptTimeout time.Duration
 	// MaxRetries bounds additional attempts after the first (each on a
 	// freshly selected backend, skipping stickiness). Zero means 2;

@@ -1,7 +1,6 @@
 package httpcluster
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -48,9 +47,12 @@ type AppServer struct {
 	stallMu  sync.RWMutex
 	served   atomic.Uint64
 	inflight atomic.Int64
-	client   *http.Client
-	payload  []byte
-	wg       sync.WaitGroup
+	// client issues the DB queries over a transport this server owns,
+	// pooled to Workers connections: that many handlers can be at the DB
+	// at once. Close releases it.
+	client  *http.Client
+	payload []byte
+	wg      sync.WaitGroup
 
 	// extraDelay is fault-injected additional service time per request
 	// (nanoseconds), the slow-response degradation shape.
@@ -89,7 +91,7 @@ func StartAppServer(cfg AppServerConfig) (*AppServer, error) {
 		addr:    ln.Addr().String(),
 		ln:      ln,
 		workers: make(chan struct{}, cfg.Workers),
-		client:  &http.Client{Timeout: 5 * time.Second},
+		client:  &http.Client{Timeout: 5 * time.Second, Transport: newPooledTransport(cfg.Workers)},
 		payload: []byte(strings.Repeat("x", cfg.ResponseBytes)),
 	}
 	mux := http.NewServeMux()
@@ -213,6 +215,7 @@ func (a *AppServer) Close() error {
 	}
 	a.srvMu.Unlock()
 	a.wg.Wait()
+	a.client.CloseIdleConnections()
 	return err
 }
 
@@ -361,9 +364,11 @@ type ProxyConfig struct {
 	// otherwise the prober, its goroutines and the /admin/probe polling
 	// never exist.
 	Probe *probe.Config
-	// Transport, when non-nil, replaces the upstream client's transport
-	// — the injection point for internal/faults' network latency/loss
-	// RoundTripper.
+	// Transport, when non-nil, carries the upstream requests and the
+	// probes in place of the pooled transport the proxy otherwise builds
+	// and owns (NewUpstreamTransport) — the injection point for
+	// internal/faults' network latency/loss RoundTripper. The caller
+	// keeps ownership: Proxy.Close leaves it alone.
 	Transport http.RoundTripper
 	// Resilience, when non-nil, arms the graceful-degradation path:
 	// per-attempt deadlines, bounded budgeted retries and fast-fail
@@ -402,10 +407,16 @@ type Proxy struct {
 	ln      net.Listener
 	srv     *http.Server
 	workers chan struct{}
-	client  *http.Client
 	served  atomic.Uint64
 	errors  atomic.Uint64
 	wg      sync.WaitGroup
+
+	// upstream carries every request and probe to the app tier; owned is
+	// the same transport when the proxy built it (ProxyConfig.Transport
+	// nil) and nil otherwise.
+	upstream       http.RoundTripper
+	owned          *http.Transport
+	attemptTimeout time.Duration
 
 	epoch  time.Time
 	tracer *obs.Tracer
@@ -443,13 +454,20 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 		bal:     NewBalancer(cfg.Policy, cfg.Mechanism, backends, cfg.LB),
 		ln:      ln,
 		workers: make(chan struct{}, cfg.Workers),
-		client:  &http.Client{Timeout: 10 * time.Second, Transport: cfg.Transport},
 		epoch:   time.Now(),
+
+		upstream:       cfg.Transport,
+		attemptTimeout: defaultAttemptTimeout,
+	}
+	if p.upstream == nil {
+		p.owned = NewUpstreamTransport(backends)
+		p.upstream = p.owned
 	}
 	if cfg.Resilience != nil {
 		r := cfg.Resilience.withDefaults()
 		p.resil = &r
 		p.budget = newRetryBudget(r.RetryBudget, r.RetryBudgetCap)
+		p.attemptTimeout = r.AttemptTimeout
 	}
 	if cfg.SpanCapacity > 0 {
 		p.tracer = obs.NewTracer(cfg.SpanCapacity)
@@ -529,6 +547,9 @@ func (p *Proxy) Close() error {
 		p.prober.Stop()
 	}
 	p.sampler.Stop()
+	if p.owned != nil {
+		p.owned.CloseIdleConnections()
+	}
 	return err
 }
 
@@ -590,7 +611,7 @@ func (p *Proxy) armProbing(backends []*Backend) {
 	// Rate-couple the probe loop to the proxy's served counter and carry
 	// probes over the same (possibly fault-wrapped) transport as
 	// requests, so probes see the network the traffic sees.
-	p.prober = probe.NewWallProber(p.pools, targets, p.served.Load, p.cfg.Transport)
+	p.prober = probe.NewWallProber(p.pools, targets, p.served.Load, p.upstream)
 	p.bal.SetProbePools(p.pools, p.prober.Reseed)
 	p.prober.Start()
 }
@@ -668,12 +689,10 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	if !p.acquireWorker(classify(r)) {
 		sp.Exit(obs.StageWebAcceptQueue, p.now())
 		p.shed.Add(1)
-		p.errors.Add(1)
 		if p.events != nil {
 			p.events.Append(obs.Event{T: p.now(), Kind: obs.KindShed, Source: "proxy"})
 		}
-		p.tracer.Finish(sp, p.now(), false)
-		p.adaptOutcome(start, false)
+		p.noteError(sp, start)
 		http.Error(w, "proxy saturated", http.StatusServiceUnavailable)
 		return
 	}
@@ -756,9 +775,17 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 
 		w.Header().Set("X-Backend", be.Name())
 		w.WriteHeader(resp.StatusCode)
-		n, _ := io.Copy(w, resp.Body)
+		n, copyErr := io.Copy(w, resp.Body)
 		_ = resp.Body.Close()
 		sp.Exit(obs.StageAppThread, p.now())
+		if copyErr != nil {
+			// The status line is out, so the attempt can be neither
+			// retried nor answered with an error status; abort the
+			// connection instead of ending a truncated reply cleanly.
+			rel.Fail()
+			p.noteError(sp, start)
+			panic(http.ErrAbortHandler)
+		}
 		rel.Done(n)
 		p.served.Add(1)
 		admOK = resp.StatusCode < 500
@@ -766,10 +793,17 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		p.adaptOutcome(start, resp.StatusCode < 500)
 		return
 	}
+	p.noteError(sp, start)
+	http.Error(w, failMsg, failStatus)
+}
+
+// noteError accounts one request answered with an error: the counter,
+// the failed span, the adaptive controller's outcome stream. Every
+// request ends in exactly one of noteError and the served counter.
+func (p *Proxy) noteError(sp *obs.Span, start time.Duration) {
 	p.errors.Add(1)
 	p.tracer.Finish(sp, p.now(), false)
 	p.adaptOutcome(start, false)
-	http.Error(w, failMsg, failStatus)
 }
 
 // acquireWorker claims a proxy worker slot. With the admission plane
@@ -797,42 +831,6 @@ func (p *Proxy) acquireWorker(cls admission.Class) bool {
 	defer p.waiting.Add(-1)
 	p.workers <- struct{}{}
 	return true
-}
-
-// roundTrip performs one upstream attempt. With resilience armed the
-// attempt carries a deadline; the response body keeps the context alive
-// until closed.
-func (p *Proxy) roundTrip(r *http.Request, be *Backend) (*http.Response, error) {
-	url := be.URL() + r.URL.Path
-	if p.resil == nil {
-		return p.client.Get(url)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), p.resil.AttemptTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// cancelBody releases the attempt context when the response body is
-// closed, so the deadline governs the full body read.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
 }
 
 // adaptOutcome streams one client-observed outcome into the adaptive

@@ -1,0 +1,476 @@
+package httpcluster
+
+import (
+	"context"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"millibalance/internal/admission"
+	"millibalance/internal/faults"
+	"millibalance/internal/probe"
+)
+
+// pooledClient is a test client with one keep-alive connection of its
+// own, so nothing a test sends touches http.DefaultTransport.
+func pooledClient(t *testing.T) *http.Client {
+	t.Helper()
+	c := &http.Client{Timeout: 5 * time.Second, Transport: newPooledTransport(1)}
+	t.Cleanup(c.CloseIdleConnections)
+	return c
+}
+
+// get sends one GET and reports the status and how many body bytes
+// arrived before the body ended or failed.
+func get(c *http.Client, url string) (status int, n int64, err error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return 0, 0, err
+	}
+	n, err = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	return resp.StatusCode, n, err
+}
+
+// within polls cond until it holds or d elapsed.
+func within(d time.Duration, cond func() bool) bool {
+	for deadline := time.Now().Add(d); ; time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// TestClientCancelFreesWorkerAndEndpoint: the upstream attempt is bound
+// to the client's context in every configuration, so a client that gives
+// up on a stalled backend releases its worker slot and endpoint token at
+// once instead of holding them for the attempt timeout.
+func TestClientCancelFreesWorkerAndEndpoint(t *testing.T) {
+	release := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select { // a stall that outlives the test's patience
+		case <-release:
+		case <-time.After(2 * time.Second):
+		}
+	}))
+	defer backend.Close()
+	defer close(release)
+
+	be := NewBackend("app1", backend.URL, 4)
+	proxy, err := StartProxy(ProxyConfig{Workers: 8, Policy: PolicyCurrentLoad, Mechanism: MechanismModified},
+		[]*Backend{be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, proxy.URL()+"/x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := pooledClient(t).Do(req); err == nil {
+		_ = resp.Body.Close()
+		t.Fatalf("request through a stalled backend answered with %d", resp.StatusCode)
+	}
+	gaveUp := time.Now()
+	if !within(250*time.Millisecond, func() bool {
+		return proxy.WorkersInFlight() == 0 && be.FreeEndpoints() == 4 && proxy.Served()+proxy.Errors() == 1
+	}) {
+		t.Fatalf("250ms after the client gave up: workers in flight %d (want 0), free endpoints %d (want 4), served+errors %d (want 1)",
+			proxy.WorkersInFlight(), be.FreeEndpoints(), proxy.Served()+proxy.Errors())
+	}
+	t.Logf("slot and token back %v after the client gave up", time.Since(gaveUp).Round(time.Millisecond))
+}
+
+// TestTruncatedUpstreamBodyIsAnError: a backend that promises 16 KiB and
+// closes after 1 KiB has failed the request. The proxy must say so
+// everywhere it accounts an outcome — error counter, balancer ladder,
+// span, admission release — and must not end the short reply cleanly.
+func TestTruncatedUpstreamBodyIsAnError(t *testing.T) {
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", "16384")
+		_, _ = w.Write([]byte(strings.Repeat("x", 1024)))
+		// Returning short of the declared length makes net/http close
+		// the connection mid-body.
+	}))
+	defer backend.Close()
+
+	be := NewBackend("app1", backend.URL, 4)
+	proxy, err := StartProxy(ProxyConfig{
+		Workers: 8, Policy: PolicyCurrentLoad, Mechanism: MechanismModified,
+		SpanCapacity: 16,
+		Admission:    &admission.Config{Limiter: admission.LimiterAIMD},
+	}, []*Backend{be})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+	limit := proxy.Admission().Limit()
+
+	status, n, err := get(pooledClient(t), proxy.URL()+"/x")
+	if err == nil {
+		t.Fatalf("client read a clean %d-byte reply (status %d) from a truncated upstream body", n, status)
+	}
+	if !within(time.Second, func() bool { return proxy.WorkersInFlight() == 0 && be.FreeEndpoints() == 4 }) {
+		t.Fatalf("workers in flight %d, free endpoints %d after the failed reply", proxy.WorkersInFlight(), be.FreeEndpoints())
+	}
+	if s, e := proxy.Served(), proxy.Errors(); s != 0 || e != 1 {
+		t.Fatalf("served %d errors %d, want 0 and 1", s, e)
+	}
+	if st := be.State(); st == BackendAvailable {
+		t.Fatal("backend still Available: the truncated reply never reached the Busy/Error ladder")
+	}
+	spans := proxy.Tracer().Spans()
+	if len(spans) != 1 || spans[0].OK {
+		t.Fatalf("spans %+v, want one failed span", spans)
+	}
+	// AIMD backs off on a failed release and on nothing else here.
+	if got := proxy.Admission().Limit(); got >= limit {
+		t.Fatalf("admission limit %d after the failed reply, %d before: the release was reported as a success", got, limit)
+	}
+}
+
+// countingFront serves h on a listener of its own and counts the
+// connections it accepts: the exact, repeatable measure of how often a
+// client tier dialled.
+func countingFront(t *testing.T, h http.Handler) (url string, opened *atomic.Int64) {
+	t.Helper()
+	opened = new(atomic.Int64)
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	return srv.URL, opened
+}
+
+// TestUpstreamConnectionsAreReused: sixteen closed-loop clients put at
+// most sixteen requests in flight, so no tier may open more connections
+// than that to any one server however many requests pass — 3200 here.
+// On http.DefaultTransport (two idle connections per host) the counts
+// were proportional to the request count.
+func TestUpstreamConnectionsAreReused(t *testing.T) {
+	const clients, perClient, appServers = 16, 200, 4
+
+	db, err := StartDBServer(100 * time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = db.Close() }()
+	dbURL, dbOpened := countingFront(t, db.srv.Handler)
+
+	var backends []*Backend
+	var appOpened []*atomic.Int64
+	for i := 0; i < appServers; i++ {
+		app, err := StartAppServer(AppServerConfig{
+			Name: "app" + string(rune('1'+i)), Workers: clients, ServiceTime: time.Millisecond,
+			DBURL: dbURL, DBQueries: 1, ResponseBytes: 4096,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = app.Close() }()
+		// The proxy reaches the app server's handlers through the
+		// counting listener; the server's own listener stays unused.
+		url, opened := countingFront(t, app.mux)
+		backends = append(backends, NewBackend(app.Name(), url, clients))
+		appOpened = append(appOpened, opened)
+	}
+	proxy, err := StartProxy(ProxyConfig{Workers: 64, Policy: PolicyCurrentLoad, Mechanism: MechanismModified}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+
+	var wg sync.WaitGroup
+	var failures atomic.Int64
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &http.Client{Timeout: 5 * time.Second, Transport: newPooledTransport(1)}
+			defer c.CloseIdleConnections()
+			for j := 0; j < perClient; j++ {
+				if status, n, err := get(c, proxy.URL()+"/x"); err != nil || status != http.StatusOK || n != 4096 {
+					failures.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := failures.Load(); n != 0 {
+		t.Fatalf("%d of %d requests failed", n, clients*perClient)
+	}
+	if got := proxy.Served(); got != clients*perClient {
+		t.Fatalf("proxy served %d, want %d", got, clients*perClient)
+	}
+	for i, opened := range appOpened {
+		t.Logf("app%d: %d connections accepted", i+1, opened.Load())
+		if n := opened.Load(); n < 1 || n > clients {
+			t.Errorf("proxy opened %d connections to app%d, want 1..%d", n, i+1, clients)
+		}
+	}
+	t.Logf("db: %d connections accepted", dbOpened.Load())
+	if n := dbOpened.Load(); n < 1 || n > clients*appServers {
+		t.Errorf("app servers opened %d connections to the DB, want 1..%d", n, clients*appServers)
+	}
+}
+
+// TestPooledConnectionsSurviveCrashRestart: a crash tears down every
+// pooled connection to the server. Once it is back, requests must go
+// through on fresh connections without one failure or retry hop — stale
+// pool entries may not turn a finished crash into a retry storm.
+func TestPooledConnectionsSurviveCrashRestart(t *testing.T) {
+	app, err := StartAppServer(AppServerConfig{Name: "app1", Workers: 8, ServiceTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = app.Close() }()
+	proxy, err := StartProxy(ProxyConfig{
+		Workers: 16, Policy: PolicyCurrentLoad, Mechanism: MechanismModified,
+		Resilience: &Resilience{RetryBackoff: time.Millisecond},
+	}, []*Backend{NewBackend("app1", app.URL(), 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+
+	burst := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		var failures atomic.Int64
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c := &http.Client{Timeout: 5 * time.Second, Transport: newPooledTransport(1)}
+				defer c.CloseIdleConnections()
+				for j := 0; j < 10; j++ {
+					if status, _, err := get(c, proxy.URL()+"/x"); err != nil || status != http.StatusOK {
+						failures.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := failures.Load(); n != 0 {
+			t.Fatalf("%d of 80 requests failed", n)
+		}
+	}
+	burst() // fills the pool: up to eight idle connections to app1
+	app.Crash()
+	if err := app.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	burst()
+	if e, r := proxy.Errors(), proxy.Retries(); e != 0 || r != 0 {
+		t.Fatalf("after the restart: %d errors, %d retries, want none", e, r)
+	}
+}
+
+// TestCloseReleasesOwnedConnections: every inter-tier connection belongs
+// to the component that dialled it, and its Close lets go of it — the
+// goroutine count returns to its starting level with no help from
+// http.DefaultTransport.CloseIdleConnections.
+func TestCloseReleasesOwnedConnections(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	db, err := StartDBServer(100 * time.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apps []*AppServer
+	var backends []*Backend
+	for i := 0; i < 2; i++ {
+		app, err := StartAppServer(AppServerConfig{
+			Name: "app" + string(rune('1'+i)), Workers: 8, ServiceTime: time.Millisecond,
+			DBURL: db.URL(), DBQueries: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, app)
+		backends = append(backends, NewBackend(app.Name(), app.URL(), 8))
+	}
+	// Prequal arms the prober, whose probes ride the proxy's transport.
+	proxy, err := StartProxy(ProxyConfig{
+		Workers: 16, Policy: PolicyPrequal, Mechanism: MechanismModified,
+		Probe: &probe.Config{Interval: 5 * time.Millisecond},
+	}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	stats := RunLoad(ctx, proxy.URL(), LoadGenConfig{Clients: 8})
+	cancel()
+	if stats.Total() == 0 || stats.Failures() > 8 { // at most the request each client had in flight at the deadline
+		t.Fatalf("load: %d requests, %d failed", stats.Total(), stats.Failures())
+	}
+
+	// Requests the deadline cut off at the client may still be running
+	// in the tiers; Close is a hard stop, so let them finish first.
+	if !within(2*time.Second, func() bool {
+		return proxy.WorkersInFlight() == 0 && apps[0].InFlight() == 0 && apps[1].InFlight() == 0
+	}) {
+		t.Fatal("tier did not quiesce")
+	}
+	_ = proxy.Close()
+	for _, a := range apps {
+		_ = a.Close()
+	}
+	// The DB stub closes last, so the connections the app servers held
+	// to it were theirs to release.
+	if !within(2*time.Second, func() bool { return runtime.NumGoroutine() <= base+1 }) {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines with only the DB stub still up, %d before the tier started:\n%s",
+			runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+	}
+	_ = db.Close()
+	if !within(2*time.Second, func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("%d goroutines after Close, %d before the tier started", runtime.NumGoroutine(), base)
+	}
+}
+
+// TestProbesShareTheFaultWrappedTransport: probes and requests go
+// through the one transport the proxy was handed, so network latency
+// injected there shows in both.
+func TestProbesShareTheFaultWrappedTransport(t *testing.T) {
+	const injected = 60 * time.Millisecond
+	app, err := StartAppServer(AppServerConfig{Name: "app1", Workers: 8, ServiceTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = app.Close() }()
+	backends := []*Backend{NewBackend("app1", app.URL(), 8)}
+	pooled := NewUpstreamTransport(backends)
+	defer pooled.CloseIdleConnections()
+	tr := faults.NewTransport(pooled, 1)
+	proxy, err := StartProxy(ProxyConfig{
+		Workers: 8, Policy: PolicyPrequal, Mechanism: MechanismModified,
+		Probe:     &probe.Config{Interval: 5 * time.Millisecond, TTL: 500 * time.Millisecond},
+		Transport: tr,
+	}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+
+	// The app server has served nothing, so its EWMA is zero and each
+	// probe reports its own round-trip time.
+	probed := func() time.Duration {
+		s, _ := proxy.ProbePools().Peek("app1")
+		return s.Latency
+	}
+	if !within(2*time.Second, func() bool { return proxy.ProbePools().Depth("app1") > 0 }) {
+		t.Fatal("no probe landed")
+	}
+	if d := probed(); d >= injected {
+		t.Fatalf("probe took %v before any latency was injected", d)
+	}
+	tr.Degrade(strings.TrimPrefix(app.URL(), "http://"), injected, 0)
+	if !within(2*time.Second, func() bool { return probed() >= injected }) {
+		t.Fatalf("freshest probe took %v with %v injected on the proxy's transport", probed(), injected)
+	}
+	start := time.Now()
+	if status, _, err := get(pooledClient(t), proxy.URL()+"/x"); err != nil || status != http.StatusOK {
+		t.Fatalf("request: status %d, %v", status, err)
+	}
+	if d := time.Since(start); d < injected {
+		t.Fatalf("request took %v with %v injected", d, injected)
+	}
+}
+
+// TestRoundTripBuildsOneRequestShape pins what the single upstream path
+// forwards: GET <backend base path><request path>, no query, no body,
+// under the client's context with the attempt deadline.
+func TestRoundTripBuildsOneRequestShape(t *testing.T) {
+	var seen *http.Request
+	rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		seen = req
+		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader("ok"))}, nil
+	})
+	for _, resil := range []*Resilience{nil, {AttemptTimeout: 3 * time.Second}} {
+		be := NewBackend("app1", "http://10.0.0.1:8080/base", 2)
+		proxy, err := StartProxy(ProxyConfig{Workers: 2, Transport: rt, Resilience: resil}, []*Backend{be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct{}
+		in := httptest.NewRequest(http.MethodPost, "/a%20b?q=1", strings.NewReader("body"))
+		in = in.WithContext(context.WithValue(in.Context(), key{}, "client"))
+		resp, err := proxy.roundTrip(in, be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := defaultAttemptTimeout
+		if resil != nil {
+			want = resil.AttemptTimeout
+		}
+		deadline, ok := seen.Context().Deadline()
+		if left := time.Until(deadline); !ok || left > want || left < want-time.Second {
+			t.Errorf("attempt deadline in %v, want %v", left, want)
+		}
+		if seen.Context().Value(key{}) != "client" {
+			t.Error("attempt context does not derive from the client's")
+		}
+		if got := seen.Method + " " + seen.URL.String(); got != "GET http://10.0.0.1:8080/base/a%20b" {
+			t.Errorf("forwarded %q", got)
+		}
+		if seen.Body != nil || len(seen.Header) != 0 || seen.Host != "10.0.0.1:8080" {
+			t.Errorf("forwarded body %v, header %v, host %q", seen.Body, seen.Header, seen.Host)
+		}
+		_ = resp.Body.Close()
+		if seen.Context().Err() == nil {
+			t.Error("closing the body did not release the attempt context")
+		}
+		_ = proxy.Close()
+	}
+	if _, err := (&Proxy{}).roundTrip(httptest.NewRequest(http.MethodGet, "/", nil), NewBackend("bad", "http://[::1", 1)); err == nil {
+		t.Error("round trip to an unparseable backend URL succeeded")
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestRunLoadThinkTime: a zero think time is a tight closed loop that
+// still stops with the context; a positive one is still waited out, on
+// the one timer each client reuses.
+func TestRunLoadThinkTime(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+	for _, think := range []time.Duration{0, 2 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		start := time.Now()
+		stats := RunLoad(ctx, srv.URL, LoadGenConfig{Clients: 4, ThinkTime: think})
+		cancel()
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("think %v: RunLoad returned %v after a 100ms deadline", think, d)
+		}
+		if stats.Total() < 4 || stats.Failures() > 4 {
+			t.Fatalf("think %v: %d requests, %d failed", think, stats.Total(), stats.Failures())
+		}
+		if think > 0 && stats.Total() > 4*(100/2+2) {
+			t.Fatalf("think %v: %d requests in 100ms from 4 clients: the think time was skipped", think, stats.Total())
+		}
+	}
+}

@@ -53,10 +53,11 @@ type WallProber struct {
 
 // NewWallProber returns a prober over the targets. queries reports the
 // proxy's cumulative query count for rate coupling (nil pins the rate
-// to one probe per tick per round-robin turn); transport, when non-nil,
-// carries the probes — passing the proxy's fault-wrapped transport
-// makes probes experience the same injected network degradation as
-// requests do.
+// to one probe per tick per round-robin turn); transport carries the
+// probes. The proxy hands over the transport its requests use, so probes
+// ride its pooled connections and experience the same injected network
+// degradation as requests do; the prober never closes it. Nil is
+// net/http's default transport.
 func NewWallProber(pools *Pools, targets []WallTarget, queries func() uint64, transport http.RoundTripper) *WallProber {
 	if pools == nil {
 		panic("probe: NewWallProber with nil pools")
