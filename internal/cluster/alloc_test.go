@@ -1,0 +1,63 @@
+package cluster
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// mallocsFor assembles and runs cfg and returns the heap objects the
+// whole thing allocated and the requests it completed.
+func mallocsFor(cfg Config) (mallocs, completed uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res := Run(cfg)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, res.Responses.Total()
+}
+
+// TestAllocationBudget guards the request path's allocation budget at
+// paper scale. A request's walk used to cost 51 heap objects — a closure
+// per wait, a timer handle per CPU burst, a fresh request per issue —
+// and more than half of a run's CPU went to allocating and collecting
+// them; the walk now rides on recycled records and costs none, so what
+// remains is set-up (70 000 clients and their think timers) and the
+// planes' own logs.
+//
+// Two bounds per configuration: the objects a short run allocates all
+// told, per completed request — the benchmark's mem.mallocs_per_op,
+// dominated by set-up at this length — and the marginal objects per
+// request between a shorter and a longer run, which is the walk itself
+// and catches a single new allocation on it.
+func TestAllocationBudget(t *testing.T) {
+	cases := []struct {
+		name            string
+		cfg             func(seed uint64) Config
+		total, marginal float64
+	}{
+		// Measured 5.8 / 0.2 and 7.9 / 2.1: the full plane set pays a
+		// candidate-view slice and a span per request, and the event log
+		// grows as it fills.
+		{"paper", goldenPaper, 20, 1},
+		{"full", goldenFull, 20, 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			short, long := tc.cfg(1), tc.cfg(1)
+			short.Duration, long.Duration = 3*time.Second, 6*time.Second
+			m1, n1 := mallocsFor(short)
+			m2, n2 := mallocsFor(long)
+			total := float64(m1) / float64(n1)
+			marginal := float64(m2-m1) / float64(n2-n1)
+			t.Logf("%.2f objects per request over a 3 s run, %.2f per additional request", total, marginal)
+			if total > tc.total {
+				t.Errorf("a 3 s run allocates %.1f objects per completed request, budget %.0f", total, tc.total)
+			}
+			if marginal > tc.marginal {
+				t.Errorf("each additional request allocates %.2f objects, budget %.0f: something on the walk allocates again",
+					marginal, tc.marginal)
+			}
+		})
+	}
+}

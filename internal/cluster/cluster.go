@@ -133,7 +133,6 @@ type Cluster struct {
 	prober     *probe.SimProber
 	admGates   []*admission.Gate
 	eventHooks []func(obs.Event)
-	giveUps    uint64
 
 	webStats []*ServerStats
 	appStats []*ServerStats
@@ -299,24 +298,8 @@ func (c *Cluster) webFor(clientID int) *server.Web {
 
 // submit carries a request over the lossy transport to its web server.
 func (c *Cluster) submit(req *workload.Request) {
-	web := c.webFor(req.ClientID)
 	req.Span = c.tracer.Start(req.ID, c.Eng.Now())
-	c.retrans.SendSpan(req.Span,
-		func() bool {
-			if web.TryAccept(req) {
-				return true
-			}
-			req.Retransmits++
-			return false
-		},
-		func() {
-			c.giveUps++
-			req.Finish(workload.Outcome{
-				OK:           false,
-				ResponseTime: c.Eng.Now() - req.IssuedAt,
-				Retransmits:  req.Retransmits,
-			})
-		})
+	c.webFor(req.ClientID).Submit(req, c.retrans)
 }
 
 // instrument wires every sampler and hook. Every windowed series is
@@ -341,21 +324,30 @@ func (c *Cluster) instrument() {
 		})
 
 		bal := w.Balancer()
-		dist := metrics.NewDistributionRecorderHorizon(horizon)
+		names := make([]string, len(bal.Candidates()))
+		for i, cand := range bal.Candidates() {
+			names[i] = cand.Name()
+		}
+		dist := metrics.NewDistributionRecorder(names, horizon)
 		c.dispatch = append(c.dispatch, dist)
-		bal.SetDispatchHook(func(cand *lb.Candidate) { dist.Incr(cand.Name(), c.Eng.Now()) })
+		bal.SetDispatchHook(func(cand *lb.Candidate) { dist.Incr(cand.Index(), c.Eng.Now()) })
 
-		assign := metrics.NewDistributionRecorderHorizon(horizon)
+		assign := metrics.NewDistributionRecorder(names, horizon)
 		c.assign = append(c.assign, assign)
+		// snapBuf is shared by the decision hook and the lb_value poller
+		// below: both run on the engine thread and are done with the
+		// snapshot before they return.
+		var snapBuf []lb.Snapshot
 		bal.SetAssignHook(func(cand *lb.Candidate) {
-			assign.Incr(cand.Name(), c.Eng.Now())
+			assign.Incr(cand.Index(), c.Eng.Now())
 			if c.events != nil {
+				snapBuf = bal.AppendSnapshot(snapBuf[:0])
 				c.events.Append(obs.Event{
 					T:          c.Eng.Now(),
 					Kind:       obs.KindDecision,
 					Source:     w.Name(),
 					Chosen:     cand.Name(),
-					Candidates: candidateViews(bal.Snapshot()),
+					Candidates: candidateViews(snapBuf),
 				})
 			}
 		})
@@ -380,7 +372,6 @@ func (c *Cluster) instrument() {
 			lbSeries[a.Name()] = newSeries()
 		}
 		c.lbValues = append(c.lbValues, lbSeries)
-		var snapBuf []lb.Snapshot
 		c.poller.Add(func(now sim.Time) {
 			snapBuf = bal.AppendSnapshot(snapBuf[:0])
 			for _, snap := range snapBuf {
@@ -615,7 +606,7 @@ func (c *Cluster) results() *Results {
 		Responses:    c.rec,
 		Issued:       issued,
 		Retransmits:  c.retrans.Retransmits(),
-		GiveUps:      c.giveUps,
+		GiveUps:      c.retrans.Failures(),
 		Webs:         c.webStats,
 		Apps:         c.appStats,
 		DB:           c.dbStats,

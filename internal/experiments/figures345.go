@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -189,8 +190,15 @@ func (f Figure5Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 5 — average CPU per server (max %.1f%%)\n", f.MaxAverage)
 	fmt.Fprintf(&b, "%-10s %14s %14s\n", "server", "total_request", "total_traffic")
-	for name, v := range f.TotalRequest {
-		fmt.Fprintf(&b, "%-10s %13.1f%% %13.1f%%\n", name, v, f.TotalTraffic[name])
+	// Sorted: the rows must not come out in map order, which differs
+	// from one process to the next.
+	names := make([]string, 0, len(f.TotalRequest))
+	for name := range f.TotalRequest {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fmt.Fprintf(&b, "%-10s %13.1f%% %13.1f%%\n", name, f.TotalRequest[name], f.TotalTraffic[name])
 	}
 	return b.String()
 }

@@ -103,8 +103,8 @@ type Balancer struct {
 
 // triedSet tracks the candidates a dispatch already failed on. Candidate
 // sets are tiny (the paper's testbed has four application servers), so a
-// slice with a linear scan beats a map and costs at most one allocation
-// per failing dispatch instead of one per map insert.
+// slice with a linear scan beats a map; it lives in the dispatch's
+// Attempt and keeps its backing array from one dispatch to the next.
 type triedSet []*Candidate
 
 func (t triedSet) has(c *Candidate) bool {
@@ -127,6 +127,9 @@ func New(eng *sim.Engine, policy Policy, mech Mechanism, cands []*Candidate, cfg
 	}
 	copied := make([]*Candidate, len(cands))
 	copy(copied, cands)
+	for i, c := range copied {
+		c.index = i
+	}
 	if _, ok := policy.(Maintainer); ok && cfg.MaintainInterval <= 0 {
 		// A maintaining policy is meaningless without maintenance; use
 		// a sub-second default so the decay reacts within a few
@@ -227,82 +230,181 @@ func (b *Balancer) AppendSnapshot(dst []Snapshot) []Snapshot {
 	return dst
 }
 
-// Dispatch picks a candidate, acquires an endpoint through the mechanism
-// and calls send(c, done) with the chosen candidate; the caller forwards
-// the request and must invoke done exactly once when the response
-// returns. When every attempt fails, reject runs instead. The caller's
-// worker thread is considered occupied until send or reject fires —
-// exactly the occupancy that lets the original mechanism propagate queue
-// amplification into the web tier.
+// Forwarder is the dispatching side of one request: the caller's own
+// per-request record, told where the request goes or that it goes
+// nowhere. The caller's worker thread is considered occupied until one
+// of the two runs — exactly the occupancy that lets the original
+// mechanism propagate queue amplification into the web tier.
+type Forwarder interface {
+	// Forward runs with an endpoint on c held: send the request to c,
+	// and call Balancer.Complete with the same Attempt exactly once when
+	// the response returns.
+	Forward(c *Candidate)
+	// Rejected runs instead when every attempt failed.
+	Rejected()
+}
+
+// Attempt is the balancer's state for one dispatch, from Start until
+// Complete or rejection: the candidates already failed on, the sweep
+// and poll counters, the chosen candidate. It is also the event the
+// mechanism's poll sleep and the pause between sweeps park on the
+// engine. A caller embeds an Attempt in its per-request record and
+// reuses it for the record's next request, so dispatching allocates
+// nothing — the tried list keeps its backing array across uses.
+type Attempt struct {
+	b     *Balancer
+	to    Forwarder
+	info  RequestInfo
+	mech  Mechanism // the mechanism this acquisition started under
+	cand  *Candidate
+	tried triedSet
+	sweep int
+	retry int // poll sleeps so far on cand
+	phase attemptPhase
+}
+
+type attemptPhase uint8
+
+const (
+	attemptIdle      attemptPhase = iota // not dispatching
+	attemptAcquiring                     // parked on the mechanism's poll sleep
+	attemptPausing                       // parked between two sweeps
+	attemptSent                          // forwarded, response outstanding
+)
+
+// Fire resumes the dispatch after a poll sleep or a sweep pause.
+func (a *Attempt) Fire() {
+	switch a.phase {
+	case attemptAcquiring:
+		a.retry++
+		a.b.acquire(a)
+	case attemptPausing:
+		a.sweep++
+		a.tried = a.tried[:0]
+		a.b.attempt(a)
+	default:
+		panic("lb: Attempt fired while not waiting")
+	}
+}
+
+// Start dispatches one request through a: it picks a candidate,
+// acquires an endpoint through the configured mechanism and calls
+// to.Forward with the chosen candidate, or to.Rejected when every
+// attempt fails. a must not be in use by an earlier dispatch.
+func (b *Balancer) Start(a *Attempt, info RequestInfo, to Forwarder) {
+	if to == nil {
+		panic("lb: Start with nil forwarder")
+	}
+	if a.phase != attemptIdle {
+		panic("lb: Attempt started while still dispatching")
+	}
+	a.b, a.to, a.info = b, to, info
+	a.tried = a.tried[:0]
+	a.sweep = 1
+	info.Span.Enter(obs.StageGetEndpoint, b.eng.Now())
+	b.attempt(a)
+}
+
+// Dispatch is Start for callers without a record of their own: send
+// receives the chosen candidate and a done function it must invoke
+// exactly once when the response returns; reject runs when every
+// attempt fails.
 func (b *Balancer) Dispatch(info RequestInfo, send func(c *Candidate, done func()), reject func()) {
 	if send == nil || reject == nil {
 		panic("lb: Dispatch with nil callback")
 	}
-	info.Span.Enter(obs.StageGetEndpoint, b.eng.Now())
-	b.attempt(info, send, reject, nil, 1)
+	d := &funcDispatch{send: send, reject: reject}
+	b.Start(&d.Attempt, info, d)
 }
 
-func (b *Balancer) attempt(info RequestInfo, send func(*Candidate, func()), reject func(), tried triedSet, sweep int) {
-	c := b.sessionCandidate(info.SessionID, tried)
+// funcDispatch is the Forwarder behind Dispatch.
+type funcDispatch struct {
+	Attempt
+	send   func(*Candidate, func())
+	reject func()
+}
+
+func (d *funcDispatch) Forward(c *Candidate) { d.send(c, d.done) }
+func (d *funcDispatch) Rejected()            { d.reject() }
+func (d *funcDispatch) done()                { d.b.Complete(&d.Attempt) }
+
+func (b *Balancer) attempt(a *Attempt) {
+	c := b.sessionCandidate(a.info.SessionID, a.tried)
 	if c == nil {
-		c = b.choose(tried)
+		c = b.choose(a.tried)
 	}
 	if c == nil {
-		b.nextSweep(info, send, reject, sweep)
+		b.nextSweep(a)
 		return
 	}
 	if b.onAssign != nil {
 		b.onAssign(c)
 	}
-	b.mech.Acquire(c, func(ok bool) {
-		if !ok {
-			if c.probeArmed {
-				// The armed probe could not even get an endpoint: report a
-				// failed probe instead of dispatching it elsewhere.
-				c.probeArmed = false
-				if b.onProbe != nil {
-					b.onProbe(c, 0, false)
-				}
-			}
-			b.noteFailure(c)
-			if tried == nil {
-				tried = make(triedSet, 0, len(b.cands))
-			}
-			tried = append(tried, c)
-			if len(tried) >= b.cfg.MaxAttempts {
-				b.nextSweep(info, send, reject, sweep)
-				return
-			}
-			b.attempt(info, send, reject, tried, sweep)
-			return
+	// A poll loop finishes under the mechanism it started with even if
+	// the control plane swaps the balancer's mechanism meanwhile.
+	a.cand, a.mech, a.retry = c, b.mech, 0
+	b.acquire(a)
+}
+
+// acquire makes one pass of the mechanism and acts on its verdict.
+func (b *Balancer) acquire(a *Attempt) {
+	switch a.mech.Acquire(a) {
+	case Acquired:
+		b.dispatchTo(a)
+	case Polling:
+		a.phase = attemptAcquiring
+	default:
+		b.acquireFailed(a)
+	}
+}
+
+func (b *Balancer) acquireFailed(a *Attempt) {
+	c := a.cand
+	if c.probeArmed {
+		// The armed probe could not even get an endpoint: report a
+		// failed probe instead of dispatching it elsewhere.
+		c.probeArmed = false
+		if b.onProbe != nil {
+			b.onProbe(c, 0, false)
 		}
-		b.dispatchTo(c, info, send)
-	})
+	}
+	b.noteFailure(c)
+	a.tried = append(a.tried, c)
+	if len(a.tried) >= b.cfg.MaxAttempts {
+		b.nextSweep(a)
+		return
+	}
+	b.attempt(a)
 }
 
 // nextSweep pauses and re-sweeps the full candidate set, or rejects when
 // the sweep budget is spent.
-func (b *Balancer) nextSweep(info RequestInfo, send func(*Candidate, func()), reject func(), sweep int) {
-	if sweep >= b.cfg.Sweeps {
-		info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
-		b.doReject(reject)
+func (b *Balancer) nextSweep(a *Attempt) {
+	if a.sweep >= b.cfg.Sweeps {
+		a.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
+		a.phase = attemptIdle
+		b.rejects++
+		if b.onReject != nil {
+			b.onReject()
+		}
+		a.to.Rejected()
 		return
 	}
-	b.eng.Schedule(b.cfg.SweepPause, func() {
-		b.attempt(info, send, reject, nil, sweep+1)
-	})
+	a.phase = attemptPausing
+	b.eng.ScheduleEvent(b.cfg.SweepPause, a)
 }
 
-func (b *Balancer) dispatchTo(c *Candidate, info RequestInfo, send func(*Candidate, func())) {
-	info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
+func (b *Balancer) dispatchTo(a *Attempt) {
+	c := a.cand
+	a.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
 	c.consecFails = 0
 	if c.state != StateAvailable {
 		// Returning an endpoint proves the candidate responsive again.
 		b.setAvailable(c)
 	}
-	b.policy.OnDispatch(c, info)
+	b.policy.OnDispatch(c, a.info)
 	if b.cfg.StickySessions {
-		b.bindSession(info.SessionID, c)
+		b.bindSession(a.info.SessionID, c)
 	}
 	c.dispatched++
 	c.inFlight++
@@ -314,36 +416,35 @@ func (b *Balancer) dispatchTo(c *Candidate, info RequestInfo, send func(*Candida
 	if b.onDispatch != nil {
 		b.onDispatch(c)
 	}
-	finished := false
-	send(c, func() {
-		if finished {
-			panic("lb: request completion invoked twice")
-		}
-		finished = true
-		c.inFlight--
-		c.completed++
-		c.traffic += info.RequestBytes + info.ResponseBytes
-		b.policy.OnComplete(c, info)
-		c.releaseEndpoint()
-		c.consecFails = 0
-		if c.state != StateAvailable {
-			b.setAvailable(c)
-		}
-		if c.probing {
-			c.probing = false
-			if b.onProbe != nil {
-				b.onProbe(c, b.eng.Now()-c.probeStart, true)
-			}
-		}
-	})
+	a.phase = attemptSent
+	a.to.Forward(c)
 }
 
-func (b *Balancer) doReject(reject func()) {
-	b.rejects++
-	if b.onReject != nil {
-		b.onReject()
+// Complete records that the response to a forwarded request returned:
+// it releases the endpoint, updates the policy's bookkeeping and
+// readmits a candidate that was Busy. It must run exactly once per
+// Forward.
+func (b *Balancer) Complete(a *Attempt) {
+	if a.phase != attemptSent {
+		panic("lb: request completion invoked twice")
 	}
-	reject()
+	a.phase = attemptIdle
+	c := a.cand
+	c.inFlight--
+	c.completed++
+	c.traffic += a.info.RequestBytes + a.info.ResponseBytes
+	b.policy.OnComplete(c, a.info)
+	c.releaseEndpoint()
+	c.consecFails = 0
+	if c.state != StateAvailable {
+		b.setAvailable(c)
+	}
+	if c.probing {
+		c.probing = false
+		if b.onProbe != nil {
+			b.onProbe(c, b.eng.Now()-c.probeStart, true)
+		}
+	}
 }
 
 // choose implements the lower-level scheduler: the Available candidate

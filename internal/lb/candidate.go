@@ -55,8 +55,9 @@ func (s State) String() string {
 // balancer-local connection pool to that server (mod_jk's endpoint
 // cache), the policy's lb_value, and the 3-state machine state.
 type Candidate struct {
-	name string
-	pool *sim.Pool
+	name  string
+	index int // position in the owning balancer's candidate list
+	pool  *sim.Pool
 
 	lbValue     float64
 	weight      float64
@@ -93,6 +94,12 @@ func NewCandidate(name string, pool *sim.Pool) *Candidate {
 
 // Name returns the candidate's name.
 func (c *Candidate) Name() string { return c.name }
+
+// Index returns the candidate's position in its balancer's candidate
+// list (the order given to New), so per-candidate tables — the web
+// server's app servers, the distribution recorders — can be slices
+// indexed by it instead of maps keyed by name.
+func (c *Candidate) Index() int { return c.index }
 
 // LBValue returns the policy's current lb_value for this candidate.
 func (c *Candidate) LBValue() float64 { return c.lbValue }

@@ -8,18 +8,29 @@ import (
 
 // Mechanism is the endpoint-acquisition strategy: given the chosen
 // candidate, obtain a free connection endpoint or report failure. The
-// callback style matters: the original mechanism spends virtual time
-// polling, and during that whole window it occupies the caller (a web
-// server worker thread) while the candidate's balancer state stays
-// untouched — the paper's mechanism-level limitation.
+// original mechanism spends virtual time polling, and during that whole
+// window it occupies the caller (a web server worker thread) while the
+// candidate's balancer state stays untouched — the paper's
+// mechanism-level limitation.
 type Mechanism interface {
 	// Name identifies the mechanism in configs and reports.
 	Name() string
-	// Acquire attempts to take an endpoint from c and eventually calls
-	// done exactly once. On ok=true the endpoint is held; the caller
-	// must arrange its release through the balancer's completion path.
-	Acquire(c *Candidate, done func(ok bool))
+	// Acquire makes one pass at taking an endpoint from a's candidate.
+	// Acquired means the endpoint is held (the balancer releases it on
+	// completion); Failed means none will be taken; Polling means the
+	// mechanism has parked a on the engine and wants to be asked again
+	// when it fires, with a's retry count one higher.
+	Acquire(a *Attempt) Acquisition
 }
+
+// Acquisition is the verdict of one Mechanism.Acquire pass.
+type Acquisition int
+
+const (
+	Failed Acquisition = iota
+	Acquired
+	Polling
+)
 
 // Default timing constants from mod_jk: JK_SLEEP_DEF is 100 ms and
 // cache_acquire_timeout is 300 ms.
@@ -50,41 +61,34 @@ func NewOriginalGetEndpoint(eng *sim.Engine) *OriginalGetEndpoint {
 func (*OriginalGetEndpoint) Name() string { return "original_get_endpoint" }
 
 // Acquire implements Mechanism.
-func (m *OriginalGetEndpoint) Acquire(c *Candidate, done func(ok bool)) {
+func (m *OriginalGetEndpoint) Acquire(a *Attempt) Acquisition {
 	sleep := m.Sleep
 	if sleep <= 0 {
 		sleep = DefaultAcquireSleep
 	}
-	retry := 0
-	var attempt func()
-	attempt = func() {
-		// A candidate drained by the adaptive control plane mid-poll
-		// frees its waiters at the next sweep instead of holding the
-		// worker for the rest of the acquire timeout: quarantine means
-		// no endpoint is coming, and every blocked worker here is one
-		// less worker emptying the web accept queue (the paper's
-		// amplification path from one stalled server to tier-wide
-		// connection drops). Armed probes keep polling — measuring the
-		// drained candidate is their whole purpose. Without quarantine
-		// (static runs) this branch never triggers.
-		if c.quarantined && !c.probeArmed {
-			done(false)
-			return
-		}
-		// Loop guard mirrors Algorithm 1: while retry*JK_SLEEP_DEF <
-		// cache_acquire_timeout.
-		if sim.Time(retry)*sleep >= m.Timeout {
-			done(false)
-			return
-		}
-		if c.tryEndpoint() {
-			done(true)
-			return
-		}
-		retry++
-		m.eng.Schedule(sleep, attempt)
+	c := a.cand
+	// A candidate drained by the adaptive control plane mid-poll
+	// frees its waiters at the next sweep instead of holding the
+	// worker for the rest of the acquire timeout: quarantine means
+	// no endpoint is coming, and every blocked worker here is one
+	// less worker emptying the web accept queue (the paper's
+	// amplification path from one stalled server to tier-wide
+	// connection drops). Armed probes keep polling — measuring the
+	// drained candidate is their whole purpose. Without quarantine
+	// (static runs) this branch never triggers.
+	if c.quarantined && !c.probeArmed {
+		return Failed
 	}
-	attempt()
+	// Loop guard mirrors Algorithm 1: while retry*JK_SLEEP_DEF <
+	// cache_acquire_timeout.
+	if sim.Time(a.retry)*sleep >= m.Timeout {
+		return Failed
+	}
+	if c.tryEndpoint() {
+		return Acquired
+	}
+	m.eng.ScheduleEvent(sleep, a)
+	return Polling
 }
 
 // ModifiedGetEndpoint is the paper's mechanism-level remedy (Section
@@ -102,8 +106,11 @@ func NewModifiedGetEndpoint() *ModifiedGetEndpoint { return &ModifiedGetEndpoint
 func (*ModifiedGetEndpoint) Name() string { return "modified_get_endpoint" }
 
 // Acquire implements Mechanism.
-func (*ModifiedGetEndpoint) Acquire(c *Candidate, done func(ok bool)) {
-	done(c.tryEndpoint())
+func (*ModifiedGetEndpoint) Acquire(a *Attempt) Acquisition {
+	if a.cand.tryEndpoint() {
+		return Acquired
+	}
+	return Failed
 }
 
 // MechanismByName returns the mechanism with the given name. The original

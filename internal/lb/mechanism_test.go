@@ -7,12 +7,23 @@ import (
 	"millibalance/internal/sim"
 )
 
+// acquireOn runs m on c the way a dispatch does — through a balancer
+// whose only candidate is c, one sweep — and reports the outcome: true
+// when the endpoint was acquired and the request forwarded, false when
+// the acquisition failed and the dispatch was rejected.
+func acquireOn(eng *sim.Engine, m Mechanism, c *Candidate, done func(ok bool)) {
+	bal := New(eng, TotalRequest{}, m, []*Candidate{c}, Config{Sweeps: 1})
+	bal.Dispatch(RequestInfo{},
+		func(*Candidate, func()) { done(true) },
+		func() { done(false) })
+}
+
 func TestOriginalAcquireImmediateSuccess(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
 	var got bool
-	m.Acquire(c, func(ok bool) { got = ok })
+	acquireOn(eng, m, c, func(ok bool) { got = ok })
 	if !got {
 		t.Fatal("acquire with a free endpoint did not succeed synchronously")
 	}
@@ -28,7 +39,7 @@ func TestOriginalAcquirePollsThenTimesOut(t *testing.T) {
 	c.tryEndpoint() // exhaust the pool
 	var doneAt sim.Time = -1
 	var result bool
-	m.Acquire(c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(eng, m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	eng.Run(time.Second)
 	if result {
 		t.Fatal("acquire succeeded with an exhausted pool")
@@ -47,7 +58,7 @@ func TestOriginalAcquirePicksUpFreedEndpoint(t *testing.T) {
 	c.tryEndpoint()
 	var doneAt sim.Time = -1
 	var result bool
-	m.Acquire(c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(eng, m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	// Endpoint frees at 150ms; next poll is at 200ms.
 	eng.Schedule(150*time.Millisecond, func() { c.releaseEndpoint() })
 	eng.Run(time.Second)
@@ -64,7 +75,7 @@ func TestOriginalAcquireBlocksCallerForFullWindow(t *testing.T) {
 	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
 	c.tryEndpoint()
-	m.Acquire(c, func(bool) {})
+	acquireOn(eng, m, c, func(bool) {})
 	eng.Run(250 * time.Millisecond)
 	if c.State() != StateAvailable {
 		t.Fatalf("candidate state changed to %v during acquire wait", c.State())
@@ -79,7 +90,7 @@ func TestOriginalAcquireCustomTiming(t *testing.T) {
 	c := newCand("app1", 1)
 	c.tryEndpoint()
 	var doneAt sim.Time = -1
-	m.Acquire(c, func(bool) { doneAt = eng.Now() })
+	acquireOn(eng, m, c, func(bool) { doneAt = eng.Now() })
 	eng.Run(time.Second)
 	if doneAt != 50*time.Millisecond {
 		t.Fatalf("custom timeout gave up at %v, want 50ms", doneAt)
@@ -91,14 +102,10 @@ func TestModifiedAcquireFailsFast(t *testing.T) {
 	m := NewModifiedGetEndpoint()
 	c := newCand("app1", 1)
 	c.tryEndpoint()
-	called := false
-	m.Acquire(c, func(ok bool) {
-		called = true
-		if ok {
-			t.Fatal("modified acquire succeeded with an exhausted pool")
-		}
-	})
-	if !called {
+	switch m.Acquire(&Attempt{cand: c}) {
+	case Acquired:
+		t.Fatal("modified acquire succeeded with an exhausted pool")
+	case Polling:
 		t.Fatal("modified acquire was not synchronous")
 	}
 	if eng.Pending() != 0 {
@@ -109,10 +116,9 @@ func TestModifiedAcquireFailsFast(t *testing.T) {
 func TestModifiedAcquireSucceedsWithFreeEndpoint(t *testing.T) {
 	m := NewModifiedGetEndpoint()
 	c := newCand("app1", 2)
-	got := false
-	m.Acquire(c, func(ok bool) { got = ok })
-	if !got || c.FreeEndpoints() != 1 {
-		t.Fatalf("ok=%v free=%d", got, c.FreeEndpoints())
+	got := m.Acquire(&Attempt{cand: c})
+	if got != Acquired || c.FreeEndpoints() != 1 {
+		t.Fatalf("verdict=%v free=%d", got, c.FreeEndpoints())
 	}
 }
 

@@ -247,31 +247,39 @@ func (g *GaugeSampler) Series() *stats.Series { return g.series }
 
 // DistributionRecorder counts per-key events per window — the
 // workload-distribution plots (Fig. 6c, 7c, 9b, 13b) use it with one key
-// per application server, fed by the balancer's dispatch hook.
+// per application server, fed by the balancer's dispatch hook. Events
+// are counted by the key's position in the list given at construction
+// (for a balancer hook: the candidate's index), so the per-dispatch
+// path is a slice index, not a string-keyed map lookup; names come back
+// in at the reading side (Keys, Series, Share).
 type DistributionRecorder struct {
+	names   []string        // by slot
+	bySlot  []*stats.Series // by slot, nil until the slot's first event
 	byKey   map[string]*stats.Series
-	keys    []string
+	keys    []string // first-seen order
 	horizon time.Duration
 }
 
-// NewDistributionRecorder returns an empty recorder.
-func NewDistributionRecorder() *DistributionRecorder {
-	return NewDistributionRecorderHorizon(0)
+// NewDistributionRecorder returns an empty recorder over the given keys,
+// each key's series preallocated — when its first event arrives — for a
+// run of the given expected duration (zero: grow on demand).
+func NewDistributionRecorder(keys []string, horizon time.Duration) *DistributionRecorder {
+	return &DistributionRecorder{
+		names:   append([]string(nil), keys...),
+		bySlot:  make([]*stats.Series, len(keys)),
+		byKey:   make(map[string]*stats.Series, len(keys)),
+		horizon: horizon,
+	}
 }
 
-// NewDistributionRecorderHorizon is NewDistributionRecorder with each
-// per-key series preallocated for a run of the given expected duration.
-func NewDistributionRecorderHorizon(horizon time.Duration) *DistributionRecorder {
-	return &DistributionRecorder{byKey: map[string]*stats.Series{}, horizon: horizon}
-}
-
-// Incr counts one event for key at time now.
-func (d *DistributionRecorder) Incr(key string, now sim.Time) {
-	s, ok := d.byKey[key]
-	if !ok {
+// Incr counts one event at time now for the key at position slot.
+func (d *DistributionRecorder) Incr(slot int, now sim.Time) {
+	s := d.bySlot[slot]
+	if s == nil {
 		s = stats.NewSeriesHorizon(Window, d.horizon)
-		d.byKey[key] = s
-		d.keys = append(d.keys, key)
+		d.bySlot[slot] = s
+		d.byKey[d.names[slot]] = s
+		d.keys = append(d.keys, d.names[slot])
 	}
 	s.Incr(now)
 }

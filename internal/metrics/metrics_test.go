@@ -186,15 +186,22 @@ func TestGaugeSamplerNilReadPanics(t *testing.T) {
 }
 
 func TestDistributionRecorder(t *testing.T) {
-	d := NewDistributionRecorder()
+	d := NewDistributionRecorder([]string{"app0", "app1", "app2"}, 0)
 	for i := 0; i < 8; i++ {
-		d.Incr("app1", 10*time.Millisecond)
+		d.Incr(1, 10*time.Millisecond)
 	}
-	d.Incr("app2", 10*time.Millisecond)
-	d.Incr("app2", 60*time.Millisecond)
+	d.Incr(2, 10*time.Millisecond)
+	d.Incr(2, 60*time.Millisecond)
 	keys := d.Keys()
 	if len(keys) != 2 || keys[0] != "app1" || keys[1] != "app2" {
 		t.Fatalf("Keys = %v", keys)
+	}
+	// A key joins Keys when its first event arrives, wherever it sits in
+	// the constructor's list: the distribution figures print in this
+	// order.
+	d.Incr(0, 70*time.Millisecond)
+	if keys = d.Keys(); len(keys) != 3 || keys[2] != "app0" {
+		t.Fatalf("Keys after a late first event = %v", keys)
 	}
 	if d.Series("app1").At(0).Count != 8 {
 		t.Fatalf("app1 window 0 = %d", d.Series("app1").At(0).Count)
@@ -205,11 +212,11 @@ func TestDistributionRecorder(t *testing.T) {
 }
 
 func TestDistributionShare(t *testing.T) {
-	d := NewDistributionRecorder()
+	d := NewDistributionRecorder([]string{"app1", "app2"}, 0)
 	for i := 0; i < 9; i++ {
-		d.Incr("app1", 10*time.Millisecond)
+		d.Incr(0, 10*time.Millisecond)
 	}
-	d.Incr("app2", 10*time.Millisecond)
+	d.Incr(1, 10*time.Millisecond)
 	if got := d.Share("app1", 0, 50*time.Millisecond); got != 0.9 {
 		t.Fatalf("Share = %v, want 0.9", got)
 	}

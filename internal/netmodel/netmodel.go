@@ -29,7 +29,7 @@ func DefaultRetransmitSchedule() RetransmitSchedule {
 // "Cross-Tier Queue Overflow".
 type Listener struct {
 	backlog int
-	queue   sim.FIFO[func()]
+	queue   sim.FIFO[sim.Event]
 	drops   uint64
 	offered uint64
 }
@@ -55,9 +55,9 @@ func (l *Listener) Drops() uint64 { return l.drops }
 // Offered reports how many offers have been made.
 func (l *Listener) Offered() uint64 { return l.offered }
 
-// Offer enqueues accept to run when the connection is accepted. It
+// Offer enqueues accept to fire when the connection is accepted. It
 // reports false — and drops the connection — when the backlog is full.
-func (l *Listener) Offer(accept func()) bool {
+func (l *Listener) Offer(accept sim.Event) bool {
 	l.offered++
 	if l.queue.Len() >= l.backlog {
 		l.drops++
@@ -67,14 +67,14 @@ func (l *Listener) Offer(accept func()) bool {
 	return true
 }
 
-// Accept dequeues and runs the oldest waiting connection, reporting
+// Accept dequeues and fires the oldest waiting connection, reporting
 // whether one was waiting.
 func (l *Listener) Accept() bool {
 	accept, ok := l.queue.Pop()
 	if !ok {
 		return false
 	}
-	accept()
+	accept.Fire()
 	return true
 }
 
@@ -102,39 +102,59 @@ func (r *Retransmitter) Retransmits() uint64 { return r.retransmits }
 // Failures reports how many sends exhausted the schedule and failed.
 func (r *Retransmitter) Failures() uint64 { return r.failures }
 
-// Send runs attempt, which reports whether the connection was admitted.
-// On a drop it retries after the next schedule delay; when the schedule
-// is exhausted it calls onFail (which may be nil).
-func (r *Retransmitter) Send(attempt func() bool, onFail func()) {
-	r.sendFrom(nil, 0, attempt, onFail)
+// Sender is the client side of one send: the record that knows how to
+// make a connection attempt and what giving up means.
+type Sender interface {
+	// Connect makes one connection attempt and reports whether the
+	// connection was admitted.
+	Connect() bool
+	// Abandon runs when the retransmission schedule is exhausted.
+	Abandon()
 }
 
-// SendSpan is Send with request-lifecycle tracing: sp (which may be
-// nil) records the retransmit-wait stage from the first drop until the
-// attempt that is finally admitted or the schedule is exhausted — the
-// wait that stamps VLRT requests into the 1 s / 2 s / 3 s clusters.
-func (r *Retransmitter) SendSpan(sp *obs.Span, attempt func() bool, onFail func()) {
-	r.sendFrom(sp, 0, attempt, onFail)
+// Transmission is the transport's state for one send — who is sending,
+// how many attempts were dropped so far — and the event the retry timer
+// fires. A sender embeds it in its own record, so a send that is
+// dropped and retried allocates nothing.
+type Transmission struct {
+	r     *Retransmitter
+	from  Sender
+	span  *obs.Span
+	tries int
 }
 
-func (r *Retransmitter) sendFrom(sp *obs.Span, tries int, attempt func() bool, onFail func()) {
-	if attempt() {
-		sp.Exit(obs.StageRetransmitWait, r.eng.Now())
+// Transmit starts a send through tx: from.Connect runs now and, while
+// it reports a drop, again after each schedule delay; when the schedule
+// is exhausted from.Abandon runs. sp (which may be nil) records the
+// retransmit-wait stage from the first drop until the attempt that is
+// finally admitted or the schedule is exhausted — the wait that stamps
+// VLRT requests into the 1 s / 2 s / 3 s clusters.
+func (r *Retransmitter) Transmit(tx *Transmission, sp *obs.Span, from Sender) {
+	*tx = Transmission{r: r, from: from, span: sp}
+	tx.attempt()
+}
+
+// Fire is the retry timer.
+func (tx *Transmission) Fire() {
+	tx.tries++
+	tx.attempt()
+}
+
+func (tx *Transmission) attempt() {
+	r := tx.r
+	if tx.from.Connect() {
+		tx.span.Exit(obs.StageRetransmitWait, r.eng.Now())
 		return
 	}
-	if tries >= len(r.schedule) {
+	if tx.tries >= len(r.schedule) {
 		r.failures++
-		sp.Exit(obs.StageRetransmitWait, r.eng.Now())
-		if onFail != nil {
-			onFail()
-		}
+		tx.span.Exit(obs.StageRetransmitWait, r.eng.Now())
+		tx.from.Abandon()
 		return
 	}
 	r.retransmits++
-	sp.Enter(obs.StageRetransmitWait, r.eng.Now())
-	r.eng.Schedule(r.schedule[tries], func() {
-		r.sendFrom(sp, tries+1, attempt, onFail)
-	})
+	tx.span.Enter(obs.StageRetransmitWait, r.eng.Now())
+	r.eng.ScheduleEvent(r.schedule[tx.tries], tx)
 }
 
 // Link is a fixed-latency network hop. Bandwidth is not modelled; the

@@ -10,10 +10,10 @@ import (
 
 func TestListenerAcceptsUpToBacklog(t *testing.T) {
 	l := NewListener(2)
-	if !l.Offer(func() {}) || !l.Offer(func() {}) {
+	if !l.Offer(sim.Func(func() {})) || !l.Offer(sim.Func(func() {})) {
 		t.Fatal("offers within backlog were dropped")
 	}
-	if l.Offer(func() {}) {
+	if l.Offer(sim.Func(func() {})) {
 		t.Fatal("offer beyond backlog was admitted")
 	}
 	if l.Len() != 2 || l.Drops() != 1 || l.Offered() != 3 {
@@ -26,7 +26,7 @@ func TestListenerAcceptFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		l.Offer(func() { got = append(got, i) })
+		l.Offer(sim.Func(func() { got = append(got, i) }))
 	}
 	for l.Accept() {
 	}
@@ -46,7 +46,7 @@ func TestListenerAcceptEmpty(t *testing.T) {
 
 func TestListenerZeroBacklogDropsEverything(t *testing.T) {
 	l := NewListener(0)
-	if l.Offer(func() {}) {
+	if l.Offer(sim.Func(func() {})) {
 		t.Fatal("zero-backlog listener admitted a connection")
 	}
 	if l := NewListener(-3); l.Backlog() != 0 {
@@ -56,9 +56,9 @@ func TestListenerZeroBacklogDropsEverything(t *testing.T) {
 
 func TestListenerFreesSlotAfterAccept(t *testing.T) {
 	l := NewListener(1)
-	l.Offer(func() {})
+	l.Offer(sim.Func(func() {}))
 	l.Accept()
-	if !l.Offer(func() {}) {
+	if !l.Offer(sim.Func(func() {})) {
 		t.Fatal("slot not freed after accept")
 	}
 }
@@ -72,7 +72,7 @@ func TestQuickListenerConservation(t *testing.T) {
 		acceptedRuns := uint64(0)
 		for _, offer := range ops {
 			if offer {
-				if l.Offer(func() { acceptedRuns++ }) {
+				if l.Offer(sim.Func(func() { acceptedRuns++ })) {
 					admitted++
 				}
 			} else {
@@ -92,11 +92,31 @@ func TestQuickListenerConservation(t *testing.T) {
 	}
 }
 
+// fnSender drives a Transmission from two closures; abandon may be nil.
+type fnSender struct {
+	Transmission
+	connect func() bool
+	abandon func()
+}
+
+func (s *fnSender) Connect() bool { return s.connect() }
+
+func (s *fnSender) Abandon() {
+	if s.abandon != nil {
+		s.abandon()
+	}
+}
+
+func send(r *Retransmitter, connect func() bool, abandon func()) {
+	s := &fnSender{connect: connect, abandon: abandon}
+	r.Transmit(&s.Transmission, nil, s)
+}
+
 func TestRetransmitterImmediateSuccess(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	r := NewRetransmitter(eng, nil)
 	calls := 0
-	r.Send(func() bool { calls++; return true }, func() { t.Fatal("onFail on success") })
+	send(r, func() bool { calls++; return true }, func() { t.Fatal("onFail on success") })
 	eng.Run(10 * time.Second)
 	if calls != 1 || r.Retransmits() != 0 {
 		t.Fatalf("calls=%d retransmits=%d", calls, r.Retransmits())
@@ -108,7 +128,7 @@ func TestRetransmitterRetriesOnSchedule(t *testing.T) {
 	r := NewRetransmitter(eng, RetransmitSchedule{time.Second, 2 * time.Second})
 	var attemptTimes []sim.Time
 	attempts := 0
-	r.Send(func() bool {
+	send(r, func() bool {
 		attemptTimes = append(attemptTimes, eng.Now())
 		attempts++
 		return attempts == 3 // succeed on the third attempt
@@ -134,7 +154,7 @@ func TestRetransmitterExhaustionFails(t *testing.T) {
 	attempts := 0
 	failed := false
 	var failAt sim.Time
-	r.Send(func() bool { attempts++; return false }, func() { failed = true; failAt = eng.Now() })
+	send(r, func() bool { attempts++; return false }, func() { failed = true; failAt = eng.Now() })
 	eng.Run(10 * time.Second)
 	if attempts != 4 { // initial + 3 retries
 		t.Fatalf("attempts = %d, want 4", attempts)
@@ -150,7 +170,7 @@ func TestRetransmitterExhaustionFails(t *testing.T) {
 func TestRetransmitterNilOnFail(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	r := NewRetransmitter(eng, RetransmitSchedule{time.Millisecond})
-	r.Send(func() bool { return false }, nil)
+	send(r, func() bool { return false }, nil)
 	eng.Run(time.Second) // must not panic
 	if r.Failures() != 1 {
 		t.Fatalf("Failures = %d", r.Failures())
@@ -161,7 +181,7 @@ func TestRetransmitterEmptySchedule(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	r := NewRetransmitter(eng, RetransmitSchedule{})
 	failed := false
-	r.Send(func() bool { return false }, func() { failed = true })
+	send(r, func() bool { return false }, func() { failed = true })
 	eng.Run(time.Second)
 	if !failed {
 		t.Fatal("empty schedule did not fail immediately")

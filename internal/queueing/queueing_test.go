@@ -167,13 +167,13 @@ func TestSimulatorMatchesTheoryUnderPoolLimit(t *testing.T) {
 			return
 		}
 		start := eng.Now()
-		pool.Acquire(func() {
+		pool.Acquire(sim.Func(func() {
 			eng.Schedule(eng.Exponential(meanService), func() {
 				total += eng.Now() - start
 				completed++
 				pool.Release()
 			})
-		})
+		}))
 		eng.Schedule(eng.Exponential(meanGap), func() { arrive(i + 1) })
 	}
 	eng.Schedule(0, func() { arrive(0) })

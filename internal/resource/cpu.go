@@ -20,8 +20,9 @@ type CPU struct {
 	eng   *sim.Engine
 	cores int
 
-	running []sim.Timer // completion timers of executing bursts
-	runq    sim.FIFO[queuedBurst]
+	running []*burst // executing bursts, in start order (swap-removed)
+	runq    sim.FIFO[*burst]
+	free    sim.FreeList[burst]
 
 	stallUntil sim.Time
 	stallTimer sim.Timer
@@ -31,15 +32,38 @@ type CPU struct {
 	lastAccount  sim.Time
 }
 
-type queuedBurst struct {
-	demand sim.Time
-	done   func()
-	// traced, when set, replaces done and additionally receives the
-	// run-queue wait and the stall-frozen share of the burst's wall
-	// time. at is the submission time (only stamped for traced bursts).
-	traced func(queued, frozen sim.Time)
-	at     sim.Time
+// Burster is told when its burst completes: how long it waited in the
+// run queue and how much of its wall time was frozen by stall windows
+// (wall − queued − demand), so request spans can attribute CPU time and
+// stall-frozen time separately. The request path implements it on the
+// record that submitted the burst; Submit wraps a plain closure.
+type Burster interface {
+	BurstDone(queued, frozen sim.Time)
 }
+
+// burstFunc adapts a closure that ignores the accounting.
+type burstFunc func()
+
+func (f burstFunc) BurstDone(_, _ sim.Time) { f() }
+
+// burst is one submitted burst, from Run to completion. Everything the
+// completion needs — demand, submission and run-start times, the
+// completion timer Stall pushes out — lives in this slot, which is also
+// the event the engine fires, so a burst costs no closure and no
+// allocation once the CPU's free list holds as many slots as it has
+// ever had bursts outstanding.
+type burst struct {
+	cpu      *CPU
+	owner    Burster
+	demand   sim.Time
+	at       sim.Time // submission time
+	runStart sim.Time
+	timer    sim.Timer
+	slot     int // position in cpu.running while executing
+}
+
+// Fire is the completion event.
+func (b *burst) Fire() { b.cpu.complete(b) }
 
 // NewCPU returns a CPU with the given core count (minimum one) attached
 // to the engine.
@@ -77,25 +101,23 @@ func (c *CPU) Submit(demand sim.Time, done func()) {
 	if done == nil {
 		panic("resource: CPU.Submit with nil completion")
 	}
-	c.submit(queuedBurst{demand: demand, done: done})
+	c.Run(demand, burstFunc(done))
 }
 
-// SubmitTraced is Submit for instrumented callers: done additionally
-// receives how long the burst waited in the run queue and how much of
-// its wall time was frozen by stall windows (wall − queued − demand),
-// so request spans can attribute CPU time and stall-frozen time
-// separately.
-func (c *CPU) SubmitTraced(demand sim.Time, done func(queued, frozen sim.Time)) {
-	if done == nil {
-		panic("resource: CPU.SubmitTraced with nil completion")
+// Run is Submit for a caller that is its own completion: owner.BurstDone
+// runs when the burst completes, with its queueing and stall accounting.
+func (c *CPU) Run(demand sim.Time, owner Burster) {
+	if owner == nil {
+		panic("resource: CPU.Run with nil owner")
 	}
-	c.submit(queuedBurst{demand: demand, traced: done, at: c.eng.Now()})
-}
-
-func (c *CPU) submit(b queuedBurst) {
-	if b.demand < 0 {
-		b.demand = 0
+	if demand < 0 {
+		demand = 0
 	}
+	b := c.free.Get()
+	if b == nil {
+		b = &burst{cpu: c}
+	}
+	b.owner, b.demand, b.at = owner, demand, c.eng.Now()
 	if len(c.running) >= c.cores {
 		c.runq.Push(b)
 		return
@@ -103,40 +125,37 @@ func (c *CPU) submit(b queuedBurst) {
 	c.start(b)
 }
 
-func (c *CPU) start(b queuedBurst) {
+func (c *CPU) start(b *burst) {
 	c.account()
 	// The finish time bakes in whatever stall window is pending now;
 	// stalls that open later extend the timer via Stall.
-	finish := b.demand + c.pendingStall()
-	runStart := c.eng.Now()
-	var tm sim.Timer
-	tm = c.eng.Schedule(finish, func() { c.complete(tm, b, runStart) })
-	c.running = append(c.running, tm)
+	b.runStart = c.eng.Now()
+	b.timer = c.eng.ScheduleEvent(b.demand+c.pendingStall(), b)
+	b.slot = len(c.running)
+	c.running = append(c.running, b)
 }
 
-func (c *CPU) complete(tm sim.Timer, b queuedBurst, runStart sim.Time) {
+func (c *CPU) complete(b *burst) {
 	c.account()
-	for i, r := range c.running {
-		if r == tm {
-			last := len(c.running) - 1
-			c.running[i] = c.running[last]
-			c.running[last] = sim.Timer{}
-			c.running = c.running[:last]
-			break
-		}
-	}
+	last := len(c.running) - 1
+	moved := c.running[last]
+	c.running[b.slot] = moved
+	moved.slot = b.slot
+	c.running[last] = nil
+	c.running = c.running[:last]
 	if nb, ok := c.runq.Pop(); ok {
 		c.start(nb)
 	}
-	if b.traced != nil {
-		frozen := c.eng.Now() - runStart - b.demand
-		if frozen < 0 {
-			frozen = 0
-		}
-		b.traced(runStart-b.at, frozen)
-		return
+	owner, queued := b.owner, b.runStart-b.at
+	frozen := c.eng.Now() - b.runStart - b.demand
+	if frozen < 0 {
+		frozen = 0
 	}
-	b.done()
+	// Retire the slot before the completion runs: the owner usually
+	// submits its next burst from inside BurstDone and takes it back.
+	b.owner, b.timer = nil, sim.Timer{}
+	c.free.Put(b)
+	owner.BurstDone(queued, frozen)
 }
 
 // pendingStall returns how much of the current stall window remains.
@@ -163,8 +182,8 @@ func (c *CPU) Stall(d sim.Time) {
 		c.stallUntil = now
 	}
 	c.stallUntil += d
-	for _, tm := range c.running {
-		c.eng.Reschedule(tm, tm.When()-now+d)
+	for _, b := range c.running {
+		c.eng.Reschedule(b.timer, b.timer.When()-now+d)
 	}
 	// Re-arm the bookkeeping event that closes the busy-integral at the
 	// end of the stall window.

@@ -101,39 +101,59 @@ func (a *App) Handle(it *workload.Interaction, sp *obs.Span, done func()) {
 	if it == nil || done == nil {
 		panic("server: App.Handle with nil interaction or done")
 	}
-	sp.Enter(obs.StageAppAcceptQueue, a.eng.Now())
-	a.workers.Acquire(func() {
-		sp.Exit(obs.StageAppAcceptQueue, a.eng.Now())
-		demand := sampleDemand(a.eng, it.AppDemand)
-		pre := demand * 7 / 10
-		post := demand - pre
-		a.burst(sp, pre, func() {
-			sp.Enter(obs.StageDBCall, a.eng.Now())
-			a.queries.run(it, func() {
-				sp.Exit(obs.StageDBCall, a.eng.Now())
-				a.burst(sp, post, func() {
-					a.wb.AddDirty(it.LogBytes)
-					a.served++
-					a.workers.Release()
-					done()
-				})
-			})
-		})
-	})
+	a.handle(&flight{it: it, sp: sp, app: a, done: done})
 }
 
-// burst runs one CPU burst, attributing its wall time to the span:
-// worked time (run-queue wait + demand) to StageAppThread and frozen
-// time to StageStallFrozen. Without a span it takes the untraced path.
-func (a *App) burst(sp *obs.Span, demand sim.Time, next func()) {
-	if sp == nil {
-		a.cpu.Submit(demand, next)
+// handle takes a request off the link: wait for a servlet thread.
+func (a *App) handle(f *flight) {
+	f.sp.Enter(obs.StageAppAcceptQueue, a.eng.Now())
+	f.stage = stageAppWorker
+	a.workers.Acquire(f)
+}
+
+// serve runs with a servlet thread held: the first CPU burst.
+func (a *App) serve(f *flight) {
+	f.sp.Exit(obs.StageAppAcceptQueue, a.eng.Now())
+	demand := sampleDemand(a.eng, f.it.AppDemand)
+	pre := demand * 7 / 10
+	f.post = demand - pre
+	f.stage = stageAppPre
+	a.burst(f, pre)
+}
+
+// callDB starts the database phase after the first burst.
+func (a *App) callDB(f *flight, frozen sim.Time) {
+	now := a.eng.Now()
+	f.spanBurst(obs.StageAppThread, now, frozen)
+	f.sp.Enter(obs.StageDBCall, now)
+	f.queries = f.it.DBQueries
+	a.queries.next(f)
+}
+
+// serialize runs the second burst once the last query has returned.
+func (a *App) serialize(f *flight) {
+	f.sp.Exit(obs.StageDBCall, a.eng.Now())
+	f.stage = stageAppPost
+	a.burst(f, f.post)
+}
+
+// reply logs the request, frees the servlet thread and sends the
+// response back over the link.
+func (a *App) reply(f *flight, frozen sim.Time) {
+	f.spanBurst(obs.StageAppThread, a.eng.Now(), frozen)
+	a.wb.AddDirty(f.it.LogBytes)
+	a.served++
+	a.workers.Release()
+	if f.web == nil {
+		f.done()
 		return
 	}
-	start := a.eng.Now()
-	a.cpu.SubmitTraced(demand, func(_, frozen sim.Time) {
-		sp.Add(obs.StageAppThread, a.eng.Now()-start-frozen)
-		sp.Add(obs.StageStallFrozen, frozen)
-		next()
-	})
+	f.stage = stageToWeb
+	a.eng.ScheduleEvent(f.web.link, f)
+}
+
+// burst runs one CPU burst for the flight.
+func (a *App) burst(f *flight, demand sim.Time) {
+	f.burstAt = a.eng.Now()
+	a.cpu.Run(demand, f)
 }

@@ -74,13 +74,30 @@ func (d *DB) Query(meanDemand sim.Time, done func()) {
 	if done == nil {
 		panic("server: DB.Query with nil done")
 	}
-	d.workers.Acquire(func() {
-		d.cpu.Submit(sampleDemand(d.eng, meanDemand), func() {
-			d.served++
-			d.workers.Release()
-			done()
-		})
-	})
+	d.query(&flight{it: &workload.Interaction{DBDemand: meanDemand}, db: d, done: done})
+}
+
+// query takes a query off the link: wait for a worker thread.
+func (d *DB) query(f *flight) {
+	f.stage = stageDBWorker
+	d.workers.Acquire(f)
+}
+
+// serve runs with a worker thread held: the query's CPU burst.
+func (d *DB) serve(f *flight) {
+	f.stage = stageDBCPU
+	d.cpu.Run(sampleDemand(d.eng, f.it.DBDemand), f)
+}
+
+// reply frees the worker thread and sends the result back.
+func (d *DB) reply(f *flight) {
+	d.served++
+	d.workers.Release()
+	if f.app == nil {
+		f.done()
+		return
+	}
+	f.app.queries.reply(f)
 }
 
 // queryRunner sequences an interaction's DB round trips over a
@@ -92,27 +109,33 @@ type queryRunner struct {
 	link  sim.Time
 }
 
-// run performs n sequential queries of the interaction and then calls
-// done. Zero queries call done synchronously.
-func (q *queryRunner) run(it *workload.Interaction, done func()) {
-	remaining := it.DBQueries
-	var next func()
-	next = func() {
-		if remaining == 0 {
-			done()
-			return
-		}
-		remaining--
-		q.conns.Acquire(func() {
-			q.eng.Schedule(q.link, func() { // request to DB
-				q.db.Query(it.DBDemand, func() {
-					q.eng.Schedule(q.link, func() { // response back
-						q.conns.Release()
-						next()
-					})
-				})
-			})
-		})
+// next starts the flight's next query — wait for a DB connection — or,
+// when none is left, returns to the servlet. Zero queries return
+// synchronously.
+func (q *queryRunner) next(f *flight) {
+	if f.queries == 0 {
+		f.app.serialize(f)
+		return
 	}
-	next()
+	f.queries--
+	f.stage, f.db = stageDBConn, q.db
+	q.conns.Acquire(f)
+}
+
+// send runs with a connection held: the query travels to the DB.
+func (q *queryRunner) send(f *flight) {
+	f.stage = stageToDB
+	q.eng.ScheduleEvent(q.link, f)
+}
+
+// reply carries the DB's result back over the link.
+func (q *queryRunner) reply(f *flight) {
+	f.stage = stageFromDB
+	q.eng.ScheduleEvent(q.link, f)
+}
+
+// received frees the connection and moves on to the next query.
+func (q *queryRunner) received(f *flight) {
+	q.conns.Release()
+	q.next(f)
 }

@@ -64,13 +64,15 @@ type Web struct {
 	workers  *sim.Pool
 	listener *netmodel.Listener
 	balancer *lb.Balancer
-	apps     map[string]*App
+	apps     []*App // by balancer candidate index
 	wb       *resource.Writeback
 	link     sim.Time
 	logBytes int64
 	adm      *admission.Gate
 	admQ     *admission.Queue
 	classify func(*workload.Request) admission.Class
+
+	free sim.FreeList[flight]
 
 	served uint64
 	errors uint64
@@ -101,7 +103,7 @@ func NewWeb(eng *sim.Engine, cfg WebConfig, apps []*App) *Web {
 		cpu:      resource.NewCPU(eng, cfg.Cores),
 		workers:  sim.NewPool(cfg.Workers),
 		listener: netmodel.NewListener(cfg.AcceptBacklog),
-		apps:     make(map[string]*App, len(apps)),
+		apps:     append([]*App(nil), apps...),
 		link:     cfg.LinkLatency,
 		logBytes: cfg.LogBytesPerRequest,
 	}
@@ -117,7 +119,6 @@ func NewWeb(eng *sim.Engine, cfg WebConfig, apps []*App) *Web {
 	}
 	cands := make([]*lb.Candidate, 0, len(apps))
 	for _, a := range apps {
-		w.apps[a.Name()] = a
 		cands = append(cands, lb.NewCandidate(a.Name(), sim.NewPool(cfg.ConnPoolSize)))
 	}
 	w.balancer = lb.New(eng, cfg.Policy, cfg.Mechanism, cands, cfg.LB)
@@ -163,18 +164,59 @@ func (w *Web) BacklogLen() int { return w.listener.Len() }
 // ActiveWorkers reports worker threads currently occupied.
 func (w *Web) ActiveWorkers() int { return w.workers.InUse() }
 
-// TryAccept admits a client request. It reports false when the accept
-// queue overflows, in which case the caller (the client's transport)
-// retransmits on its schedule. With admission armed, the overload gate
-// runs first: refused requests are shed with an error response (they
-// report true — an explicit refusal, not a dropped SYN).
+// Submit carries a request from its client into this web server over
+// the lossy transport: the connection attempt is repeated on via's
+// schedule for as long as the accept queue overflows, and the request
+// fails when the schedule runs out. The request's Finish is called
+// exactly once, whichever way the walk ends.
+func (w *Web) Submit(req *workload.Request, via *netmodel.Retransmitter) {
+	f := w.board(req)
+	via.Transmit(&f.tx, req.Span, f)
+}
+
+// TryAccept is a single connection attempt without a transport. It
+// reports false when the accept queue overflows, in which case the
+// request was not taken and the caller may try again. With admission
+// armed, the overload gate runs first: refused requests are shed with
+// an error response (they report true — an explicit refusal, not a
+// dropped SYN).
 func (w *Web) TryAccept(req *workload.Request) bool {
-	if w.adm == nil {
-		return w.accept(req)
+	f := w.board(req)
+	if w.admit(f) {
+		return true
 	}
+	w.retire(f)
+	return false
+}
+
+// board starts a flight for req, on a recycled record when one is free.
+func (w *Web) board(req *workload.Request) *flight {
+	f := w.free.Get()
+	if f == nil {
+		f = &flight{web: w}
+	}
+	f.stage, f.req, f.it, f.sp = stageTransit, req, req.Interaction, req.Span
+	return f
+}
+
+// retire ends a flight. Its pointers are cleared so that a wait which
+// wrongly still holds the record faults on its next step instead of
+// walking the finished request — or the record's next one — further.
+func (w *Web) retire(f *flight) {
+	f.stage, f.req, f.it, f.sp, f.app = stageIdle, nil, nil, nil, nil
+	w.free.Put(f)
+}
+
+// admit is one attempt to enter the server, through the overload gate
+// when one is armed.
+func (w *Web) admit(f *flight) bool {
+	if w.adm == nil {
+		return w.accept(f)
+	}
+	req := f.req
 	cls := w.classify(req)
 	if w.adm.TryAcquire(cls) {
-		if w.accept(req) {
+		if w.accept(f) {
 			req.AdmittedAt = w.eng.Now()
 			return true
 		}
@@ -185,115 +227,121 @@ func (w *Web) TryAccept(req *workload.Request) bool {
 	if cls == admission.Background {
 		// Background never queues: no headroom means shed now.
 		w.adm.Drop(now, cls, admission.ReasonPriority)
-		w.shed(req)
+		w.shed(f)
 		return true
 	}
-	if w.admQ.Push(cls, func(admitted bool) { w.resumeQueued(req, admitted) }) {
-		req.Span.Enter(obs.StageWebAcceptQueue, now)
+	if w.admQ.Push(cls, func(admitted bool) { w.resumeQueued(f, admitted) }) {
+		f.sp.Enter(obs.StageWebAcceptQueue, now)
 		return true
 	}
 	w.adm.Drop(now, cls, admission.ReasonQueueFull)
-	w.shed(req)
+	w.shed(f)
 	return true
 }
 
 // accept places a request on a worker or the accept backlog — the
 // admission-free path.
-func (w *Web) accept(req *workload.Request) bool {
+func (w *Web) accept(f *flight) bool {
 	if w.workers.TryAcquire() {
-		w.handle(req)
+		w.handle(f)
 		return true
 	}
-	if w.listener.Offer(func() { w.handle(req) }) {
-		req.Span.Enter(obs.StageWebAcceptQueue, w.eng.Now())
+	f.stage = stageBacklog
+	if w.listener.Offer(f) {
+		f.sp.Enter(obs.StageWebAcceptQueue, w.eng.Now())
 		return true
 	}
+	f.stage = stageTransit
 	return false
 }
 
 // resumeQueued completes an admission-queue wait: the queue either
 // handed the request a concurrency slot or shed it (MaxWait or CoDel,
 // already recorded by the queue).
-func (w *Web) resumeQueued(req *workload.Request, admitted bool) {
+func (w *Web) resumeQueued(f *flight, admitted bool) {
 	if !admitted {
-		w.shed(req)
+		w.shed(f)
 		return
 	}
-	req.AdmittedAt = w.eng.Now()
-	if !w.accept(req) {
+	f.req.AdmittedAt = w.eng.Now()
+	if !w.accept(f) {
 		// Workers and backlog both full even though the limiter let us
 		// through — shed rather than queue a second time.
 		w.adm.Cancel()
 		w.adm.Drop(w.eng.Now(), admission.Interactive, admission.ReasonQueueFull)
-		w.shed(req)
+		w.shed(f)
 	}
 }
 
 // shed answers a request the admission plane refused. The refusal is
 // an immediate error response; the finish is deferred one engine event
 // so the caller's span bookkeeping (retransmit-wait exit) lands first.
-func (w *Web) shed(req *workload.Request) {
+func (w *Web) shed(f *flight) {
 	w.sheds++
-	req.Span.Exit(obs.StageWebAcceptQueue, w.eng.Now())
-	w.eng.Schedule(0, func() {
-		req.Web = w.name
-		req.Finish(workload.Outcome{
-			OK:           false,
-			ResponseTime: w.eng.Now() - req.IssuedAt,
-			Retransmits:  req.Retransmits,
-		})
+	f.sp.Exit(obs.StageWebAcceptQueue, w.eng.Now())
+	f.req.Web = w.name
+	f.stage = stageShed
+	w.eng.ScheduleEvent(0, f)
+}
+
+// fail ends a walk that never held a worker — shed by admission, or
+// abandoned by the transport (its Web stays empty: it never reached a
+// server) — with an error outcome.
+func (w *Web) fail(f *flight) {
+	req := f.req
+	w.retire(f)
+	req.Finish(workload.Outcome{
+		OK:           false,
+		ResponseTime: w.eng.Now() - req.IssuedAt,
+		Retransmits:  req.Retransmits,
 	})
 }
 
-// handle runs with a worker token held.
-func (w *Web) handle(req *workload.Request) {
-	sp := req.Span
-	sp.Exit(obs.StageWebAcceptQueue, w.eng.Now())
-	sp.Enter(obs.StageWebThread, w.eng.Now())
-	it := req.Interaction
-	afterCPU := func() {
-		info := lb.RequestInfo{
-			RequestBytes:  it.RequestBytes,
-			ResponseBytes: it.ResponseBytes,
-			// Session identity (ignored unless the balancer has sticky
-			// sessions enabled); +1 keeps client 0 distinguishable from
-			// "no session".
-			SessionID: uint64(req.ClientID) + 1,
-			Span:      sp,
-		}
-		w.balancer.Dispatch(info,
-			func(c *lb.Candidate, done func()) {
-				req.Backend = c.Name()
-				app := w.apps[c.Name()]
-				sp.Add(obs.StageLink, 2*w.link) // forward + response hops
-				w.eng.Schedule(w.link, func() { // forward to the app tier
-					app.Handle(it, sp, func() {
-						w.eng.Schedule(w.link, func() { // response back
-							done()
-							w.respond(req, true)
-						})
-					})
-				})
-			},
-			func() { w.respond(req, false) })
-	}
-	demand := sampleDemand(w.eng, it.WebDemand)
-	if sp == nil {
-		w.cpu.Submit(demand, afterCPU)
-		return
-	}
-	start := w.eng.Now()
-	w.cpu.SubmitTraced(demand, func(_, frozen sim.Time) {
-		sp.Add(obs.StageWebCPU, w.eng.Now()-start-frozen)
-		sp.Add(obs.StageStallFrozen, frozen)
-		afterCPU()
-	})
+// handle runs with a worker token held: the worker thread's CPU burst.
+func (w *Web) handle(f *flight) {
+	now := w.eng.Now()
+	f.sp.Exit(obs.StageWebAcceptQueue, now)
+	f.sp.Enter(obs.StageWebThread, now)
+	f.stage, f.burstAt = stageWebCPU, now
+	w.cpu.Run(sampleDemand(w.eng, f.it.WebDemand), f)
+}
+
+// dispatch hands the request to the balancer once the worker's burst
+// is done. The worker stays occupied until forward or Rejected runs.
+func (w *Web) dispatch(f *flight, frozen sim.Time) {
+	f.spanBurst(obs.StageWebCPU, w.eng.Now(), frozen)
+	f.stage = stageDispatch
+	w.balancer.Start(&f.lb, lb.RequestInfo{
+		RequestBytes:  f.it.RequestBytes,
+		ResponseBytes: f.it.ResponseBytes,
+		// Session identity (ignored unless the balancer has sticky
+		// sessions enabled); +1 keeps client 0 distinguishable from
+		// "no session".
+		SessionID: uint64(f.req.ClientID) + 1,
+		Span:      f.sp,
+	}, f)
+}
+
+// forward sends the request over the link to the chosen app server.
+func (w *Web) forward(f *flight, c *lb.Candidate) {
+	f.req.Backend = c.Name()
+	f.app = w.apps[c.Index()]
+	f.sp.Add(obs.StageLink, 2*w.link) // forward + response hops
+	f.stage = stageToApp
+	w.eng.ScheduleEvent(w.link, f)
+}
+
+// receive takes the app server's response off the link.
+func (w *Web) receive(f *flight) {
+	w.balancer.Complete(&f.lb)
+	w.respond(f, true)
 }
 
 // respond finishes the request toward the client and frees (or hands
 // over) the worker thread.
-func (w *Web) respond(req *workload.Request, ok bool) {
-	req.Span.Exit(obs.StageWebThread, w.eng.Now())
+func (w *Web) respond(f *flight, ok bool) {
+	req, now := f.req, w.eng.Now()
+	f.sp.Exit(obs.StageWebThread, now)
 	req.Web = w.name
 	if ok {
 		w.served++
@@ -303,9 +351,13 @@ func (w *Web) respond(req *workload.Request, ok bool) {
 	if w.logBytes > 0 {
 		w.wb.AddDirty(w.logBytes)
 	}
+	// Finish is the last touch of the request: its record is recycled
+	// before Finish returns.
+	admittedAt := req.AdmittedAt
+	w.retire(f)
 	req.Finish(workload.Outcome{
 		OK:           ok,
-		ResponseTime: w.eng.Now() - req.IssuedAt,
+		ResponseTime: now - req.IssuedAt,
 		Retransmits:  req.Retransmits,
 	})
 	// Hand the worker token to the oldest backlogged connection, if
@@ -318,6 +370,6 @@ func (w *Web) respond(req *workload.Request, ok bool) {
 	// settled; the release feeds the observed admit→respond time to
 	// the adaptive limiter.
 	if w.adm != nil {
-		w.adm.Release(w.eng.Now(), w.eng.Now()-req.AdmittedAt, ok)
+		w.adm.Release(now, now-admittedAt, ok)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -22,18 +23,43 @@ func BenchmarkEngineScheduleFire(b *testing.B) {
 
 // BenchmarkEngineScheduleFireDepth measures schedule+fire with a standing
 // population of pending timers, so heap sift costs at realistic depths
-// are included (a paper-scale run keeps hundreds of timers pending).
+// are included: 512 is what the servers keep pending, 70 000 is what a
+// paper-scale run actually sifts through — one think timer per client.
+// The standing timers are spread over an hour so the probe event enters
+// at the leaves and sifts the whole way up, then pops from the root.
 func BenchmarkEngineScheduleFireDepth(b *testing.B) {
-	const depth = 512
-	e := NewEngine(1, 2)
-	fn := func() {}
-	for i := 0; i < depth; i++ {
-		e.Schedule(time.Duration(i+1)*time.Second, fn)
+	for _, depth := range []int{512, 70000} {
+		b.Run(fmt.Sprintf("standing=%d", depth), func(b *testing.B) {
+			e := NewEngine(1, 2)
+			fn := func() {}
+			for i := 0; i < depth; i++ {
+				e.Schedule(time.Second+e.Uniform(0, time.Hour), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Schedule(time.Millisecond, fn)
+				e.Step()
+			}
+		})
 	}
+}
+
+// benchEvent is a long-lived record scheduled by pointer, as the request
+// path schedules its flight records.
+type benchEvent struct{ fired int }
+
+func (ev *benchEvent) Fire() { ev.fired++ }
+
+// BenchmarkEngineScheduleEvent is BenchmarkEngineScheduleFire through the
+// object entry point: no closure, no allocation.
+func BenchmarkEngineScheduleEvent(b *testing.B) {
+	e := NewEngine(1, 2)
+	ev := &benchEvent{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(time.Millisecond, fn)
+		e.ScheduleEvent(time.Millisecond, ev)
 		e.Step()
 	}
 }

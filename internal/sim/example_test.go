@@ -22,9 +22,9 @@ func ExampleEngine() {
 func ExamplePool() {
 	// A two-token pool modelling a tiny connection pool.
 	p := sim.NewPool(2)
-	p.Acquire(func() { fmt.Println("conn 1 granted") })
-	p.Acquire(func() { fmt.Println("conn 2 granted") })
-	p.Acquire(func() { fmt.Println("conn 3 granted (after a release)") })
+	p.Acquire(sim.Func(func() { fmt.Println("conn 1 granted") }))
+	p.Acquire(sim.Func(func() { fmt.Println("conn 2 granted") }))
+	p.Acquire(sim.Func(func() { fmt.Println("conn 3 granted (after a release)") }))
 	fmt.Println("waiting:", p.Waiting())
 	p.Release()
 	// Output:

@@ -66,14 +66,47 @@ func (q *FIFO[T]) grow() {
 	q.head = 0
 }
 
+// FreeList recycles retired records of one kind — timer nodes, CPU burst
+// slots, request and flight records — last in, first out. Every list is
+// owned by one engine's object graph (never a sync.Pool): it shares
+// nothing across engines, takes no lock, and hands records back in an
+// order that is a function of the event sequence alone, so reuse cannot
+// disturb replay. Lists fill lazily, to the peak number of records that
+// were ever live at once. The zero value is an empty list.
+type FreeList[T any] struct {
+	items []*T
+}
+
+// Get removes and returns the most recently retired record, or nil when
+// the list is empty and the caller must make a new one.
+func (l *FreeList[T]) Get() *T {
+	k := len(l.items) - 1
+	if k < 0 {
+		return nil
+	}
+	x := l.items[k]
+	l.items[k] = nil
+	l.items = l.items[:k]
+	return x
+}
+
+// Put retires a record. The caller scrubs it first: whatever it still
+// points to stays reachable until the record is reused.
+func (l *FreeList[T]) Put(x *T) { l.items = append(l.items, x) }
+
+// Len reports how many records are waiting for reuse.
+func (l *FreeList[T]) Len() int { return len(l.items) }
+
 // Pool is an event-driven counting semaphore: a fixed number of tokens
 // with a FIFO of waiters that are granted tokens as they free. It models
-// thread pools and connection pools in virtual time. The zero value has
-// zero capacity; construct with NewPool.
+// thread pools and connection pools in virtual time. A waiter is an
+// Event — the request record itself on the request path, Func(closure)
+// elsewhere — so queueing for a token allocates nothing. The zero value
+// has zero capacity; construct with NewPool.
 type Pool struct {
 	cap     int
 	inUse   int
-	waiters FIFO[func()]
+	waiters FIFO[Event]
 }
 
 // NewPool returns a pool with the given token capacity.
@@ -105,12 +138,12 @@ func (p *Pool) TryAcquire() bool {
 	return false
 }
 
-// Acquire takes a token, calling grant immediately if one is free and
-// otherwise queueing grant to run when a token is released. Grant runs
+// Acquire takes a token, firing grant immediately if one is free and
+// otherwise queueing grant to fire when a token is released. Grant fires
 // with the token already held.
-func (p *Pool) Acquire(grant func()) {
+func (p *Pool) Acquire(grant Event) {
 	if p.TryAcquire() {
-		grant()
+		grant.Fire()
 		return
 	}
 	p.waiters.Push(grant)
@@ -124,7 +157,7 @@ func (p *Pool) Release() {
 	}
 	if grant, ok := p.waiters.Pop(); ok {
 		// Token passes directly to the waiter; inUse is unchanged.
-		grant()
+		grant.Fire()
 		return
 	}
 	p.inUse--
@@ -143,6 +176,6 @@ func (p *Pool) Resize(capacity int) {
 			return
 		}
 		p.inUse++
-		grant()
+		grant.Fire()
 	}
 }

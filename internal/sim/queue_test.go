@@ -127,8 +127,8 @@ func TestPoolTryAcquire(t *testing.T) {
 func TestPoolAcquireQueuesWaiter(t *testing.T) {
 	p := NewPool(1)
 	got := []string{}
-	p.Acquire(func() { got = append(got, "first") })
-	p.Acquire(func() { got = append(got, "second") })
+	p.Acquire(Func(func() { got = append(got, "first") }))
+	p.Acquire(Func(func() { got = append(got, "second") }))
 	if len(got) != 1 || p.Waiting() != 1 {
 		t.Fatalf("got=%v waiting=%d", got, p.Waiting())
 	}
@@ -143,7 +143,7 @@ func TestPoolAcquireQueuesWaiter(t *testing.T) {
 
 func TestPoolReleaseWithoutWaiters(t *testing.T) {
 	p := NewPool(1)
-	p.Acquire(func() {})
+	p.Acquire(Func(func() {}))
 	p.Release()
 	if p.InUse() != 0 {
 		t.Fatalf("InUse = %d after release", p.InUse())
@@ -161,11 +161,11 @@ func TestPoolReleaseUnheldPanics(t *testing.T) {
 
 func TestPoolFIFOGrantOrder(t *testing.T) {
 	p := NewPool(1)
-	p.Acquire(func() {})
+	p.Acquire(Func(func() {}))
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		p.Acquire(func() { got = append(got, i) })
+		p.Acquire(Func(func() { got = append(got, i) }))
 	}
 	for i := 0; i < 5; i++ {
 		p.Release()
@@ -179,10 +179,10 @@ func TestPoolFIFOGrantOrder(t *testing.T) {
 
 func TestPoolResizeGrow(t *testing.T) {
 	p := NewPool(1)
-	p.Acquire(func() {})
+	p.Acquire(Func(func() {}))
 	granted := 0
-	p.Acquire(func() { granted++ })
-	p.Acquire(func() { granted++ })
+	p.Acquire(Func(func() { granted++ }))
+	p.Acquire(Func(func() { granted++ }))
 	p.Resize(3)
 	if granted != 2 {
 		t.Fatalf("Resize granted %d waiters, want 2", granted)
@@ -195,7 +195,7 @@ func TestPoolResizeGrow(t *testing.T) {
 func TestPoolResizeShrinkDrains(t *testing.T) {
 	p := NewPool(3)
 	for i := 0; i < 3; i++ {
-		p.Acquire(func() {})
+		p.Acquire(Func(func() {}))
 	}
 	p.Resize(1)
 	if p.Free() != -2 {
@@ -237,7 +237,7 @@ func TestQuickPoolConservation(t *testing.T) {
 				}
 			case 1:
 				granted := false
-				p.Acquire(func() { granted = true })
+				p.Acquire(Func(func() { granted = true }))
 				if granted {
 					held++
 				}
@@ -261,5 +261,22 @@ func TestQuickPoolConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFreeListIsLIFO(t *testing.T) {
+	var l FreeList[int]
+	if l.Get() != nil || l.Len() != 0 {
+		t.Fatal("zero FreeList is not empty")
+	}
+	a, b, c := new(int), new(int), new(int)
+	l.Put(a)
+	l.Put(b)
+	if got := l.Get(); got != b {
+		t.Fatal("Get did not return the most recently retired record")
+	}
+	l.Put(c)
+	if l.Len() != 2 || l.Get() != c || l.Get() != a || l.Get() != nil {
+		t.Fatal("records did not come back last in, first out")
 	}
 }

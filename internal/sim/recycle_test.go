@@ -92,10 +92,86 @@ func TestFreeListReuse(t *testing.T) {
 			t.Fatal("Step returned false with a pending timer")
 		}
 	}
-	if got := len(e.free); got != 1 {
+	if got := e.free.Len(); got != 1 {
 		t.Fatalf("free list holds %d nodes after serial churn, want 1", got)
 	}
 	if e.Fired() != 10000 {
 		t.Fatalf("fired = %d", e.Fired())
+	}
+}
+
+// counter is a long-lived event record, scheduled by pointer the way the
+// request path schedules flights, burst slots and thinking clients.
+type counter struct{ fired int }
+
+func (c *counter) Fire() { c.fired++ }
+
+// TestScheduleEventZeroAlloc: once the node free list has warmed up,
+// scheduling an existing record and firing it allocates nothing — the
+// property the request path's allocation budget rests on.
+func TestScheduleEventZeroAlloc(t *testing.T) {
+	e := NewEngine(1, 2)
+	ev := &counter{}
+	e.ScheduleEvent(time.Millisecond, ev)
+	e.Step()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.ScheduleEvent(time.Millisecond, ev)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("ScheduleEvent+Step allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if ev.fired != 1002 { // AllocsPerRun runs the function once to warm up
+		t.Fatalf("event fired %d times, want 1002", ev.fired)
+	}
+}
+
+// TestFuncEventSharesTheObjectPath: a closure scheduled through Schedule
+// and a record scheduled through ScheduleEvent go through the same
+// nodes, so they interleave in schedule order at one instant and a
+// recycled node can back either kind.
+func TestFuncEventSharesTheObjectPath(t *testing.T) {
+	e := NewEngine(1, 2)
+	var order []string
+	ev := Func(func() { order = append(order, "event") })
+	e.Schedule(time.Millisecond, func() { order = append(order, "closure-1") })
+	e.ScheduleEvent(time.Millisecond, ev)
+	e.Schedule(time.Millisecond, func() { order = append(order, "closure-2") })
+	e.Run(time.Second)
+	if got := e.free.Len(); got != 3 {
+		t.Fatalf("free list holds %d nodes, want 3", got)
+	}
+	e.ScheduleEvent(time.Millisecond, ev) // on a node a closure used
+	e.Run(2 * time.Second)
+	want := []string{"closure-1", "event", "closure-2", "event"}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+}
+
+// TestPoolHandOffZeroAlloc: a waiter that is an existing record queues
+// for a token and is granted it on release without allocating.
+func TestPoolHandOffZeroAlloc(t *testing.T) {
+	p := NewPool(1)
+	if !p.TryAcquire() {
+		t.Fatal("fresh pool refused its only token")
+	}
+	w := &counter{}
+	p.Acquire(w) // grows the waiter ring once
+	p.Release()  // token passes to w
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Acquire(w) // token is held: w queues
+		p.Release()  // ... and is granted it
+	})
+	if allocs != 0 {
+		t.Fatalf("Acquire+Release hand-off allocates %.1f objects, want 0", allocs)
+	}
+	if w.fired != 1002 || p.InUse() != 1 || p.Waiting() != 0 {
+		t.Fatalf("grants=%d inUse=%d waiting=%d, want 1002/1/0", w.fired, p.InUse(), p.Waiting())
 	}
 }

@@ -42,43 +42,60 @@ var successors = map[string][]string{
 // the long run.
 type Navigator struct {
 	eng        *sim.Engine
-	mix        Mix
+	mix        *mixIndex
 	followProb float64
-	byName     map[string]int
 	cur        int // -1 before the first step
+}
+
+// mixIndex is a mix with the navigation graph resolved against it: for
+// each interaction, by index, the indices of its natural successors
+// that exist in the mix, in the graph's order. Resolving the graph's
+// names once per mix makes a step of the chain a slice index instead of
+// string-keyed map lookups and a scratch slice per request.
+type mixIndex struct {
+	Mix
+	successors [][]int
 }
 
 // NewNavigator returns a navigator over the mix. followProb is clamped
 // to [0, 1].
 func NewNavigator(eng *sim.Engine, mix Mix, followProb float64) *Navigator {
-	return newNavigator(eng, mix, followProb, indexMix(mix))
+	return newNavigator(eng, indexMix(mix), followProb)
 }
 
-// indexMix builds the name index for a mix; Group builds it once and
-// shares it across tens of thousands of client navigators.
-func indexMix(mix Mix) map[string]int {
+// indexMix resolves the navigation graph for a mix; Group does it once
+// and shares the result across tens of thousands of client navigators.
+func indexMix(mix Mix) *mixIndex {
 	byName := make(map[string]int, len(mix.Interactions))
 	for i, it := range mix.Interactions {
 		byName[it.Name] = i
 	}
-	return byName
+	idx := &mixIndex{Mix: mix, successors: make([][]int, len(mix.Interactions))}
+	for i, it := range mix.Interactions {
+		for _, s := range successors[it.Name] {
+			if j, ok := byName[s]; ok {
+				idx.successors[i] = append(idx.successors[i], j)
+			}
+		}
+	}
+	return idx
 }
 
-func newNavigator(eng *sim.Engine, mix Mix, followProb float64, byName map[string]int) *Navigator {
+func newNavigator(eng *sim.Engine, mix *mixIndex, followProb float64) *Navigator {
 	if followProb < 0 {
 		followProb = 0
 	}
 	if followProb > 1 {
 		followProb = 1
 	}
-	return &Navigator{eng: eng, mix: mix, followProb: followProb, byName: byName, cur: -1}
+	return &Navigator{eng: eng, mix: mix, followProb: followProb, cur: -1}
 }
 
 // Next advances the chain and returns the next interaction to issue.
 func (n *Navigator) Next() *Interaction {
 	next := -1
 	if n.cur >= 0 && n.eng.Bernoulli(n.followProb) {
-		next = n.pickSuccessor(n.mix.Interactions[n.cur].Name)
+		next = n.pickSuccessor(n.cur)
 	}
 	if next < 0 {
 		next = n.eng.PickWeighted(n.mix.Weights)
@@ -88,14 +105,9 @@ func (n *Navigator) Next() *Interaction {
 }
 
 // pickSuccessor returns the index of a uniformly chosen natural successor
-// that exists in the mix, or -1 when none do.
-func (n *Navigator) pickSuccessor(name string) int {
-	var candidates []int
-	for _, s := range successors[name] {
-		if idx, ok := n.byName[s]; ok {
-			candidates = append(candidates, idx)
-		}
-	}
+// of interaction cur that exists in the mix, or -1 when none do.
+func (n *Navigator) pickSuccessor(cur int) int {
+	candidates := n.mix.successors[cur]
 	if len(candidates) == 0 {
 		return -1
 	}
