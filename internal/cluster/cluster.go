@@ -239,9 +239,12 @@ func New(cfg Config) *Cluster {
 		if c.adapt != nil {
 			c.adapt.OnOutcome(eng.Now(), o.ResponseTime, o.OK)
 		}
-		// Finish before reading the breakdown so stages still open at
-		// completion (worker occupancy on a reject path) are closed.
-		c.tracer.Finish(req.Span, eng.Now(), o.OK)
+		// Finish closes the stages still open at completion (worker
+		// occupancy on a reject path) and takes the span back for reuse:
+		// the access log gets the breakdown it returns, never another
+		// look at the span.
+		stages := c.tracer.Finish(req.Span, eng.Now(), o.OK)
+		req.Span = nil
 		if c.accessLog != nil {
 			entry := trace.Entry{
 				Time:         eng.Now(),
@@ -254,8 +257,8 @@ func New(cfg Config) *Cluster {
 				ResponseTime: o.ResponseTime,
 				Retransmits:  o.Retransmits,
 			}
-			if req.Span != nil {
-				b := req.Span.Breakdown()
+			if c.tracer != nil {
+				b := stages // the entry keeps a heap copy; stages itself stays on the stack
 				entry.Stages = &b
 			}
 			c.accessLog.Append(entry)
@@ -336,18 +339,22 @@ func (c *Cluster) instrument() {
 		c.assign = append(c.assign, assign)
 		// snapBuf is shared by the decision hook and the lb_value poller
 		// below: both run on the engine thread and are done with the
-		// snapshot before they return.
+		// snapshot before they return. viewBuf is the decision's candidate
+		// table in the same way: the event log copies it into its own
+		// storage before Append returns.
 		var snapBuf []lb.Snapshot
+		var viewBuf []obs.CandidateView
 		bal.SetAssignHook(func(cand *lb.Candidate) {
 			assign.Incr(cand.Index(), c.Eng.Now())
 			if c.events != nil {
 				snapBuf = bal.AppendSnapshot(snapBuf[:0])
+				viewBuf = appendCandidateViews(viewBuf[:0], snapBuf)
 				c.events.Append(obs.Event{
 					T:          c.Eng.Now(),
 					Kind:       obs.KindDecision,
 					Source:     w.Name(),
 					Chosen:     cand.Name(),
-					Candidates: candidateViews(snapBuf),
+					Candidates: viewBuf,
 				})
 			}
 		})
@@ -544,11 +551,10 @@ func (c *Cluster) addServerSamplers(st *ServerStats, det *obs.Detector, read fun
 	})
 }
 
-// candidateViews converts a balancer snapshot into event views.
-func candidateViews(snaps []lb.Snapshot) []obs.CandidateView {
-	out := make([]obs.CandidateView, len(snaps))
-	for i, s := range snaps {
-		out[i] = obs.CandidateView{
+// appendCandidateViews appends a balancer snapshot to dst as event views.
+func appendCandidateViews(dst []obs.CandidateView, snaps []lb.Snapshot) []obs.CandidateView {
+	for _, s := range snaps {
+		dst = append(dst, obs.CandidateView{
 			Name:           s.Name,
 			LBValue:        s.LBValue,
 			State:          s.State.String(),
@@ -558,9 +564,9 @@ func candidateViews(snaps []lb.Snapshot) []obs.CandidateView {
 			ProbeLatencyMs: float64(s.ProbeLatency) / float64(time.Millisecond),
 			ProbeAgeMs:     float64(s.ProbeAge) / float64(time.Millisecond),
 			ProbeFresh:     s.ProbeFresh,
-		}
+		})
 	}
-	return out
+	return dst
 }
 
 // Run executes the experiment for the configured duration and returns

@@ -426,6 +426,13 @@ type Balancer struct {
 	events   *obs.EventLog
 	epoch    time.Time
 	source   string
+	// viewBuf parks emitDecision's candidate-table scratch between
+	// dispatches. A dispatcher takes it (leaving nil) and puts it back
+	// when the event log has copied the table; one that finds the slot
+	// empty because another dispatch is mid-emit makes its own, and
+	// whichever is stored last stays. No lock, and no allocation unless
+	// two emits overlap.
+	viewBuf atomic.Pointer[[]obs.CandidateView]
 }
 
 // sync_rrCursor wraps the round-robin cursor so its semantics —
@@ -508,7 +515,11 @@ func (b *Balancer) emitDecision(snap *balSnapshot, chosen *Backend) {
 	if b.events == nil {
 		return
 	}
-	views := make([]obs.CandidateView, 0, len(b.backends))
+	buf := b.viewBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]obs.CandidateView)
+	}
+	views := (*buf)[:0]
 	for _, be := range b.backends {
 		v := obs.CandidateView{
 			Name:          be.name,
@@ -534,6 +545,8 @@ func (b *Balancer) emitDecision(snap *balSnapshot, chosen *Backend) {
 		Chosen:     chosen.name,
 		Candidates: views,
 	})
+	*buf = views
+	b.viewBuf.Store(buf)
 }
 
 // triedSet tracks the backends a dispatch already failed on. Backend

@@ -1,8 +1,11 @@
 package httpcluster
 
 import (
+	"sync"
 	"testing"
 	"time"
+
+	"millibalance/internal/obs"
 )
 
 // Regression tests for the sim↔proxy parity bugfixes: the wall-clock
@@ -145,6 +148,74 @@ func TestAcquireZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Acquire+Done allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// TestAcquireZeroAllocEventLogArmed is the same cycle with every
+// decision recorded: once the event ring has wrapped, the candidate
+// table goes from the balancer's parked scratch buffer into storage the
+// ring already owns, and the armed hot path allocates nothing either.
+func TestAcquireZeroAllocEventLogArmed(t *testing.T) {
+	backends := []*Backend{
+		NewBackend("a", "u", 4), NewBackend("b", "u", 4), NewBackend("c", "u", 4), NewBackend("d", "u", 4),
+	}
+	bal := NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1})
+	const capacity = 300
+	log := obs.NewEventLog(capacity)
+	bal.SetEventLog(log, "proxy", time.Now())
+	cycle := func() {
+		_, rel, err := bal.Acquire(128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel.Done(256)
+	}
+	for i := 0; i <= capacity; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(2*capacity, cycle); allocs != 0 {
+		t.Fatalf("Acquire+Done with the event log armed allocates %.2f objects per op, want 0", allocs)
+	}
+	if got := log.Overwritten(); got < capacity {
+		t.Fatalf("the ring never wrapped: %d events overwritten", got)
+	}
+	last := log.Events()[capacity-1]
+	if last.Kind != obs.KindDecision || len(last.Candidates) != len(backends) || last.Candidates[3].Name != "d" {
+		t.Fatalf("last decision: %+v", last)
+	}
+}
+
+// TestEmitDecisionConcurrentScratch: dispatchers on several goroutines
+// share the balancer's one parked scratch buffer; whoever finds it taken
+// makes its own, and every recorded decision carries a whole table.
+func TestEmitDecisionConcurrentScratch(t *testing.T) {
+	backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64), NewBackend("c", "u", 64)}
+	bal := NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1})
+	log := obs.NewEventLog(512)
+	bal.SetEventLog(log, "proxy", time.Now())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				_, rel, err := bal.Acquire(1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rel.Done(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := log.Appended(); got != 8*500 {
+		t.Fatalf("%d events for %d dispatches", got, 8*500)
+	}
+	for _, ev := range log.Events() {
+		if len(ev.Candidates) != 3 || ev.Candidates[0].Name != "a" || ev.Candidates[1].Name != "b" || ev.Candidates[2].Name != "c" {
+			t.Fatalf("decision with a torn candidate table: %+v", ev)
+		}
 	}
 }
 

@@ -102,40 +102,34 @@ type Event struct {
 
 // EventLog collects events into a bounded ring, overwriting the oldest
 // when full. All methods are safe for concurrent use and nil-safe.
+//
+// Recording allocates nothing once the ring has wrapped. The ring is
+// chunked (ring.go), and a decision's candidate table is copied into
+// storage its slot owns and keeps when the slot is overwritten, so an
+// emitter fills one scratch buffer per decision and the log never holds
+// a caller's slice. The readers hand out copies that alias no slot.
 type EventLog struct {
-	mu        sync.Mutex
-	capacity  int
-	ring      []Event
-	next      int
-	full      bool
-	appended  uint64
-	overwrote uint64
-	hook      func(Event)
+	mu   sync.Mutex
+	ring ring[Event]
+	hook func(Event)
 }
 
 // NewEventLog returns a log bounded at capacity events (minimum one).
 func NewEventLog(capacity int) *EventLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &EventLog{capacity: capacity}
+	return &EventLog{ring: newRing[Event](capacity)}
 }
 
-// Append records an event. Nil-safe.
+// Append records an event, copying ev.Candidates: the caller may reuse
+// the slice as soon as Append returns. Nil-safe.
 func (l *EventLog) Append(ev Event) {
 	if l == nil {
 		return
 	}
 	l.mu.Lock()
-	l.appended++
-	if len(l.ring) < l.capacity {
-		l.ring = append(l.ring, ev)
-	} else {
-		l.ring[l.next] = ev
-		l.next = (l.next + 1) % l.capacity
-		l.full = true
-		l.overwrote++
-	}
+	slot := l.ring.push()
+	views := append(slot.Candidates[:0], ev.Candidates...)
+	*slot = ev
+	slot.Candidates = views
 	hook := l.hook
 	l.mu.Unlock()
 	if hook != nil {
@@ -146,7 +140,10 @@ func (l *EventLog) Append(ev Event) {
 // SetAppendHook registers a single callback invoked after every Append,
 // outside the log's lock — the subscription point for online consumers
 // such as the adaptive control plane, which may react by appending
-// further events or actuating the balancer. Nil-safe.
+// further events or actuating the balancer. The event's Candidates are
+// the emitter's scratch buffer, valid only during the call: a hook that
+// keeps a decision copies its table (appending the event to another log
+// does). Nil-safe.
 func (l *EventLog) SetAppendHook(hook func(Event)) {
 	if l == nil {
 		return
@@ -163,7 +160,7 @@ func (l *EventLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ring)
+	return l.ring.len()
 }
 
 // Appended reports the lifetime event count.
@@ -173,7 +170,7 @@ func (l *EventLog) Appended() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appended
+	return l.ring.appended
 }
 
 // Overwritten reports events evicted by the ring bound.
@@ -183,7 +180,7 @@ func (l *EventLog) Overwritten() uint64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.overwrote
+	return l.ring.oldest()
 }
 
 // Events returns the stored events oldest-first.
@@ -191,34 +188,83 @@ func (l *EventLog) Events() []Event {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, 0, len(l.ring))
-	if l.full {
-		out = append(out, l.ring[l.next:]...)
-		out = append(out, l.ring[:l.next]...)
-		return out
-	}
-	return append(out, l.ring...)
+	return l.snapshot(func(*Event) bool { return true })
 }
 
 // Kind returns the stored events of one kind, oldest-first.
 func (l *EventLog) Kind(kind string) []Event {
-	var out []Event
-	for _, ev := range l.Events() {
-		if ev.Kind == kind {
-			out = append(out, ev)
+	if l == nil {
+		return nil
+	}
+	return l.snapshot(func(ev *Event) bool { return ev.Kind == kind })
+}
+
+// snapshot copies the stored events that match, oldest-first, as of one
+// instant. It sizes the result in a first pass over the slots, so
+// picking a handful of state events out of a full ring copies a handful
+// of events, and all candidate tables of the result share one array.
+func (l *EventLog) snapshot(match func(*Event) bool) []Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	from, to := l.ring.oldest(), l.ring.appended
+	events, views := 0, 0
+	for seq := from; seq < to; seq++ {
+		if ev := l.ring.at(seq); match(ev) {
+			events++
+			views += len(ev.Candidates)
+		}
+	}
+	if events == 0 {
+		return nil
+	}
+	out := make([]Event, 0, events)
+	table := make([]CandidateView, 0, views)
+	for seq := from; seq < to; seq++ {
+		if ev := l.ring.at(seq); match(ev) {
+			out, table = appendCopy(out, table, ev)
 		}
 	}
 	return out
 }
 
-// WriteJSONL writes the stored events oldest-first as JSON Lines.
+// appendCopy appends a copy of a stored event to out, its candidate
+// table to table (an event without candidates reads nil, as it was
+// appended), and returns both.
+func appendCopy(out []Event, table []CandidateView, ev *Event) ([]Event, []CandidateView) {
+	cp := *ev
+	cp.Candidates = nil
+	if n := len(ev.Candidates); n > 0 {
+		table = append(table, ev.Candidates...)
+		cp.Candidates = table[len(table)-n : len(table) : len(table)]
+	}
+	return append(out, cp), table
+}
+
+// WriteJSONL writes the events stored when it is called, oldest-first,
+// as JSON Lines. It copies and encodes one chunk of the ring at a time,
+// off the lock, so serving a full log neither copies it whole nor stalls
+// the emitters; events a live system overwrites while an earlier chunk
+// is being written are skipped, never torn.
 func (l *EventLog) WriteJSONL(w io.Writer) error {
+	if l == nil {
+		return nil
+	}
 	enc := json.NewEncoder(w)
-	for _, ev := range l.Events() {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("obs: encode event: %w", err)
+	var batch []Event
+	var table []CandidateView
+	end := l.Appended()
+	for seq := uint64(0); seq < end; {
+		l.mu.Lock()
+		seq = max(seq, l.ring.oldest())
+		batch, table = batch[:0], table[:0]
+		for ; seq < end && len(batch) < ringChunk; seq++ {
+			batch, table = appendCopy(batch, table, l.ring.at(seq))
+		}
+		l.mu.Unlock()
+		for i := range batch {
+			if err := enc.Encode(&batch[i]); err != nil {
+				return fmt.Errorf("obs: encode event: %w", err)
+			}
 		}
 	}
 	return nil

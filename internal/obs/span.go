@@ -113,11 +113,13 @@ func TimelineStages() []Stage {
 	}
 }
 
-// Span is one request's recorded lifecycle. The zero value is unusable;
-// spans are created by Tracer.Start. A span is owned by the single
-// request flowing through the system and must not be shared across
-// requests; Tracer.Finish copies it into the ring under the tracer's
-// lock.
+// Span is one request's recorded lifecycle. Spans are created by
+// Tracer.Start. A span is owned by the single request flowing through
+// the system and must not be shared across requests; Tracer.Finish
+// copies it into the ring under the tracer's lock and takes the span
+// back for the next Start, so Finish is the owner's last touch of it:
+// any later call through the stale pointer panics while the span waits
+// for reuse, instead of writing into the request that gets it next.
 type Span struct {
 	// RequestID identifies the request.
 	RequestID uint64
@@ -129,12 +131,28 @@ type Span struct {
 	durs   [numStages]time.Duration
 	openAt [numStages]time.Duration
 	opened [numStages]bool
+	// recycled marks a span Finish has taken back (never set on the
+	// ring's copies).
+	recycled bool
+}
+
+// live reports whether the span records anything: false for nil, a
+// panic for a span that was finished and is waiting on its tracer's free
+// list — only a bug reaches it there.
+func (s *Span) live() bool {
+	if s == nil {
+		return false
+	}
+	if s.recycled {
+		panic("obs: span used after Finish")
+	}
+	return true
 }
 
 // Enter marks the start of a stage at now. Entering an already-open
 // stage is a no-op (the first entry wins). Nil-safe.
 func (s *Span) Enter(st Stage, now time.Duration) {
-	if s == nil || s.opened[st] {
+	if !s.live() || s.opened[st] {
 		return
 	}
 	s.opened[st] = true
@@ -144,7 +162,7 @@ func (s *Span) Enter(st Stage, now time.Duration) {
 // Exit closes an open stage at now, accumulating the elapsed time.
 // Exiting a stage that is not open is a no-op. Nil-safe.
 func (s *Span) Exit(st Stage, now time.Duration) {
-	if s == nil || !s.opened[st] {
+	if !s.live() || !s.opened[st] {
 		return
 	}
 	s.opened[st] = false
@@ -156,7 +174,7 @@ func (s *Span) Exit(st Stage, now time.Duration) {
 // Add accumulates d directly into a stage, for durations known without
 // an open/close pair (link hops, stall-frozen attribution). Nil-safe.
 func (s *Span) Add(st Stage, d time.Duration) {
-	if s == nil || d <= 0 {
+	if !s.live() || d <= 0 {
 		return
 	}
 	s.durs[st] += d
@@ -164,7 +182,7 @@ func (s *Span) Add(st Stage, d time.Duration) {
 
 // Duration returns the accumulated time in a stage.
 func (s *Span) Duration(st Stage) time.Duration {
-	if s == nil {
+	if !s.live() {
 		return 0
 	}
 	return s.durs[st]
@@ -190,7 +208,7 @@ type Breakdown struct {
 
 // Breakdown extracts the span's stage durations.
 func (s *Span) Breakdown() Breakdown {
-	if s == nil {
+	if !s.live() {
 		return Breakdown{}
 	}
 	return Breakdown{
@@ -278,23 +296,24 @@ type spanRecord struct {
 // capacity is reached the oldest spans are overwritten, so a live
 // system keeps the most recent history. All methods are safe for
 // concurrent use and nil-safe.
+//
+// Tracing allocates nothing at steady state: the ring is chunked
+// (ring.go) and holds spans by value, and the span a request carried is
+// recycled through a free list — last in, first out, under the mutex
+// Start already takes and owned by this tracer alone, so the order spans
+// are reused in is a function of the Start/Finish sequence and a
+// simulated run replays. The list grows to the peak number of requests
+// in flight; a span that is never finished is simply collected.
 type Tracer struct {
-	mu        sync.Mutex
-	capacity  int
-	ring      []Span
-	next      int
-	full      bool
-	started   uint64
-	finished  uint64
-	overwrote uint64
+	mu      sync.Mutex
+	ring    ring[Span]
+	free    []*Span
+	started uint64
 }
 
 // NewTracer returns a tracer bounded at capacity spans (minimum one).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{capacity: capacity}
+	return &Tracer{ring: newRing[Span](capacity)}
 }
 
 // Start opens a span for a request at now. It returns nil when the
@@ -305,32 +324,39 @@ func (t *Tracer) Start(id uint64, now time.Duration) *Span {
 	}
 	t.mu.Lock()
 	t.started++
+	var sp *Span
+	if k := len(t.free) - 1; k >= 0 {
+		sp, t.free[k] = t.free[k], nil
+		t.free = t.free[:k]
+	}
 	t.mu.Unlock()
-	return &Span{RequestID: id, StartAt: now}
+	if sp == nil {
+		sp = new(Span)
+	}
+	*sp = Span{RequestID: id, StartAt: now}
+	return sp
 }
 
 // Finish closes any stages still open, stamps the end time and outcome,
-// and records the span into the ring. Nil tracer or span is a no-op.
-func (t *Tracer) Finish(sp *Span, now time.Duration, ok bool) {
+// records the span into the ring and returns its stage breakdown — the
+// last the caller sees of the span, which goes back to the tracer for
+// reuse: sp must not be touched again. Nil tracer or span is a no-op.
+func (t *Tracer) Finish(sp *Span, now time.Duration, ok bool) Breakdown {
 	if t == nil || sp == nil {
-		return
+		return Breakdown{}
 	}
 	for st := Stage(0); st < numStages; st++ {
 		sp.Exit(st, now)
 	}
 	sp.EndAt = now
 	sp.OK = ok
+	b := sp.Breakdown()
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.finished++
-	if len(t.ring) < t.capacity {
-		t.ring = append(t.ring, *sp)
-		return
-	}
-	t.ring[t.next] = *sp
-	t.next = (t.next + 1) % t.capacity
-	t.full = true
-	t.overwrote++
+	*t.ring.push() = *sp
+	sp.recycled = true
+	t.free = append(t.free, sp)
+	t.mu.Unlock()
+	return b
 }
 
 // Len reports stored spans.
@@ -340,7 +366,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ring)
+	return t.ring.len()
 }
 
 // Started and Finished report lifetime counters.
@@ -360,7 +386,7 @@ func (t *Tracer) Finished() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.finished
+	return t.ring.appended
 }
 
 // Overwritten reports spans evicted by the ring bound.
@@ -370,7 +396,7 @@ func (t *Tracer) Overwritten() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.overwrote
+	return t.ring.oldest()
 }
 
 // Spans returns the stored spans oldest-first.
@@ -380,13 +406,11 @@ func (t *Tracer) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, 0, len(t.ring))
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-		return out
+	out := make([]Span, 0, t.ring.len())
+	for seq := t.ring.oldest(); seq < t.ring.appended; seq++ {
+		out = append(out, *t.ring.at(seq))
 	}
-	return append(out, t.ring...)
+	return out
 }
 
 // WriteJSONL writes the stored spans oldest-first as JSON Lines.

@@ -19,6 +19,7 @@ package sim
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"time"
 )
 
@@ -167,6 +168,24 @@ func (e *Engine) AtEvent(t Time, ev Event) Timer {
 	e.heap = append(e.heap, heapItem{at: t, seq: e.seq, n: n})
 	e.up(n.index)
 	return Timer{n: n, gen: n.gen}
+}
+
+// Reserve makes room for n more pending timers in one step: the heap
+// slice grows once instead of by repeated doubling-and-copying, and the
+// n timer nodes come from one slab instead of n allocations. A caller
+// about to schedule a known, large number of standing events (a client
+// group's think timers) calls it first; which node backs which timer has
+// no bearing on the order events fire in.
+func (e *Engine) Reserve(n int) {
+	if n <= 0 {
+		return
+	}
+	e.heap = slices.Grow(e.heap, n)
+	nodes := make([]timerNode, n)
+	e.free.items = slices.Grow(e.free.items, n)
+	for i := range nodes {
+		e.free.items = append(e.free.items, &nodes[i])
+	}
 }
 
 // Stop cancels a scheduled timer. It reports whether the timer was still

@@ -131,7 +131,7 @@ type Group struct {
 	cfg    ClientConfig
 	submit SubmitFunc
 
-	clients []*client
+	clients []client // one slab: a paper-scale group is 70 000 of them
 	nextID  uint64
 	issued  uint64
 	stopped bool
@@ -146,7 +146,7 @@ type Group struct {
 type client struct {
 	g   *Group
 	id  int
-	nav *Navigator
+	nav Navigator
 }
 
 // Fire ends the client's think time.
@@ -164,10 +164,10 @@ func NewGroup(eng *sim.Engine, n int, cfg ClientConfig, submit SubmitFunc) *Grou
 	if cfg.FollowProb == 0 {
 		cfg.FollowProb = 0.5
 	}
-	g := &Group{eng: eng, cfg: cfg, submit: submit}
-	mix := indexMix(cfg.Mix)
-	for i := 0; i < n; i++ {
-		g.clients = append(g.clients, &client{g: g, id: i, nav: newNavigator(eng, mix, cfg.FollowProb)})
+	g := &Group{eng: eng, cfg: cfg, submit: submit, clients: make([]client, n)}
+	nav := newNavigator(eng, indexMix(cfg.Mix), cfg.FollowProb)
+	for i := range g.clients {
+		g.clients[i] = client{g: g, id: i, nav: nav}
 	}
 	return g
 }
@@ -182,8 +182,10 @@ func (g *Group) Issued() uint64 { return g.issued }
 // of one think time, to desynchronize) and then issue their first
 // request.
 func (g *Group) Start() {
-	for _, c := range g.clients {
-		g.eng.ScheduleEvent(g.eng.Uniform(0, g.thinkNow()), c)
+	// One think timer per client is about to stand in the engine.
+	g.eng.Reserve(len(g.clients))
+	for i := range g.clients {
+		g.eng.ScheduleEvent(g.eng.Uniform(0, g.thinkNow()), &g.clients[i])
 	}
 }
 

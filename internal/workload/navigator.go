@@ -60,7 +60,8 @@ type mixIndex struct {
 // NewNavigator returns a navigator over the mix. followProb is clamped
 // to [0, 1].
 func NewNavigator(eng *sim.Engine, mix Mix, followProb float64) *Navigator {
-	return newNavigator(eng, indexMix(mix), followProb)
+	nav := newNavigator(eng, indexMix(mix), followProb)
+	return &nav
 }
 
 // indexMix resolves the navigation graph for a mix; Group does it once
@@ -81,14 +82,16 @@ func indexMix(mix Mix) *mixIndex {
 	return idx
 }
 
-func newNavigator(eng *sim.Engine, mix *mixIndex, followProb float64) *Navigator {
+// newNavigator returns a navigator at the start of its chain, by value:
+// a Group copies it into each client of its slab.
+func newNavigator(eng *sim.Engine, mix *mixIndex, followProb float64) Navigator {
 	if followProb < 0 {
 		followProb = 0
 	}
 	if followProb > 1 {
 		followProb = 1
 	}
-	return &Navigator{eng: eng, mix: mix, followProb: followProb, cur: -1}
+	return Navigator{eng: eng, mix: mix, followProb: followProb, cur: -1}
 }
 
 // Next advances the chain and returns the next interaction to issue.
