@@ -167,6 +167,9 @@ func run(args []string, out io.Writer) error {
 			f.run(opt, out, *tsv)
 			return nil
 		}
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
+		}
 		path := filepath.Join(*outDir, fmt.Sprintf("fig%02d.txt", f.id))
 		file, err := os.Create(path)
 		if err != nil {

@@ -65,16 +65,19 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 func TestRunWritesToOutDir(t *testing.T) {
-	dir := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"-fig", "1", "-scale", "0.02", "-tsv", "-out", dir}, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(dir + "/fig01.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "t_sec") {
-		t.Fatalf("fig01.txt missing TSV: %.80s", data)
+	tmp := t.TempDir()
+	// An existing directory, and one -out has to create, parents included.
+	for _, dir := range []string{tmp, tmp + "/new/nested"} {
+		var out strings.Builder
+		if err := run([]string{"-fig", "1", "-scale", "0.02", "-tsv", "-out", dir}, &out); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(dir + "/fig01.txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), "t_sec") {
+			t.Fatalf("fig01.txt missing TSV: %.80s", data)
+		}
 	}
 }

@@ -6,8 +6,10 @@
 // injection and detection, a real-HTTP loopback twin, and an experiment
 // harness that regenerates every table and figure of the evaluation.
 //
-// See README.md for a tour and DESIGN.md for the system inventory; the
-// benchmarks in bench_test.go regenerate the paper's results:
+// See README.md for a tour and DESIGN.md for the system inventory.
+// cmd/figures regenerates the paper's results and bench/ (a module of
+// its own) is the benchmark that times the codebase:
 //
-//	go test -bench=. -benchmem
+//	go run ./cmd/figures -report
+//	go run -C bench . --workload sim_paper
 package millibalance

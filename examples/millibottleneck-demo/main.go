@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"millibalance/internal/cluster"
-	"millibalance/internal/core"
 	"millibalance/internal/mbneck"
 )
 
@@ -38,14 +37,17 @@ func main() {
 	ioSpans := mbneck.DetectSaturations(app.IOWait, 95)
 	fmt.Printf("[2] %d iowait saturation windows (flushes writing to disk)\n", len(ioSpans))
 
-	// Step 3: transient CPU saturations — the millibottlenecks.
-	diag := core.Diagnose([]core.ServerSeries{
-		{Name: app.Name, Util: app.CPU.Series(), Queue: app.Queue},
-		{Name: res.Webs[0].Name, Util: res.Webs[0].CPU.Series(), Queue: res.Webs[0].Queue},
-	}, r.VLRTWindows(), core.DiagnoseConfig{})
-	for _, d := range diag {
-		fmt.Printf("[3] %s: %d millibottlenecks", d.Server, len(d.Report.Saturations))
-		for i, s := range d.Report.Saturations {
+	// Step 3: transient CPU saturations — the millibottlenecks — at the
+	// paper's operating points: ≥95% busy for 50 ms to 2 s, VLRT windows
+	// matched within 2.5 s (one TCP retransmission plus drain).
+	const tolerance = 2500 * time.Millisecond
+	var all []mbneck.Span
+	for _, srv := range []*cluster.ServerStats{app, res.Webs[0]} {
+		rep := mbneck.Analyze(srv.CPU.Series(), srv.Queue, r.VLRTWindows(),
+			95, 50*time.Millisecond, 2*time.Second, tolerance)
+		all = append(all, rep.Saturations...)
+		fmt.Printf("[3] %s: %d millibottlenecks", srv.Name, len(rep.Saturations))
+		for i, s := range rep.Saturations {
 			if i >= 4 {
 				fmt.Printf(" …")
 				break
@@ -60,11 +62,7 @@ func main() {
 		mbneck.CorrelatePeaks(res.Webs[0].Queue, res.Webs[0].CPU.Series()))
 
 	// Step 5: attribution of VLRT windows to the millibottlenecks.
-	var all []mbneck.Span
-	for _, d := range diag {
-		all = append(all, d.Report.Saturations...)
-	}
-	attr := mbneck.AttributeEvents(r.VLRTWindows(), all, 2500*time.Millisecond)
+	attr := mbneck.AttributeEvents(r.VLRTWindows(), all, tolerance)
 	fmt.Printf("[5] %.0f%% of VLRT windows attributed to millibottlenecks\n", attr*100)
 
 	// Step 6: yet the averages look healthy.

@@ -10,7 +10,6 @@ import (
 	"os"
 	"time"
 
-	"millibalance/internal/core"
 	"millibalance/internal/lb"
 	"millibalance/internal/sim"
 )
@@ -28,14 +27,19 @@ func run() error {
 
 	// The paper's recommended configuration: rank backends by in-flight
 	// requests (current_load) and fail fast on exhausted endpoint pools
-	// (modified get_endpoint).
-	balancer, err := core.NewRecommended(eng, []core.BackendSpec{
-		{Name: "app1", Endpoints: 4},
-		{Name: "app2", Endpoints: 4},
-	})
-	if err != nil {
-		return err
+	// (modified get_endpoint), each backend behind a 4-endpoint pool.
+	policy, ok := lb.PolicyByName("current_load")
+	if !ok {
+		return fmt.Errorf("unknown policy (have %v)", lb.PolicyNames())
 	}
+	mechanism, ok := lb.MechanismByName("modified_get_endpoint", eng)
+	if !ok {
+		return fmt.Errorf("unknown mechanism (have %v)", lb.MechanismNames())
+	}
+	balancer := lb.New(eng, policy, mechanism, []*lb.Candidate{
+		lb.NewCandidate("app1", sim.NewPool(4)),
+		lb.NewCandidate("app2", sim.NewPool(4)),
+	}, lb.Config{})
 
 	// A fake backend fleet: app1 takes 5 ms per request, app2 takes
 	// 2 ms — except that at t=100ms, app1 suffers a 300 ms

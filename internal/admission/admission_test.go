@@ -562,6 +562,20 @@ func TestAdmittedPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("fixed-shed admitted path allocates %v/op", allocs)
 	}
+	// The wall-clock substrate's shape: the full arm, LIFO included, on
+	// a gate that reads a real clock.
+	gw := NewGate(Config{Limiter: LimiterGradient, CoDel: true, LIFO: true}, 64)
+	epoch := time.Now()
+	gw.SetClock(func() time.Duration { return time.Since(epoch) })
+	allocs = testing.AllocsPerRun(2000, func() {
+		if !gw.TryAcquire(Interactive) {
+			t.Fatal("uncontended admit refused")
+		}
+		gw.Release(time.Since(epoch), time.Millisecond, true)
+	})
+	if allocs != 0 {
+		t.Fatalf("wall-clock gradient+codel+lifo admitted path allocates %v/op", allocs)
+	}
 }
 
 func TestDropRateWindow(t *testing.T) {

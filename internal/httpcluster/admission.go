@@ -116,25 +116,6 @@ func (pl *admissionPlane) remove(w *wallWaiter) {
 	}
 }
 
-// AdmitRoundTrip performs one worker acquire/release round trip through
-// whatever admission path the proxy is configured with — the hot-path
-// probe perfbench -pr10 measures against the pre-admission reference.
-// The release order mirrors handle's defers: worker slot first, then the
-// gate, so a handed-off waiter never blocks on the worker pool.
-func (p *Proxy) AdmitRoundTrip() bool {
-	if !p.acquireWorker(admission.Interactive) {
-		return false
-	}
-	if p.adm != nil {
-		admitAt := p.now()
-		<-p.workers
-		p.adm.Release(p.now(), p.now()-admitAt, true)
-		return true
-	}
-	<-p.workers
-	return true
-}
-
 // handoff runs as the gate's release hook: while slots and waiters
 // remain, pop one (LIFO when overloaded), judge its sojourn, and either
 // wake it admitted or drop it and keep going. The popped waiter's slot

@@ -194,7 +194,9 @@ func TestProxyAdmissionBackgroundPriority(t *testing.T) {
 
 // TestAdmissionPlaneFastPathZeroAlloc: the uncontended wall-clock admit
 // path — the one every request takes when the tier is healthy — must
-// not allocate, same bar as the simulator gate.
+// not allocate, same bar as the simulator gate: through the bare plane,
+// and through a live proxy's worker acquire with the plane off, armed
+// in full, and armed as the Resilience fixed-shed delegation.
 func TestAdmissionPlaneFastPathZeroAlloc(t *testing.T) {
 	g := admission.NewGate(admission.Config{Limiter: admission.LimiterGradient, CoDel: true}, 64)
 	epoch := time.Now()
@@ -210,6 +212,105 @@ func TestAdmissionPlaneFastPathZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("uncontended plane admit allocates %.1f/op, want 0", allocs)
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  *admission.Config
+	}{
+		{"proxy disabled", nil},
+		{"proxy admitted", fullAdmission()},
+		{"proxy fixed-shed", admission.FixedShed(time.Second)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := startAcquireProxy(t, tc.cfg)
+			allocs := testing.AllocsPerRun(1000, func() {
+				if !p.admitRoundTrip() {
+					t.Fatal("admit refused on an idle proxy")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("worker acquire allocates %.1f/op, want 0", allocs)
+			}
+		})
+	}
+}
+
+// fullAdmission is the plane's full arm, the one the overhead arms and
+// the zero-alloc guards exercise.
+func fullAdmission() *admission.Config {
+	return &admission.Config{Limiter: admission.LimiterGradient, CoDel: true, LIFO: true}
+}
+
+// startAcquireProxy boots the minimal proxy the worker-acquire guards
+// and benchmark arms run against: no telemetry, tracing or resilience,
+// just the 64-slot worker pool and, optionally, the admission plane.
+// Nothing is ever forwarded, so the backend needs no server behind it.
+func startAcquireProxy(tb testing.TB, acfg *admission.Config) *Proxy {
+	tb.Helper()
+	p, err := StartProxy(ProxyConfig{
+		Workers:   64,
+		Policy:    PolicyCurrentLoad,
+		Mechanism: MechanismModified,
+		LB:        Config{Sweeps: 1},
+		Admission: acfg,
+	}, []*Backend{NewBackend("a", "u", 64)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = p.Close() })
+	return p
+}
+
+// admitRoundTrip performs one worker acquire/release round trip through
+// whatever admission path the proxy is configured with. The release
+// order mirrors handle's defers: worker slot first, then the gate, so a
+// handed-off waiter never blocks on the worker pool.
+func (p *Proxy) admitRoundTrip() bool {
+	if !p.acquireWorker(admission.Interactive) {
+		return false
+	}
+	if p.adm == nil {
+		<-p.workers
+		return true
+	}
+	admitAt := p.now()
+	<-p.workers
+	p.adm.Release(p.now(), p.now()-admitAt, true)
+	return true
+}
+
+// preAdmissionPool reproduces the worker acquire as it was before the
+// admission plane existed, the reference arm of
+// BenchmarkTelemetryDisabledOverhead: a method call, a nonblocking
+// select, one nil-pointer branch for the old resilience timer, and the
+// release on the way out. The methods are pinned noinline because the
+// proxy's are too large to inline — a flattened reference would charge
+// the plane for call overhead the old code also paid.
+type preAdmissionPool struct {
+	workers chan struct{}
+	resil   *time.Timer
+}
+
+//go:noinline
+func (r *preAdmissionPool) acquire() bool {
+	select {
+	case r.workers <- struct{}{}:
+		return true
+	default:
+	}
+	if r.resil != nil {
+		return false
+	}
+	r.workers <- struct{}{}
+	return true
+}
+
+//go:noinline
+func (r *preAdmissionPool) roundTrip() bool {
+	if !r.acquire() {
+		return false
+	}
+	<-r.workers
+	return true
 }
 
 // TestAdmissionPlaneHandoff drives the parked-waiter path directly: a

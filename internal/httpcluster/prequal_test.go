@@ -265,23 +265,24 @@ func TestPrequalSwapStress(t *testing.T) {
 // name: the prequal dispatch hot path — eligibility scan, pools.Pick,
 // bookkeeping — must not allocate.
 func TestPrequalDispatchZeroAlloc(t *testing.T) {
-	bal, _ := benchPrequalBalancer()
+	cycle := prequalCycle()
 	allocs := testing.AllocsPerRun(1000, func() {
-		_, rel, err := bal.Acquire(128)
-		if err != nil {
+		if err := cycle(); err != nil {
 			t.Fatal(err)
 		}
-		rel.Done(256)
 	})
 	if allocs != 0 {
 		t.Fatalf("prequal dispatch allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// benchPrequalBalancer builds a prequal balancer over two in-memory
-// backends whose pools hold non-expiring samples, isolating the
-// dispatch path from probing I/O.
-func benchPrequalBalancer() (*Balancer, *probe.Pools) {
+// The three cycles below are one acquire/release round trip each, over
+// two in-memory 64-endpoint backends: the arms the dispatch benchmarks
+// and TestDispatchBeatsMutexReference time against one another.
+
+// prequalCycle dispatches under prequal with pools that hold
+// non-expiring samples, isolating the dispatch path from probing I/O.
+func prequalCycle() func() error {
 	backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64)}
 	bal := NewBalancer(PolicyPrequal, MechanismModified, backends, Config{Sweeps: 1})
 	start := time.Now()
@@ -290,30 +291,121 @@ func benchPrequalBalancer() (*Balancer, *probe.Pools) {
 	pools.Observe("a", 1, time.Millisecond)
 	pools.Observe("b", 2, 2*time.Millisecond)
 	bal.SetProbePools(pools, nil)
-	return bal, pools
+	return balancerCycle(bal)
 }
 
-// BenchmarkPrequalDispatchOverhead measures the prequal dispatch hot
-// path against the current_load baseline; CI gates on 0 allocs/op for
-// the prequal arm via cmd/perfbench -pr7.
+// currentLoadCycle dispatches under current_load, the baseline arm.
+func currentLoadCycle() func() error {
+	backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64)}
+	return balancerCycle(NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1}))
+}
+
+func balancerCycle(bal *Balancer) func() error {
+	return func() error {
+		_, rel, err := bal.Acquire(128)
+		if err != nil {
+			return err
+		}
+		rel.Done(256)
+		return nil
+	}
+}
+
+// referenceCycle dispatches under current_load on the frozen mutex
+// path (reference.go).
+func referenceCycle() func() error {
+	ref := NewReferenceBalancer(PolicyCurrentLoad, []string{"a", "b"}, 64, Config{Sweeps: 1})
+	return func() error {
+		_, rel, err := ref.Acquire(128)
+		if err != nil {
+			return err
+		}
+		rel.Done(256)
+		return nil
+	}
+}
+
+// BenchmarkPrequalDispatchOverhead holds the arms of the dispatch
+// path's three timing ratios. Each was a pass/fail threshold of a
+// per-PR report program that CI ran on every push until PR 21 retired
+// it; a threshold survived as a go test guard only if it held 30 runs
+// out of 30 on the unchanged tree (2 vCPUs, commit d90ea05):
+//
+//   - prequal over current_load, was "at most 30%": 15.8 / 21.1 / 25.6%
+//     and 17.2 / 17.1 / 18.7% on two sets of three runs of the report;
+//     -6.9% to +51.4% (median 19.6%) over thirty runs of fastestRounds,
+//     four of them above 30%. Retired: the two arms differ by ~25 ns
+//     and a preempted round moves that by more than the margin.
+//   - current_load against reference_mutex, was "at most 80%":
+//     55.9-59% on the report; 49.6-63.0% over thirty idle runs of
+//     fastestRounds, 52.2-59.1% over thirty with both cores busy.
+//     Kept: TestDispatchBeatsMutexReference.
+//   - parallel at -cpu 4 against -cpu 1, was "at least 2x on a host
+//     with 4 cores": no host so far has had them (it read 0.60-0.62x
+//     on two), so it gated nothing. Retired; read it with -cpu 1,2,4.
+//     That the arm allocates nothing is TestAcquireZeroAlloc/parallel.
 func BenchmarkPrequalDispatchOverhead(b *testing.B) {
-	run := func(b *testing.B, bal *Balancer) {
+	run := func(b *testing.B, cycle func() error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, rel, err := bal.Acquire(128)
-			if err != nil {
+			if err := cycle(); err != nil {
 				b.Fatal(err)
 			}
-			rel.Done(256)
 		}
 	}
-	b.Run("prequal", func(b *testing.B) {
-		bal, _ := benchPrequalBalancer()
-		run(b, bal)
+	b.Run("prequal", func(b *testing.B) { run(b, prequalCycle()) })
+	b.Run("current_load", func(b *testing.B) { run(b, currentLoadCycle()) })
+	b.Run("reference_mutex", func(b *testing.B) { run(b, referenceCycle()) })
+	b.Run("parallel", func(b *testing.B) {
+		bal := NewBalancer(PolicyCurrentLoad, MechanismModified, parallelBackends(), Config{Sweeps: 1})
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if _, rel, err := bal.Acquire(128); err == nil {
+					rel.Done(256)
+				}
+			}
+		})
 	})
-	b.Run("current_load", func(b *testing.B) {
-		backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64)}
-		run(b, NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1}))
-	})
+}
+
+// TestDispatchBeatsMutexReference is the one timing threshold that
+// outlived the report program: the atomic-snapshot dispatch costs at
+// most 80% of the frozen mutex path, both timed here, in this process.
+// The arms alternate and each keeps its fastest round, so a preempted
+// round costs nothing; see BenchmarkPrequalDispatchOverhead for the
+// readings that let it stay.
+func TestDispatchBeatsMutexReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing guard: the race detector taxes the two paths unequally")
+	}
+	cur, ref := fastestRounds(t, currentLoadCycle(), referenceCycle())
+	if share := float64(cur) / float64(ref); share > 0.80 {
+		t.Fatalf("current_load dispatch takes %v per 100k round trips, %.0f%% of the mutex reference's %v; want at most 80%%",
+			cur, 100*share, ref)
+	}
+}
+
+// fastestRounds times 100k-cycle rounds of a and b alternately and
+// returns each arm's fastest of five.
+func fastestRounds(t *testing.T, a, b func() error) (fastA, fastB time.Duration) {
+	round := func(cycle func() error) time.Duration {
+		start := time.Now()
+		for i := 0; i < 100_000; i++ {
+			if err := cycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start)
+	}
+	round(a) // warm-up
+	round(b)
+	fastA, fastB = time.Hour, time.Hour
+	for i := 0; i < 5; i++ {
+		fastA = min(fastA, round(a))
+		fastB = min(fastB, round(b))
+	}
+	return fastA, fastB
 }

@@ -15,10 +15,10 @@ import (
 //     scripts to a Balancer and a ReferenceBalancer and asserts the
 //     decision sequences are byte-identical, proving the lock-free
 //     rewrite changed the cost of the algorithm and not the algorithm;
-//   - regression baseline: cmd/perfbench -pr8 benchmarks both paths in
-//     the same process on the same hardware, so the "≥20% faster than
-//     the mutex path" gate holds on any machine instead of comparing
-//     against another host's recorded nanoseconds.
+//   - regression baseline: TestDispatchBeatsMutexReference times both
+//     paths in the same process on the same hardware, so the "≥20%
+//     faster than the mutex path" gate holds on any machine instead of
+//     comparing against another host's recorded nanoseconds.
 //
 // It implements the four deterministic policies (prequal's probe
 // sampling is intentionally random and so has no byte-parity promise)

@@ -1,6 +1,7 @@
 package httpcluster
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestRoundRobinStableRotation(t *testing.T) {
 
 // TestAcquireZeroAlloc guards the proxy hot path: a successful
 // dispatch-and-complete cycle must not allocate (parity with the
-// internal/lb triedSet fix).
+// internal/lb triedSet fix), alone or contended.
 func TestAcquireZeroAlloc(t *testing.T) {
 	a := NewBackend("a", "u", 4)
 	b := NewBackend("b", "u", 4)
@@ -149,6 +150,54 @@ func TestAcquireZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Acquire+Done allocates %.1f objects per op, want 0", allocs)
 	}
+	// GOMAXPROCS-many dispatchers on one balancer, the parallel arm of
+	// BenchmarkPrequalDispatchOverhead. AllocsPerRun pins a single P, so
+	// this counts mallocs around the whole burst: a dispatch that
+	// allocates reads at least 1 per op, while starting the dispatchers
+	// amortises to far under 0.01.
+	t.Run("parallel", func(t *testing.T) {
+		for _, procs := range []int{1, 2, 4} {
+			if got := parallelDispatchMallocs(t, procs); got >= 0.01 {
+				t.Errorf("GOMAXPROCS=%d: contended Acquire+Done allocates %.3f objects per op, want 0", procs, got)
+			}
+		}
+	})
+}
+
+// parallelBackends is the tier the parallel dispatch arms share: wide
+// enough that no dispatcher is ever refused an endpoint.
+func parallelBackends() []*Backend {
+	return []*Backend{
+		NewBackend("a", "u", 1024), NewBackend("b", "u", 1024), NewBackend("c", "u", 1024), NewBackend("d", "u", 1024),
+	}
+}
+
+// parallelDispatchMallocs runs procs dispatchers of 20k round trips
+// each at GOMAXPROCS=procs and returns heap objects allocated per trip.
+func parallelDispatchMallocs(t *testing.T, procs int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	bal := NewBalancer(PolicyCurrentLoad, MechanismModified, parallelBackends(), Config{Sweeps: 1})
+	const trips = 20_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for w := 0; w < procs; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < trips; i++ {
+				_, rel, err := bal.Acquire(128)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rel.Done(256)
+			}
+		}()
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(procs*trips)
 }
 
 // TestAcquireZeroAllocEventLogArmed is the same cycle with every
