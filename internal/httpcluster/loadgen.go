@@ -3,6 +3,7 @@ package httpcluster
 import (
 	"context"
 	"io"
+	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -208,12 +209,24 @@ func RunLoad(ctx context.Context, baseURL string, cfg LoadGenConfig, thresholds 
 	return out
 }
 
+// newClientTransport returns the net/http transport of one closed-loop
+// client: one keep-alive connection, since it has one request in flight.
+// The load generator plays the browser, so it keeps the standard library's
+// client; the hops between the tiers use UpstreamTransport.
+func newClientTransport() *http.Transport {
+	return &http.Transport{
+		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+		MaxIdleConnsPerHost: 1,
+		IdleConnTimeout:     90 * time.Second,
+	}
+}
+
 // runClient is one closed-loop client: a request, the think time, the
 // next request. It keeps the one keep-alive connection a closed loop
 // needs on a transport of its own, so clients never contend for a shared
 // idle pool, and releases it on return.
 func runClient(ctx context.Context, shard int, url string, think time.Duration, out *LoadStats) {
-	transport := newPooledTransport(1)
+	transport := newClientTransport()
 	defer transport.CloseIdleConnections()
 	httpClient := &http.Client{Timeout: 10 * time.Second, Transport: transport}
 	// Created by the first wait and reused: the timer has always fired

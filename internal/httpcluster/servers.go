@@ -1,11 +1,13 @@
 package httpcluster
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,6 +19,19 @@ import (
 	"millibalance/internal/probe"
 	"millibalance/internal/telemetry"
 )
+
+// The three servers bound how long a client may take to send a request
+// header and how long a kept-alive connection may sit idle. The idle
+// bound is longer than the inter-tier transport's (upstreamIdleAge), so
+// the client side lets go of a connection first.
+const (
+	serverReadHeaderTimeout = 10 * time.Second
+	serverIdleTimeout       = 120 * time.Second
+)
+
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: serverReadHeaderTimeout, IdleTimeout: serverIdleTimeout}
+}
 
 // AppServerConfig sizes a loopback application server.
 type AppServerConfig struct {
@@ -47,10 +62,12 @@ type AppServer struct {
 	stallMu  sync.RWMutex
 	served   atomic.Uint64
 	inflight atomic.Int64
-	// client issues the DB queries over a transport this server owns,
-	// pooled to Workers connections: that many handlers can be at the DB
-	// at once. Close releases it.
-	client  *http.Client
+	// db carries the DB queries: a transport this server owns, pooled to
+	// Workers connections — that many handlers can be at the DB at once.
+	// Close releases it. dbQuery is the one request every query sends, nil
+	// without a DB tier; each query is a copy of it under its own context.
+	db      *UpstreamTransport
+	dbQuery *http.Request
 	payload []byte
 	wg      sync.WaitGroup
 
@@ -91,8 +108,16 @@ func StartAppServer(cfg AppServerConfig) (*AppServer, error) {
 		addr:    ln.Addr().String(),
 		ln:      ln,
 		workers: make(chan struct{}, cfg.Workers),
-		client:  &http.Client{Timeout: 5 * time.Second, Transport: newPooledTransport(cfg.Workers)},
+		db:      newUpstreamTransport(cfg.Workers),
 		payload: []byte(strings.Repeat("x", cfg.ResponseBytes)),
+	}
+	if cfg.DBURL != "" && cfg.DBQueries > 0 {
+		u, err := url.Parse(cfg.DBURL + "/query")
+		if err != nil {
+			_ = ln.Close() // never served
+			return nil, fmt.Errorf("httpcluster: %s: DB URL: %w", cfg.Name, err)
+		}
+		a.dbQuery = &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: make(http.Header)}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", a.handle)
@@ -101,7 +126,7 @@ func StartAppServer(cfg AppServerConfig) (*AppServer, error) {
 	})
 	a.adminMux(mux)
 	a.mux = mux
-	a.srv = &http.Server{Handler: mux}
+	a.srv = newServer(mux)
 	a.wg.Add(1)
 	go func(srv *http.Server, ln net.Listener) {
 		defer a.wg.Done()
@@ -186,7 +211,7 @@ func (a *AppServer) Restart() error {
 		return fmt.Errorf("httpcluster: restart %s: %w", a.cfg.Name, err)
 	}
 	a.ln = ln
-	a.srv = &http.Server{Handler: a.mux}
+	a.srv = newServer(a.mux)
 	a.down = false
 	a.wg.Add(1)
 	go func(srv *http.Server, ln net.Listener) {
@@ -215,7 +240,7 @@ func (a *AppServer) Close() error {
 	}
 	a.srvMu.Unlock()
 	a.wg.Wait()
-	a.client.CloseIdleConnections()
+	a.db.CloseIdleConnections()
 	return err
 }
 
@@ -240,20 +265,35 @@ func (a *AppServer) handle(w http.ResponseWriter, r *http.Request) {
 		a.stallGate()
 		time.Sleep(slice)
 	}
-	for i := 0; i < a.cfg.DBQueries && a.cfg.DBURL != ""; i++ {
-		resp, err := a.client.Get(a.cfg.DBURL + "/query")
-		if err != nil {
+	for i := 0; i < a.cfg.DBQueries && a.dbQuery != nil; i++ {
+		if err := a.queryDB(r.Context()); err != nil {
 			http.Error(w, "db error: "+err.Error(), http.StatusBadGateway)
 			return
 		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
 	}
 	a.stallGate()
 	a.served.Add(1)
 	a.recordLatency(time.Since(start))
 	w.Header().Set("X-App-Server", a.cfg.Name)
 	_, _ = w.Write(a.payload)
+}
+
+// dbQueryTimeout bounds one DB query, reply body included.
+const dbQueryTimeout = 5 * time.Second
+
+// queryDB sends one query and discards the reply. It runs under the
+// handler's context, so a request whose client has gone — or whose server
+// was closed — stops querying.
+func (a *AppServer) queryDB(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, dbQueryTimeout)
+	defer cancel()
+	resp, err := a.db.RoundTrip(a.dbQuery.WithContext(ctx))
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close() // always nil
+	return err
 }
 
 // appEWMAAlpha weights the latest request latency in the server's EWMA.
@@ -311,7 +351,7 @@ func StartDBServer(queryTime time.Duration) (*DBServer, error) {
 		d.queries.Add(1)
 		fmt.Fprintln(w, `{"rows":1}`)
 	})
-	d.srv = &http.Server{Handler: mux}
+	d.srv = newServer(mux)
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
@@ -415,7 +455,7 @@ type Proxy struct {
 	// the same transport when the proxy built it (ProxyConfig.Transport
 	// nil) and nil otherwise.
 	upstream       http.RoundTripper
-	owned          *http.Transport
+	owned          *UpstreamTransport
 	attemptTimeout time.Duration
 
 	epoch  time.Time
@@ -492,7 +532,7 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 	if cfg.Telemetry != nil {
 		p.armTelemetry(*cfg.Telemetry)
 	}
-	p.srv = &http.Server{Handler: p.adminHandler(p.handle)}
+	p.srv = newServer(p.adminHandler(p.handle))
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"time"
 )
@@ -12,38 +11,6 @@ import (
 // defaultAttemptTimeout bounds one upstream exchange — round trip and
 // body read — when Resilience sets no AttemptTimeout.
 const defaultAttemptTimeout = 10 * time.Second
-
-// newPooledTransport returns a transport that keeps up to idlePerHost
-// idle keep-alive connections per host. Every inter-tier client owns
-// one, sized to the concurrency of the hop it serves, so a steady load
-// reuses connections the way mod_jk reuses its persistent endpoints;
-// http.DefaultTransport keeps two per host and dials for the rest.
-func newPooledTransport(idlePerHost int) *http.Transport {
-	if idlePerHost < 1 {
-		idlePerHost = 1
-	}
-	return &http.Transport{
-		DialContext:         (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-		MaxIdleConnsPerHost: idlePerHost,
-		IdleConnTimeout:     90 * time.Second,
-	}
-}
-
-// NewUpstreamTransport returns the transport StartProxy builds for
-// itself when ProxyConfig.Transport is nil: one idle connection per
-// endpoint of the largest backend pool. It is exported for callers that
-// wrap the upstream hop (internal/faults' Transport) and still want the
-// pooled base; whoever calls it owns the transport and closes its idle
-// connections.
-func NewUpstreamTransport(backends []*Backend) *http.Transport {
-	idle := 0
-	for _, be := range backends {
-		if be.capacity > idle {
-			idle = be.capacity
-		}
-	}
-	return newPooledTransport(idle)
-}
 
 // roundTrip performs one upstream attempt: GET <backend><path>, no
 // body, sent straight through the transport. The attempt is bound to the
