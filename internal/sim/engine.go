@@ -47,9 +47,12 @@ func (f Func) Fire() { f() }
 // paper-scale run schedules millions of events but keeps a bounded set
 // pending, so recycling removes nearly every per-event allocation. The
 // generation counter invalidates external handles when a node is retired.
+// index and far share one word, so a node stays 40 bytes
+// (TestTimerNodeLayout).
 type timerNode struct {
 	at    Time
-	index int // position in the heap, -1 once fired or stopped
+	index int32 // position in its heap, -1 once fired or stopped
+	far   bool  // the far heap holds it, not the near one
 	gen   uint64
 	ev    Event
 }
@@ -96,7 +99,8 @@ func (t Timer) Stopped() bool { return t.n == nil || t.gen != t.n.gen || t.n.ind
 // use; construct one with NewEngine.
 type Engine struct {
 	now    Time
-	heap   []heapItem
+	near   timerHeap // due within nearHorizon of the clock when scheduled
+	far    timerHeap // the rest: think timers, retransmit and recovery waits
 	free   FreeList[timerNode]
 	seq    uint64
 	rng    *rand.Rand
@@ -121,7 +125,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many timers are currently scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.near) + len(e.far) }
 
 // Schedule arranges for fn to run after delay of virtual time. A negative
 // delay is treated as zero. The returned timer may be stopped before it
@@ -160,27 +164,23 @@ func (e *Engine) AtEvent(t Time, ev Event) Timer {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	n := e.alloc()
-	n.at = t
 	n.ev = ev
-	n.index = len(e.heap)
-	e.heap = append(e.heap, heapItem{at: t, seq: e.seq, n: n})
-	e.up(n.index)
+	e.push(n, t)
 	return Timer{n: n, gen: n.gen}
 }
 
-// Reserve makes room for n more pending timers in one step: the heap
-// slice grows once instead of by repeated doubling-and-copying, and the
-// n timer nodes come from one slab instead of n allocations. A caller
-// about to schedule a known, large number of standing events (a client
-// group's think timers) calls it first; which node backs which timer has
-// no bearing on the order events fire in.
+// Reserve makes room for n more pending timers in one step: the far
+// heap's slice grows once instead of by repeated doubling-and-copying,
+// and the n timer nodes come from one slab instead of n allocations. A
+// caller about to schedule a known, large number of standing events (a
+// client group's think timers) calls it first; which node backs which
+// timer has no bearing on the order events fire in.
 func (e *Engine) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	e.heap = slices.Grow(e.heap, n)
+	e.far = slices.Grow(e.far, n)
 	nodes := make([]timerNode, n)
 	e.free.items = slices.Grow(e.free.items, n)
 	for i := range nodes {
@@ -195,13 +195,15 @@ func (e *Engine) Stop(t Timer) bool {
 	if t.Stopped() {
 		return false
 	}
-	e.remove(t.n.index)
+	e.heapOf(t.n).remove(int(t.n.index))
 	e.recycle(t.n)
 	return true
 }
 
 // Reschedule moves a pending timer to fire at now+delay. It reports
-// whether the timer was still pending and thus moved.
+// whether the timer was still pending and thus moved. The timer leaves
+// its heap and re-enters the one its new delay selects, behind every
+// event already scheduled for the same instant.
 func (e *Engine) Reschedule(t Timer, delay Time) bool {
 	if t.Stopped() {
 		return false
@@ -209,13 +211,8 @@ func (e *Engine) Reschedule(t Timer, delay Time) bool {
 	if delay < 0 {
 		delay = 0
 	}
-	n := t.n
-	n.at = e.now + delay
-	e.seq++
-	e.heap[n.index].at, e.heap[n.index].seq = n.at, e.seq
-	if !e.down(n.index) {
-		e.up(n.index)
-	}
+	e.heapOf(t.n).remove(int(t.n.index))
+	e.push(t.n, e.now+delay)
 	return true
 }
 
@@ -223,23 +220,26 @@ func (e *Engine) Reschedule(t Timer, delay Time) bool {
 // timestamp. It reports false when no events remain or the engine has
 // been halted.
 func (e *Engine) Step() bool {
-	if e.halted || len(e.heap) == 0 {
+	if e.halted {
 		return false
 	}
-	n := e.popMin()
-	e.now = n.at
-	ev := n.ev
-	e.recycle(n)
-	e.fired++
-	ev.Fire()
+	h := e.next()
+	if h == nil {
+		return false
+	}
+	e.fire(h)
 	return true
 }
 
 // Run dispatches events until the clock would pass until, then sets the
 // clock to exactly until. Events scheduled at until itself are dispatched.
 func (e *Engine) Run(until Time) {
-	for !e.halted && len(e.heap) > 0 && e.heap[0].at <= until {
-		e.Step()
+	for !e.halted {
+		h := e.next()
+		if h == nil || (*h)[0].at > until {
+			break
+		}
+		e.fire(h)
 	}
 	if e.now < until {
 		e.now = until
@@ -254,7 +254,7 @@ func (e *Engine) RunAll(maxEvents uint64) error {
 	for e.Step() {
 		if e.fired-start >= maxEvents {
 			return fmt.Errorf("sim: event budget of %d exhausted at t=%v with %d timers pending",
-				maxEvents, e.now, len(e.heap))
+				maxEvents, e.now, e.Pending())
 		}
 	}
 	return nil
@@ -284,13 +284,78 @@ func (e *Engine) recycle(n *timerNode) {
 	e.free.Put(n)
 }
 
-// The heap below is a hand-inlined 4-ary min-heap ordered by (at, seq),
-// so same-instant events fire in schedule order; (at, seq) is a total
-// order, so the pop sequence does not depend on the heap's shape.
-// Inlining (instead of container/heap) removes the interface dispatch on
-// every sift step in the engine's hottest loop, and four children per
-// slot halve the levels a sift crosses at paper scale (~70 000 standing
-// timers) while keeping each level's children in adjacent memory.
+// Pending events live in two heaps. An event due within nearHorizon of
+// the clock at the moment it is scheduled goes to the near heap: the CPU
+// bursts, link hops, polls and hand-offs of the requests in flight, a
+// few dozen slots that stay in cache. Everything due later goes to the
+// far heap: the ~70 000 think timers of a paper-scale run, retransmit
+// waits, error recoveries, writeback periods. Nine pops in ten come from
+// the near heap and no longer sift through the think timers.
+//
+// Both heaps are ordered by (at, seq), and the engine fires whichever
+// root is smaller. (at, seq) is a total order and each root is the
+// minimum of its heap, so the smaller root is the minimum of all pending
+// events: the pop sequence is the one a single heap gives, whatever the
+// horizon and wherever an event was filed. The horizon decides cost
+// only. A far event whose time has come stays where it is and fires
+// from the far root; Stop removes a node from the heap its far flag
+// names; Reschedule removes it and pushes it, with a fresh seq, into the
+// heap its new delay selects.
+//
+// nearHorizon was picked by a sweep of sim_paper (EXPERIMENTS.md, PR 25):
+// 5, 20 and 100 ms run alike; 20 ms holds the near heap to ~200 slots at
+// most (~1 000 at 100 ms) and moves only 0.1 % of all pops to the far
+// heap. At 1 s thousands of think timers land in the near heap and half
+// the gain is lost.
+const nearHorizon = 20 * time.Millisecond
+
+// push files n, due at t, under a fresh sequence number in the heap t's
+// distance from the clock selects.
+func (e *Engine) push(n *timerNode, t Time) {
+	e.seq++
+	n.at = t
+	n.far = t-e.now >= nearHorizon
+	e.heapOf(n).push(heapItem{at: t, seq: e.seq, n: n})
+}
+
+// heapOf returns the heap holding n.
+func (e *Engine) heapOf(n *timerNode) *timerHeap {
+	if n.far {
+		return &e.far
+	}
+	return &e.near
+}
+
+// next returns the heap whose root fires first, or nil when nothing is
+// pending.
+func (e *Engine) next() *timerHeap {
+	if len(e.far) > 0 && (len(e.near) == 0 || e.far[0].less(&e.near[0])) {
+		return &e.far
+	}
+	if len(e.near) > 0 {
+		return &e.near
+	}
+	return nil
+}
+
+// fire pops h's root, advances the clock to it and dispatches it.
+func (e *Engine) fire(h *timerHeap) {
+	n := h.popMin()
+	e.now = n.at
+	ev := n.ev
+	e.recycle(n)
+	e.fired++
+	ev.Fire()
+}
+
+// timerHeap is a hand-inlined 4-ary min-heap ordered by (at, seq), so
+// same-instant events fire in schedule order. Inlining (instead of
+// container/heap) removes the interface dispatch on every sift step in
+// the engine's hottest loop, and four children per slot halve the levels
+// a sift crosses while keeping each level's children in adjacent memory.
+// Every move writes the slot's position back into its node, so Stop and
+// Reschedule find a node without a search.
+type timerHeap []heapItem
 
 const heapArity = 4
 
@@ -301,58 +366,65 @@ func (a *heapItem) less(b *heapItem) bool {
 	return a.seq < b.seq
 }
 
-func (e *Engine) popMin() *timerNode {
-	n := e.heap[0].n
-	last := len(e.heap) - 1
+func (h *timerHeap) push(it heapItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+func (h *timerHeap) popMin() *timerNode {
+	s := *h
+	n := s[0].n
+	last := len(s) - 1
 	if last > 0 {
-		e.heap[0] = e.heap[last]
-		e.heap[0].n.index = 0
+		s[0] = s[last]
+		s[0].n.index = 0
 	}
-	e.heap[last] = heapItem{}
-	e.heap = e.heap[:last]
+	s[last] = heapItem{}
+	*h = s[:last]
 	if last > 1 {
-		e.down(0)
+		h.down(0)
 	}
 	n.index = -1
 	return n
 }
 
-// remove deletes the node at heap index i.
-func (e *Engine) remove(i int) {
-	last := len(e.heap) - 1
+// remove deletes the slot at index i.
+func (h *timerHeap) remove(i int) {
+	s := *h
+	last := len(s) - 1
 	if i != last {
-		e.heap[i] = e.heap[last]
-		e.heap[i].n.index = i
+		s[i] = s[last]
+		s[i].n.index = int32(i)
 	}
-	e.heap[last] = heapItem{}
-	e.heap = e.heap[:last]
+	s[last] = heapItem{}
+	*h = s[:last]
 	if i != last {
-		if !e.down(i) {
-			e.up(i)
+		if !h.down(i) {
+			h.up(i)
 		}
 	}
 }
 
-func (e *Engine) up(i int) {
-	it := e.heap[i]
+func (h timerHeap) up(i int) {
+	it := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !it.less(&e.heap[parent]) {
+		if !it.less(&h[parent]) {
 			break
 		}
-		e.heap[i] = e.heap[parent]
-		e.heap[i].n.index = i
+		h[i] = h[parent]
+		h[i].n.index = int32(i)
 		i = parent
 	}
-	e.heap[i] = it
-	it.n.index = i
+	h[i] = it
+	it.n.index = int32(i)
 }
 
-// down sifts the node at i toward the leaves and reports whether it moved.
-func (e *Engine) down(i0 int) bool {
-	it := e.heap[i0]
+// down sifts the slot at i toward the leaves and reports whether it moved.
+func (h timerHeap) down(i0 int) bool {
+	it := h[i0]
 	i := i0
-	size := len(e.heap)
+	size := len(h)
 	for {
 		first := heapArity*i + 1
 		if first >= size {
@@ -364,18 +436,18 @@ func (e *Engine) down(i0 int) bool {
 		}
 		best := first
 		for c := first + 1; c < end; c++ {
-			if e.heap[c].less(&e.heap[best]) {
+			if h[c].less(&h[best]) {
 				best = c
 			}
 		}
-		if !e.heap[best].less(&it) {
+		if !h[best].less(&it) {
 			break
 		}
-		e.heap[i] = e.heap[best]
-		e.heap[i].n.index = i
+		h[i] = h[best]
+		h[i].n.index = int32(i)
 		i = best
 	}
-	e.heap[i] = it
-	it.n.index = i
+	h[i] = it
+	it.n.index = int32(i)
 	return i > i0
 }

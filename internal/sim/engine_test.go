@@ -4,7 +4,25 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestTimerNodeLayout pins the sizes of the engine's two per-timer
+// records. Reserve makes a 70 000-node slab for a paper-scale run, and a
+// heap slot is copied on every sift step: a node grown from 40 to 48
+// bytes (a far flag placed after a full-width index) put sim_paper's
+// alloc_bytes_per_op up 5 %, exactly the benchmark's bound.
+func TestTimerNodeLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(timerNode{}); got != 40 {
+		t.Errorf("timerNode is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(heapItem{}); got != 24 {
+		t.Errorf("heapItem is %d bytes, want 24", got)
+	}
+}
 
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine(1, 2)

@@ -124,6 +124,33 @@ func TestScheduleEventZeroAlloc(t *testing.T) {
 	if ev.fired != 1002 { // AllocsPerRun runs the function once to warm up
 		t.Fatalf("event fired %d times, want 1002", ev.fired)
 	}
+
+	// The same holds on the far heap, for a Reschedule that moves a timer
+	// across the horizon both ways, and for a Stop in either heap.
+	for _, tc := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"far heap", func() {
+			e.ScheduleEvent(time.Hour, ev)
+			e.Step()
+		}},
+		{"reschedule near→far→near", func() {
+			tm := e.ScheduleEvent(time.Millisecond, ev)
+			e.Reschedule(tm, time.Hour)
+			e.Reschedule(tm, time.Millisecond)
+			e.Step()
+		}},
+		{"stop near", func() { e.Stop(e.ScheduleEvent(time.Millisecond, ev)) }},
+		{"stop far", func() { e.Stop(e.ScheduleEvent(time.Hour, ev)) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.cycle); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per cycle, want 0", tc.name, allocs)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after the cycles, want 0", e.Pending())
+	}
 }
 
 // TestFuncEventSharesTheObjectPath: a closure scheduled through Schedule
