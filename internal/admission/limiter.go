@@ -99,8 +99,8 @@ func (l *limiterState) observeAIMD(g *Gate, now, rtt time.Duration, ok bool) {
 }
 
 // foldRTT CAS-folds one sample into the EWMA and the no-load floor.
-// Non-finite intermediate values are dropped, in the PR 8 atomicFloat
-// style, so a poisoned sample cannot wedge the control loop.
+// Non-finite intermediate values are dropped, so a poisoned sample
+// cannot wedge the control loop.
 func (l *limiterState) foldRTT(rtt time.Duration) {
 	sample := float64(rtt)
 	for {

@@ -1,9 +1,16 @@
 package check
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"millibalance/internal/httpcluster"
@@ -26,11 +33,87 @@ func writeFailure(t *testing.T, tag string, s Script) string {
 	return path
 }
 
-// TestDifferentialGenerated is the acceptance gate: ≥ 10k generated
+var updateDecisions = flag.Bool("update-decisions", false, "rewrite testdata/decisions.golden from this run's digests")
+
+// decisionsPath holds one SHA-256 per generated cell and per corpus
+// script: the digest Run writes of every acquire's choice and the
+// drained end state. It pins the balancer's decisions byte for byte, so
+// a change to how dispatch is built cannot move what it decides.
+var decisionsPath = filepath.Join("testdata", "decisions.golden")
+
+// decisionsMu serializes the parallel cells' reads and rewrites of the
+// golden file.
+var decisionsMu sync.Mutex
+
+// readDecisions parses the golden file into key → hex digest; a missing
+// file reads as empty.
+func readDecisions(t *testing.T) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	f, err := os.Open(decisionsPath)
+	if os.IsNotExist(err) {
+		return out
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", decisionsPath, line)
+		}
+		out[key] = sum
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkDecisions compares one digest against its golden line or, under
+// -update-decisions, rewrites that line and keeps the others.
+func checkDecisions(t *testing.T, key string, sum []byte) {
+	t.Helper()
+	got := hex.EncodeToString(sum)
+	decisionsMu.Lock()
+	defer decisionsMu.Unlock()
+	golden := readDecisions(t)
+	if !*updateDecisions {
+		if want, ok := golden[key]; !ok {
+			t.Fatalf("%s has no digest for %s (run with -update-decisions to record it)", decisionsPath, key)
+		} else if got != want {
+			t.Fatalf("%s: decisions digest %s, golden %s", key, got, want)
+		}
+		return
+	}
+	golden[key] = got
+	keys := make([]string, 0, len(golden))
+	for k := range golden {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString("# SHA-256 of check.Run's decision digest per generated cell and corpus script.\n")
+	b.WriteString("# Rewrite with: go test ./internal/check -run 'TestDifferential' -update-decisions\n")
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s %s\n", k, golden[k])
+	}
+	if err := os.WriteFile(decisionsPath, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDifferentialGenerated is the acceptance gate: 10k generated
 // scripts across all four deterministic policies × both mechanisms with
-// zero Balancer↔ReferenceBalancer divergence. On a failure the script
-// is ddmin-minimized and written under testdata/failures/ before the
-// test aborts.
+// no invariant violated and, per cell, the decisions' digest equal to
+// its golden. On a violation the script is ddmin-minimized and written
+// under testdata/failures/ before the test aborts.
 func TestDifferentialGenerated(t *testing.T) {
 	const perCell = 1250 // × 4 policies × 2 mechanisms = 10k scripts
 	mechs := []httpcluster.Mechanism{httpcluster.MechanismModified, httpcluster.MechanismOriginal}
@@ -40,6 +123,7 @@ func TestDifferentialGenerated(t *testing.T) {
 			cell := uint64(pi*len(mechs)+mi) << 32
 			t.Run(fmt.Sprintf("%s/%s", policy, mechName(mech)), func(t *testing.T) {
 				t.Parallel()
+				digest := sha256.New()
 				for i := 0; i < perCell; i++ {
 					seed := cell | uint64(i)
 					s := Generate(seed)
@@ -48,22 +132,24 @@ func TestDifferentialGenerated(t *testing.T) {
 					// hot-swap both dimensions mid-script.
 					s.Policy = policy
 					s.Mech = mech
-					if f := Run(s); f != nil {
-						min := Shrink(s, func(c Script) bool { return Run(c) != nil })
+					if f := Run(s, digest); f != nil {
+						min := Shrink(s, func(c Script) bool { return Run(c, nil) != nil })
 						path := writeFailure(t, fmt.Sprintf("gen-%d", seed), min)
-						t.Fatalf("seed %#x diverged: %v\nminimized (%d ops) written to %s:\n%s",
+						t.Fatalf("seed %#x violated an invariant: %v\nminimized (%d ops) written to %s:\n%s",
 							seed, f, len(min.Ops), path, min.Marshal())
 					}
 				}
+				checkDecisions(t, fmt.Sprintf("generated/%s/%s", policy, mechName(mech)), digest.Sum(nil))
 			})
 		}
 	}
 }
 
 // TestDifferentialCorpus replays every committed script under
-// testdata/. Each file is the minimized form of a divergence or
-// invariant violation this harness found — the regression suite for the
-// bugs fixed in the same change that introduced the harness.
+// testdata/ and checks its decisions against the golden. Each file is
+// the minimized form of a divergence or invariant violation this
+// harness found — the regression suite for the bugs fixed in the same
+// change that introduced the harness.
 func TestDifferentialCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "*.script"))
 	if err != nil {
@@ -83,9 +169,11 @@ func TestDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
-			if f := Run(s); f != nil {
+			digest := sha256.New()
+			if f := Run(s, digest); f != nil {
 				t.Fatalf("regression reproduced: %v", f)
 			}
+			checkDecisions(t, "corpus/"+filepath.Base(file), digest.Sum(nil))
 		})
 	}
 }

@@ -49,13 +49,11 @@ func DecodeBytes(data []byte) Script {
 	return s
 }
 
-// FuzzDifferentialScript is the whole-balancer differential fuzz
-// target: arbitrary bytes become a deterministic op script, the script
-// replays through the lock-free Balancer and the frozen
-// ReferenceBalancer in lockstep, and any divergence or invariant
-// violation fails. A crash artifact's bytes reproduce the divergence
-// exactly; re-encode the shrunk script with Marshal to promote it into
-// testdata/.
+// FuzzDifferentialScript is the whole-balancer fuzz target: arbitrary
+// bytes become a deterministic op script, the script replays through the
+// Balancer, and any invariant violation fails. A crash artifact's bytes
+// reproduce the violation exactly; re-encode the shrunk script with
+// Marshal to promote it into testdata/.
 func FuzzDifferentialScript(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0})          // sticky, acquire + fail
 	f.Add([]byte{2, 0, 0, 2, 0, 0, 9, 9, 2, 3, 0})          // overflow arm, acquire + fail
@@ -65,9 +63,9 @@ func FuzzDifferentialScript(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := DecodeBytes(data)
-		if fail := Run(s); fail != nil {
-			min := Shrink(s, func(c Script) bool { return Run(c) != nil })
-			t.Fatalf("divergence: %v\nminimized script:\n%s", fail, min.Marshal())
+		if fail := Run(s, nil); fail != nil {
+			min := Shrink(s, func(c Script) bool { return Run(c, nil) != nil })
+			t.Fatalf("invariant violated: %v\nminimized script:\n%s", fail, min.Marshal())
 		}
 	})
 }

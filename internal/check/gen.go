@@ -7,8 +7,7 @@ import (
 )
 
 // rng is the harness's deterministic generator: splitmix64 over a
-// counter, the same finalizer the dispatch path's own seeded source
-// uses, so a script seed reproduces forever and everywhere.
+// counter, so a script seed reproduces forever and everywhere.
 type rng struct{ s uint64 }
 
 func (r *rng) next() uint64 {

@@ -1,16 +1,17 @@
 package check
 
 import (
+	"encoding/binary"
 	"fmt"
-	"time"
+	"io"
+	"math"
 
 	"millibalance/internal/httpcluster"
 )
 
-// Failure describes the first point at which a script run went wrong:
-// either the two implementations diverged, or one of them broke a
+// Failure describes the first point at which a script run broke a
 // dispatch invariant. Step is the index into Script.Ops (len(Ops) means
-// the post-script final-state comparison).
+// the post-script drained-state check).
 type Failure struct {
 	Step int
 	Msg  string
@@ -20,19 +21,12 @@ func (f *Failure) Error() string {
 	return fmt.Sprintf("step %d: %s", f.Step, f.Msg)
 }
 
-// openPair is one outstanding dispatch held by both implementations.
-type openPair struct {
-	rel  httpcluster.Release
-	rrel httpcluster.ReferenceRelease
-}
-
-// Run replays the script against a fresh Balancer and a fresh
-// ReferenceBalancer and returns the first divergence or invariant
-// violation, or nil when the run is clean. Replay is single-threaded
-// and deterministic: every op is applied to both implementations in
-// lockstep and the observable outcome (choice, error, accumulated
-// bookkeeping) is compared after each step.
-func Run(s Script) *Failure {
+// Run replays the script against a fresh Balancer and returns the first
+// invariant violation, or nil when the run is clean. Replay is
+// single-threaded and deterministic. A non-nil digest receives the
+// run's decisions as they are made (see writeChoice and writeFinal);
+// the tests compare it against testdata/decisions.golden.
+func Run(s Script, digest io.Writer) *Failure {
 	if s.Backends < 1 || s.Backends > MaxBackends {
 		return &Failure{Step: -1, Msg: fmt.Sprintf("bad topology: %d backends", s.Backends)}
 	}
@@ -40,82 +34,67 @@ func Run(s Script) *Failure {
 		return &Failure{Step: -1, Msg: "bad topology: no endpoints"}
 	}
 	names := backendNames[:s.Backends]
-	cfg := s.Arm.Config()
-
 	backends := make([]*httpcluster.Backend, s.Backends)
 	for i, n := range names {
 		backends[i] = httpcluster.NewBackend(n, "http://unused", s.Endpoints)
 	}
-	bal := httpcluster.NewBalancer(s.Policy, s.Mech, backends, cfg)
-	ref := httpcluster.NewReferenceBalancer(s.Policy, names, s.Endpoints, cfg)
+	bal := httpcluster.NewBalancer(s.Policy, s.Mech, backends, s.Arm.Config())
 
-	var open []openPair
+	var open []httpcluster.Release
 	for step, op := range s.Ops {
 		switch op.Kind {
 		case OpAcquire:
 			be, rel, err := bal.Acquire(op.A)
-			rname, rrel, rerr := ref.Acquire(op.A)
-			if (err != nil) != (rerr != nil) {
-				return &Failure{Step: step, Msg: fmt.Sprintf("acquire error %v, reference %v", err, rerr)}
-			}
 			if err == nil {
-				if be.Name() != rname {
-					return &Failure{Step: step, Msg: fmt.Sprintf("chose %s, reference chose %s", be.Name(), rname)}
-				}
-				open = append(open, openPair{rel: rel, rrel: rrel})
+				open = append(open, rel)
+			}
+			if digest != nil {
+				writeChoice(digest, backends, be)
 			}
 		case OpDone:
 			if len(open) == 0 {
 				continue
 			}
 			i := int(op.A) % len(open)
-			open[i].rel.Done(op.B)
-			open[i].rrel.Done(op.B)
+			open[i].Done(op.B)
 			open = append(open[:i], open[i+1:]...)
 		case OpFail:
 			if len(open) == 0 {
 				continue
 			}
 			i := int(op.A) % len(open)
-			open[i].rel.Fail()
-			open[i].rrel.Fail()
+			open[i].Fail()
 			open = append(open[:i], open[i+1:]...)
 		case OpSetPolicy:
 			bal.SetPolicy(op.Policy)
-			ref.SetPolicy(op.Policy)
 		case OpSetMechanism:
-			// The reference is mechanism-free: with Sweeps=1 and
-			// nanosecond poll sleeps, a single-threaded script cannot
-			// distinguish fail-fast from exhausted-pool polling, so only
-			// the Balancer swaps.
 			bal.SetMechanism(op.Mech)
 		case OpQuarantine:
-			n := names[int(op.A)%len(names)]
-			bal.SetQuarantine(n, op.On)
-			ref.SetQuarantine(n, op.On)
+			bal.SetQuarantine(names[int(op.A)%len(names)], op.On)
 		case OpWeight:
-			i := int(op.A) % len(backends)
-			backends[i].SetWeight(op.F)
-			ref.SetWeight(names[i], op.F)
+			backends[int(op.A)%len(backends)].SetWeight(op.F)
 		}
-		if f := checkInvariants(step, backends, ref, s.Endpoints, len(open)); f != nil {
+		if f := checkInvariants(step, backends, s.Endpoints); f != nil {
 			return f
 		}
 	}
-	// Drain so the final comparison sees a quiesced system.
-	for _, o := range open {
-		o.rel.Done(0)
-		o.rrel.Done(0)
+	// Drain so the end state is a quiesced system.
+	for _, rel := range open {
+		rel.Done(0)
 	}
-	return compareFinal(len(s.Ops), bal, ref, backends, s.Endpoints)
+	if f := checkDrained(len(s.Ops), backends, s.Endpoints); f != nil {
+		return f
+	}
+	if digest != nil {
+		writeFinal(digest, bal, backends)
+	}
+	return nil
 }
 
-// checkInvariants asserts the properties that must hold on both
-// implementations after every step, independent of parity: finite
-// lb_values, pool tokens within [0, capacity], and completed ≤
-// dispatched. A violation on either side is a bug in that side even if
-// the two sides agree.
-func checkInvariants(step int, backends []*httpcluster.Backend, ref *httpcluster.ReferenceBalancer, endpoints, open int) *Failure {
+// checkInvariants asserts the properties that must hold after every
+// step: finite, non-negative lb_values, finite positive weights, pool
+// tokens within [0, capacity], and completed ≤ dispatched.
+func checkInvariants(step int, backends []*httpcluster.Backend, endpoints int) *Failure {
 	for _, be := range backends {
 		if lb := be.LBValue(); !finite(lb) || lb < 0 {
 			return &Failure{Step: step, Msg: fmt.Sprintf("%s: lb_value %g not finite and non-negative", be.Name(), lb)}
@@ -130,42 +109,52 @@ func checkInvariants(step int, backends []*httpcluster.Backend, ref *httpcluster
 			return &Failure{Step: step, Msg: fmt.Sprintf("%s: completed %d > dispatched %d", be.Name(), c, d)}
 		}
 	}
-	for _, v := range ref.Views(time.Now()) {
-		if !finite(v.LBValue) || v.LBValue < 0 {
-			return &Failure{Step: step, Msg: fmt.Sprintf("reference %s: lb_value %g not finite and non-negative", v.Name, v.LBValue)}
+	return nil
+}
+
+// checkDrained asserts the quiesced end state: every token is home and
+// every dispatch completed.
+func checkDrained(step int, backends []*httpcluster.Backend, endpoints int) *Failure {
+	for _, be := range backends {
+		if free := be.FreeEndpoints(); free != endpoints {
+			return &Failure{Step: step, Msg: fmt.Sprintf("%s: %d/%d free endpoint tokens after drain", be.Name(), free, endpoints)}
 		}
-		if v.Completed > v.Dispatched {
-			return &Failure{Step: step, Msg: fmt.Sprintf("reference %s: completed %d > dispatched %d", v.Name, v.Completed, v.Dispatched)}
+		if d, c := be.Dispatched(), be.Completed(); d != c {
+			return &Failure{Step: step, Msg: fmt.Sprintf("%s: dispatched %d != completed %d after drain", be.Name(), d, c)}
 		}
 	}
 	return nil
 }
 
-// compareFinal checks the drained end state: reject counts, per-backend
-// counters, lb_values, states and quarantine flags must agree exactly.
-func compareFinal(step int, bal *httpcluster.Balancer, ref *httpcluster.ReferenceBalancer, backends []*httpcluster.Backend, endpoints int) *Failure {
-	if br, rr := bal.Rejects(), ref.Rejects(); br != rr {
-		return &Failure{Step: step, Msg: fmt.Sprintf("rejects %d, reference %d", br, rr)}
-	}
-	views := ref.Views(time.Now())
+// writeChoice records one acquire's outcome: the chosen backend's index,
+// or 0xff when the acquire failed.
+func writeChoice(w io.Writer, backends []*httpcluster.Backend, chosen *httpcluster.Backend) {
+	rec := [1]byte{0xff}
 	for i, be := range backends {
-		v := views[i]
-		if be.Dispatched() != v.Dispatched || be.Completed() != v.Completed || be.Traffic() != v.Traffic {
-			return &Failure{Step: step, Msg: fmt.Sprintf("%s counters (%d,%d,%d), reference (%d,%d,%d)",
-				be.Name(), be.Dispatched(), be.Completed(), be.Traffic(), v.Dispatched, v.Completed, v.Traffic)}
-		}
-		if lb := be.LBValue(); lb != v.LBValue {
-			return &Failure{Step: step, Msg: fmt.Sprintf("%s lb_value %g, reference %g", be.Name(), lb, v.LBValue)}
-		}
-		if st := be.State(); st != v.State {
-			return &Failure{Step: step, Msg: fmt.Sprintf("%s state %v, reference %v", be.Name(), st, v.State)}
-		}
-		if q := be.Quarantined(); q != v.Quarantined {
-			return &Failure{Step: step, Msg: fmt.Sprintf("%s quarantined %v, reference %v", be.Name(), q, v.Quarantined)}
-		}
-		if free := be.FreeEndpoints(); free != v.FreeEndpoints {
-			return &Failure{Step: step, Msg: fmt.Sprintf("%s free %d, reference %d", be.Name(), free, v.FreeEndpoints)}
+		if be == chosen {
+			rec[0] = byte(i)
 		}
 	}
-	return nil
+	_, _ = w.Write(rec[:])
+}
+
+// writeFinal records the drained end state: the reject count and, per
+// backend, dispatched, completed, traffic, the lb_value's bits, the
+// state, the quarantine flag and the free endpoint tokens.
+func writeFinal(w io.Writer, bal *httpcluster.Balancer, backends []*httpcluster.Backend) {
+	le := binary.LittleEndian
+	rec := le.AppendUint64(nil, bal.Rejects())
+	for _, be := range backends {
+		rec = le.AppendUint64(rec, be.Dispatched())
+		rec = le.AppendUint64(rec, be.Completed())
+		rec = le.AppendUint64(rec, uint64(be.Traffic()))
+		rec = le.AppendUint64(rec, math.Float64bits(be.LBValue()))
+		quarantined := byte(0)
+		if be.Quarantined() {
+			quarantined = 1
+		}
+		rec = append(rec, byte(be.State()), quarantined)
+		rec = le.AppendUint64(rec, uint64(be.FreeEndpoints()))
+	}
+	_, _ = w.Write(rec)
 }

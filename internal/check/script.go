@@ -1,25 +1,21 @@
-// Package check is the differential-testing harness for the lock-free
-// dispatch path. It drives the contention-free httpcluster.Balancer and
-// the frozen mutex-era httpcluster.ReferenceBalancer through identical
-// randomized op scripts and reports the first step at which they
-// diverge — in choice, in error behavior, or in accumulated
-// bookkeeping — plus any violation of the dispatch invariants (finite
-// lb_values, pool tokens within [0, capacity], completed ≤ dispatched)
-// on either implementation.
+// Package check is the script harness for the proxy's dispatch path. It
+// replays randomized op scripts through httpcluster.Balancer, checks the
+// dispatch invariants (finite lb_values, pool tokens within
+// [0, capacity], completed ≤ dispatched) after every step, and digests
+// every decision so the tests can pin them against
+// testdata/decisions.golden (DESIGN.md §13).
 //
-// The package has three legs (DESIGN.md §13):
+// Its parts:
 //
 //   - a seeded script generator with ddmin shrinking: a failing script
 //     is minimized and written under testdata/, where it becomes a
 //     committed regression replayed by TestDifferentialCorpus;
+//   - the decision golden: one SHA-256 per generated cell and corpus
+//     script, recorded while the balancer still ran in lockstep with a
+//     second, independent implementation, so it holds decisions two
+//     implementations agreed on;
 //   - native go test -fuzz targets (fuzz_test.go) that decode arbitrary
-//     bytes into scripts, plus focused targets in internal/httpcluster
-//     and internal/faults for the packed hot word, the atomicFloat CAS
-//     math and the scenario parser;
-//   - a schedule-exploring interleaving runner (interleave.go, build
-//     tag "checkyield") that serializes goroutines at yield points
-//     injected into the hot path and checks the observable history
-//     against a sequential model.
+//     bytes into scripts and harden the text format.
 package check
 
 import (
@@ -35,19 +31,18 @@ import (
 
 // Arm selects the timing regime of a script's balancer config. All
 // three pin every wall-clock-dependent decision (the Busy/Error
-// recovery deadlines) to an outcome both implementations must resolve
-// identically on every step, so replay is deterministic:
+// recovery deadlines) to one outcome on every step, so replay is
+// deterministic:
 //
 //   - ArmSticky: recovery intervals of an hour; no recovery ever fires
 //     inside a run, transitions latch.
 //   - ArmInstant: recovery intervals of a nanosecond; every recovery is
 //     due by the next touch, transitions always heal.
 //   - ArmOverflow: recovery intervals of 1<<59 ns (≈ 18 years) —
-//     sticky in intent, but the interval's nanos-since-base encoding
-//     exceeds the packed hot word's 59-bit deadline field. This is the
-//     arm that flushed out the recoverAt truncation bug: the wrapped
-//     deadline read as already-passed, so the lock-free balancer healed
-//     a Busy backend instantly while the reference stayed Busy.
+//     sticky in intent, at the far end of what a deadline can hold.
+//     This arm once found deadlines wrapping: packed into a 59-bit
+//     field, one this far out read as already passed and healed a Busy
+//     backend at once (testdata/recover-overflow*.script).
 type Arm string
 
 const (
@@ -99,10 +94,9 @@ const (
 	OpFail
 	// OpSetPolicy hot-swaps the policy.
 	OpSetPolicy
-	// OpSetMechanism hot-swaps the mechanism (Balancer only; the
-	// reference is mechanism-free and fail-fast, which single-threaded
-	// scripts cannot distinguish from the original mechanism's
-	// exhausted-pool polling).
+	// OpSetMechanism hot-swaps the mechanism. With nanosecond poll
+	// sleeps a single-threaded script sees the original mechanism's
+	// exhausted-pool polling fail as the modified one does, only later.
 	OpSetMechanism
 	// OpQuarantine drains (On) or paroles (!On) backend A.
 	OpQuarantine
@@ -122,8 +116,8 @@ type Op struct {
 	Mech   httpcluster.Mechanism
 }
 
-// Script is one deterministic differential run: a fixed topology, a
-// timing arm, a starting policy/mechanism, and an op list.
+// Script is one deterministic run: a fixed topology, a timing arm, a
+// starting policy/mechanism, and an op list.
 type Script struct {
 	Arm       Arm
 	Backends  int
@@ -142,8 +136,8 @@ var backendNames = []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 const MaxBackends = 8
 
 // scriptPolicies are the deterministic policies scripts swap between.
-// Prequal is excluded: its power-of-d sampling is random by design and
-// carries no byte-parity promise (see TestDispatchParity).
+// Prequal is excluded: its power-of-d sampling is random by design, so
+// its choices have no place in a decision golden.
 var scriptPolicies = []httpcluster.Policy{
 	httpcluster.PolicyTotalRequest,
 	httpcluster.PolicyTotalTraffic,

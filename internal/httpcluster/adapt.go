@@ -133,8 +133,8 @@ func (r *adaptRunner) step() {
 	}
 
 	for _, be := range r.p.bal.Backends() {
-		// Lock-free gauge reads off the backend's atomic hot fields —
-		// the sampler never perturbs the dispatch path it is watching.
+		// Each gauge holds the backend's lock for a few nanoseconds, so
+		// the sampler does not perturb the dispatch path it is watching.
 		s := adapt.BackendSample{
 			Completed:     be.Completed(),
 			InFlight:      be.InFlight(),

@@ -9,10 +9,11 @@
 // simulation; this package is the deployment-shaped twin that
 // demonstrates the identical algorithms and failure modes over real
 // sockets. Unlike the simulator, its dispatch path runs concurrently on
-// every proxy worker, so the hot path is built contention-free: backend
-// hot fields are atomics (hot.go), the balancer configuration is an
-// atomically-swapped immutable snapshot, and a full ranking sweep takes
-// no lock at all (DESIGN.md §12).
+// every proxy worker, so it is guarded by two kinds of mutex: the
+// balancer's, over what the control plane swaps and the scheduler's
+// cursor, and each backend's, over its bookkeeping. Each is held for
+// well under a microsecond, four orders of magnitude below the
+// millibottlenecks the proxy exists to route around (DESIGN.md §12).
 package httpcluster
 
 import (
@@ -22,7 +23,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"millibalance/internal/obs"
@@ -142,33 +142,33 @@ const (
 )
 
 // Backend is one application server as the proxy's balancer sees it.
-// The fields every dispatch touches — the packed state word, lb_value,
-// weight, the dispatch/completion/traffic counters and the endpoint
-// token count — are atomics read and (on the happy path) written
-// without any lock; the mutex guards only the slow paths: state
-// transitions with their event emission, the failure-streak window,
-// and the quarantine-probe lifecycle.
+// Everything a dispatch reads or writes — the 3-state machine with its
+// recovery deadline, the quarantine and probe flags, lb_value, weight,
+// the counters and the endpoint tokens — sits under mu. A dispatch
+// holds it for a few dozen nanoseconds at a time (DESIGN.md §12).
 type Backend struct {
-	name   string
-	url    string
-	target *url.URL  // url parsed once for Proxy.roundTrip; nil when it does not parse
-	base   time.Time // time base the packed recovery deadline is encoded against
+	name     string
+	url      string
+	target   *url.URL // url parsed once for Proxy.roundTrip; nil when it does not parse
+	capacity int      // endpoint pool size
 
-	free        atomic.Int64  // idle endpoint-pool tokens
-	capacity    int           // endpoint pool size
-	word        atomic.Uint64 // packed state | quarantined | probeArmed | probing | recoverAt (hot.go)
-	lbValue     atomicFloat
-	weight      atomicFloat // 0 bits read as weight 1
-	dispatched  atomic.Uint64
-	completed   atomic.Uint64
-	traffic     atomic.Int64
-	consecFails atomic.Int32
-
-	mu         sync.Mutex // slow path: transitions, probe lifecycle, events
-	firstFail  time.Time
-	probeStart time.Time
-	events     *obs.EventLog
-	epoch      time.Time
+	mu          sync.Mutex
+	state       BackendState
+	recoverAt   time.Time // Busy/Error re-admission deadline; zero when none is set
+	quarantined bool
+	probeArmed  bool // one request may pass the quarantine
+	probing     bool // that request is in flight
+	lbValue     float64
+	weight      float64 // 0 reads as weight 1
+	dispatched  uint64
+	completed   uint64
+	traffic     int64
+	free        int // idle endpoint-pool tokens
+	consecFails int
+	firstFail   time.Time
+	probeStart  time.Time
+	events      *obs.EventLog
+	epoch       time.Time
 }
 
 // NewBackend returns a backend with the given endpoint pool size.
@@ -179,16 +179,14 @@ func NewBackend(name, rawURL string, endpoints int) *Backend {
 	// A URL that does not parse fails each request sent to it, as it did
 	// when every round trip parsed it anew.
 	target, _ := url.Parse(rawURL)
-	b := &Backend{
+	return &Backend{
 		name:     name,
 		url:      rawURL,
 		target:   target,
-		base:     time.Now(),
 		capacity: endpoints,
+		state:    BackendAvailable,
+		free:     endpoints,
 	}
-	b.free.Store(int64(endpoints))
-	b.word.Store(hotAvailable)
-	return b
 }
 
 // Name returns the backend name.
@@ -197,59 +195,47 @@ func (b *Backend) Name() string { return b.name }
 // URL returns the backend base URL.
 func (b *Backend) URL() string { return b.url }
 
-// LBValue reads the current lb_value (lock-free).
-func (b *Backend) LBValue() float64 { return b.lbValue.Load() }
-
-// State reads the current state, applying lazy Busy/Error recovery.
-// When no recovery is due this is a single atomic load; a due recovery
-// takes the slow path so the stored word and the event log advance.
-func (b *Backend) State() BackendState {
-	now := time.Now()
-	st, due := effectiveState(b.word.Load(), nanosSince(b.base, now))
-	if !due {
-		return st
-	}
+// LBValue reads the current lb_value.
+func (b *Backend) LBValue() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lazyRecoverLocked(now)
-	return hotState(b.word.Load())
+	return b.lbValue
+}
+
+// State reads the current state, applying a due Busy/Error recovery.
+func (b *Backend) State() BackendState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.lazyRecoverLocked(time.Now())
+	return b.state
+}
+
+// recoveryDueLocked reports a Busy/Error state whose recovery deadline
+// has passed at now. The caller holds b.mu.
+func (b *Backend) recoveryDueLocked(now time.Time) bool {
+	return b.state != BackendAvailable && !b.recoverAt.IsZero() && now.After(b.recoverAt)
 }
 
 // lazyRecoverLocked applies a due Busy/Error recovery deadline: the
-// stored word transitions to Available (emitting the state event) and
-// an Error recovery clears the failure streak. The caller holds b.mu.
+// backend transitions to Available (emitting the state event) and an
+// Error recovery clears the failure streak. The caller holds b.mu.
 func (b *Backend) lazyRecoverLocked(now time.Time) {
-	w := b.word.Load()
-	if _, due := effectiveState(w, nanosSince(b.base, now)); !due {
+	if !b.recoveryDueLocked(now) {
 		return
 	}
-	if hotState(w) == BackendError {
-		b.consecFails.Store(0)
+	if b.state == BackendError {
+		b.consecFails = 0
 	}
-	b.applyLocked(w, withRecover(withState(w, BackendAvailable), 0))
+	b.setStateLocked(BackendAvailable, time.Time{})
 }
 
-// attachEvents wires the backend's state transitions into an event log.
-// epoch is the time base events are stamped against.
-func (b *Backend) attachEvents(log *obs.EventLog, epoch time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.events = log
-	b.epoch = epoch
-}
-
-// applyLocked publishes a new hot word, emitting a state event when the
-// packed state changed and an event log is attached. The caller holds
-// b.mu — the only writers of the word — so load-modify-store sequences
-// built on it are race-free without CAS. The event log has its own lock
-// and never calls back into the backend, so appending under b.mu cannot
-// deadlock.
-func (b *Backend) applyLocked(old, new uint64) {
-	if old == new {
-		return
-	}
-	b.word.Store(new)
-	from, to := hotState(old), hotState(new)
+// setStateLocked sets the state and its recovery deadline, emitting a
+// state event when the state changed and an event log is attached. The
+// caller holds b.mu. The event log has its own lock and never calls
+// back into the backend, so appending under b.mu cannot deadlock.
+func (b *Backend) setStateLocked(to BackendState, recoverAt time.Time) {
+	from := b.state
+	b.state, b.recoverAt = to, recoverAt
 	if from != to && b.events != nil {
 		b.events.Append(obs.Event{
 			T:       time.Since(b.epoch),
@@ -261,56 +247,72 @@ func (b *Backend) applyLocked(old, new uint64) {
 	}
 }
 
-// Dispatched reads the cumulative dispatch count (lock-free).
-func (b *Backend) Dispatched() uint64 { return b.dispatched.Load() }
-
-// Completed reads the cumulative completion count (lock-free).
-func (b *Backend) Completed() uint64 { return b.completed.Load() }
-
-// InFlight reads dispatched-but-uncompleted requests (lock-free; the
-// two counters are read completion-first so a concurrent dispatch can
-// only under-count, never produce a negative in-flight).
-func (b *Backend) InFlight() int {
-	completed := b.completed.Load()
-	dispatched := b.dispatched.Load()
-	if dispatched < completed {
-		return 0
+// schedulable reports whether the scheduler may pick b in the given
+// state at now, with its lb_value. A quarantined backend is skipped
+// unless a probe is armed through it. A due recovery reads as Available
+// without being stored: the next write to the backend (a dispatch, a
+// failure, State) applies it and emits its event, so the scheduler,
+// which runs under the balancer's lock, never appends to the event log.
+func (b *Backend) schedulable(state BackendState, now time.Time) (float64, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.state
+	if b.recoveryDueLocked(now) {
+		st = BackendAvailable
 	}
-	return int(dispatched - completed)
+	return b.lbValue, st == state && !b.drainedLocked()
 }
+
+// drainedLocked reports a quarantine with no probe armed through it.
+// The caller holds b.mu.
+func (b *Backend) drainedLocked() bool { return b.quarantined && !b.probeArmed }
+
+// attachEvents wires the backend's state transitions into an event log.
+// epoch is the time base events are stamped against.
+func (b *Backend) attachEvents(log *obs.EventLog, epoch time.Time) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.events = log
+	b.epoch = epoch
+}
+
+// Dispatched reads the cumulative dispatch count.
+func (b *Backend) Dispatched() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.dispatched
+}
+
+// Completed reads the cumulative completion count.
+func (b *Backend) Completed() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.completed
+}
+
+// InFlight reads dispatched-but-uncompleted requests.
+func (b *Backend) InFlight() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.inFlightLocked()
+}
+
+func (b *Backend) inFlightLocked() int { return int(b.dispatched - b.completed) }
 
 // FreeEndpoints reads the idle endpoint-pool tokens.
-func (b *Backend) FreeEndpoints() int { return int(b.free.Load()) }
-
-// acquireToken claims one endpoint-pool token; false when the pool is
-// exhausted. The pool is an atomic count, not a channel — nothing ever
-// blocks on it (the original mechanism polls with sleeps), and the
-// channel lock was the last per-dispatch lock on the happy path.
-func (b *Backend) acquireToken() bool {
-	for {
-		chkYield("acquireToken")
-		f := b.free.Load()
-		if f <= 0 {
-			return false
-		}
-		if b.free.CompareAndSwap(f, f-1) {
-			return true
-		}
-	}
+func (b *Backend) FreeEndpoints() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.free
 }
 
-// releaseToken returns one endpoint-pool token.
-func (b *Backend) releaseToken() {
-	chkYield("releaseToken")
-	b.free.Add(1)
-}
-
-// weightVal reads the backend's lbfactor (zero bits read as 1).
-func (b *Backend) weightVal() float64 {
-	if bits := b.weight.bits.Load(); bits != 0 {
-		return b.weight.Load()
+// weightLocked reads the backend's lbfactor (zero reads as 1). The
+// caller holds b.mu.
+func (b *Backend) weightLocked() float64 {
+	if b.weight == 0 {
+		return 1
 	}
-	return 1
+	return b.weight
 }
 
 // Config tunes the balancer; zero values use mod_jk-equivalent
@@ -369,77 +371,50 @@ func (c Config) withDefaults() Config {
 // endpoint from any backend.
 var ErrNoBackend = errors.New("httpcluster: no backend available")
 
-// balSnapshot is the balancer's immutable hot-swap surface: everything
-// a dispatch reads that the adaptive control plane can change at
-// runtime. Swaps publish a fresh snapshot through an atomic pointer
-// (never mutate one in place), so a dispatch sees one coherent
-// {policy, mechanism, pools, wake} generation with a single load.
-type balSnapshot struct {
+// Balancer is the wall-clock twin of lb.Balancer: same two-level
+// scheduler, same 3-state machine, safe for concurrent use. Two kinds
+// of mutex guard it (DESIGN.md §12): mu for what the control plane can
+// swap at runtime and the scheduler's own state, and each Backend's mu
+// for that backend's bookkeeping. Lock order is Balancer.mu before
+// Backend.mu. No lock is held across a sleep, a hook call or I/O, and
+// Balancer.mu is not held across an event-log append; a backend's
+// state event is appended under that backend's mu.
+type Balancer struct {
+	cfg      Config
+	backends []*Backend
+
+	mu        sync.Mutex
 	policy    Policy
 	mech      Mechanism
 	pools     *probe.Pools
-	prHandles []probe.Handle // pre-resolved pool handles, aligned with Balancer.backends
+	prHandles []probe.Handle // pre-resolved pool handles, aligned with backends
 	// poolEpoch converts a wall timestamp into the pools' clock
 	// (at = now.Sub(poolEpoch)), so a prequal consult reuses the
 	// dispatch path's single time.Now reading instead of paying a
 	// second clock read inside the pools.
 	poolEpoch time.Time
 	reseed    func()
-	// wake is closed (and a successor published) whenever the mechanism
-	// is swapped or a backend is quarantined, so workers sleeping inside
-	// the original mechanism's poll loop re-check their abort conditions
-	// immediately instead of after the full acquire window.
+	// wake is closed (and replaced) whenever the mechanism is swapped or
+	// a backend is quarantined, so workers sleeping inside the original
+	// mechanism's poll loop re-check their abort conditions immediately
+	// instead of after the full acquire window.
 	wake chan struct{}
-}
+	// rr is the round_robin cursor, always in [0, len(backends)).
+	rr int
+	// prng backs prequal's power-of-d sampling.
+	prng    *rand.Rand
+	rejects uint64
+	// views parks emitDecision's candidate-table scratch between
+	// dispatches; the event log copies the table it is handed.
+	views []obs.CandidateView
 
-// Balancer is the wall-clock twin of lb.Balancer: same two-level
-// scheduler, same 3-state machine, safe for concurrent use. The
-// dispatch path is contention-free: it loads the config snapshot once,
-// ranks backends over their atomic hot fields, and claims an endpoint
-// token by CAS — no mutex anywhere on the happy path. The writer mutex
-// serializes only control-plane reconfiguration (runtime.go).
-type Balancer struct {
-	cfg      Config
-	backends []*Backend
-
-	snap    atomic.Pointer[balSnapshot]
-	rejects atomic.Uint64
-	// rr is the round_robin cursor. The cursor always holds a value in
-	// [0, len(backends)) — it is reduced modulo n on every advance, never
-	// free-running, so the skip/repeat bias a raw counter develops at the
-	// 2^64 wrap (whenever n does not divide 2^64) cannot arise. Advances
-	// are CAS: two racing workers may still pick the same backend (the
-	// loser's advance is simply discarded), but a racing pair can no
-	// longer rewind the cursor by overwriting a fresher advance with a
-	// staler one, which re-served the same backend to later dispatches.
-	rr sync_rrCursor
-
-	// prng backs prequal's power-of-d sampling: a shared rand over a
-	// lock-free counter-hash source (hot.go), so concurrent dispatchers
-	// never serialize on it.
-	prng *rand.Rand
-
-	writerMu sync.Mutex // serializes snapshot swaps and multi-backend writer paths
 	sessions sessionTable
 	onAssign func(*Backend)
 	onProbe  func(*Backend, time.Duration, bool)
 	events   *obs.EventLog
 	epoch    time.Time
 	source   string
-	// viewBuf parks emitDecision's candidate-table scratch between
-	// dispatches. A dispatcher takes it (leaving nil) and puts it back
-	// when the event log has copied the table; one that finds the slot
-	// empty because another dispatch is mid-emit makes its own, and
-	// whichever is stored last stays. No lock, and no allocation unless
-	// two emits overlap.
-	viewBuf atomic.Pointer[[]obs.CandidateView]
 }
-
-// sync_rrCursor wraps the round-robin cursor so its semantics —
-// modulo-reduced, CAS-advanced, duplicate picks under contention
-// tolerated but rewinds not — are documented in one place (the rr
-// field comment above rotate).
-type sync_rrCursor struct{ v atomic.Uint64 }
 
 // NewBalancer builds a balancer over the backends.
 func NewBalancer(policy Policy, mech Mechanism, backends []*Backend, cfg Config) *Balancer {
@@ -448,10 +423,14 @@ func NewBalancer(policy Policy, mech Mechanism, backends []*Backend, cfg Config)
 	}
 	copied := make([]*Backend, len(backends))
 	copy(copied, backends)
-	b := &Balancer{cfg: cfg.withDefaults(), backends: copied}
-	b.prng = rand.New(&splitmixSource{seed: 0x7072657175616c + uint64(len(copied))})
-	b.snap.Store(&balSnapshot{policy: policy, mech: mech, wake: make(chan struct{})})
-	return b
+	return &Balancer{
+		cfg:      cfg.withDefaults(),
+		backends: copied,
+		policy:   policy,
+		mech:     mech,
+		wake:     make(chan struct{}),
+		prng:     rand.New(rand.NewPCG(0x7072657175616c, uint64(len(copied)))),
+	}
 }
 
 // Backends returns the backend list (shared; do not mutate).
@@ -464,30 +443,35 @@ func (b *Balancer) Backends() []*Backend { return b.backends }
 // in-flight ranking. Pool handles are resolved here, once, so the
 // dispatch path never pays the per-name map lookups again.
 func (b *Balancer) SetProbePools(pools *probe.Pools, reseed func()) {
-	b.writerMu.Lock()
-	defer b.writerMu.Unlock()
-	next := *b.snap.Load()
-	next.pools = pools
-	next.reseed = reseed
-	next.prHandles = nil
-	next.poolEpoch = time.Time{}
+	var handles []probe.Handle
+	var epoch time.Time
 	if pools != nil {
-		next.prHandles = make([]probe.Handle, len(b.backends))
+		handles = make([]probe.Handle, len(b.backends))
 		for i, be := range b.backends {
-			next.prHandles[i] = pools.Handle(be.name)
+			handles[i] = pools.Handle(be.name)
 		}
 		// The wall pools' clock is monotonic wall time, so one offset
 		// measured here converts every later timestamp exactly.
-		next.poolEpoch = time.Now().Add(-pools.Now())
+		epoch = time.Now().Add(-pools.Now())
 	}
-	b.snap.Store(&next)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.pools, b.reseed, b.prHandles, b.poolEpoch = pools, reseed, handles, epoch
 }
 
 // ProbePools exposes the wired pools (nil when probing is off).
-func (b *Balancer) ProbePools() *probe.Pools { return b.snap.Load().pools }
+func (b *Balancer) ProbePools() *probe.Pools {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.pools
+}
 
-// Rejects reports dispatches that failed on every sweep (lock-free).
-func (b *Balancer) Rejects() uint64 { return b.rejects.Load() }
+// Rejects reports dispatches that failed on every sweep.
+func (b *Balancer) Rejects() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rejects
+}
 
 // SetAssignHook registers a hook invoked (without locks held) whenever
 // a backend is chosen by the scheduler.
@@ -509,27 +493,31 @@ func (b *Balancer) SetEventLog(log *obs.EventLog, source string, epoch time.Time
 }
 
 // emitDecision records one dispatch decision with a snapshot of every
-// candidate, read lock-free from the backends' atomic hot fields (the
-// same way mod_jk's scheduler reads the worker table).
-func (b *Balancer) emitDecision(snap *balSnapshot, chosen *Backend) {
+// candidate (the same way mod_jk's scheduler reads the worker table).
+// The scratch table is taken out under mu and put back after the event
+// log has copied it, so no balancer lock is held across Append and its
+// hook; a dispatch that finds the scratch taken by a concurrent emit
+// makes its own.
+func (b *Balancer) emitDecision(chosen *Backend) {
 	if b.events == nil {
 		return
 	}
-	buf := b.viewBuf.Swap(nil)
-	if buf == nil {
-		buf = new([]obs.CandidateView)
-	}
-	views := (*buf)[:0]
+	b.mu.Lock()
+	views, pools := b.views[:0], b.pools
+	b.views = nil
+	b.mu.Unlock()
 	for _, be := range b.backends {
+		be.mu.Lock()
 		v := obs.CandidateView{
 			Name:          be.name,
-			LBValue:       be.lbValue.Load(),
-			State:         stateName(hotState(be.word.Load())),
-			InFlight:      be.InFlight(),
-			FreeEndpoints: be.FreeEndpoints(),
+			LBValue:       be.lbValue,
+			State:         stateName(be.state),
+			InFlight:      be.inFlightLocked(),
+			FreeEndpoints: be.free,
 		}
-		if snap.pools != nil {
-			if smp, ok := snap.pools.Peek(be.name); ok {
+		be.mu.Unlock()
+		if pools != nil {
+			if smp, ok := pools.Peek(be.name); ok {
 				v.ProbeInFlight = smp.InFlight
 				v.ProbeLatencyMs = float64(smp.Latency) / float64(time.Millisecond)
 				v.ProbeAgeMs = float64(smp.Age) / float64(time.Millisecond)
@@ -545,8 +533,9 @@ func (b *Balancer) emitDecision(snap *balSnapshot, chosen *Backend) {
 		Chosen:     chosen.name,
 		Candidates: views,
 	})
-	*buf = views
-	b.viewBuf.Store(buf)
+	b.mu.Lock()
+	b.views = views
+	b.mu.Unlock()
 }
 
 // triedSet tracks the backends a dispatch already failed on. Backend
@@ -582,7 +571,6 @@ func (r Release) Done(responseBytes int64) {
 		return
 	}
 	r.bal.noteComplete(r.be, r.requestBytes, responseBytes)
-	r.be.releaseToken()
 }
 
 // Fail unwinds the dispatch after an upstream failure.
@@ -591,7 +579,6 @@ func (r Release) Fail() {
 		return
 	}
 	r.bal.noteUpstreamFailure(r.be)
-	r.be.releaseToken()
 }
 
 // Backend returns the acquired backend (nil for the zero Release).
@@ -612,23 +599,17 @@ func (b *Balancer) Acquire(requestBytes int64) (*Backend, Release, error) {
 			tried = tried[:0]
 		}
 		for len(tried) < len(b.backends) {
-			// One snapshot load per choice: the whole selection sees a
-			// coherent {policy, pools} generation, re-read between
-			// choices so a runtime swap lands mid-dispatch exactly as
-			// it did when the accessors took the balancer lock.
-			chkYield("acquire.snap")
-			snap := b.snap.Load()
-			be := b.choose(snap, tried)
+			// The policy is read once per choice, so a runtime swap lands
+			// between choices and never inside one.
+			be, policy := b.choose(tried)
 			if be == nil {
 				break
 			}
 			if b.onAssign != nil {
 				b.onAssign(be)
 			}
-			b.emitDecision(snap, be)
-			chkYield("acquire.claim")
-			if b.acquireEndpoint(be) {
-				b.noteDispatch(be, snap.policy)
+			b.emitDecision(be)
+			if b.acquireEndpoint(be, policy) {
 				return be, Release{bal: b, be: be, requestBytes: requestBytes}, nil
 			}
 			b.noteFailure(be)
@@ -638,16 +619,19 @@ func (b *Balancer) Acquire(requestBytes int64) (*Backend, Release, error) {
 			tried = append(tried, be)
 		}
 	}
-	b.rejects.Add(1)
+	b.mu.Lock()
+	b.rejects++
+	b.mu.Unlock()
 	if b.events != nil {
 		b.events.Append(obs.Event{T: time.Since(b.epoch), Kind: obs.KindReject, Source: b.source})
 	}
 	return nil, Release{}, ErrNoBackend
 }
 
-// acquireEndpoint runs the configured mechanism against one backend.
-func (b *Balancer) acquireEndpoint(be *Backend) bool {
-	if be.acquireToken() {
+// acquireEndpoint runs the configured mechanism against one backend,
+// recording the dispatch under policy when an endpoint is claimed.
+func (b *Balancer) acquireEndpoint(be *Backend, policy Policy) bool {
+	if b.claim(be, policy) {
 		return true
 	}
 	if b.CurrentMechanism() == MechanismModified {
@@ -668,7 +652,7 @@ func (b *Balancer) acquireEndpoint(be *Backend) bool {
 		if !b.sleepPoll(be, b.cfg.AcquireSleep) {
 			return false
 		}
-		if be.acquireToken() {
+		if b.claim(be, policy) {
 			return true
 		}
 	}
@@ -679,17 +663,19 @@ func (b *Balancer) acquireEndpoint(be *Backend) bool {
 // sleepPoll sleeps one poll interval, returning false early when the
 // mechanism is swapped away from original or the backend is drained by
 // the control plane (armed probes keep polling — measuring the drained
-// backend is their whole purpose). Each iteration loads a fresh
-// snapshot: the live mechanism and the live wake channel.
+// backend is their whole purpose). Both conditions and the wake channel
+// are read under mu, the lock their writers change them under, so a
+// swap or quarantine either shows here or closes the channel waited on.
 func (b *Balancer) sleepPoll(be *Backend, d time.Duration) bool {
 	deadline := time.Now().Add(d)
 	for {
-		snap := b.snap.Load()
-		if snap.mech != MechanismOriginal {
-			return false
-		}
-		w := be.word.Load()
-		if w&hotQuarantined != 0 && w&hotProbeArmed == 0 {
+		b.mu.Lock()
+		be.mu.Lock()
+		abort := b.mech != MechanismOriginal || be.drainedLocked()
+		be.mu.Unlock()
+		wake := b.wake
+		b.mu.Unlock()
+		if abort {
 			return false
 		}
 		remain := time.Until(deadline)
@@ -699,7 +685,7 @@ func (b *Balancer) sleepPoll(be *Backend, d time.Duration) bool {
 		t := time.NewTimer(remain)
 		select {
 		case <-t.C:
-		case <-snap.wake:
+		case <-wake:
 		}
 		t.Stop()
 	}
@@ -708,23 +694,22 @@ func (b *Balancer) sleepPoll(be *Backend, d time.Duration) bool {
 // choose picks the lowest-lb_value backend: Available first, then Busy;
 // Error, already-tried and quarantined backends (unless probe-armed)
 // are excluded. Under round_robin the lb_values are ignored and the
-// non-excluded backends are rotated through instead. The whole sweep is
-// lock-free: per backend it is one atomic word load plus one lb_value
-// load. A due Busy/Error recovery is *read* as Available here without
-// being stored — the next slow-path touch of that backend (dispatch,
-// failure, State) applies the transition and emits its event.
-func (b *Balancer) choose(snap *balSnapshot, tried triedSet) *Backend {
+// non-excluded backends are rotated through instead. It returns the
+// policy the choice was made under.
+func (b *Balancer) choose(tried triedSet) (*Backend, Policy) {
 	now := time.Now()
-	policy := snap.policy
-	if policy == PolicyRoundRobin {
-		if be := b.rotate(BackendAvailable, tried, now); be != nil {
-			return be
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	switch b.policy {
+	case PolicyRoundRobin:
+		be := b.rotateLocked(BackendAvailable, tried, now)
+		if be == nil {
+			be = b.rotateLocked(BackendBusy, tried, now)
 		}
-		return b.rotate(BackendBusy, tried, now)
-	}
-	if policy == PolicyPrequal {
-		if be := b.choosePrequal(snap, tried, now); be != nil {
-			return be
+		return be, b.policy
+	case PolicyPrequal:
+		if be := b.choosePrequalLocked(tried, now); be != nil {
+			return be, b.policy
 		}
 		// No sampled backend had fresh probe data (or pools are
 		// detached): fall through to the lb_value scan, which under
@@ -738,22 +723,17 @@ func (b *Balancer) choose(snap *balSnapshot, tried triedSet) *Backend {
 			if tried.has(be) {
 				continue
 			}
-			w := be.word.Load()
-			st, _ := effectiveState(w, nanosSince(be.base, now))
-			if st != state || (w&hotQuarantined != 0 && w&hotProbeArmed == 0) {
-				continue
-			}
-			val := be.lbValue.Load()
-			if best == nil || val < bestVal {
+			val, ok := be.schedulable(state, now)
+			if ok && (best == nil || val < bestVal) {
 				best, bestVal = be, val
 			}
 		}
 		return best
 	}
 	if be := pick(BackendAvailable); be != nil {
-		return be
+		return be, b.policy
 	}
-	return pick(BackendBusy)
+	return pick(BackendBusy), b.policy
 }
 
 // prequalMaskCap bounds the bitmask eligibility encoding; clusters
@@ -761,16 +741,16 @@ func (b *Balancer) choose(snap *balSnapshot, tried triedSet) *Backend {
 // four backends; Prequal's own deployments sample from tens).
 const prequalMaskCap = 64
 
-// choosePrequal runs the hot/cold probe selection over the eligible
-// backends (Available first, then Busy — the same two-level order as
-// the lb_value scan). Returns nil when the pools are detached or no
-// sampled backend holds a fresh probe, leaving the caller to fall back.
-// Eligibility is encoded as a bitmask over the stable backend list and
-// handed to the pools with pre-resolved handles, so one sweep costs a
-// single pools consultation — no per-name map lookups, no scratch
-// slices, no balancer lock.
-func (b *Balancer) choosePrequal(snap *balSnapshot, tried triedSet, now time.Time) *Backend {
-	if snap.pools == nil || len(b.backends) > prequalMaskCap {
+// choosePrequalLocked runs the hot/cold probe selection over the
+// eligible backends (Available first, then Busy — the same two-level
+// order as the lb_value scan). Returns nil when the pools are detached
+// or no sampled backend holds a fresh probe, leaving the caller to fall
+// back. Eligibility is encoded as a bitmask over the stable backend
+// list and handed to the pools with pre-resolved handles, so one sweep
+// costs a single pools consultation — no per-name map lookups, no
+// scratch slices. The caller holds b.mu, which also guards prng.
+func (b *Balancer) choosePrequalLocked(tried triedSet, now time.Time) *Backend {
+	if b.pools == nil || len(b.backends) > prequalMaskCap {
 		return nil
 	}
 	pick := func(state BackendState) *Backend {
@@ -779,17 +759,14 @@ func (b *Balancer) choosePrequal(snap *balSnapshot, tried triedSet, now time.Tim
 			if tried.has(be) {
 				continue
 			}
-			w := be.word.Load()
-			st, _ := effectiveState(w, nanosSince(be.base, now))
-			if st != state || (w&hotQuarantined != 0 && w&hotProbeArmed == 0) {
-				continue
+			if _, ok := be.schedulable(state, now); ok {
+				mask |= 1 << i
 			}
-			mask |= 1 << i
 		}
 		if mask == 0 {
 			return nil
 		}
-		if i := snap.pools.PickHandles(snap.prHandles, mask, b.prng, now.Sub(snap.poolEpoch)); i >= 0 {
+		if i := b.pools.PickHandles(b.prHandles, mask, b.prng, now.Sub(b.poolEpoch)); i >= 0 {
 			return b.backends[i]
 		}
 		return nil
@@ -800,133 +777,100 @@ func (b *Balancer) choosePrequal(snap *balSnapshot, tried triedSet, now time.Tim
 	return pick(BackendBusy)
 }
 
-// rotate implements round_robin over the stable backend list: the scan
-// starts at the cursor and the cursor advances to just past the chosen
-// backend, so ineligible entries (Busy flicker, a quarantine) are
-// skipped without skewing the rotation. Indexing a per-call eligible
-// slice with a shared counter — the pre-PR 4 implementation — let
-// membership churn re-align the counter and hand consecutive
-// dispatches to the same backend. The advance is a modulo-reduced CAS
-// (see the rr field comment): a failed CAS means a concurrent rotation
-// already moved the cursor, and overwriting its fresher position with
-// ours would hand the next dispatch an already-served backend.
-func (b *Balancer) rotate(state BackendState, tried triedSet, now time.Time) *Backend {
-	chkYield("rotate")
-	n := uint64(len(b.backends))
-	raw := b.rr.v.Load()
-	start := raw % n
-	for i := uint64(0); i < n; i++ {
-		be := b.backends[(start+i)%n]
+// rotateLocked implements round_robin over the stable backend list: the
+// scan starts at the cursor and the cursor advances to just past the
+// chosen backend, so ineligible entries (Busy flicker, a quarantine)
+// are skipped without skewing the rotation. Indexing a per-call
+// eligible slice with a shared counter — the pre-PR 4 implementation —
+// let membership churn re-align the counter and hand consecutive
+// dispatches to the same backend. The caller holds b.mu.
+func (b *Balancer) rotateLocked(state BackendState, tried triedSet, now time.Time) *Backend {
+	n := len(b.backends)
+	for i := 0; i < n; i++ {
+		be := b.backends[(b.rr+i)%n]
 		if tried.has(be) {
 			continue
 		}
-		w := be.word.Load()
-		st, _ := effectiveState(w, nanosSince(be.base, now))
-		if st == state && !(w&hotQuarantined != 0 && w&hotProbeArmed == 0) {
-			b.rr.v.CompareAndSwap(raw, (start+i+1)%n)
+		if _, ok := be.schedulable(state, now); ok {
+			b.rr = (b.rr + i + 1) % n
 			return be
 		}
 	}
 	return nil
 }
 
-// noteDispatch records a successful endpoint acquisition. The fast path
-// — backend Available with no flags, no pending recovery, no failure
-// streak — is three atomic operations; anything else (a state
-// transition to emit, an armed probe to start, a streak to clear) takes
-// the mutex-guarded slow path.
-func (b *Balancer) noteDispatch(be *Backend, policy Policy) {
-	chkYield("noteDispatch")
-	if be.word.Load() == hotAvailable && be.consecFails.Load() == 0 {
-		be.dispatched.Add(1)
-		b.lbOnDispatch(be, policy)
-		return
+// claim takes one endpoint token from be and, when there was one,
+// records the dispatch: the backend proves responsive (Available, no
+// failure streak), an armed probe starts, and the policy's dispatch-side
+// lb_value bookkeeping applies. Reports whether a token was free.
+func (b *Balancer) claim(be *Backend, policy Policy) bool {
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if be.free <= 0 {
+		return false
 	}
-	b.noteDispatchSlow(be, policy)
-}
-
-// lbOnDispatch applies the policy's dispatch-side lb_value bookkeeping.
-func (b *Balancer) lbOnDispatch(be *Backend, policy Policy) {
+	be.free--
+	be.consecFails = 0
+	be.setStateLocked(BackendAvailable, time.Time{})
+	if be.probeArmed {
+		be.probeArmed, be.probing = false, true
+		be.probeStart = time.Now()
+	}
+	be.dispatched++
 	switch policy {
 	case PolicyTotalRequest, PolicyCurrentLoad, PolicyPrequal:
 		// Prequal keeps current_load's in-flight bookkeeping so its
 		// fallback ranking (and a later swap away from it) has sane
 		// lb_values — the probe pools, not lb_value, drive its choices.
-		be.lbValue.Add(1 / be.weightVal())
+		be.lbValue += 1 / be.weightLocked()
 	case PolicyRoundRobin:
-		be.lbValue.Add(1)
+		be.lbValue++
 	case PolicyTotalTraffic:
 		// Accounted on completion, per Algorithm 3.
 	}
+	return true
 }
 
-func (b *Balancer) noteDispatchSlow(be *Backend, policy Policy) {
-	now := time.Now()
-	be.mu.Lock()
-	be.lazyRecoverLocked(now)
-	be.consecFails.Store(0)
-	w := be.word.Load()
-	next := w
-	if hotState(w) != BackendAvailable {
-		next = withRecover(withState(next, BackendAvailable), 0)
-	}
-	if next&hotProbeArmed != 0 {
-		next = (next &^ hotProbeArmed) | hotProbing
-		be.probeStart = now
-	}
-	be.applyLocked(w, next)
-	be.dispatched.Add(1)
-	b.lbOnDispatch(be, policy)
-	be.mu.Unlock()
-}
-
-// noteComplete records a completed response. Fast path as noteDispatch;
-// the slow path additionally resolves an in-flight quarantine probe.
-func (b *Balancer) noteComplete(be *Backend, requestBytes, responseBytes int64) {
-	chkYield("noteComplete")
-	policy := b.snap.Load().policy
-	if be.word.Load() == hotAvailable && be.consecFails.Load() == 0 {
-		be.completed.Add(1)
-		be.traffic.Add(requestBytes + responseBytes)
-		b.lbOnComplete(be, policy, requestBytes+responseBytes)
+// unloadLocked applies the in-flight policies' completion-side
+// decrement, clamped at zero. The caller holds b.mu.
+func (b *Backend) unloadLocked(policy Policy) {
+	var unit float64
+	switch policy {
+	case PolicyCurrentLoad, PolicyPrequal:
+		unit = 1 / b.weightLocked()
+	case PolicyRoundRobin:
+		unit = 1
+	default:
 		return
 	}
-	b.noteCompleteSlow(be, policy, requestBytes, responseBytes)
-}
-
-// lbOnComplete applies the policy's completion-side lb_value
-// bookkeeping.
-func (b *Balancer) lbOnComplete(be *Backend, policy Policy, bytes int64) {
-	switch policy {
-	case PolicyTotalTraffic:
-		be.lbValue.Add(float64(bytes) / be.weightVal())
-	case PolicyCurrentLoad, PolicyPrequal:
-		be.lbValue.SubClamp(1 / be.weightVal())
-	case PolicyRoundRobin:
-		be.lbValue.SubClamp(1)
+	if b.lbValue >= unit {
+		b.lbValue -= unit
+	} else {
+		b.lbValue = 0
 	}
 }
 
-func (b *Balancer) noteCompleteSlow(be *Backend, policy Policy, requestBytes, responseBytes int64) {
-	now := time.Now()
+// noteComplete records a completed response, returns the endpoint token
+// and resolves an in-flight quarantine probe.
+func (b *Balancer) noteComplete(be *Backend, requestBytes, responseBytes int64) {
+	policy := b.CurrentPolicy()
 	be.mu.Lock()
-	be.lazyRecoverLocked(now)
-	be.completed.Add(1)
-	be.traffic.Add(requestBytes + responseBytes)
-	be.consecFails.Store(0)
-	w := be.word.Load()
-	next := w
-	if hotState(w) != BackendAvailable {
-		next = withRecover(withState(next, BackendAvailable), 0)
-	}
-	probed := next&hotProbing != 0
-	next &^= hotProbing
-	be.applyLocked(w, next)
+	be.free++
+	be.completed++
+	be.traffic += requestBytes + responseBytes
+	be.consecFails = 0
+	be.setStateLocked(BackendAvailable, time.Time{})
+	probed := be.probing
+	be.probing = false
 	var rt time.Duration
 	if probed {
-		rt = now.Sub(be.probeStart)
+		rt = time.Since(be.probeStart)
 	}
-	b.lbOnComplete(be, policy, requestBytes+responseBytes)
+	if policy == PolicyTotalTraffic {
+		be.lbValue += float64(requestBytes+responseBytes) / be.weightLocked()
+	} else {
+		be.unloadLocked(policy)
+	}
 	be.mu.Unlock()
 	if probed && b.onProbe != nil {
 		b.onProbe(be, rt, true)
@@ -934,28 +878,23 @@ func (b *Balancer) noteCompleteSlow(be *Backend, policy Policy, requestBytes, re
 }
 
 // noteFailure feeds the Busy/Error ladder after a failed endpoint
-// acquisition. Always the mutex-guarded slow path: failures are off the
-// happy path by definition.
+// acquisition.
 func (b *Balancer) noteFailure(be *Backend) {
 	now := time.Now()
 	be.mu.Lock()
 	be.lazyRecoverLocked(now)
-	w := be.word.Load()
-	probeFailed := w&hotProbeArmed != 0
-	next := w &^ hotProbeArmed
-	if be.consecFails.Load() == 0 {
+	probeFailed := be.probeArmed
+	be.probeArmed = false
+	if be.consecFails == 0 {
 		be.firstFail = now
 	}
-	fails := be.consecFails.Add(1)
-	escalated := false
-	if int(fails) >= b.cfg.ErrorThreshold && now.Sub(be.firstFail) >= b.cfg.ErrorAfter {
-		next = withRecover(withState(next, BackendError), nanosSince(be.base, now.Add(b.cfg.ErrorRecovery)))
-		escalated = true
+	be.consecFails++
+	switch {
+	case be.consecFails >= b.cfg.ErrorThreshold && now.Sub(be.firstFail) >= b.cfg.ErrorAfter:
+		be.setStateLocked(BackendError, now.Add(b.cfg.ErrorRecovery))
+	case be.state == BackendAvailable:
+		be.setStateLocked(BackendBusy, now.Add(b.cfg.BusyRecovery))
 	}
-	if !escalated && hotState(next) == BackendAvailable {
-		next = withRecover(withState(next, BackendBusy), nanosSince(be.base, now.Add(b.cfg.BusyRecovery)))
-	}
-	be.applyLocked(w, next)
 	be.mu.Unlock()
 	if probeFailed && b.onProbe != nil {
 		b.onProbe(be, 0, false)
@@ -964,23 +903,19 @@ func (b *Balancer) noteFailure(be *Backend) {
 
 // noteUpstreamFailure unwinds a dispatched request whose upstream round
 // trip failed (crash, timeout, injected loss): the request is no longer
-// in flight — completed counts it and the in-flight policies decrement —
-// but unlike noteComplete it does not prove the backend responsive. The
-// failure feeds the Busy/Error ladder so the scheduler routes around the
-// backend, and an in-flight probe reports failure.
+// in flight — completed counts it, the in-flight policies decrement and
+// the endpoint token returns — but unlike noteComplete it does not
+// prove the backend responsive. The failure feeds the Busy/Error ladder
+// so the scheduler routes around the backend, and an in-flight probe
+// reports failure.
 func (b *Balancer) noteUpstreamFailure(be *Backend) {
-	policy := b.snap.Load().policy
+	policy := b.CurrentPolicy()
 	be.mu.Lock()
-	be.completed.Add(1)
-	switch policy {
-	case PolicyCurrentLoad, PolicyPrequal:
-		be.lbValue.SubClamp(1 / be.weightVal())
-	case PolicyRoundRobin:
-		be.lbValue.SubClamp(1)
-	}
-	w := be.word.Load()
-	probeFailed := w&hotProbing != 0
-	be.applyLocked(w, w&^hotProbing)
+	be.free++
+	be.completed++
+	be.unloadLocked(policy)
+	probeFailed := be.probing
+	be.probing = false
 	be.mu.Unlock()
 	if probeFailed && b.onProbe != nil {
 		b.onProbe(be, 0, false)

@@ -657,17 +657,23 @@ func TestAdminTraceAndEventsEndpoints(t *testing.T) {
 
 	// Exhaust every endpoint pool: the modified mechanism fails fast on
 	// each sweep, marking both backends Busy and rejecting the dispatch.
-	for _, be := range backends {
-		if !be.acquireToken() || !be.acquireToken() {
-			t.Fatal("endpoint pool not fully idle before exhaustion")
+	setFree := func(be *Backend, from, to int) {
+		t.Helper()
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		if be.free != from {
+			t.Fatalf("%s: %d free endpoints, want %d", be.name, be.free, from)
 		}
+		be.free = to
+	}
+	for _, be := range backends {
+		setFree(be, 2, 0)
 	}
 	if resp, _ := get("/story"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d with exhausted pools, want 503", resp.StatusCode)
 	}
 	for _, be := range backends {
-		be.releaseToken()
-		be.releaseToken()
+		setFree(be, 0, 2)
 	}
 	// Dispatching to a Busy backend re-admits it: busy → available.
 	if resp, body := get("/story"); resp.StatusCode != http.StatusOK {

@@ -1,6 +1,7 @@
 package httpcluster
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,7 +13,50 @@ import (
 // Regression tests for the sim↔proxy parity bugfixes: the wall-clock
 // balancer previously read the mechanism once per dispatch (so blocked
 // pollers never noticed remediation), rotated round_robin over a
-// churning eligible slice, and allocated a tried map per sweep.
+// churning eligible slice, and allocated a tried map per sweep. The
+// input guards on SetWeight and the app server's latency EWMA follow.
+
+// TestSetWeightRejectsNonFinite pins the SetWeight guard: NaN slipped
+// through the old `w <= 0` check (NaN compares false) and ±Inf passed
+// it outright (internal/check testdata/weight-nan.script and
+// weight-inf.script).
+func TestSetWeightRejectsNonFinite(t *testing.T) {
+	be := NewBackend("a", "http://unused", 1)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		be.SetWeight(w)
+		if got := be.Weight(); got != 1 {
+			t.Fatalf("SetWeight(%g): weight %g, want 1", w, got)
+		}
+	}
+	be.SetWeight(2.5)
+	if got := be.Weight(); got != 2.5 {
+		t.Fatalf("finite weight: %g, want 2.5", got)
+	}
+}
+
+// TestRecordLatencyReseedsPoisonedEWMA pins the ewmaLat guard: before
+// it, a non-finite EWMA state folded into every subsequent CAS update
+// (NaN arithmetic is absorbing), permanently poisoning the latency
+// estimate the probe endpoint serves. The guarded fold reseeds from the
+// next sample instead.
+func TestRecordLatencyReseedsPoisonedEWMA(t *testing.T) {
+	a := &AppServer{}
+	a.recordLatency(10 * time.Millisecond)
+	if got := a.EWMALatency(); got != 10*time.Millisecond {
+		t.Fatalf("first sample seeded %v, want 10ms", got)
+	}
+	a.ewmaLat.Store(math.Float64bits(math.NaN()))
+	a.recordLatency(20 * time.Millisecond)
+	if got := a.EWMALatency(); got != 20*time.Millisecond {
+		t.Fatalf("poisoned EWMA reseeded to %v, want 20ms", got)
+	}
+	// A negative sample (stepped clock) clamps to zero, pulling the
+	// EWMA down by one alpha step rather than corrupting it.
+	a.recordLatency(-time.Second)
+	if got := a.EWMALatency(); got != 16*time.Millisecond {
+		t.Fatalf("negative sample folded to %v, want 16ms", got)
+	}
+}
 
 // TestSwapMidPollAborts: a worker polling a stalled backend under the
 // original mechanism must be freed as soon as the control plane swaps

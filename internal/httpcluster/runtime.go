@@ -12,29 +12,31 @@ import (
 // current_load's invariant lb_value == in-flight holds immediately
 // after swapping in.
 //
-// Concurrency model (DESIGN.md §12): every swap builds a fresh
-// balSnapshot and publishes it with one atomic store; dispatches load
-// the snapshot once per choice and never observe a half-applied swap.
-// writerMu serializes the writers against each other only — no reader
-// ever takes it, so the control plane can reconfigure under full
-// dispatch load without stalling a single request.
+// Concurrency model (DESIGN.md §12): a swap takes the balancer's mu, the
+// lock every choice is made under, so a dispatch sees the old
+// configuration or the new one and never half of a swap.
 
 // CurrentPolicy reads the live policy (it may differ from the
-// construction-time one after an adaptive hot-swap). Lock-free.
-func (b *Balancer) CurrentPolicy() Policy { return b.snap.Load().policy }
+// construction-time one after an adaptive hot-swap).
+func (b *Balancer) CurrentPolicy() Policy {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.policy
+}
 
-// CurrentMechanism reads the live mechanism. Lock-free.
-func (b *Balancer) CurrentMechanism() Mechanism { return b.snap.Load().mech }
+// CurrentMechanism reads the live mechanism.
+func (b *Balancer) CurrentMechanism() Mechanism {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.mech
+}
 
-// bumpWakeLocked publishes snapshot next with a fresh wake channel and
-// closes the previous one, releasing every worker sleeping in an
-// original-mechanism poll so it re-checks its abort conditions
-// immediately. Caller holds writerMu; next.wake is overwritten.
-func (b *Balancer) bumpWakeLocked(next balSnapshot) {
-	old := b.snap.Load()
-	next.wake = make(chan struct{})
-	b.snap.Store(&next)
-	close(old.wake)
+// bumpWakeLocked closes the wake channel and installs a fresh one,
+// releasing every worker sleeping in an original-mechanism poll so it
+// re-checks its abort conditions immediately. The caller holds b.mu.
+func (b *Balancer) bumpWakeLocked() {
+	close(b.wake)
+	b.wake = make(chan struct{})
 }
 
 // SetPolicy swaps the lb_value bookkeeping at runtime, reseeding every
@@ -44,30 +46,25 @@ func (b *Balancer) bumpWakeLocked(next balSnapshot) {
 // immediate probe round), so the incoming policy starts from live
 // evidence rather than samples gathered under the previous regime.
 func (b *Balancer) SetPolicy(p Policy) {
-	b.writerMu.Lock()
-	next := *b.snap.Load()
-	next.policy = p
-	b.snap.Store(&next)
+	b.mu.Lock()
+	b.policy = p
 	for _, be := range b.backends {
-		// Atomic counter reads + atomic store: a dispatch racing the
-		// reseed lands an increment that is folded into (or follows)
-		// the reseeded value — the same point-in-time approximation the
-		// mutex version made, since dispatches never held the balancer
-		// lock across their backend bookkeeping.
+		be.mu.Lock()
 		switch p {
 		case PolicyTotalRequest:
-			be.lbValue.Store(float64(be.dispatched.Load()) / be.weightVal())
+			be.lbValue = float64(be.dispatched) / be.weightLocked()
 		case PolicyTotalTraffic:
-			be.lbValue.Store(float64(be.traffic.Load()) / be.weightVal())
+			be.lbValue = float64(be.traffic) / be.weightLocked()
 		case PolicyCurrentLoad, PolicyPrequal:
-			be.lbValue.Store(float64(be.InFlight()) / be.weightVal())
+			be.lbValue = float64(be.inFlightLocked()) / be.weightLocked()
 		case PolicyRoundRobin:
 			// Unscaled in-flight bookkeeping, matching lb.RoundRobin.
-			be.lbValue.Store(float64(be.InFlight()))
+			be.lbValue = float64(be.inFlightLocked())
 		}
+		be.mu.Unlock()
 	}
-	reseed := next.reseed
-	b.writerMu.Unlock()
+	reseed := b.reseed
+	b.mu.Unlock()
 	// The reseed hook fires probes over real sockets; run it outside
 	// every balancer lock.
 	if p == PolicyPrequal && reseed != nil {
@@ -81,11 +78,10 @@ func (b *Balancer) SetPolicy(p Policy) {
 // original→modified swap frees blocked workers immediately instead of
 // holding them for the rest of the acquire window.
 func (b *Balancer) SetMechanism(m Mechanism) {
-	b.writerMu.Lock()
-	defer b.writerMu.Unlock()
-	next := *b.snap.Load()
-	next.mech = m
-	b.bumpWakeLocked(next)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.mech = m
+	b.bumpWakeLocked()
 }
 
 // SetQuarantine drains (or re-admits) a backend by name: while
@@ -97,46 +93,40 @@ func (b *Balancer) SetMechanism(m Mechanism) {
 // value cannot attract the entire tier's traffic in one wave. Reports
 // whether the backend was found.
 func (b *Balancer) SetQuarantine(name string, on bool) bool {
-	policy := b.CurrentPolicy()
+	be := b.backend(name)
+	if be == nil {
+		return false
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	be.mu.Lock()
+	be.quarantined = on
+	if !on {
+		be.probeArmed = false
+	}
+	be.mu.Unlock()
 	if on {
 		// Wake workers polling the drained backend inside the original
 		// mechanism: quarantine means no endpoint is coming, and every
 		// blocked worker is one less goroutine emptying the accept
 		// queue (the paper's amplification path).
-		b.writerMu.Lock()
-		b.bumpWakeLocked(*b.snap.Load())
-		b.writerMu.Unlock()
-	}
-	for _, be := range b.backends {
-		if be.name != name {
-			continue
-		}
-		be.mu.Lock()
-		w := be.word.Load()
-		if on {
-			be.applyLocked(w, w|hotQuarantined)
-			be.mu.Unlock()
-			return true
-		}
-		be.applyLocked(w, w&^(hotQuarantined|hotProbeArmed))
-		be.mu.Unlock()
-		if policy == PolicyTotalRequest || policy == PolicyTotalTraffic {
-			seed := 0.0
-			for _, o := range b.backends {
-				if o == be {
-					continue
-				}
-				if v := o.lbValue.Load(); v > seed {
-					seed = v
-				}
-			}
-			// StoreMax, not Store: a concurrent bookkeeping update must
-			// not be clobbered by a stale read-modify-write.
-			be.lbValue.StoreMax(seed)
-		}
+		b.bumpWakeLocked()
 		return true
 	}
-	return false
+	if b.policy == PolicyTotalRequest || b.policy == PolicyTotalTraffic {
+		seed := 0.0
+		for _, o := range b.backends {
+			if o != be {
+				o.mu.Lock()
+				seed = max(seed, o.lbValue)
+				o.mu.Unlock()
+			}
+		}
+		be.mu.Lock()
+		be.lbValue = max(be.lbValue, seed)
+		be.mu.Unlock()
+	}
+	return true
 }
 
 // ArmProbe allows exactly one request through a quarantined backend so
@@ -144,21 +134,27 @@ func (b *Balancer) SetQuarantine(name string, on bool) bool {
 // backend is not quarantined or a probe is already in flight. Reports
 // whether a probe was armed.
 func (b *Balancer) ArmProbe(name string) bool {
-	for _, be := range b.backends {
-		if be.name != name {
-			continue
-		}
-		be.mu.Lock()
-		w := be.word.Load()
-		armed := false
-		if w&hotQuarantined != 0 && w&hotProbing == 0 {
-			be.applyLocked(w, w|hotProbeArmed)
-			armed = true
-		}
-		be.mu.Unlock()
-		return armed
+	be := b.backend(name)
+	if be == nil {
+		return false
 	}
-	return false
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if !be.quarantined || be.probing {
+		return false
+	}
+	be.probeArmed = true
+	return true
+}
+
+// backend finds a backend by name; nil when there is none.
+func (b *Balancer) backend(name string) *Backend {
+	for _, be := range b.backends {
+		if be.name == name {
+			return be
+		}
+	}
+	return nil
 }
 
 // SetProbeHook registers the probe-outcome callback: rt is the measured
@@ -169,10 +165,16 @@ func (b *Balancer) SetProbeHook(hook func(be *Backend, rt time.Duration, ok bool
 	b.onProbe = hook
 }
 
-// Quarantined reads the backend's quarantine flag (lock-free).
+// Quarantined reads the backend's quarantine flag.
 func (b *Backend) Quarantined() bool {
-	return b.word.Load()&hotQuarantined != 0
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.quarantined
 }
 
-// Traffic reads the cumulative bytes exchanged (lock-free).
-func (b *Backend) Traffic() int64 { return b.traffic.Load() }
+// Traffic reads the cumulative bytes exchanged.
+func (b *Backend) Traffic() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.traffic
+}

@@ -303,8 +303,8 @@ const appEWMAAlpha = 0.2
 // with a lock-free CAS loop; the first observation seeds it directly.
 // Negative samples (a stepped clock) are clamped to zero, and a
 // non-finite EWMA state — which would otherwise propagate through every
-// subsequent CAS fold, the same poisoning mode atomicFloat guards
-// against — is reseeded from the sample instead of folded.
+// subsequent CAS fold, since NaN arithmetic is absorbing — is reseeded
+// from the sample instead of folded.
 func (a *AppServer) recordLatency(d time.Duration) {
 	if d < 0 {
 		d = 0
@@ -321,6 +321,9 @@ func (a *AppServer) recordLatency(d time.Duration) {
 		}
 	}
 }
+
+// isFinite reports whether v is a usable float (not NaN, not ±Inf).
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // EWMALatency reads the request-latency estimate served at
 // GET /admin/probe (zero until the first request completes).

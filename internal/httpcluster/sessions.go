@@ -8,10 +8,10 @@ import (
 // Sticky sessions and weights for the wall-clock balancer, mirroring
 // internal/lb's mod_jk features. Sessions are identified by an opaque
 // string (typically a cookie value); weights are mod_jk's lbfactor.
-// Both sit on the per-request path, so neither takes a global lock:
-// weights are atomic floats and the session table is sharded by key
-// hash — concurrent requests for different sessions proceed on
-// different shard locks.
+// Both sit on the per-request path, so neither takes the balancer's
+// lock: a weight lives under its backend's mutex and the session table
+// is sharded by key hash — concurrent requests for different sessions
+// proceed on different shard locks.
 
 // SetWeight assigns the backend's lbfactor (values ≤ 0 or non-finite
 // mean 1): a weight-2 backend receives twice a weight-1 backend's
@@ -24,11 +24,17 @@ func (b *Backend) SetWeight(w float64) {
 	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 		w = 1
 	}
-	b.weight.Store(w)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.weight = w
 }
 
-// Weight returns the backend's lbfactor (lock-free).
-func (b *Backend) Weight() float64 { return b.weightVal() }
+// Weight returns the backend's lbfactor.
+func (b *Backend) Weight() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.weightLocked()
+}
 
 // sessionShards is the session-table shard count. A power of two so the
 // hash folds with a mask; 16 shards keep the table effectively
@@ -108,13 +114,12 @@ func (b *Balancer) Sessions() int { return b.sessions.len() }
 func (b *Balancer) AcquireSession(sessionKey string, requestBytes int64) (*Backend, Release, error) {
 	if b.cfg.StickySessions && sessionKey != "" {
 		if be := b.sessions.get(sessionKey); be != nil && be.State() != BackendError && !be.Quarantined() {
-			snap := b.snap.Load()
+			policy := b.CurrentPolicy()
 			if b.onAssign != nil {
 				b.onAssign(be)
 			}
-			b.emitDecision(snap, be)
-			if b.acquireEndpoint(be) {
-				b.noteDispatch(be, snap.policy)
+			b.emitDecision(be)
+			if b.acquireEndpoint(be, policy) {
 				return be, Release{bal: b, be: be, requestBytes: requestBytes}, nil
 			}
 			b.noteFailure(be)
