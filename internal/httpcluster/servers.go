@@ -64,10 +64,10 @@ type AppServer struct {
 	inflight atomic.Int64
 	// db carries the DB queries: a transport this server owns, pooled to
 	// Workers connections — that many handlers can be at the DB at once.
-	// Close releases it. dbQuery is the one request every query sends, nil
-	// without a DB tier; each query is a copy of it under its own context.
+	// Close releases it. dbURL is the URL every query sends GET to, parsed
+	// once; nil without a DB tier.
 	db      *UpstreamTransport
-	dbQuery *http.Request
+	dbURL   *url.URL
 	payload []byte
 	wg      sync.WaitGroup
 
@@ -117,7 +117,7 @@ func StartAppServer(cfg AppServerConfig) (*AppServer, error) {
 			_ = ln.Close() // never served
 			return nil, fmt.Errorf("httpcluster: %s: DB URL: %w", cfg.Name, err)
 		}
-		a.dbQuery = &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: make(http.Header)}
+		a.dbURL = u
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", a.handle)
@@ -265,7 +265,7 @@ func (a *AppServer) handle(w http.ResponseWriter, r *http.Request) {
 		a.stallGate()
 		time.Sleep(slice)
 	}
-	for i := 0; i < a.cfg.DBQueries && a.dbQuery != nil; i++ {
+	for i := 0; i < a.cfg.DBQueries && a.dbURL != nil; i++ {
 		if err := a.queryDB(r.Context()); err != nil {
 			http.Error(w, "db error: "+err.Error(), http.StatusBadGateway)
 			return
@@ -285,14 +285,12 @@ const dbQueryTimeout = 5 * time.Second
 // handler's context, so a request whose client has gone — or whose server
 // was closed — stops querying.
 func (a *AppServer) queryDB(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, dbQueryTimeout)
-	defer cancel()
-	resp, err := a.db.RoundTrip(a.dbQuery.WithContext(ctx))
+	_, body, err := a.db.forward(ctx, time.Now().Add(dbQueryTimeout), a.dbURL, a.dbURL.RequestURI())
 	if err != nil {
 		return err
 	}
-	_, err = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close() // always nil
+	_, err = io.Copy(io.Discard, body)
+	_ = body.Close() // always nil
 	return err
 }
 
@@ -411,7 +409,10 @@ type ProxyConfig struct {
 	// probes in place of the pooled transport the proxy otherwise builds
 	// and owns (NewUpstreamTransport) — the injection point for
 	// internal/faults' network latency/loss RoundTripper. The caller
-	// keeps ownership: Proxy.Close leaves it alone.
+	// keeps ownership: Proxy.Close leaves it alone. A supplied transport
+	// other than an *UpstreamTransport learns each attempt's deadline from
+	// a context derived from the client's, one per attempt; the proxy's own
+	// transport takes the deadline directly.
 	Transport http.RoundTripper
 	// Resilience, when non-nil, arms the graceful-degradation path:
 	// per-attempt deadlines, bounded budgeted retries and fast-fail
@@ -798,7 +799,7 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		}
 
 		sp.Enter(obs.StageAppThread, p.now())
-		resp, err := p.roundTrip(r, be)
+		status, body, err := p.roundTrip(r, be)
 		if err != nil {
 			sp.Exit(obs.StageAppThread, p.now())
 			rel.Fail()
@@ -806,20 +807,23 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 			failMsg = "upstream: " + err.Error()
 			continue
 		}
-		if resp.StatusCode >= 500 && p.resil != nil && attempt < maxAttempts-1 {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
+		if status >= 500 && p.resil != nil && attempt < maxAttempts-1 {
+			_, _ = io.Copy(io.Discard, body)
+			_ = body.Close()
 			sp.Exit(obs.StageAppThread, p.now())
 			rel.Fail()
-			failStatus = resp.StatusCode
-			failMsg = "upstream status " + resp.Status
+			failStatus = status
+			failMsg = fmt.Sprintf("upstream status %d", status)
+			if text := http.StatusText(status); text != "" {
+				failMsg += " " + text
+			}
 			continue
 		}
 
 		w.Header().Set("X-Backend", be.Name())
-		w.WriteHeader(resp.StatusCode)
-		n, copyErr := io.Copy(w, resp.Body)
-		_ = resp.Body.Close()
+		w.WriteHeader(status)
+		n, copyErr := io.Copy(w, body)
+		_ = body.Close()
 		sp.Exit(obs.StageAppThread, p.now())
 		if copyErr != nil {
 			// The status line is out, so the attempt can be neither
@@ -831,9 +835,9 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		rel.Done(n)
 		p.served.Add(1)
-		admOK = resp.StatusCode < 500
-		p.tracer.Finish(sp, p.now(), resp.StatusCode < 500)
-		p.adaptOutcome(start, resp.StatusCode < 500)
+		admOK = status < 500
+		p.tracer.Finish(sp, p.now(), admOK)
+		p.adaptOutcome(start, admOK)
 		return
 	}
 	p.noteError(sp, start)

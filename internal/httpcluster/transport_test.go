@@ -502,8 +502,12 @@ func mustParse(t *testing.T, raw string) *url.URL {
 }
 
 // TestUpstreamTransportMatchesNetHTTP sends the same scripted replies
-// through net/http's transport and this one: status, body and the kind of
-// error must agree.
+// three ways — through net/http's transport, through this one's RoundTrip
+// under a context deadline, and through its forward under an attempt
+// deadline — and requires equal status, body and kind of error, and for a
+// case sent twice the same number of connections. The one named exception
+// is a header line longer than the connection's read buffer: net/http
+// reads it, this transport fails the exchange.
 func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 	kind := func(err error) string {
 		switch {
@@ -518,45 +522,174 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 		}
 		return "failed"
 	}
-	cases := map[string]reply{
-		"length 128":        {raw: lengthReply(128)},
-		"chunked 16KiB":     {raw: chunkedReply(16384)},
-		"204":               {raw: "HTTP/1.1 204 No Content\r\n\r\n"},
-		"404 with a body":   {raw: "HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope"},
-		"connection close":  {raw: "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", close: true},
-		"until close":       {raw: "HTTP/1.1 200 OK\r\n\r\nall of it", close: true},
-		"truncated length":  {raw: "HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\nshort", close: true},
-		"truncated chunked": {raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\nshort", close: true},
-		"bad chunk size":    {raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", close: true},
-		"no reply":          {close: true},
-		"not HTTP":          {raw: "SSH-2.0-OpenSSH\r\n", close: true},
-		"half a header":     {raw: "HTTP/1.1 200 OK\r\nContent-Le", close: true},
-		"silence":           {hang: true},
-		"silence in body":   {raw: "HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\nshort", hang: true},
+	const longHeader = "5KiB header line"
+	cases := map[string]struct {
+		answer reply
+		conns  int64 // sent twice when set: the connections the two requests must take
+	}{
+		"length 128":                   {answer: reply{raw: lengthReply(128)}},
+		"chunked 16KiB":                {answer: reply{raw: chunkedReply(16384)}},
+		"204":                          {answer: reply{raw: "HTTP/1.1 204 No Content\r\n\r\n"}},
+		"404 with a body":              {answer: reply{raw: "HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope"}},
+		"connection close":             {answer: reply{raw: "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", close: true}},
+		"until close":                  {answer: reply{raw: "HTTP/1.1 200 OK\r\n\r\nall of it", close: true}},
+		"truncated length":             {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\nshort", close: true}},
+		"truncated chunked":            {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n10\r\nshort", close: true}},
+		"bad chunk size":               {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", close: true}},
+		"no reply":                     {answer: reply{close: true}},
+		"not HTTP":                     {answer: reply{raw: "SSH-2.0-OpenSSH\r\n", close: true}},
+		"half a header":                {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Le", close: true}},
+		"silence":                      {answer: reply{hang: true}},
+		"silence in body":              {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Length: 999\r\n\r\nshort", hang: true}},
+		"HTTP/1.0 without keep-alive":  {answer: reply{raw: "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok"}, conns: 2},
+		"HTTP/1.0 with keep-alive":     {answer: reply{raw: "HTTP/1.0 200 OK\r\nConnection: Keep-Alive\r\nContent-Length: 2\r\n\r\nok"}, conns: 1},
+		"two Content-Length values":    {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nok", close: true}},
+		"bad Content-Length":           {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Length: 2x\r\n\r\nok", close: true}},
+		"chunked and Content-Length":   {answer: reply{raw: "HTTP/1.1 200 OK\r\nContent-Length: 999\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n"}, conns: 1},
+		"chunked with a trailer":       {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n2\r\nok\r\n0\r\nX-Sum: 42\r\nX-More: yes\r\n\r\n"}, conns: 1},
+		"folded header":                {answer: reply{raw: "HTTP/1.1 200 OK\r\nX-Folded: a\r\n b\r\nContent-Length: 2\r\n\r\nok"}, conns: 1},
+		"unsupported transfer coding":  {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\nok", close: true}},
+		"bad status code":              {answer: reply{raw: "HTTP/1.1 2x0 OK\r\n\r\n", close: true}},
+		"bad version":                  {answer: reply{raw: "HTTP/one 200 OK\r\n\r\n", close: true}},
+		longHeader:                     {answer: reply{raw: "HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("x", 5<<10) + "\r\nContent-Length: 2\r\n\r\nok"}},
+		"lone LF line endings":         {answer: reply{raw: "HTTP/1.1 200 OK\nContent-Length: 2\n\nok"}, conns: 1},
+		"length 0, kept":               {answer: reply{raw: lengthReply(0)}, conns: 1},
+		"truncated trailer":            {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nX-Sum: 4", close: true}},
+		"Connection: close, Upgrade":   {answer: reply{raw: "HTTP/1.1 200 OK\r\nConnection: Upgrade, close\r\nContent-Length: 2\r\n\r\nok"}, conns: 2},
+		"status without a reason text": {answer: reply{raw: "HTTP/1.1 200\r\nContent-Length: 2\r\n\r\nok"}, conns: 1},
 	}
-	for name, answer := range cases {
+	type result struct {
+		status int
+		body   string
+		kind   string
+		conns  int64 // taken by the two requests of a case sent twice
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			p := startPeer(t, func(int, int, *http.Request, []byte) reply { return answer })
+			p := startPeer(t, func(int, int, *http.Request, []byte) reply { return tc.answer })
 			std := newClientTransport()
 			defer std.CloseIdleConnections()
-			ours := newUpstreamTransport(1)
+			ours, fwd := newUpstreamTransport(1), newUpstreamTransport(1)
 			defer ours.CloseIdleConnections()
-			type result struct {
-				status int
-				body   string
-				kind   string
+			defer fwd.CloseIdleConnections()
+			base := mustParse(t, p.url())
+			ways := []func() (int, []byte, error){
+				func() (int, []byte, error) {
+					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+					defer cancel()
+					return exchange(ctx, std, "GET", p.url(), nil, nil)
+				},
+				func() (int, []byte, error) {
+					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+					defer cancel()
+					return exchange(ctx, ours, "GET", p.url(), nil, nil)
+				},
+				func() (int, []byte, error) {
+					status, body, err := fwd.forward(context.Background(), time.Now().Add(100*time.Millisecond), base, "/")
+					if err != nil {
+						return 0, nil, err
+					}
+					defer func() { _ = body.Close() }()
+					got, err := io.ReadAll(body)
+					return status, got, err
+				},
 			}
-			var res [2]result
-			for i, rt := range []http.RoundTripper{std, ours} {
-				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-				status, body, err := exchange(ctx, rt, "GET", p.url(), nil, nil)
-				cancel()
-				res[i] = result{status, string(body), kind(err)}
+			var res [3]result
+			for i, way := range ways {
+				before := p.accepted.Load()
+				status, body, err := way()
+				res[i] = result{status, string(body), kind(err), 0}
+				if tc.conns > 0 {
+					if status2, body2, err2 := way(); status2 != status || string(body2) != string(body) || kind(err2) != kind(err) {
+						t.Errorf("way %d: second reply status %d, %q, %v; the first %d, %q, %v", i, status2, body2, err2, status, body, err)
+					}
+					if res[i].conns = p.accepted.Load() - before; res[i].conns != tc.conns {
+						t.Errorf("way %d: two requests took %d connections, want %d", i, res[i].conns, tc.conns)
+					}
+				}
 			}
-			if res[0] != res[1] {
-				t.Errorf("net/http: %+v\nours:     %+v", res[0], res[1])
+			if name == longHeader {
+				if want := (result{status: 200, body: "ok", kind: "none"}); res[0] != want {
+					t.Errorf("net/http: %+v, want %+v", res[0], want)
+				}
+				if want := (result{kind: "failed"}); res[1] != want || res[2] != want {
+					t.Errorf("RoundTrip: %+v\nforward:   %+v\nwant %+v", res[1], res[2], want)
+				}
+				return
+			}
+			if res[0] != res[1] || res[0] != res[2] {
+				t.Errorf("net/http:  %+v\nRoundTrip: %+v\nforward:   %+v", res[0], res[1], res[2])
 			}
 		})
+	}
+}
+
+// TestForwardAllocs: one native exchange on a reused connection to a
+// Content-Length peer allocates the context.AfterFunc registration and the
+// body wrapper, nothing else. The peer reads each request, whose length it
+// knows, into one buffer and writes one fixed reply, so it allocates
+// nothing either.
+func TestForwardAllocs(t *testing.T) {
+	const maxAllocs = 3 // AfterFunc's context and stop function, the body
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := ln.Addr().String()
+	request := make([]byte, len("GET /x HTTP/1.1\r\nHost: "+host+"\r\n\r\n"))
+	answer := []byte(lengthReply(128))
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer func() { _ = c.Close() }()
+		for {
+			if _, err := io.ReadFull(c, request); err != nil {
+				return
+			}
+			if _, err := c.Write(answer); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() { <-served }()
+	defer func() { _ = ln.Close() }()
+	tr := newUpstreamTransport(1)
+	defer tr.CloseIdleConnections()
+
+	base := mustParse(t, "http://"+host)
+	ctx, cancel := context.WithCancel(context.Background()) // cancellable, as a server request's is
+	defer cancel()
+	var buf [512]byte
+	var failure error
+	once := func() {
+		status, body, err := tr.forward(ctx, time.Now().Add(5*time.Second), base, "/x")
+		if err != nil {
+			failure = err
+			return
+		}
+		n := 0
+		for err == nil {
+			var m int
+			m, err = body.Read(buf[n:])
+			n += m
+		}
+		_ = body.Close()
+		if err != io.EOF || status != http.StatusOK || n != 128 {
+			failure = fmt.Errorf("status %d, %d bytes, %v", status, n, err)
+		}
+	}
+	once() // dials and parks the one connection the peer accepts
+	allocs := testing.AllocsPerRun(1000, once)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	t.Logf("%.0f allocations per exchange", allocs)
+	if allocs > maxAllocs {
+		t.Fatalf("%.0f allocations per exchange on a reused connection, budget %d", allocs, maxAllocs)
 	}
 }
 
