@@ -1,9 +1,11 @@
 package httpcluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"time"
 
 	"millibalance/internal/probe"
@@ -139,53 +141,67 @@ func ndjsonHeaders(w http.ResponseWriter) {
 	w.Header().Set("X-Content-Type-Options", "nosniff")
 }
 
-// adminHandler serves the proxy's admin surface; non-admin paths fall
-// through to the forwarding handler. /admin/trace streams the recorded
-// request-lifecycle spans, /admin/events the balancer decision / state
-// / reject log and /admin/timeline the telemetry resource timeline,
-// all as JSON Lines; /metrics serves the same timeline's latest points
-// in Prometheus text format. Each answers 404 when the corresponding
-// capacity or config was not set.
-func (p *Proxy) adminHandler(forward http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/admin/stats":
+// adminHandler returns the handler for path on the proxy's admin
+// surface, or nil for a path the proxy forwards; path is escaped, and
+// matches once unescaped. /admin/stats serves the balancer's state;
+// /admin/trace streams the recorded request-lifecycle spans,
+// /admin/events the balancer decision / state / reject log and
+// /admin/timeline the telemetry resource timeline, all as JSON Lines;
+// /metrics serves the same timeline's latest points in Prometheus text
+// format. Each answers 404 when the corresponding capacity or config was
+// not set.
+func (p *Proxy) adminHandler(path []byte) http.HandlerFunc {
+	if bytes.IndexByte(path, '%') < 0 && !bytes.HasPrefix(path, []byte("/admin/")) && !bytes.Equal(path, []byte("/metrics")) {
+		return nil
+	}
+	name, err := url.PathUnescape(string(path))
+	if err != nil {
+		return nil
+	}
+	switch name {
+	case "/admin/stats":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(p.Stats())
-			return
-		case "/admin/trace":
+		}
+	case "/admin/trace":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.tracer == nil {
 				http.Error(w, "span tracing disabled (ProxyConfig.SpanCapacity)", http.StatusNotFound)
 				return
 			}
 			ndjsonHeaders(w)
 			_ = p.tracer.WriteJSONL(w)
-			return
-		case "/admin/events":
+		}
+	case "/admin/events":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.events == nil {
 				http.Error(w, "event log disabled (ProxyConfig.EventCapacity)", http.StatusNotFound)
 				return
 			}
 			ndjsonHeaders(w)
 			_ = p.events.WriteJSONL(w)
-			return
-		case "/admin/adapt":
+		}
+	case "/admin/adapt":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.adaptC == nil {
 				http.Error(w, "adaptive control plane disabled (ProxyConfig.Adapt)", http.StatusNotFound)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(p.adaptC.State())
-			return
-		case "/admin/adapt/decisions":
+		}
+	case "/admin/adapt/decisions":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.adaptC == nil {
 				http.Error(w, "adaptive control plane disabled (ProxyConfig.Adapt)", http.StatusNotFound)
 				return
 			}
 			ndjsonHeaders(w)
 			_ = p.adaptC.Log().WriteJSONL(w)
-			return
-		case "/admin/admission":
+		}
+	case "/admin/admission":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.adm == nil {
 				http.Error(w, "admission control disabled (ProxyConfig.Admission)", http.StatusNotFound)
 				return
@@ -196,16 +212,18 @@ func (p *Proxy) adminHandler(forward http.HandlerFunc) http.HandlerFunc {
 			for _, a := range p.adm.Adjustments() {
 				_ = enc.Encode(a)
 			}
-			return
-		case "/admin/timeline":
+		}
+	case "/admin/timeline":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.sampler == nil {
 				http.Error(w, "telemetry disabled (ProxyConfig.Telemetry)", http.StatusNotFound)
 				return
 			}
 			ndjsonHeaders(w)
 			_ = p.Timeline().WriteJSONL(w)
-			return
-		case "/metrics":
+		}
+	case "/metrics":
+		return func(w http.ResponseWriter, _ *http.Request) {
 			if p.sampler == nil {
 				http.Error(w, "telemetry disabled (ProxyConfig.Telemetry)", http.StatusNotFound)
 				return
@@ -213,8 +231,7 @@ func (p *Proxy) adminHandler(forward http.HandlerFunc) http.HandlerFunc {
 			w.Header().Set("Content-Type", promContentType)
 			w.Header().Set("X-Content-Type-Options", "nosniff")
 			_ = p.Timeline().WriteProm(w, "millibalance")
-			return
 		}
-		forward(w, r)
 	}
+	return nil
 }

@@ -1,8 +1,6 @@
 package httpcluster
 
 import (
-	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,15 +14,6 @@ import (
 // owns the wait queue; the Gate owns the lock-free limit word, the
 // limiter and the CoDel judge, so the control laws are byte-for-byte the
 // same code on both substrates.
-
-// classify maps a request to its priority class. Background work marks
-// itself with the X-Priority header; everything else is interactive.
-func classify(r *http.Request) admission.Class {
-	if strings.EqualFold(r.Header.Get("X-Priority"), "background") {
-		return admission.Background
-	}
-	return admission.Interactive
-}
 
 // wallWaiter is one parked request. ch is buffered so handoff never
 // blocks on a waiter that timed out between being popped and receiving.

@@ -20,15 +20,17 @@ import (
 	"millibalance/internal/telemetry"
 )
 
-// The three servers bound how long a client may take to send a request
-// header and how long a kept-alive connection may sit idle. The idle
-// bound is longer than the inter-tier transport's (upstreamIdleAge), so
-// the client side lets go of a connection first.
+// The servers bound how long a client may take to send a request header
+// and how long a kept-alive connection may sit idle. The idle bound is
+// longer than the inter-tier transport's (upstreamIdleAge), so the client
+// side lets go of a connection first.
 const (
 	serverReadHeaderTimeout = 10 * time.Second
 	serverIdleTimeout       = 120 * time.Second
 )
 
+// newServer is the net/http server of the app server and the DB stub;
+// the proxy reads its own requests (front.go).
 func newServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: serverReadHeaderTimeout, IdleTimeout: serverIdleTimeout}
 }
@@ -285,7 +287,7 @@ const dbQueryTimeout = 5 * time.Second
 // handler's context, so a request whose client has gone — or whose server
 // was closed — stops querying.
 func (a *AppServer) queryDB(ctx context.Context) error {
-	_, body, err := a.db.forward(ctx, time.Now().Add(dbQueryTimeout), a.dbURL, a.dbURL.RequestURI())
+	_, _, body, err := a.db.forward(ctx, time.Now().Add(dbQueryTimeout), a.dbURL, a.dbURL.RequestURI())
 	if err != nil {
 		return err
 	}
@@ -411,8 +413,8 @@ type ProxyConfig struct {
 	// internal/faults' network latency/loss RoundTripper. The caller
 	// keeps ownership: Proxy.Close leaves it alone. A supplied transport
 	// other than an *UpstreamTransport learns each attempt's deadline from
-	// a context derived from the client's, one per attempt; the proxy's own
-	// transport takes the deadline directly.
+	// a context derived from the client connection's, one per attempt;
+	// the proxy's own transport takes the deadline directly.
 	Transport http.RoundTripper
 	// Resilience, when non-nil, arms the graceful-degradation path:
 	// per-attempt deadlines, bounded budgeted retries and fast-fail
@@ -444,16 +446,21 @@ type ProxyConfig struct {
 // Proxy is the web tier: an HTTP server that forwards each request to
 // the backend its balancer picks, holding a worker slot for the full
 // request lifetime (including any time the original get_endpoint spends
-// polling a stalled backend).
+// polling a stalled backend). Its front (front.go) serves each client
+// connection on a goroutine of its own.
 type Proxy struct {
 	cfg     ProxyConfig
 	bal     *Balancer
 	ln      net.Listener
-	srv     *http.Server
 	workers chan struct{}
 	served  atomic.Uint64
 	errors  atomic.Uint64
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the accept loop and each connection's two goroutines
+
+	// connMu guards the open client connections, which Close closes.
+	connMu  sync.Mutex
+	conns   map[*frontConn]struct{}
+	closing bool
 
 	// upstream carries every request and probe to the app tier; owned is
 	// the same transport when the proxy built it (ProxyConfig.Transport
@@ -498,6 +505,7 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 		bal:     NewBalancer(cfg.Policy, cfg.Mechanism, backends, cfg.LB),
 		ln:      ln,
 		workers: make(chan struct{}, cfg.Workers),
+		conns:   make(map[*frontConn]struct{}),
 		epoch:   time.Now(),
 
 		upstream:       cfg.Transport,
@@ -536,12 +544,8 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 	if cfg.Telemetry != nil {
 		p.armTelemetry(*cfg.Telemetry)
 	}
-	p.srv = newServer(p.adminHandler(p.handle))
 	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		_ = p.srv.Serve(ln)
-	}()
+	go p.accept()
 	return p, nil
 }
 
@@ -580,9 +584,20 @@ func (p *Proxy) Events() *obs.EventLog { return p.events }
 // started.
 func (p *Proxy) now() time.Duration { return time.Since(p.epoch) }
 
-// Close shuts the proxy down.
+// Close shuts the proxy down: it closes the listener and every client
+// connection, cancels the exchanges they carry, and waits for their
+// goroutines.
 func (p *Proxy) Close() error {
-	err := p.srv.Close()
+	p.connMu.Lock()
+	p.closing = true
+	err := p.ln.Close()
+	for fc := range p.conns {
+		_ = fc.nc.Close() // its goroutines see the failure and return
+		// The watch sees the closed socket only when a peek is pending, and
+		// none is while pipelined bytes or an unread body sit in the buffer.
+		fc.cancel()
+	}
+	p.connMu.Unlock()
 	p.wg.Wait()
 	if p.adaptR != nil {
 		p.adaptR.close()
@@ -722,7 +737,10 @@ func (p *Proxy) armTelemetry(tcfg telemetry.Config) {
 // disabled).
 func (p *Proxy) Timeline() *telemetry.Timeline { return p.sampler.Timeline() }
 
-func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
+// handle forwards one request and writes the reply, or an error reply,
+// into the connection's writer. It reports false when the reply was cut
+// short, which ends the connection.
+func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 	// All span calls are nil-safe no-ops when tracing is disabled. The
 	// wall-clock stage mapping mirrors the simulation's: worker wait →
 	// web accept-queue, worker occupancy → web thread, AcquireSession →
@@ -730,15 +748,19 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	start := p.now()
 	sp := p.tracer.Start(p.reqID.Add(1), start)
 	sp.Enter(obs.StageWebAcceptQueue, start)
-	if !p.acquireWorker(classify(r)) {
+	cls := admission.Interactive
+	if h.background {
+		cls = admission.Background
+	}
+	if !p.acquireWorker(cls) {
 		sp.Exit(obs.StageWebAcceptQueue, p.now())
 		p.shed.Add(1)
 		if p.events != nil {
 			p.events.Append(obs.Event{T: p.now(), Kind: obs.KindShed, Source: "proxy"})
 		}
 		p.noteError(sp, start)
-		http.Error(w, "proxy saturated", http.StatusServiceUnavailable)
-		return
+		fc.writeError(h, http.StatusServiceUnavailable, "proxy saturated")
+		return true
 	}
 	// Defer order matters: the worker slot (registered second, released
 	// first) must be free before the gate release wakes a waiter, so the
@@ -752,15 +774,7 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 	sp.Exit(obs.StageWebAcceptQueue, p.now())
 	sp.Enter(obs.StageWebThread, p.now())
 
-	reqBytes := r.ContentLength
-	if reqBytes < 0 {
-		reqBytes = 0
-	}
-	session := ""
-	if cookie, err := r.Cookie("JSESSIONID"); err == nil {
-		session = cookie.Value
-	}
-
+	reqBytes := max(h.length, 0)
 	p.budget.deposit()
 	maxAttempts := 1
 	if p.resil != nil {
@@ -785,7 +799,7 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		var rel Release
 		var err error
 		if attempt == 0 {
-			be, rel, err = p.bal.AcquireSession(session, reqBytes)
+			be, rel, err = p.bal.AcquireSession(h.session, reqBytes)
 		} else {
 			// Retries skip stickiness: the pinned backend just failed,
 			// so the hop must be free to land elsewhere.
@@ -799,7 +813,7 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 		}
 
 		sp.Enter(obs.StageAppThread, p.now())
-		status, body, err := p.roundTrip(r, be)
+		status, length, body, err := p.roundTrip(fc.ctx, h.path, be)
 		if err != nil {
 			sp.Exit(obs.StageAppThread, p.now())
 			rel.Fail()
@@ -820,28 +834,27 @@ func (p *Proxy) handle(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 
-		w.Header().Set("X-Backend", be.Name())
-		w.WriteHeader(status)
-		n, copyErr := io.Copy(w, body)
+		n, copyErr := fc.writeReply(h, status, be.Name(), length, body)
 		_ = body.Close()
 		sp.Exit(obs.StageAppThread, p.now())
 		if copyErr != nil {
-			// The status line is out, so the attempt can be neither
-			// retried nor answered with an error status; abort the
-			// connection instead of ending a truncated reply cleanly.
+			// Part of the reply may be out, so the attempt can be neither
+			// retried nor answered with an error status; the connection
+			// closes instead of ending a truncated reply cleanly.
 			rel.Fail()
 			p.noteError(sp, start)
-			panic(http.ErrAbortHandler)
+			return false
 		}
 		rel.Done(n)
 		p.served.Add(1)
 		admOK = status < 500
 		p.tracer.Finish(sp, p.now(), admOK)
 		p.adaptOutcome(start, admOK)
-		return
+		return true
 	}
 	p.noteError(sp, start)
-	http.Error(w, failMsg, failStatus)
+	fc.writeError(h, failStatus, failMsg)
+	return true
 }
 
 // noteError accounts one request answered with an error: the counter,

@@ -141,16 +141,18 @@ func NewUpstreamTransport(backends []*Backend) *UpstreamTransport {
 // socket deadline is the earlier of deadline and ctx's, and it covers the
 // body read as well; a cancelled ctx ends the exchange at once. The
 // caller reads the body to EOF and closes it to give the connection back.
-func (t *UpstreamTransport) forward(ctx context.Context, deadline time.Time, base *url.URL, uri string) (int, io.ReadCloser, error) {
+// It returns the reply's status, its Content-Length (-1 when chunked or
+// read until the peer closes) and its body.
+func (t *UpstreamTransport) forward(ctx context.Context, deadline time.Time, base *url.URL, uri string) (status int, length int64, body io.ReadCloser, err error) {
 	if base.Scheme != "http" || base.Host == "" || !validValue(base.Host, false) || !validValue(uri, false) {
-		return 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri, base.Redacted())
+		return 0, 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri, base.Redacted())
 	}
 	rq := upstreamRequest{method: http.MethodGet, uri: uri, host: base.Host}
 	b, err := t.do(ctx, deadline, hostAddr(base), &rq, nil)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	return b.status, b, nil
+	return b.status, b.length, b, nil
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -251,7 +253,7 @@ func (t *UpstreamTransport) exchange(ctx context.Context, deadline time.Time, c 
 		return nil, early, err
 	}
 	b = &upstreamBody{
-		t: t, c: c, ctx: ctx, stop: stop, addr: addr, status: h.status,
+		t: t, c: c, ctx: ctx, stop: stop, addr: addr, status: h.status, length: h.length,
 		// An informational reply would leave the final one unread.
 		keep: !h.close && !rq.close && h.status >= 200,
 	}
@@ -664,12 +666,13 @@ type upstreamBody struct {
 	stop   func() bool // the AfterFunc's
 	addr   string
 	status int
-	keep   bool
+	length int64            // the reply's Content-Length; -1 when chunked or read until the peer closes
 	lr     io.LimitedReader // the framing, unless chunks is set
-	toEOF  bool             // lr runs until the peer closes
 	chunks io.Reader        // httputil's chunked reader on c.br
 	eof    atomic.Bool
 	done   atomic.Bool
+	keep   bool
+	toEOF  bool // lr runs until the peer closes
 }
 
 func (b *upstreamBody) Read(p []byte) (n int, err error) {

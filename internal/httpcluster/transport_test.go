@@ -585,7 +585,7 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 					return exchange(ctx, ours, "GET", p.url(), nil, nil)
 				},
 				func() (int, []byte, error) {
-					status, body, err := fwd.forward(context.Background(), time.Now().Add(100*time.Millisecond), base, "/")
+					status, _, body, err := fwd.forward(context.Background(), time.Now().Add(100*time.Millisecond), base, "/")
 					if err != nil {
 						return 0, nil, err
 					}
@@ -666,7 +666,7 @@ func TestForwardAllocs(t *testing.T) {
 	var buf [512]byte
 	var failure error
 	once := func() {
-		status, body, err := tr.forward(ctx, time.Now().Add(5*time.Second), base, "/x")
+		status, length, body, err := tr.forward(ctx, time.Now().Add(5*time.Second), base, "/x")
 		if err != nil {
 			failure = err
 			return
@@ -678,8 +678,8 @@ func TestForwardAllocs(t *testing.T) {
 			n += m
 		}
 		_ = body.Close()
-		if err != io.EOF || status != http.StatusOK || n != 128 {
-			failure = fmt.Errorf("status %d, %d bytes, %v", status, n, err)
+		if err != io.EOF || status != http.StatusOK || length != 128 || n != 128 {
+			failure = fmt.Errorf("status %d, length %d, %d bytes, %v", status, length, n, err)
 		}
 	}
 	once() // dials and parks the one connection the peer accepts

@@ -14,44 +14,55 @@ import (
 const defaultAttemptTimeout = 10 * time.Second
 
 // roundTrip performs one upstream attempt: GET <backend path><request
-// path>, no body, and returns the reply's status and its body, which the
-// caller closes. The attempt deadline, now + attemptTimeout, covers the
-// body read as well as the wait for the header.
+// path>, no body, and returns the reply's status, its body and the body's
+// length (-1 when unknown); the caller closes the body. The attempt
+// deadline, now + attemptTimeout, covers the body read as well as the
+// wait for the header.
 //
 // On the proxy's own transport (an *UpstreamTransport) the attempt is a
-// forward under the client's context: the deadline goes to the socket and
-// the context's AfterFunc aborts the exchange, so a client that
-// disconnects frees its worker slot and endpoint at once, and nothing is
-// built per attempt but the body. Any other http.RoundTripper can learn a
-// deadline only from a context, so that arm sends an *http.Request under a
-// context derived from the client's with the deadline, released when the
-// body is closed.
-func (p *Proxy) roundTrip(r *http.Request, be *Backend) (int, io.ReadCloser, error) {
+// forward under the client connection's context: the deadline goes to
+// the socket and the context's AfterFunc aborts the exchange, so a client
+// that disconnects frees its worker slot and endpoint at once, and
+// nothing is built per attempt but the body. Any other http.RoundTripper
+// can learn a deadline only from a context, so that arm sends an
+// *http.Request under a context derived from the connection's with the
+// deadline, released when the body is closed; it trusts a reply's
+// ContentLength only when it is positive, as a hand-built reply often
+// leaves it zero.
+func (p *Proxy) roundTrip(ctx context.Context, path []byte, be *Backend) (status int, length int64, body io.ReadCloser, err error) {
 	base := be.target
 	if base == nil {
-		return 0, nil, fmt.Errorf("httpcluster: backend %s: unparseable URL %q", be.name, be.url)
+		return 0, 0, nil, fmt.Errorf("httpcluster: backend %s: unparseable URL %q", be.name, be.url)
 	}
-	uri := forwardURI(base, r.URL)
+	uri := forwardURI(base, path)
 	deadline := time.Now().Add(p.attemptTimeout)
 	if ut, ok := p.upstream.(*UpstreamTransport); ok {
-		return ut.forward(r.Context(), deadline, base, uri)
+		return ut.forward(ctx, deadline, base, uri)
 	}
-	ctx, cancel := context.WithDeadline(r.Context(), deadline)
-	u := &url.URL{Scheme: base.Scheme, Host: base.Host, Path: base.Path + r.URL.Path, RawPath: uri}
+	decoded, err := url.PathUnescape(string(path))
+	if err != nil { // the front parsed it
+		decoded = string(path)
+	}
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	u := &url.URL{Scheme: base.Scheme, Host: base.Host, Path: base.Path + decoded, RawPath: uri}
 	req := (&http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: make(http.Header)}).WithContext(ctx)
 	resp, err := p.upstream.RoundTrip(req)
 	if err != nil {
 		cancel()
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
-	return resp.StatusCode, &cancelBody{ReadCloser: resp.Body, cancel: cancel}, nil
+	length = resp.ContentLength
+	if length == 0 {
+		length = -1
+	}
+	return resp.StatusCode, length, &cancelBody{ReadCloser: resp.Body, cancel: cancel}, nil
 }
 
 // forwardURI is the request-URI an attempt sends: the backend's path and
 // the request's, each as escaped on the wire, so an encoded slash stays
 // encoded. The query is not forwarded.
-func forwardURI(base, in *url.URL) string {
-	if uri := base.EscapedPath() + in.EscapedPath(); uri != "" {
+func forwardURI(base *url.URL, path []byte) string {
+	if uri := base.EscapedPath() + string(path); uri != "" {
 		return uri
 	}
 	return "/"
