@@ -1,9 +1,11 @@
-// Package check is the script harness for the proxy's dispatch path. It
-// replays randomized op scripts through httpcluster.Balancer, checks the
-// dispatch invariants (finite lb_values, pool tokens within
-// [0, capacity], completed ≤ dispatched) after every step, and digests
-// every decision so the tests can pin them against
-// testdata/decisions.golden (DESIGN.md §13).
+// Package check is the script harness for the balancer's decision core.
+// It replays randomized op scripts through both of the core's drivers in
+// lockstep — httpcluster.Balancer on the wall clock and lb.Balancer on a
+// sim.Engine — checks after every step that the two agree and that the
+// dispatch invariants hold (finite lb_values, pool tokens within
+// [0, capacity], completed ≤ dispatched), and digests every decision so
+// the tests can pin them against testdata/decisions.golden (DESIGN.md
+// §13).
 //
 // Its parts:
 //
@@ -11,9 +13,9 @@
 //     is minimized and written under testdata/, where it becomes a
 //     committed regression replayed by TestDifferentialCorpus;
 //   - the decision golden: one SHA-256 per generated cell and corpus
-//     script, recorded while the balancer still ran in lockstep with a
-//     second, independent implementation, so it holds decisions two
-//     implementations agreed on;
+//     script, recorded while the proxy's balancer still ran in lockstep
+//     with a second, independent implementation, and reproduced by both
+//     drivers;
 //   - native go test -fuzz targets (fuzz_test.go) that decode arbitrary
 //     bytes into scripts and harden the text format.
 package check

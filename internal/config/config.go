@@ -92,7 +92,6 @@ type Balancer struct {
 	ErrorThreshold   int      `json:"error_threshold,omitempty"`
 	ErrorAfter       Duration `json:"error_after,omitempty"`
 	ErrorRecovery    Duration `json:"error_recovery,omitempty"`
-	MaxAttempts      int      `json:"max_attempts,omitempty"`
 	Sweeps           int      `json:"sweeps,omitempty"`
 	SweepPause       Duration `json:"sweep_pause,omitempty"`
 	MaintainInterval Duration `json:"maintain_interval,omitempty"`
@@ -178,7 +177,6 @@ func (e Experiment) ToCluster() cluster.Config {
 	cfg.LB.ErrorThreshold = e.LB.ErrorThreshold
 	cfg.LB.ErrorAfter = time.Duration(e.LB.ErrorAfter)
 	cfg.LB.ErrorRecovery = time.Duration(e.LB.ErrorRecovery)
-	cfg.LB.MaxAttempts = e.LB.MaxAttempts
 	cfg.LB.Sweeps = e.LB.Sweeps
 	cfg.LB.SweepPause = time.Duration(e.LB.SweepPause)
 	cfg.LB.MaintainInterval = time.Duration(e.LB.MaintainInterval)
@@ -241,7 +239,6 @@ func FromCluster(cfg cluster.Config) Experiment {
 		ErrorThreshold:   cfg.LB.ErrorThreshold,
 		ErrorAfter:       Duration(cfg.LB.ErrorAfter),
 		ErrorRecovery:    Duration(cfg.LB.ErrorRecovery),
-		MaxAttempts:      cfg.LB.MaxAttempts,
 		Sweeps:           cfg.LB.Sweeps,
 		SweepPause:       Duration(cfg.LB.SweepPause),
 		MaintainInterval: Duration(cfg.LB.MaintainInterval),

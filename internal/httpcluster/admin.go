@@ -88,20 +88,6 @@ type ProxyStats struct {
 	Backends  []BackendStats `json:"backends"`
 }
 
-// stateName maps a BackendState to its JSON name.
-func stateName(s BackendState) string {
-	switch s {
-	case BackendAvailable:
-		return "available"
-	case BackendBusy:
-		return "busy"
-	case BackendError:
-		return "error"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
-
 // Stats snapshots the proxy's balancer state.
 func (p *Proxy) Stats() ProxyStats {
 	out := ProxyStats{
@@ -120,7 +106,7 @@ func (p *Proxy) Stats() ProxyStats {
 			Name:       be.Name(),
 			URL:        be.URL(),
 			LBValue:    be.LBValue(),
-			State:      stateName(be.State()),
+			State:      be.State().String(),
 			Dispatched: be.Dispatched(),
 			Completed:  be.Completed(),
 		})

@@ -1,18 +1,15 @@
 // Package httpcluster runs the paper's n-tier scenario over real
 // loopback HTTP: application servers with bounded worker pools and
-// injectable stalls, a web-tier reverse proxy implementing the same
-// load-balancing policies and get_endpoint mechanisms as internal/lb —
-// but in wall-clock time with goroutine concurrency — a database stub,
-// and a closed-loop load generator.
+// injectable stalls, a web-tier reverse proxy, a database stub, and a
+// closed-loop load generator.
 //
-// internal/lb is the reference implementation used by the deterministic
-// simulation; this package is the deployment-shaped twin that
-// demonstrates the identical algorithms and failure modes over real
-// sockets. Unlike the simulator, its dispatch path runs concurrently on
-// every proxy worker, so it is guarded by two kinds of mutex: the
-// balancer's, over what the control plane swaps and the scheduler's
-// cursor, and each backend's, over its bookkeeping. Each is held for
-// well under a microsecond, four orders of magnitude below the
+// The proxy's balancer is a driver of internal/lb's decision core, the
+// core the deterministic simulation drives too: the same records,
+// policies, mechanisms, transition rule and two-level choice, run here in
+// wall-clock time by every proxy worker at once. Two kinds of mutex guard
+// it: the balancer's, around every call into the core, and each
+// backend's, around that backend's record and endpoint tokens. Each is
+// held for well under a microsecond, four orders of magnitude below the
 // millibottlenecks the proxy exists to route around (DESIGN.md §12).
 package httpcluster
 
@@ -25,11 +22,13 @@ import (
 	"sync"
 	"time"
 
+	"millibalance/internal/lb"
 	"millibalance/internal/obs"
 	"millibalance/internal/probe"
 )
 
-// Policy selects the lb_value bookkeeping (Algorithms 2–4).
+// Policy selects the lb_value bookkeeping (Algorithms 2–4): the proxy's
+// name for one of internal/lb's policies.
 type Policy int
 
 const (
@@ -51,46 +50,36 @@ const (
 	PolicyPrequal
 )
 
+// policyNames holds each Policy's name in internal/lb's table
+// (lb.PolicyByName), in enum order.
+var policyNames = [...]string{
+	PolicyTotalRequest: "total_request",
+	PolicyTotalTraffic: "total_traffic",
+	PolicyCurrentLoad:  "current_load",
+	PolicyRoundRobin:   "round_robin",
+	PolicyPrequal:      "prequal",
+}
+
 // String returns the policy name.
 func (p Policy) String() string {
-	switch p {
-	case PolicyTotalRequest:
-		return "total_request"
-	case PolicyTotalTraffic:
-		return "total_traffic"
-	case PolicyCurrentLoad:
-		return "current_load"
-	case PolicyRoundRobin:
-		return "round_robin"
-	case PolicyPrequal:
-		return "prequal"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
+	if p > 0 && int(p) < len(policyNames) {
+		return policyNames[p]
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
 // PolicyNames lists the accepted policy names, in enum order — for CLI
 // usage strings and ParsePolicy's error.
-func PolicyNames() []string {
-	return []string{"total_request", "total_traffic", "current_load", "round_robin", "prequal"}
-}
+func PolicyNames() []string { return append([]string(nil), policyNames[1:]...) }
 
 // ParsePolicy resolves a policy name.
 func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "total_request":
-		return PolicyTotalRequest, nil
-	case "total_traffic":
-		return PolicyTotalTraffic, nil
-	case "current_load":
-		return PolicyCurrentLoad, nil
-	case "round_robin":
-		return PolicyRoundRobin, nil
-	case "prequal":
-		return PolicyPrequal, nil
-	default:
-		return 0, fmt.Errorf("httpcluster: unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
+	for p := PolicyTotalRequest; int(p) < len(policyNames); p++ {
+		if policyNames[p] == name {
+			return p, nil
+		}
 	}
+	return 0, fmt.Errorf("httpcluster: unknown policy %q (have %s)", name, strings.Join(PolicyNames(), ", "))
 }
 
 // Mechanism selects the endpoint-acquisition strategy (Algorithm 1 or
@@ -129,46 +118,32 @@ func ParseMechanism(name string) (Mechanism, error) {
 	}
 }
 
-// BackendState is the 3-state machine state.
-type BackendState int
+// BackendState is a backend's state in the paper's 3-state machine.
+type BackendState = lb.State
 
+// The three states of the 3-state machine.
 const (
 	// BackendAvailable accepts requests.
-	BackendAvailable BackendState = iota + 1
+	BackendAvailable = lb.StateAvailable
 	// BackendBusy recently failed to return an endpoint.
-	BackendBusy
+	BackendBusy = lb.StateBusy
 	// BackendError is excluded until the recovery interval passes.
-	BackendError
+	BackendError = lb.StateError
 )
 
-// Backend is one application server as the proxy's balancer sees it.
-// Everything a dispatch reads or writes — the 3-state machine with its
-// recovery deadline, the quarantine and probe flags, lb_value, weight,
-// the counters and the endpoint tokens — sits under mu. A dispatch
-// holds it for a few dozen nanoseconds at a time (DESIGN.md §12).
+// Backend is one application server as the proxy's balancer sees it: the
+// core's record and the endpoint-pool tokens, both under mu. A dispatch
+// holds mu for a few dozen nanoseconds at a time (DESIGN.md §12).
 type Backend struct {
 	name     string
 	url      string
-	target   *url.URL // url parsed once for Proxy.roundTrip; nil when it does not parse
-	capacity int      // endpoint pool size
+	target   *url.URL  // url parsed once for Proxy.roundTrip; nil when it does not parse
+	capacity int       // endpoint pool size
+	bal      *Balancer // the balancer whose core runs rec; set by NewBalancer
 
-	mu          sync.Mutex
-	state       BackendState
-	recoverAt   time.Time // Busy/Error re-admission deadline; zero when none is set
-	quarantined bool
-	probeArmed  bool // one request may pass the quarantine
-	probing     bool // that request is in flight
-	lbValue     float64
-	weight      float64 // 0 reads as weight 1
-	dispatched  uint64
-	completed   uint64
-	traffic     int64
-	free        int // idle endpoint-pool tokens
-	consecFails int
-	firstFail   time.Time
-	probeStart  time.Time
-	events      *obs.EventLog
-	epoch       time.Time
+	mu   sync.Mutex
+	rec  lb.Record
+	free int // idle endpoint-pool tokens
 }
 
 // NewBackend returns a backend with the given endpoint pool size.
@@ -184,7 +159,7 @@ func NewBackend(name, rawURL string, endpoints int) *Backend {
 		url:      rawURL,
 		target:   target,
 		capacity: endpoints,
-		state:    BackendAvailable,
+		rec:      lb.NewRecord(name),
 		free:     endpoints,
 	}
 }
@@ -199,105 +174,39 @@ func (b *Backend) URL() string { return b.url }
 func (b *Backend) LBValue() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.lbValue
+	return b.rec.LBValue()
 }
 
 // State reads the current state, applying a due Busy/Error recovery.
 func (b *Backend) State() BackendState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.lazyRecoverLocked(time.Now())
-	return b.state
-}
-
-// recoveryDueLocked reports a Busy/Error state whose recovery deadline
-// has passed at now. The caller holds b.mu.
-func (b *Backend) recoveryDueLocked(now time.Time) bool {
-	return b.state != BackendAvailable && !b.recoverAt.IsZero() && now.After(b.recoverAt)
-}
-
-// lazyRecoverLocked applies a due Busy/Error recovery deadline: the
-// backend transitions to Available (emitting the state event) and an
-// Error recovery clears the failure streak. The caller holds b.mu.
-func (b *Backend) lazyRecoverLocked(now time.Time) {
-	if !b.recoveryDueLocked(now) {
-		return
+	if b.bal != nil {
+		b.bal.core.RecoverDue(&b.rec, b.bal.now())
 	}
-	if b.state == BackendError {
-		b.consecFails = 0
-	}
-	b.setStateLocked(BackendAvailable, time.Time{})
-}
-
-// setStateLocked sets the state and its recovery deadline, emitting a
-// state event when the state changed and an event log is attached. The
-// caller holds b.mu. The event log has its own lock and never calls
-// back into the backend, so appending under b.mu cannot deadlock.
-func (b *Backend) setStateLocked(to BackendState, recoverAt time.Time) {
-	from := b.state
-	b.state, b.recoverAt = to, recoverAt
-	if from != to && b.events != nil {
-		b.events.Append(obs.Event{
-			T:       time.Since(b.epoch),
-			Kind:    obs.KindState,
-			Backend: b.name,
-			From:    stateName(from),
-			To:      stateName(to),
-		})
-	}
-}
-
-// schedulable reports whether the scheduler may pick b in the given
-// state at now, with its lb_value. A quarantined backend is skipped
-// unless a probe is armed through it. A due recovery reads as Available
-// without being stored: the next write to the backend (a dispatch, a
-// failure, State) applies it and emits its event, so the scheduler,
-// which runs under the balancer's lock, never appends to the event log.
-func (b *Backend) schedulable(state BackendState, now time.Time) (float64, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.state
-	if b.recoveryDueLocked(now) {
-		st = BackendAvailable
-	}
-	return b.lbValue, st == state && !b.drainedLocked()
-}
-
-// drainedLocked reports a quarantine with no probe armed through it.
-// The caller holds b.mu.
-func (b *Backend) drainedLocked() bool { return b.quarantined && !b.probeArmed }
-
-// attachEvents wires the backend's state transitions into an event log.
-// epoch is the time base events are stamped against.
-func (b *Backend) attachEvents(log *obs.EventLog, epoch time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.events = log
-	b.epoch = epoch
+	return b.rec.State()
 }
 
 // Dispatched reads the cumulative dispatch count.
 func (b *Backend) Dispatched() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.dispatched
+	return b.rec.Dispatched()
 }
 
 // Completed reads the cumulative completion count.
 func (b *Backend) Completed() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.completed
+	return b.rec.Completed()
 }
 
 // InFlight reads dispatched-but-uncompleted requests.
 func (b *Backend) InFlight() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.inFlightLocked()
+	return b.rec.InFlight()
 }
-
-func (b *Backend) inFlightLocked() int { return int(b.dispatched - b.completed) }
 
 // FreeEndpoints reads the idle endpoint-pool tokens.
 func (b *Backend) FreeEndpoints() int {
@@ -306,13 +215,34 @@ func (b *Backend) FreeEndpoints() int {
 	return b.free
 }
 
-// weightLocked reads the backend's lbfactor (zero reads as 1). The
-// caller holds b.mu.
-func (b *Backend) weightLocked() float64 {
-	if b.weight == 0 {
-		return 1
-	}
-	return b.weight
+// Traffic reads the cumulative bytes exchanged.
+func (b *Backend) Traffic() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rec.Traffic()
+}
+
+// Quarantined reads the backend's quarantine flag.
+func (b *Backend) Quarantined() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rec.Quarantined()
+}
+
+// Weight returns the backend's lbfactor.
+func (b *Backend) Weight() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rec.Weight()
+}
+
+// SetWeight assigns the backend's lbfactor (lb.Record.SetWeight: values
+// ≤ 0 or non-finite mean 1): a weight-2 backend receives twice a
+// weight-1 backend's traffic because its lb_value increments are halved.
+func (b *Backend) SetWeight(w float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.rec.SetWeight(w)
 }
 
 // Config tunes the balancer; zero values use mod_jk-equivalent
@@ -339,124 +269,162 @@ type Config struct {
 	StickySessions bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.AcquireSleep <= 0 {
-		c.AcquireSleep = 100 * time.Millisecond
-	}
-	if c.AcquireTimeout <= 0 {
-		c.AcquireTimeout = 300 * time.Millisecond
-	}
-	if c.BusyRecovery <= 0 {
-		c.BusyRecovery = 100 * time.Millisecond
-	}
-	if c.ErrorThreshold <= 0 {
-		c.ErrorThreshold = 3
-	}
-	if c.ErrorAfter <= 0 {
-		c.ErrorAfter = 2 * time.Second
-	}
-	if c.ErrorRecovery <= 0 {
-		c.ErrorRecovery = 10 * time.Second
-	}
-	if c.Sweeps <= 0 {
-		c.Sweeps = 3
-	}
-	if c.SweepPause <= 0 {
-		c.SweepPause = 100 * time.Millisecond
-	}
-	return c
-}
-
 // ErrNoBackend is returned when every sweep failed to acquire an
 // endpoint from any backend.
 var ErrNoBackend = errors.New("httpcluster: no backend available")
 
-// Balancer is the wall-clock twin of lb.Balancer: same two-level
-// scheduler, same 3-state machine, safe for concurrent use. Two kinds
-// of mutex guard it (DESIGN.md §12): mu for what the control plane can
-// swap at runtime and the scheduler's own state, and each Backend's mu
-// for that backend's bookkeeping. Lock order is Balancer.mu before
-// Backend.mu. No lock is held across a sleep, a hook call or I/O, and
-// Balancer.mu is not held across an event-log append; a backend's
-// state event is appended under that backend's mu.
+// Balancer is the decision core's driver in wall-clock time, safe for
+// concurrent use. Two kinds of mutex guard it (DESIGN.md §12): mu around
+// every call into the core and what the control plane swaps, and each
+// Backend's mu around that backend's record and tokens. Lock order is
+// Balancer.mu, then the backends' mu in list order. No lock is held
+// across a sleep, the assign and probe hooks, the prequal reseed or I/O;
+// state events are appended under the locks, so the event log must not
+// call back into the balancer.
 type Balancer struct {
-	cfg      Config
 	backends []*Backend
+	core     *lb.Core
+	epoch    time.Time // the core's clock reads time since epoch
 
-	mu        sync.Mutex
-	policy    Policy
-	mech      Mechanism
-	pools     *probe.Pools
-	prHandles []probe.Handle // pre-resolved pool handles, aligned with backends
-	// poolEpoch converts a wall timestamp into the pools' clock
-	// (at = now.Sub(poolEpoch)), so a prequal consult reuses the
-	// dispatch path's single time.Now reading instead of paying a
-	// second clock read inside the pools.
-	poolEpoch time.Time
-	reseed    func()
+	mu     sync.Mutex
+	policy Policy
+	mech   Mechanism
+	// policies holds one lb instance per policy, reused across swaps, so
+	// round_robin's rotation resumes where it left off.
+	policies [len(policyNames)]lb.Policy
+	mechs    [MechanismModified + 1]lb.Mechanism
+	pools    *probe.Pools
 	// wake is closed (and replaced) whenever the mechanism is swapped or
 	// a backend is quarantined, so workers sleeping inside the original
-	// mechanism's poll loop re-check their abort conditions immediately
-	// instead of after the full acquire window.
+	// mechanism's poll ask the core at once whether the poll is over.
 	wake chan struct{}
-	// rr is the round_robin cursor, always in [0, len(backends)).
-	rr int
-	// prng backs prequal's power-of-d sampling.
-	prng    *rand.Rand
-	rejects uint64
-	// views parks emitDecision's candidate-table scratch between
+	// prng backs the core's randomized choices (prequal's sampling).
+	prng *rand.Rand
+	// views parks the decision event's candidate-table scratch between
 	// dispatches; the event log copies the table it is handed.
 	views []obs.CandidateView
 
-	sessions sessionTable
-	onAssign func(*Backend)
-	onProbe  func(*Backend, time.Duration, bool)
-	events   *obs.EventLog
-	epoch    time.Time
-	source   string
+	sessions   sessionTable
+	onAssign   func(*Backend)
+	onProbe    func(*Backend, time.Duration, bool)
+	events     *obs.EventLog
+	eventEpoch time.Time
+	source     string
 }
 
-// NewBalancer builds a balancer over the backends.
+// NewBalancer builds a balancer over the backends. A zero policy or
+// mechanism means current_load and the modified mechanism.
 func NewBalancer(policy Policy, mech Mechanism, backends []*Backend, cfg Config) *Balancer {
 	if len(backends) == 0 {
 		panic("httpcluster: NewBalancer with no backends")
 	}
-	copied := make([]*Backend, len(backends))
-	copy(copied, backends)
-	return &Balancer{
-		cfg:      cfg.withDefaults(),
-		backends: copied,
+	if policy == 0 {
+		policy = PolicyCurrentLoad
+	}
+	if mech == 0 {
+		mech = MechanismModified
+	}
+	if cfg.AcquireSleep <= 0 {
+		cfg.AcquireSleep = lb.DefaultAcquireSleep
+	}
+	if cfg.AcquireTimeout <= 0 {
+		cfg.AcquireTimeout = lb.DefaultAcquireTimeout
+	}
+	b := &Balancer{
+		backends: append([]*Backend(nil), backends...),
+		epoch:    time.Now(),
 		policy:   policy,
 		mech:     mech,
-		wake:     make(chan struct{}),
-		prng:     rand.New(rand.NewPCG(0x7072657175616c, uint64(len(copied)))),
+		mechs: [...]lb.Mechanism{
+			MechanismOriginal: &lb.OriginalGetEndpoint{Sleep: cfg.AcquireSleep, Timeout: cfg.AcquireTimeout},
+			MechanismModified: lb.NewModifiedGetEndpoint(),
+		},
+		wake: make(chan struct{}),
+		prng: rand.New(rand.NewPCG(0x7072657175616c, uint64(len(backends)))),
 	}
+	for p := PolicyTotalRequest; int(p) < len(policyNames); p++ {
+		b.policies[p], _ = lb.PolicyByName(p.String())
+	}
+	recs := make([]*lb.Record, len(b.backends))
+	for i, be := range b.backends {
+		be.bal = b
+		recs[i] = &be.rec
+	}
+	b.core = lb.NewCore(b.lbPolicy(policy), b.lbMechanism(mech), recs, lb.Config{
+		BusyRecovery:   cfg.BusyRecovery,
+		ErrorThreshold: cfg.ErrorThreshold,
+		ErrorAfter:     cfg.ErrorAfter,
+		ErrorRecovery:  cfg.ErrorRecovery,
+		Sweeps:         cfg.Sweeps,
+		SweepPause:     cfg.SweepPause,
+		StickySessions: cfg.StickySessions,
+	}, b.stateChanged)
+	return b
+}
+
+// lbPolicy returns the balancer's lb instance of policy p.
+func (b *Balancer) lbPolicy(p Policy) lb.Policy {
+	if p <= 0 || int(p) >= len(b.policies) {
+		panic(fmt.Sprintf("httpcluster: unknown policy %v", p))
+	}
+	return b.policies[p]
+}
+
+// lbMechanism returns the balancer's lb instance of mechanism m.
+func (b *Balancer) lbMechanism(m Mechanism) lb.Mechanism {
+	if m <= 0 || int(m) >= len(b.mechs) {
+		panic(fmt.Sprintf("httpcluster: unknown mechanism %v", m))
+	}
+	return b.mechs[m]
+}
+
+// now reads the core's clock: wall time since the balancer was built.
+func (b *Balancer) now() time.Duration { return time.Since(b.epoch) }
+
+// lockBackends takes every backend's mu, in list order. The caller holds
+// b.mu.
+func (b *Balancer) lockBackends() {
+	for _, be := range b.backends {
+		be.mu.Lock()
+	}
+}
+
+func (b *Balancer) unlockBackends() {
+	for _, be := range b.backends {
+		be.mu.Unlock()
+	}
+}
+
+// stateChanged is the core's state hook: a transition becomes a state
+// event. It runs under the changed backend's mu.
+func (b *Balancer) stateChanged(r *lb.Record, from lb.State) {
+	if b.events == nil || from == r.State() {
+		return
+	}
+	b.events.Append(obs.Event{
+		T:       time.Since(b.eventEpoch),
+		Kind:    obs.KindState,
+		Backend: r.Name(),
+		From:    from.String(),
+		To:      r.State().String(),
+	})
 }
 
 // Backends returns the backend list (shared; do not mutate).
 func (b *Balancer) Backends() []*Backend { return b.backends }
 
 // SetProbePools wires the prequal policy's probe pools and the reseed
-// hook fired after a runtime swap to prequal (typically WallProber's
-// Reseed: clear the pools, fire an immediate probe round). Call before
-// serving traffic. Without pools a prequal balancer degrades to
-// in-flight ranking. Pool handles are resolved here, once, so the
-// dispatch path never pays the per-name map lookups again.
+// hook a runtime swap to prequal fires (typically WallProber's Reseed:
+// clear the pools, fire an immediate probe round). Call before serving
+// traffic. Without pools a prequal balancer degrades to in-flight
+// ranking.
 func (b *Balancer) SetProbePools(pools *probe.Pools, reseed func()) {
-	var handles []probe.Handle
-	var epoch time.Time
-	if pools != nil {
-		handles = make([]probe.Handle, len(b.backends))
-		for i, be := range b.backends {
-			handles[i] = pools.Handle(be.name)
-		}
-		// The wall pools' clock is monotonic wall time, so one offset
-		// measured here converts every later timestamp exactly.
-		epoch = time.Now().Add(-pools.Now())
-	}
+	pq := b.policies[PolicyPrequal].(*lb.Prequal)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.pools, b.reseed, b.prHandles, b.poolEpoch = pools, reseed, handles, epoch
+	b.pools = pools
+	pq.AttachPools(pools)
+	pq.SetSeedHook(reseed)
 }
 
 // ProbePools exposes the wired pools (nil when probing is off).
@@ -470,88 +438,97 @@ func (b *Balancer) ProbePools() *probe.Pools {
 func (b *Balancer) Rejects() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.rejects
+	return b.core.Rejects()
 }
 
 // SetAssignHook registers a hook invoked (without locks held) whenever
 // a backend is chosen by the scheduler.
 func (b *Balancer) SetAssignHook(hook func(*Backend)) { b.onAssign = hook }
 
-// SetEventLog wires the balancer and every backend into an event log:
-// each dispatch decision is recorded with the full candidate table
-// (lb_value, state, in-flight, free endpoints) and each 3-state-machine
-// transition becomes a state event. source names the emitter; epoch is
-// the time base events are stamped against. Call before serving
-// traffic.
+// SetEventLog wires the balancer into an event log: each dispatch
+// decision is recorded with the full candidate table (lb_value, state,
+// in-flight, free endpoints) and each 3-state-machine transition becomes
+// a state event. source names the emitter; epoch is the time base
+// events are stamped against. Call before serving traffic.
 func (b *Balancer) SetEventLog(log *obs.EventLog, source string, epoch time.Time) {
-	b.events = log
-	b.epoch = epoch
-	b.source = source
-	for _, be := range b.backends {
-		be.attachEvents(log, epoch)
-	}
+	b.events, b.source, b.eventEpoch = log, source, epoch
 }
 
-// emitDecision records one dispatch decision with a snapshot of every
-// candidate (the same way mod_jk's scheduler reads the worker table).
-// The scratch table is taken out under mu and put back after the event
-// log has copied it, so no balancer lock is held across Append and its
-// hook; a dispatch that finds the scratch taken by a concurrent emit
-// makes its own.
-func (b *Balancer) emitDecision(chosen *Backend) {
+// choice is one pass of the core's choice: the backend, the clock
+// reading it was made at, and — with an event log armed — the candidate
+// table the decision event carries and the pools that enrich it.
+type choice struct {
+	be    *Backend
+	now   time.Duration
+	views []obs.CandidateView
+	pools *probe.Pools
+}
+
+// choose runs the core's choice under the balancer's mu and every
+// backend's, starts the mechanism's poll on the chosen backend, and
+// snapshots the candidate table when an event log is
+// armed (the way mod_jk's scheduler reads the worker table).
+func (b *Balancer) choose(w *lb.Walk, pinned *Backend) choice {
+	c := choice{now: b.now()}
+	var pin *lb.Record
+	if pinned != nil {
+		pin = &pinned.rec
+	}
+	b.mu.Lock()
+	b.lockBackends()
+	if r := b.core.Choose(w, pin, c.now, b.prng); r != nil {
+		b.core.Assign(w, r)
+		c.be = b.backends[r.Index()]
+		if b.events != nil {
+			// A dispatch that finds the scratch taken by a concurrent
+			// emit makes its own.
+			c.views, b.views, c.pools = b.views[:0], nil, b.pools
+			for _, be := range b.backends {
+				c.views = append(c.views, obs.CandidateView{
+					Name:          be.name,
+					LBValue:       be.rec.LBValue(),
+					State:         be.rec.State().String(),
+					InFlight:      be.rec.InFlight(),
+					FreeEndpoints: be.free,
+				})
+			}
+		}
+	}
+	b.unlockBackends()
+	b.mu.Unlock()
+	return c
+}
+
+// emitDecision records one dispatch decision with the table choose
+// took, each row with the backend's freshest probe sample. It runs with
+// no balancer lock held and parks the table's scratch for the next
+// dispatch once the event log has copied it.
+func (b *Balancer) emitDecision(c choice) {
 	if b.events == nil {
 		return
 	}
-	b.mu.Lock()
-	views, pools := b.views[:0], b.pools
-	b.views = nil
-	b.mu.Unlock()
-	for _, be := range b.backends {
-		be.mu.Lock()
-		v := obs.CandidateView{
-			Name:          be.name,
-			LBValue:       be.lbValue,
-			State:         stateName(be.state),
-			InFlight:      be.inFlightLocked(),
-			FreeEndpoints: be.free,
+	for i := range c.views {
+		if c.pools == nil {
+			break
 		}
-		be.mu.Unlock()
-		if pools != nil {
-			if smp, ok := pools.Peek(be.name); ok {
-				v.ProbeInFlight = smp.InFlight
-				v.ProbeLatencyMs = float64(smp.Latency) / float64(time.Millisecond)
-				v.ProbeAgeMs = float64(smp.Age) / float64(time.Millisecond)
-				v.ProbeFresh = true
-			}
+		v := &c.views[i]
+		if smp, ok := c.pools.Peek(v.Name); ok {
+			v.ProbeInFlight = smp.InFlight
+			v.ProbeLatencyMs = float64(smp.Latency) / float64(time.Millisecond)
+			v.ProbeAgeMs = float64(smp.Age) / float64(time.Millisecond)
+			v.ProbeFresh = true
 		}
-		views = append(views, v)
 	}
 	b.events.Append(obs.Event{
-		T:          time.Since(b.epoch),
+		T:          time.Since(b.eventEpoch),
 		Kind:       obs.KindDecision,
 		Source:     b.source,
-		Chosen:     chosen.name,
-		Candidates: views,
+		Chosen:     c.be.name,
+		Candidates: c.views,
 	})
 	b.mu.Lock()
-	b.views = views
+	b.views = c.views
 	b.mu.Unlock()
-}
-
-// triedSet tracks the backends a dispatch already failed on. Backend
-// sets are tiny (the paper's testbed has four application servers), so
-// a slice with a linear scan beats a map and costs at most one
-// allocation per failing dispatch instead of one per map insert — the
-// same fix internal/lb carries.
-type triedSet []*Backend
-
-func (t triedSet) has(be *Backend) bool {
-	for _, x := range t {
-		if x == be {
-			return true
-		}
-	}
-	return false
 }
 
 // Release finishes an acquired dispatch. Done records a completed
@@ -570,7 +547,7 @@ func (r Release) Done(responseBytes int64) {
 	if r.bal == nil {
 		return
 	}
-	r.bal.noteComplete(r.be, r.requestBytes, responseBytes)
+	r.bal.complete(r.be, lb.RequestInfo{RequestBytes: r.requestBytes, ResponseBytes: responseBytes})
 }
 
 // Fail unwinds the dispatch after an upstream failure.
@@ -589,336 +566,134 @@ func (r Release) Backend() *Backend { return r.be }
 // returns the backend and a Release the caller must finish exactly once
 // (Done with the response size, or Fail on upstream failure).
 func (b *Balancer) Acquire(requestBytes int64) (*Backend, Release, error) {
-	// tried is allocated lazily on the first acquisition failure, so
-	// the happy path — first choice has a free endpoint — allocates
-	// nothing at all.
-	var tried triedSet
-	for sweep := 0; sweep < b.cfg.Sweeps; sweep++ {
-		if sweep > 0 {
-			time.Sleep(b.cfg.SweepPause)
-			tried = tried[:0]
-		}
-		for len(tried) < len(b.backends) {
-			// The policy is read once per choice, so a runtime swap lands
-			// between choices and never inside one.
-			be, policy := b.choose(tried)
-			if be == nil {
+	return b.acquire(nil, requestBytes)
+}
+
+// acquire walks the core from choice to endpoint: a choice, the
+// mechanism's checks and poll sleeps on the chosen backend, another
+// choice when it gives up, a pause when a sweep found nothing. pinned is
+// the session's backend, or nil.
+func (b *Balancer) acquire(pinned *Backend, requestBytes int64) (*Backend, Release, error) {
+	var w lb.Walk
+	w.Begin()
+	info := lb.RequestInfo{RequestBytes: requestBytes}
+	for {
+		c := b.choose(&w, pinned)
+		if c.be == nil {
+			b.mu.Lock()
+			pause, again := b.core.NextSweep(&w)
+			b.mu.Unlock()
+			if !again {
 				break
 			}
-			if b.onAssign != nil {
-				b.onAssign(be)
-			}
-			b.emitDecision(be)
-			if b.acquireEndpoint(be, policy) {
-				return be, Release{bal: b, be: be, requestBytes: requestBytes}, nil
-			}
-			b.noteFailure(be)
-			if tried == nil {
-				tried = make(triedSet, 0, len(b.backends))
-			}
-			tried = append(tried, be)
+			time.Sleep(pause)
+			continue
+		}
+		if b.onAssign != nil {
+			b.onAssign(c.be)
+		}
+		b.emitDecision(c)
+		if b.acquireEndpoint(&w, c.be, info, c.now) {
+			return c.be, Release{bal: b, be: c.be, requestBytes: requestBytes}, nil
 		}
 	}
-	b.mu.Lock()
-	b.rejects++
-	b.mu.Unlock()
 	if b.events != nil {
-		b.events.Append(obs.Event{T: time.Since(b.epoch), Kind: obs.KindReject, Source: b.source})
+		b.events.Append(obs.Event{T: time.Since(b.eventEpoch), Kind: obs.KindReject, Source: b.source})
 	}
 	return nil, Release{}, ErrNoBackend
 }
 
-// acquireEndpoint runs the configured mechanism against one backend,
-// recording the dispatch under policy when an endpoint is claimed.
-func (b *Balancer) acquireEndpoint(be *Backend, policy Policy) bool {
-	if b.claim(be, policy) {
-		return true
-	}
-	if b.CurrentMechanism() == MechanismModified {
-		return false
-	}
-	// Algorithm 1: poll while retry*sleep < timeout, holding the
-	// caller. The backend's state is deliberately left untouched for
-	// the whole window — the mechanism-level limitation. With the
-	// defaults this checks at 0, 100 and 200 ms and gives up at 300 ms,
-	// matching the simulation-time mechanism in internal/lb. Unlike
-	// the paper's mod_jk, the abort conditions (a runtime
-	// original→modified swap, a quarantine of this backend) are
-	// re-checked every iteration and mid-sleep, so the adaptive control
-	// plane's remediation frees blocked workers immediately instead of
-	// after the rest of the window — the same fix internal/lb shipped
-	// for quarantine-aborted polls.
-	for retry := 1; time.Duration(retry)*b.cfg.AcquireSleep < b.cfg.AcquireTimeout; retry++ {
-		if !b.sleepPoll(be, b.cfg.AcquireSleep) {
-			return false
-		}
-		if b.claim(be, policy) {
-			return true
-		}
-	}
-	b.sleepPoll(be, b.cfg.AcquireSleep) // the final sleep before the guard fails
-	return false
-}
-
-// sleepPoll sleeps one poll interval, returning false early when the
-// mechanism is swapped away from original or the backend is drained by
-// the control plane (armed probes keep polling — measuring the drained
-// backend is their whole purpose). Both conditions and the wake channel
-// are read under mu, the lock their writers change them under, so a
-// swap or quarantine either shows here or closes the channel waited on.
-func (b *Balancer) sleepPoll(be *Backend, d time.Duration) bool {
-	deadline := time.Now().Add(d)
+// acquireEndpoint runs the walk's mechanism on be: take a token now, or,
+// under the original mechanism, sleep and check again until the core
+// ends the poll. now is the clock reading of the choice.
+func (b *Balancer) acquireEndpoint(w *lb.Walk, be *Backend, info lb.RequestInfo, now time.Duration) bool {
 	for {
+		claimed, poll, probeFailed := false, false, false
+		var sleep time.Duration
 		b.mu.Lock()
 		be.mu.Lock()
-		abort := b.mech != MechanismOriginal || be.drainedLocked()
-		be.mu.Unlock()
+		if b.core.Check(w) {
+			if claimed = be.free > 0; claimed {
+				be.free--
+				b.core.Claim(&be.rec, info, now)
+			} else {
+				sleep, poll = w.Missed()
+			}
+		}
+		if !claimed && !poll {
+			probeFailed = b.core.DisarmProbe(&be.rec)
+			b.core.GiveUp(w, now)
+		}
 		wake := b.wake
+		be.mu.Unlock()
 		b.mu.Unlock()
-		if abort {
-			return false
+		if probeFailed && b.onProbe != nil {
+			b.onProbe(be, 0, false)
 		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return true
+		if claimed || !poll {
+			return claimed
 		}
-		t := time.NewTimer(remain)
+		b.sleepPoll(w, be, sleep, wake)
+		now = b.now()
+	}
+}
+
+// sleepPoll sleeps one poll interval of the walk on be. A mechanism swap
+// or a quarantine closes the wake channel; the sleeper then asks the
+// core whether its poll is over and returns early if it is. The
+// condition and the channel are read under the locks their writers
+// change them under, so a swap either shows there or closes the channel
+// waited on.
+func (b *Balancer) sleepPoll(w *lb.Walk, be *Backend, d time.Duration, wake chan struct{}) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	for {
 		select {
 		case <-t.C:
+			return
 		case <-wake:
 		}
-		t.Stop()
+		b.mu.Lock()
+		be.mu.Lock()
+		aborted := b.core.Aborted(w)
+		be.mu.Unlock()
+		wake = b.wake
+		b.mu.Unlock()
+		if aborted {
+			return
+		}
 	}
 }
 
-// choose picks the lowest-lb_value backend: Available first, then Busy;
-// Error, already-tried and quarantined backends (unless probe-armed)
-// are excluded. Under round_robin the lb_values are ignored and the
-// non-excluded backends are rotated through instead. It returns the
-// policy the choice was made under.
-func (b *Balancer) choose(tried triedSet) (*Backend, Policy) {
-	now := time.Now()
+// complete records a completed response: the token returns, the core
+// readmits the backend and ends a probe in flight through it.
+func (b *Balancer) complete(be *Backend, info lb.RequestInfo) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.policy {
-	case PolicyRoundRobin:
-		be := b.rotateLocked(BackendAvailable, tried, now)
-		if be == nil {
-			be = b.rotateLocked(BackendBusy, tried, now)
-		}
-		return be, b.policy
-	case PolicyPrequal:
-		if be := b.choosePrequalLocked(tried, now); be != nil {
-			return be, b.policy
-		}
-		// No sampled backend had fresh probe data (or pools are
-		// detached): fall through to the lb_value scan, which under
-		// prequal bookkeeping ranks by in-flight — the stalled backend
-		// with requests piled on it still loses.
-	}
-	pick := func(state BackendState) *Backend {
-		var best *Backend
-		bestVal := 0.0
-		for _, be := range b.backends {
-			if tried.has(be) {
-				continue
-			}
-			val, ok := be.schedulable(state, now)
-			if ok && (best == nil || val < bestVal) {
-				best, bestVal = be, val
-			}
-		}
-		return best
-	}
-	if be := pick(BackendAvailable); be != nil {
-		return be, b.policy
-	}
-	return pick(BackendBusy), b.policy
-}
-
-// prequalMaskCap bounds the bitmask eligibility encoding; clusters
-// beyond it fall back to the lb_value scan (the paper's testbed has
-// four backends; Prequal's own deployments sample from tens).
-const prequalMaskCap = 64
-
-// choosePrequalLocked runs the hot/cold probe selection over the
-// eligible backends (Available first, then Busy — the same two-level
-// order as the lb_value scan). Returns nil when the pools are detached
-// or no sampled backend holds a fresh probe, leaving the caller to fall
-// back. Eligibility is encoded as a bitmask over the stable backend
-// list and handed to the pools with pre-resolved handles, so one sweep
-// costs a single pools consultation — no per-name map lookups, no
-// scratch slices. The caller holds b.mu, which also guards prng.
-func (b *Balancer) choosePrequalLocked(tried triedSet, now time.Time) *Backend {
-	if b.pools == nil || len(b.backends) > prequalMaskCap {
-		return nil
-	}
-	pick := func(state BackendState) *Backend {
-		var mask uint64
-		for i, be := range b.backends {
-			if tried.has(be) {
-				continue
-			}
-			if _, ok := be.schedulable(state, now); ok {
-				mask |= 1 << i
-			}
-		}
-		if mask == 0 {
-			return nil
-		}
-		if i := b.pools.PickHandles(b.prHandles, mask, b.prng, now.Sub(b.poolEpoch)); i >= 0 {
-			return b.backends[i]
-		}
-		return nil
-	}
-	if be := pick(BackendAvailable); be != nil {
-		return be
-	}
-	return pick(BackendBusy)
-}
-
-// rotateLocked implements round_robin over the stable backend list: the
-// scan starts at the cursor and the cursor advances to just past the
-// chosen backend, so ineligible entries (Busy flicker, a quarantine)
-// are skipped without skewing the rotation. Indexing a per-call
-// eligible slice with a shared counter — the pre-PR 4 implementation —
-// let membership churn re-align the counter and hand consecutive
-// dispatches to the same backend. The caller holds b.mu.
-func (b *Balancer) rotateLocked(state BackendState, tried triedSet, now time.Time) *Backend {
-	n := len(b.backends)
-	for i := 0; i < n; i++ {
-		be := b.backends[(b.rr+i)%n]
-		if tried.has(be) {
-			continue
-		}
-		if _, ok := be.schedulable(state, now); ok {
-			b.rr = (b.rr + i + 1) % n
-			return be
-		}
-	}
-	return nil
-}
-
-// claim takes one endpoint token from be and, when there was one,
-// records the dispatch: the backend proves responsive (Available, no
-// failure streak), an armed probe starts, and the policy's dispatch-side
-// lb_value bookkeeping applies. Reports whether a token was free.
-func (b *Balancer) claim(be *Backend, policy Policy) bool {
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if be.free <= 0 {
-		return false
-	}
-	be.free--
-	be.consecFails = 0
-	be.setStateLocked(BackendAvailable, time.Time{})
-	if be.probeArmed {
-		be.probeArmed, be.probing = false, true
-		be.probeStart = time.Now()
-	}
-	be.dispatched++
-	switch policy {
-	case PolicyTotalRequest, PolicyCurrentLoad, PolicyPrequal:
-		// Prequal keeps current_load's in-flight bookkeeping so its
-		// fallback ranking (and a later swap away from it) has sane
-		// lb_values — the probe pools, not lb_value, drive its choices.
-		be.lbValue += 1 / be.weightLocked()
-	case PolicyRoundRobin:
-		be.lbValue++
-	case PolicyTotalTraffic:
-		// Accounted on completion, per Algorithm 3.
-	}
-	return true
-}
-
-// unloadLocked applies the in-flight policies' completion-side
-// decrement, clamped at zero. The caller holds b.mu.
-func (b *Backend) unloadLocked(policy Policy) {
-	var unit float64
-	switch policy {
-	case PolicyCurrentLoad, PolicyPrequal:
-		unit = 1 / b.weightLocked()
-	case PolicyRoundRobin:
-		unit = 1
-	default:
-		return
-	}
-	if b.lbValue >= unit {
-		b.lbValue -= unit
-	} else {
-		b.lbValue = 0
-	}
-}
-
-// noteComplete records a completed response, returns the endpoint token
-// and resolves an in-flight quarantine probe.
-func (b *Balancer) noteComplete(be *Backend, requestBytes, responseBytes int64) {
-	policy := b.CurrentPolicy()
 	be.mu.Lock()
 	be.free++
-	be.completed++
-	be.traffic += requestBytes + responseBytes
-	be.consecFails = 0
-	be.setStateLocked(BackendAvailable, time.Time{})
-	probed := be.probing
-	be.probing = false
-	var rt time.Duration
-	if probed {
-		rt = time.Since(be.probeStart)
-	}
-	if policy == PolicyTotalTraffic {
-		be.lbValue += float64(requestBytes+responseBytes) / be.weightLocked()
-	} else {
-		be.unloadLocked(policy)
-	}
+	start, probed := b.core.Complete(&be.rec, info)
 	be.mu.Unlock()
+	b.mu.Unlock()
 	if probed && b.onProbe != nil {
-		b.onProbe(be, rt, true)
-	}
-}
-
-// noteFailure feeds the Busy/Error ladder after a failed endpoint
-// acquisition.
-func (b *Balancer) noteFailure(be *Backend) {
-	now := time.Now()
-	be.mu.Lock()
-	be.lazyRecoverLocked(now)
-	probeFailed := be.probeArmed
-	be.probeArmed = false
-	if be.consecFails == 0 {
-		be.firstFail = now
-	}
-	be.consecFails++
-	switch {
-	case be.consecFails >= b.cfg.ErrorThreshold && now.Sub(be.firstFail) >= b.cfg.ErrorAfter:
-		be.setStateLocked(BackendError, now.Add(b.cfg.ErrorRecovery))
-	case be.state == BackendAvailable:
-		be.setStateLocked(BackendBusy, now.Add(b.cfg.BusyRecovery))
-	}
-	be.mu.Unlock()
-	if probeFailed && b.onProbe != nil {
-		b.onProbe(be, 0, false)
+		b.onProbe(be, b.now()-start, true)
 	}
 }
 
 // noteUpstreamFailure unwinds a dispatched request whose upstream round
 // trip failed (crash, timeout, injected loss): the request is no longer
-// in flight — completed counts it, the in-flight policies decrement and
-// the endpoint token returns — but unlike noteComplete it does not
-// prove the backend responsive. The failure feeds the Busy/Error ladder
-// so the scheduler routes around the backend, and an in-flight probe
-// reports failure.
+// in flight and its token returns, but the failure feeds the Busy/Error
+// ladder so the scheduler routes around the backend, and a probe
+// through it reports failure.
 func (b *Balancer) noteUpstreamFailure(be *Backend) {
-	policy := b.CurrentPolicy()
+	now := b.now()
+	b.mu.Lock()
 	be.mu.Lock()
 	be.free++
-	be.completed++
-	be.unloadLocked(policy)
-	probeFailed := be.probing
-	be.probing = false
+	probeFailed := b.core.Unwind(&be.rec)
+	b.core.Fail(&be.rec, now)
 	be.mu.Unlock()
+	b.mu.Unlock()
 	if probeFailed && b.onProbe != nil {
 		b.onProbe(be, 0, false)
 	}
-	b.noteFailure(be)
 }

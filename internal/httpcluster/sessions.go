@@ -1,40 +1,14 @@
 package httpcluster
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
-// Sticky sessions and weights for the wall-clock balancer, mirroring
-// internal/lb's mod_jk features. Sessions are identified by an opaque
-// string (typically a cookie value); weights are mod_jk's lbfactor.
-// Both sit on the per-request path, so neither takes the balancer's
-// lock: a weight lives under its backend's mutex and the session table
-// is sharded by key hash — concurrent requests for different sessions
-// proceed on different shard locks.
-
-// SetWeight assigns the backend's lbfactor (values ≤ 0 or non-finite
-// mean 1): a weight-2 backend receives twice a weight-1 backend's
-// traffic because its lb_value increments are halved. NaN needs its
-// own check — it compares false against 0, so it slipped through the
-// `w <= 0` guard and poisoned every subsequent 1/weight lb_value
-// update (internal/check testdata/weight-nan.script); ±Inf likewise
-// passed and froze the increments at 1/Inf = 0.
-func (b *Backend) SetWeight(w float64) {
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		w = 1
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.weight = w
-}
-
-// Weight returns the backend's lbfactor.
-func (b *Backend) Weight() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.weightLocked()
-}
+// Sticky sessions for the proxy's balancer, mod_jk's sticky_session.
+// Sessions are identified by an opaque string (typically a cookie
+// value). The table sits on the per-request path, so it does not take
+// the balancer's lock: it is sharded by key hash, and concurrent
+// requests for different sessions proceed on different shard locks.
+// Whether a session's backend may serve it is the core's rule
+// (lb.Core.Choose).
 
 // sessionShards is the session-table shard count. A power of two so the
 // hash folds with a mask; 16 shards keep the table effectively
@@ -69,9 +43,6 @@ func (t *sessionTable) shard(key string) *sessionShard {
 }
 
 func (t *sessionTable) get(key string) *Backend {
-	if key == "" {
-		return nil
-	}
 	s := t.shard(key)
 	s.mu.RLock()
 	be := s.m[key]
@@ -80,9 +51,6 @@ func (t *sessionTable) get(key string) *Backend {
 }
 
 func (t *sessionTable) bind(key string, be *Backend) {
-	if key == "" {
-		return
-	}
 	s := t.shard(key)
 	s.mu.Lock()
 	if s.m == nil {
@@ -108,26 +76,17 @@ func (b *Balancer) Sessions() int { return b.sessions.len() }
 
 // AcquireSession is Acquire with mod_jk sticky-session semantics: when
 // sticky sessions are enabled and the session key is non-empty, the
-// request goes to the backend the session first landed on unless it is
-// in Error or its endpoint acquisition fails — in which case the
-// balancer falls back to normal selection and rebinds.
+// request goes to the backend the session is bound to unless it is in
+// Error or drained or its endpoint acquisition fails — then that backend
+// joins the dispatch's tried set like any failed choice, the policy
+// chooses, and the session is bound to wherever the request lands.
 func (b *Balancer) AcquireSession(sessionKey string, requestBytes int64) (*Backend, Release, error) {
-	if b.cfg.StickySessions && sessionKey != "" {
-		if be := b.sessions.get(sessionKey); be != nil && be.State() != BackendError && !be.Quarantined() {
-			policy := b.CurrentPolicy()
-			if b.onAssign != nil {
-				b.onAssign(be)
-			}
-			b.emitDecision(be)
-			if b.acquireEndpoint(be, policy) {
-				return be, Release{bal: b, be: be, requestBytes: requestBytes}, nil
-			}
-			b.noteFailure(be)
-		}
+	if !b.core.Config().StickySessions || sessionKey == "" {
+		return b.acquire(nil, requestBytes)
 	}
-	be, release, err := b.Acquire(requestBytes)
-	if err == nil && b.cfg.StickySessions {
+	be, rel, err := b.acquire(b.sessions.get(sessionKey), requestBytes)
+	if err == nil {
 		b.sessions.bind(sessionKey, be)
 	}
-	return be, release, err
+	return be, rel, err
 }

@@ -40,8 +40,8 @@ func newRecordBalancer(mech func(*sim.Engine) Mechanism, endpoints int, cfg Conf
 	return eng, New(eng, TotalRequest{}, mech(eng), cands, cfg)
 }
 
-func modified(*sim.Engine) Mechanism     { return NewModifiedGetEndpoint() }
-func original(eng *sim.Engine) Mechanism { return NewOriginalGetEndpoint(eng) }
+func modified(*sim.Engine) Mechanism { return NewModifiedGetEndpoint() }
+func original(*sim.Engine) Mechanism { return NewOriginalGetEndpoint() }
 
 // TestStartCompleteZeroAlloc: a dispatch through a reused Attempt
 // allocates nothing — on the clean path, and on the path that fails on a
@@ -99,10 +99,12 @@ func TestAttemptReuseStartsClean(t *testing.T) {
 	}
 }
 
-// TestPollFinishesUnderItsOwnMechanism: swapping the balancer's
-// mechanism while a dispatch is polling does not cut the poll short — a
-// loop runs to its timeout under the mechanism it started with.
-func TestPollFinishesUnderItsOwnMechanism(t *testing.T) {
+// TestPollAbortsOnMechanismSwap: swapping the balancer's mechanism to
+// one that does not poll ends a poll in progress at its next check, as a
+// quarantine of the polled candidate does — the control plane's remedy
+// frees the blocked worker instead of holding it for the rest of the
+// acquire window.
+func TestPollAbortsOnMechanismSwap(t *testing.T) {
 	eng, bal := newRecordBalancer(original, 1, Config{Sweeps: 1}, "app1")
 	blocker := &record{bal: bal, hold: true}
 	bal.Start(&blocker.Attempt, RequestInfo{}, blocker)
@@ -110,13 +112,13 @@ func TestPollFinishesUnderItsOwnMechanism(t *testing.T) {
 	bal.Start(&r.Attempt, RequestInfo{}, r)
 	eng.Run(50 * time.Millisecond)
 	bal.SetMechanism(NewModifiedGetEndpoint())
-	eng.Run(299 * time.Millisecond)
+	eng.Run(99 * time.Millisecond)
 	if r.rejected != 0 {
-		t.Fatal("mechanism swap ended a poll loop early")
+		t.Fatal("poll ended before its next check")
 	}
-	eng.Run(300 * time.Millisecond)
+	eng.Run(100 * time.Millisecond)
 	if r.rejected != 1 {
-		t.Fatalf("rejected=%d at the original mechanism's 300 ms timeout, want 1", r.rejected)
+		t.Fatalf("rejected=%d at the first check after the swap, want 1", r.rejected)
 	}
 }
 

@@ -7,180 +7,167 @@ import (
 	"millibalance/internal/sim"
 )
 
-// Config tunes the 3-state machine around the policy and mechanism.
-type Config struct {
-	// BusyRecovery is how long a candidate stays Busy before being
-	// probed again (default 100 ms). A completed response readmits it
-	// immediately.
-	BusyRecovery sim.Time
-	// ErrorThreshold is the number of consecutive endpoint-acquisition
-	// failures that escalate Busy to Error (default 3, mirroring
-	// mod_jk's retry ladder).
-	ErrorThreshold int
-	// ErrorAfter additionally requires the consecutive failures to span
-	// at least this long before escalating (default 2 s). Millibottle-
-	// necks last tens to hundreds of milliseconds and can fail dozens
-	// of concurrent acquisitions at once; only failures that persist
-	// well beyond that horizon indicate a genuinely failed server.
-	ErrorAfter sim.Time
-	// ErrorRecovery is how long an Error candidate is excluded before
-	// being tentatively readmitted (default 10 s).
-	ErrorRecovery sim.Time
-	// MaxAttempts bounds how many distinct candidates one sweep may
-	// try (default: all of them). A sweep never retries a candidate it
-	// already failed on.
-	MaxAttempts int
-	// Sweeps is how many full candidate sweeps a dispatch makes before
-	// rejecting (mod_jk's balancer-level retries; default 3). The
-	// caller's worker thread stays occupied across sweeps.
-	Sweeps int
-	// SweepPause separates consecutive sweeps (default 100 ms).
-	SweepPause sim.Time
-	// MaintainInterval runs the policy's Maintain hook (if it
-	// implements Maintainer) on every candidate at this period —
-	// mod_jk's global maintain, which decays lb_values. Zero disables
-	// maintenance.
-	MaintainInterval sim.Time
-	// StickySessions pins each session (RequestInfo.SessionID) to the
-	// backend it first landed on, overriding the policy unless that
-	// backend is in Error or already failed this dispatch — mod_jk's
-	// sticky_session behaviour.
-	StickySessions bool
+// Candidate is one application server as one simulated balancer sees
+// it: the core's record, the balancer's endpoint pool to that server
+// (mod_jk's endpoint cache; 25 in the paper's configuration) and the
+// engine timer of its pending Busy or Error recovery.
+type Candidate struct {
+	Record
+	pool  *sim.Pool
+	b     *Balancer
+	timer sim.Timer
 }
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults(candidates int) Config {
-	if c.BusyRecovery <= 0 {
-		c.BusyRecovery = 100 * time.Millisecond
+// NewCandidate returns a candidate backed by the given endpoint pool.
+func NewCandidate(name string, pool *sim.Pool) *Candidate {
+	if pool == nil {
+		panic("lb: NewCandidate with nil pool")
 	}
-	if c.ErrorThreshold <= 0 {
-		c.ErrorThreshold = 3
-	}
-	if c.ErrorAfter <= 0 {
-		c.ErrorAfter = 2 * time.Second
-	}
-	if c.ErrorRecovery <= 0 {
-		c.ErrorRecovery = 10 * time.Second
-	}
-	if c.MaxAttempts <= 0 || c.MaxAttempts > candidates {
-		c.MaxAttempts = candidates
-	}
-	if c.Sweeps <= 0 {
-		c.Sweeps = 3
-	}
-	if c.SweepPause <= 0 {
-		c.SweepPause = 100 * time.Millisecond
-	}
-	return c
+	return &Candidate{Record: NewRecord(name), pool: pool}
 }
 
-// Balancer is the lower level of the two-level scheduler: it picks the
-// Available candidate with the lowest lb_value, runs the configured
-// endpoint-acquisition mechanism, and maintains the 3-state machine.
-// One balancer instance lives in each web-tier server (each Apache runs
-// its own mod_jk with private endpoint pools and lb_values).
+// FreeEndpoints reports free connections in the endpoint pool.
+func (c *Candidate) FreeEndpoints() int { return c.pool.Free() }
+
+// Fire is the candidate's recovery timer: its Busy or Error interval has
+// passed.
+func (c *Candidate) Fire() {
+	c.timer = sim.Timer{}
+	c.b.core.Recover(&c.Record)
+}
+
+// Snapshot is a point-in-time copy of a candidate's balancer-visible
+// state, taken by the metrics samplers (the paper instruments mod_jk the
+// same way to plot Fig. 10b/11b).
+type Snapshot struct {
+	Name          string
+	LBValue       float64
+	Weight        float64
+	State         State
+	InFlight      int
+	Dispatched    uint64
+	Completed     uint64
+	FreeEndpoints int
+	Quarantined   bool
+
+	// Probe* mirror the freshest probe-pool sample when the active
+	// policy exposes one (ProbeViewer); ProbeFresh is false — and the
+	// other fields zero — for every other policy or when the backend's
+	// pool has aged out.
+	ProbeInFlight float64
+	ProbeLatency  sim.Time
+	ProbeAge      sim.Time
+	ProbeFresh    bool
+}
+
+func (c *Candidate) snapshot() Snapshot {
+	return Snapshot{
+		Name:          c.name,
+		LBValue:       c.lbValue,
+		Weight:        c.Weight(),
+		State:         c.state,
+		InFlight:      c.InFlight(),
+		Dispatched:    c.dispatched,
+		Completed:     c.completed,
+		FreeEndpoints: c.pool.Free(),
+		Quarantined:   c.quarantined,
+	}
+}
+
+// Balancer is the decision core's driver on the simulator's engine: a
+// dispatch is an Attempt parked on the engine while the mechanism polls
+// or a sweep pauses, each Busy or Error recovery is an engine timer at
+// its deadline, and every hook runs on the engine's thread. One balancer
+// lives in each web-tier server (each Apache runs its own mod_jk with
+// private endpoint pools and lb_values).
 type Balancer struct {
-	eng    *sim.Engine
-	policy Policy
-	mech   Mechanism
-	cfg    Config
-	cands  []*Candidate
-
-	rejects    uint64
+	eng   *sim.Engine
+	core  *Core
+	cands []*Candidate
+	// maintain is the Maintain tick's period once a maintaining policy
+	// has been in use.
+	maintain   time.Duration
+	maintainOn bool
 	sessions   map[uint64]*Candidate
+
 	onAssign   func(*Candidate)
 	onDispatch func(*Candidate)
 	onReject   func()
 	onState    func(c *Candidate, from, to State)
 	onProbe    func(c *Candidate, rt sim.Time, ok bool)
-
-	maintainOn bool
-	// scratch backs the eligible-candidate list handed to Chooser
-	// policies, reused across dispatches to keep the ranking loop
-	// allocation-free.
-	scratch []*Candidate
-}
-
-// triedSet tracks the candidates a dispatch already failed on. Candidate
-// sets are tiny (the paper's testbed has four application servers), so a
-// slice with a linear scan beats a map; it lives in the dispatch's
-// Attempt and keeps its backing array from one dispatch to the next.
-type triedSet []*Candidate
-
-func (t triedSet) has(c *Candidate) bool {
-	for _, x := range t {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // New returns a balancer over the candidates. Policy, mechanism and at
 // least one candidate are required.
 func New(eng *sim.Engine, policy Policy, mech Mechanism, cands []*Candidate, cfg Config) *Balancer {
-	if policy == nil || mech == nil {
-		panic("lb: New with nil policy or mechanism")
+	b := &Balancer{eng: eng, cands: append([]*Candidate(nil), cands...), maintain: cfg.MaintainInterval}
+	recs := make([]*Record, len(b.cands))
+	for i, c := range b.cands {
+		c.b = b
+		recs[i] = &c.Record
 	}
-	if len(cands) == 0 {
-		panic("lb: New with no candidates")
-	}
-	copied := make([]*Candidate, len(cands))
-	copy(copied, cands)
-	for i, c := range copied {
-		c.index = i
-	}
-	if _, ok := policy.(Maintainer); ok && cfg.MaintainInterval <= 0 {
-		// A maintaining policy is meaningless without maintenance; use
-		// a sub-second default so the decay reacts within a few
-		// millibottleneck lifetimes.
-		cfg.MaintainInterval = 500 * time.Millisecond
-	}
-	b := &Balancer{
-		eng:    eng,
-		policy: policy,
-		mech:   mech,
-		cfg:    cfg.withDefaults(len(cands)),
-		cands:  copied,
-	}
+	b.core = NewCore(policy, mech, recs, cfg, b.stateChanged)
 	if _, ok := policy.(Maintainer); ok {
 		b.startMaintain()
 	}
 	return b
 }
 
-// startMaintain arms the recurring maintenance tick. The tick checks the
-// *current* policy on every firing, so a runtime SetPolicy swap into or
-// out of a maintaining policy needs no timer surgery.
+// startMaintain arms the recurring Maintain tick, once. The tick reads
+// the live policy at every firing, so a runtime swap into or out of a
+// maintaining policy needs no timer surgery.
 func (b *Balancer) startMaintain() {
-	if b.cfg.MaintainInterval <= 0 || b.maintainOn {
+	if b.maintainOn {
 		return
+	}
+	if b.maintain <= 0 {
+		// A maintaining policy is meaningless without maintenance; a
+		// sub-second default decays within a few millibottleneck
+		// lifetimes.
+		b.maintain = 500 * time.Millisecond
 	}
 	b.maintainOn = true
 	var tick func()
 	tick = func() {
-		if m, ok := b.policy.(Maintainer); ok {
+		if m, ok := b.core.Policy().(Maintainer); ok {
 			for _, c := range b.cands {
-				m.Maintain(c)
+				m.Maintain(&c.Record)
 			}
 		}
-		b.eng.Schedule(b.cfg.MaintainInterval, tick)
+		b.eng.Schedule(b.maintain, tick)
 	}
-	b.eng.Schedule(b.cfg.MaintainInterval, tick)
+	b.eng.Schedule(b.maintain, tick)
+}
+
+// stateChanged is the core's state hook: a transition goes to the state
+// hook, and the candidate's timer moves to its new recovery deadline.
+func (b *Balancer) stateChanged(r *Record, from State) {
+	c := b.cands[r.index]
+	if from != r.state && b.onState != nil {
+		b.onState(c, from, r.state)
+	}
+	b.eng.Stop(c.timer)
+	c.timer = sim.Timer{}
+	if r.recoverAt != 0 {
+		c.timer = b.eng.ScheduleEvent(r.recoverAt-b.eng.Now(), c)
+	}
 }
 
 // Policy returns the active policy.
-func (b *Balancer) Policy() Policy { return b.policy }
+func (b *Balancer) Policy() Policy { return b.core.Policy() }
 
 // Mechanism returns the active mechanism.
-func (b *Balancer) Mechanism() Mechanism { return b.mech }
+func (b *Balancer) Mechanism() Mechanism { return b.core.Mechanism() }
 
 // Candidates returns the candidate list (shared, not a copy — callers
 // must not mutate it).
 func (b *Balancer) Candidates() []*Candidate { return b.cands }
 
 // Rejects reports how many dispatches failed on every attempt.
-func (b *Balancer) Rejects() uint64 { return b.rejects }
+func (b *Balancer) Rejects() uint64 { return b.core.Rejects() }
+
+// Sessions reports the number of bound sessions.
+func (b *Balancer) Sessions() int { return len(b.sessions) }
 
 // SetAssignHook registers a hook invoked every time the scheduler
 // chooses a candidate — including choices whose endpoint acquisition is
@@ -203,6 +190,11 @@ func (b *Balancer) SetRejectHook(hook func()) { b.onReject = hook }
 // decision log's state events.
 func (b *Balancer) SetStateHook(hook func(c *Candidate, from, to State)) { b.onState = hook }
 
+// SetProbeHook registers the probe outcome callback: rt is the probe's
+// response time on success, and ok=false means the probe could not even
+// acquire an endpoint or its exchange failed.
+func (b *Balancer) SetProbeHook(hook func(c *Candidate, rt sim.Time, ok bool)) { b.onProbe = hook }
+
 // Snapshot copies every candidate's balancer-visible state.
 func (b *Balancer) Snapshot() []Snapshot {
 	return b.AppendSnapshot(nil)
@@ -214,7 +206,7 @@ func (b *Balancer) Snapshot() []Snapshot {
 // exposes probe-pool samples (ProbeViewer), each snapshot carries the
 // probe values a dispatch at this instant would have seen.
 func (b *Balancer) AppendSnapshot(dst []Snapshot) []Snapshot {
-	pv, hasPV := b.policy.(ProbeViewer)
+	pv, hasPV := b.core.Policy().(ProbeViewer)
 	for _, c := range b.cands {
 		s := c.snapshot()
 		if hasPV {
@@ -237,55 +229,51 @@ func (b *Balancer) AppendSnapshot(dst []Snapshot) []Snapshot {
 // mechanism propagate queue amplification into the web tier.
 type Forwarder interface {
 	// Forward runs with an endpoint on c held: send the request to c,
-	// and call Balancer.Complete with the same Attempt exactly once when
-	// the response returns.
+	// and call Balancer.Complete (or Fail) with the same Attempt exactly
+	// once when the exchange ends.
 	Forward(c *Candidate)
 	// Rejected runs instead when every attempt failed.
 	Rejected()
 }
 
-// Attempt is the balancer's state for one dispatch, from Start until
-// Complete or rejection: the candidates already failed on, the sweep
-// and poll counters, the chosen candidate. It is also the event the
-// mechanism's poll sleep and the pause between sweeps park on the
-// engine. A caller embeds an Attempt in its per-request record and
-// reuses it for the record's next request, so dispatching allocates
-// nothing — the tried list keeps its backing array across uses.
+// Attempt is one dispatch from Start until Complete or rejection: the
+// core's Walk, and the event the mechanism's poll sleeps and the pauses
+// between sweeps park on the engine. A caller embeds an Attempt in its
+// per-request record and reuses it for the record's next request, so
+// dispatching allocates nothing — the walk's tried list keeps its
+// backing array across uses.
 type Attempt struct {
+	walk  Walk
 	b     *Balancer
 	to    Forwarder
 	info  RequestInfo
-	mech  Mechanism // the mechanism this acquisition started under
-	cand  *Candidate
-	tried triedSet
-	sweep int
-	retry int // poll sleeps so far on cand
 	phase attemptPhase
 }
 
 type attemptPhase uint8
 
 const (
-	attemptIdle      attemptPhase = iota // not dispatching
-	attemptAcquiring                     // parked on the mechanism's poll sleep
-	attemptPausing                       // parked between two sweeps
-	attemptSent                          // forwarded, response outstanding
+	attemptIdle    attemptPhase = iota // not dispatching
+	attemptPolling                     // parked on the mechanism's poll sleep
+	attemptPausing                     // parked between two sweeps
+	attemptSent                        // forwarded, response outstanding
 )
 
 // Fire resumes the dispatch after a poll sleep or a sweep pause.
 func (a *Attempt) Fire() {
 	switch a.phase {
-	case attemptAcquiring:
-		a.retry++
+	case attemptPolling:
 		a.b.acquire(a)
 	case attemptPausing:
-		a.sweep++
-		a.tried = a.tried[:0]
 		a.b.attempt(a)
 	default:
 		panic("lb: Attempt fired while not waiting")
 	}
 }
+
+// SetResponseBytes records the size of a forwarded request's response
+// when it is known only at completion, before Complete books it.
+func (a *Attempt) SetResponseBytes(n int64) { a.info.ResponseBytes = n }
 
 // Start dispatches one request through a: it picks a candidate,
 // acquires an endpoint through the configured mechanism and calls
@@ -299,8 +287,7 @@ func (b *Balancer) Start(a *Attempt, info RequestInfo, to Forwarder) {
 		panic("lb: Attempt started while still dispatching")
 	}
 	a.b, a.to, a.info = b, to, info
-	a.tried = a.tried[:0]
-	a.sweep = 1
+	a.walk.Begin()
 	info.Span.Enter(obs.StageGetEndpoint, b.eng.Now())
 	b.attempt(a)
 }
@@ -328,90 +315,65 @@ func (d *funcDispatch) Forward(c *Candidate) { d.send(c, d.done) }
 func (d *funcDispatch) Rejected()            { d.reject() }
 func (d *funcDispatch) done()                { d.b.Complete(&d.Attempt) }
 
+// attempt makes one choice: the session's candidate or the core's pick,
+// or — when nothing is eligible — the pause before the next sweep or the
+// rejection.
 func (b *Balancer) attempt(a *Attempt) {
-	c := b.sessionCandidate(a.info.SessionID, a.tried)
-	if c == nil {
-		c = b.choose(a.tried)
-	}
-	if c == nil {
-		b.nextSweep(a)
-		return
-	}
-	if b.onAssign != nil {
-		b.onAssign(c)
-	}
-	// A poll loop finishes under the mechanism it started with even if
-	// the control plane swaps the balancer's mechanism meanwhile.
-	a.cand, a.mech, a.retry = c, b.mech, 0
-	b.acquire(a)
-}
-
-// acquire makes one pass of the mechanism and acts on its verdict.
-func (b *Balancer) acquire(a *Attempt) {
-	switch a.mech.Acquire(a) {
-	case Acquired:
-		b.dispatchTo(a)
-	case Polling:
-		a.phase = attemptAcquiring
-	default:
-		b.acquireFailed(a)
-	}
-}
-
-func (b *Balancer) acquireFailed(a *Attempt) {
-	c := a.cand
-	if c.probeArmed {
-		// The armed probe could not even get an endpoint: report a
-		// failed probe instead of dispatching it elsewhere.
-		c.probeArmed = false
-		if b.onProbe != nil {
-			b.onProbe(c, 0, false)
+	r := b.core.Choose(&a.walk, b.pinned(a.info.SessionID), b.eng.Now(), b.eng.Rand())
+	if r == nil {
+		if pause, again := b.core.NextSweep(&a.walk); again {
+			a.phase = attemptPausing
+			b.eng.ScheduleEvent(pause, a)
+			return
 		}
-	}
-	b.noteFailure(c)
-	a.tried = append(a.tried, c)
-	if len(a.tried) >= b.cfg.MaxAttempts {
-		b.nextSweep(a)
-		return
-	}
-	b.attempt(a)
-}
-
-// nextSweep pauses and re-sweeps the full candidate set, or rejects when
-// the sweep budget is spent.
-func (b *Balancer) nextSweep(a *Attempt) {
-	if a.sweep >= b.cfg.Sweeps {
 		a.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
 		a.phase = attemptIdle
-		b.rejects++
 		if b.onReject != nil {
 			b.onReject()
 		}
 		a.to.Rejected()
 		return
 	}
-	a.phase = attemptPausing
-	b.eng.ScheduleEvent(b.cfg.SweepPause, a)
+	if b.onAssign != nil {
+		b.onAssign(b.cands[r.index])
+	}
+	b.core.Assign(&a.walk, r)
+	b.acquire(a)
 }
 
-func (b *Balancer) dispatchTo(a *Attempt) {
-	c := a.cand
+// acquire makes one check of the chosen candidate's endpoint pool:
+// dispatch on a free endpoint, park on the mechanism's poll sleep, or
+// give up on the candidate and choose again.
+func (b *Balancer) acquire(a *Attempt) {
+	c := b.cands[a.walk.rec.index]
+	if b.core.Check(&a.walk) {
+		if c.pool.TryAcquire() {
+			b.dispatchTo(a, c)
+			return
+		}
+		if sleep, poll := a.walk.Missed(); poll {
+			a.phase = attemptPolling
+			b.eng.ScheduleEvent(sleep, a)
+			return
+		}
+	}
+	if b.core.DisarmProbe(&c.Record) && b.onProbe != nil {
+		// The armed probe could not even get an endpoint: report a
+		// failed probe instead of dispatching it elsewhere.
+		b.onProbe(c, 0, false)
+	}
+	b.core.GiveUp(&a.walk, b.eng.Now())
+	b.attempt(a)
+}
+
+func (b *Balancer) dispatchTo(a *Attempt, c *Candidate) {
 	a.info.Span.Exit(obs.StageGetEndpoint, b.eng.Now())
-	c.consecFails = 0
-	if c.state != StateAvailable {
-		// Returning an endpoint proves the candidate responsive again.
-		b.setAvailable(c)
-	}
-	b.policy.OnDispatch(c, a.info)
-	if b.cfg.StickySessions {
-		b.bindSession(a.info.SessionID, c)
-	}
-	c.dispatched++
-	c.inFlight++
-	if c.probeArmed {
-		c.probeArmed = false
-		c.probing = true
-		c.probeStart = b.eng.Now()
+	b.core.Claim(&c.Record, a.info, b.eng.Now())
+	if s := a.info.SessionID; s != 0 && b.core.cfg.StickySessions {
+		if b.sessions == nil {
+			b.sessions = make(map[uint64]*Candidate)
+		}
+		b.sessions[s] = c
 	}
 	if b.onDispatch != nil {
 		b.onDispatch(c)
@@ -420,139 +382,87 @@ func (b *Balancer) dispatchTo(a *Attempt) {
 	a.to.Forward(c)
 }
 
+// pinned returns the record of the candidate a session is bound to, or
+// nil.
+func (b *Balancer) pinned(session uint64) *Record {
+	if session == 0 || !b.core.cfg.StickySessions {
+		return nil
+	}
+	if c := b.sessions[session]; c != nil {
+		return &c.Record
+	}
+	return nil
+}
+
 // Complete records that the response to a forwarded request returned:
 // it releases the endpoint, updates the policy's bookkeeping and
 // readmits a candidate that was Busy. It must run exactly once per
-// Forward.
+// Forward, unless Fail does.
 func (b *Balancer) Complete(a *Attempt) {
+	c := b.finish(a)
+	if start, probed := b.core.Complete(&c.Record, a.info); probed && b.onProbe != nil {
+		b.onProbe(c, b.eng.Now()-start, true)
+	}
+}
+
+// Fail unwinds a forwarded request whose exchange with its candidate
+// failed: it no longer counts as in flight and its endpoint returns, but
+// the failure feeds the Busy/Error ladder instead of readmitting the
+// candidate. It runs instead of Complete.
+func (b *Balancer) Fail(a *Attempt) {
+	c := b.finish(a)
+	if b.core.Unwind(&c.Record) && b.onProbe != nil {
+		b.onProbe(c, 0, false)
+	}
+	b.core.Fail(&c.Record, b.eng.Now())
+}
+
+// finish ends a forwarded request's dispatch and returns its endpoint.
+func (b *Balancer) finish(a *Attempt) *Candidate {
 	if a.phase != attemptSent {
 		panic("lb: request completion invoked twice")
 	}
 	a.phase = attemptIdle
-	c := a.cand
-	c.inFlight--
-	c.completed++
-	c.traffic += a.info.RequestBytes + a.info.ResponseBytes
-	b.policy.OnComplete(c, a.info)
-	c.releaseEndpoint()
-	c.consecFails = 0
-	if c.state != StateAvailable {
-		b.setAvailable(c)
+	c := b.cands[a.walk.rec.index]
+	c.pool.Release()
+	return c
+}
+
+// SetPolicy swaps the upper-level policy at runtime (Core.SetPolicy):
+// swapping in a PoolSeeder reseeds its sample store, and a Maintainer
+// arms the maintenance tick if it is not already running.
+func (b *Balancer) SetPolicy(p Policy) {
+	b.core.SetPolicy(p)
+	if ps, ok := p.(PoolSeeder); ok {
+		ps.SeedPools()
 	}
-	if c.probing {
-		c.probing = false
-		if b.onProbe != nil {
-			b.onProbe(c, b.eng.Now()-c.probeStart, true)
-		}
+	if _, ok := p.(Maintainer); ok {
+		b.startMaintain()
 	}
 }
 
-// choose implements the lower-level scheduler: the Available candidate
-// with the lowest lb_value; if none is Available, the Busy candidate with
-// the lowest lb_value is retried (paper Section IV-A, step 3). Error
-// candidates and candidates this dispatch already failed on are
-// excluded. Ties break toward the earliest candidate, matching mod_jk's
-// first-found scan.
-func (b *Balancer) choose(tried triedSet) *Candidate {
-	if c := b.lowest(StateAvailable, tried); c != nil {
-		return c
-	}
-	return b.lowest(StateBusy, tried)
-}
+// SetMechanism swaps the endpoint-acquisition mechanism at runtime; a
+// poll in progress ends at its next check when the new one does not poll.
+func (b *Balancer) SetMechanism(m Mechanism) { b.core.SetMechanism(m) }
 
-func (b *Balancer) lowest(s State, tried triedSet) *Candidate {
-	// A quarantined candidate is invisible to the scheduler until the
-	// control plane arms a probe; the armed probe makes it eligible for
-	// exactly one dispatch.
-	skip := func(c *Candidate) bool {
-		return c.state != s || tried.has(c) || (c.quarantined && !c.probeArmed)
-	}
-	if chooser, ok := b.policy.(Chooser); ok {
-		eligible := b.scratch[:0]
-		for _, c := range b.cands {
-			if !skip(c) {
-				eligible = append(eligible, c)
-			}
-		}
-		b.scratch = eligible
-		if len(eligible) == 0 {
-			return nil
-		}
-		return chooser.Choose(eligible, b.eng.Rand())
-	}
-	var best *Candidate
-	for _, c := range b.cands {
-		if skip(c) {
-			continue
-		}
-		if best == nil || c.lbValue < best.lbValue {
-			best = c
-		}
-	}
-	return best
-}
+// SetQuarantined drains (or re-admits) a candidate (Core.SetQuarantined).
+func (b *Balancer) SetQuarantined(c *Candidate, q bool) { b.core.SetQuarantined(&c.Record, q) }
 
-// noteFailure records an endpoint-acquisition failure: Available → Busy,
-// and — when the consecutive failures both exceed the count threshold
-// and span longer than any millibottleneck could — Error.
-func (b *Balancer) noteFailure(c *Candidate) {
-	if c.consecFails == 0 {
-		c.firstFailAt = b.eng.Now()
-	}
-	c.consecFails++
-	if c.consecFails >= b.cfg.ErrorThreshold && b.eng.Now()-c.firstFailAt >= b.cfg.ErrorAfter {
-		b.setError(c)
-		return
-	}
-	if c.state == StateAvailable {
-		b.setBusy(c)
-	}
-}
+// ArmProbe lets exactly one request through a quarantined candidate; the
+// probe hook reports how it went. Arming is a no-op when the candidate
+// is not quarantined or a probe is already in flight.
+func (b *Balancer) ArmProbe(c *Candidate) { b.core.ArmProbe(&c.Record) }
 
-// transition moves a candidate to a new state, notifying the state
-// hook when the state actually changes.
-func (b *Balancer) transition(c *Candidate, to State) {
-	from := c.state
-	if from == to {
-		return
+// MechanismByName returns the mechanism with the given name. The engine
+// argument is unused — the balancer schedules the polls — and stays so
+// callers keep compiling.
+func MechanismByName(name string, _ *sim.Engine) (Mechanism, bool) {
+	switch name {
+	case "original", "original_get_endpoint":
+		return NewOriginalGetEndpoint(), true
+	case "modified", "modified_get_endpoint":
+		return NewModifiedGetEndpoint(), true
+	default:
+		return nil, false
 	}
-	c.state = to
-	if b.onState != nil {
-		b.onState(c, from, to)
-	}
-}
-
-func (b *Balancer) setBusy(c *Candidate) {
-	b.transition(c, StateBusy)
-	b.stopTimers(c)
-	c.busyTimer = b.eng.Schedule(b.cfg.BusyRecovery, func() {
-		c.busyTimer = sim.Timer{}
-		if c.state == StateBusy {
-			b.transition(c, StateAvailable)
-		}
-	})
-}
-
-func (b *Balancer) setError(c *Candidate) {
-	b.transition(c, StateError)
-	b.stopTimers(c)
-	c.errorTimer = b.eng.Schedule(b.cfg.ErrorRecovery, func() {
-		c.errorTimer = sim.Timer{}
-		if c.state == StateError {
-			b.transition(c, StateAvailable)
-			c.consecFails = 0
-		}
-	})
-}
-
-func (b *Balancer) setAvailable(c *Candidate) {
-	b.transition(c, StateAvailable)
-	b.stopTimers(c)
-}
-
-func (b *Balancer) stopTimers(c *Candidate) {
-	b.eng.Stop(c.busyTimer)
-	c.busyTimer = sim.Timer{}
-	b.eng.Stop(c.errorTimer)
-	c.errorTimer = sim.Timer{}
 }

@@ -23,9 +23,6 @@ type harness struct {
 func newHarness(t *testing.T, policy Policy, mech Mechanism, endpoints int, names ...string) *harness {
 	t.Helper()
 	eng := sim.NewEngine(1, 2)
-	if m, ok := mech.(*OriginalGetEndpoint); ok && m.eng == nil {
-		m.eng = eng
-	}
 	var cands []*Candidate
 	for _, n := range names {
 		cands = append(cands, NewCandidate(n, sim.NewPool(endpoints)))
@@ -65,7 +62,7 @@ func (h *harness) completeOne(name string) {
 	done()
 }
 
-func origMech(eng *sim.Engine) *OriginalGetEndpoint { return NewOriginalGetEndpoint(eng) }
+func origMech(eng *sim.Engine) *OriginalGetEndpoint { return NewOriginalGetEndpoint() }
 
 func TestBalancerRoundRobinUnderTotalRequest(t *testing.T) {
 	h := newHarness(t, TotalRequest{}, NewModifiedGetEndpoint(), 10, "app1", "app2", "app3", "app4")
@@ -191,7 +188,7 @@ func TestRejectWhenEverythingInError(t *testing.T) {
 	cands := []*Candidate{NewCandidate("app1", sim.NewPool(1))}
 	bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands,
 		Config{ErrorThreshold: 2, ErrorAfter: time.Nanosecond, Sweeps: 1})
-	cands[0].tryEndpoint() // exhaust
+	cands[0].pool.TryAcquire() // exhaust
 	rejected := 0
 	bal.Dispatch(RequestInfo{}, func(*Candidate, func()) {}, func() { rejected++ })
 	eng.Run(time.Millisecond) // give the failure span some width
@@ -288,7 +285,7 @@ func TestInstabilityPileUpWithOriginalMechanism(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	stalled := NewCandidate("stalled", sim.NewPool(2))
 	healthy := NewCandidate("healthy", sim.NewPool(100))
-	bal := New(eng, TotalRequest{}, NewOriginalGetEndpoint(eng), []*Candidate{stalled, healthy}, Config{})
+	bal := New(eng, TotalRequest{}, NewOriginalGetEndpoint(), []*Candidate{stalled, healthy}, Config{})
 
 	dispatched := map[string]int{}
 	// The stalled backend never completes; the healthy one completes in
@@ -380,7 +377,7 @@ func TestCurrentLoadAvoidsStalledCandidate(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	stalled := NewCandidate("stalled", sim.NewPool(25))
 	healthy := NewCandidate("healthy", sim.NewPool(25))
-	bal := New(eng, CurrentLoad{}, NewOriginalGetEndpoint(eng), []*Candidate{stalled, healthy}, Config{})
+	bal := New(eng, CurrentLoad{}, NewOriginalGetEndpoint(), []*Candidate{stalled, healthy}, Config{})
 
 	dispatched := map[string]int{}
 	send := func(c *Candidate, done func()) {

@@ -20,10 +20,9 @@ func acquireOn(eng *sim.Engine, m Mechanism, c *Candidate, done func(ok bool)) {
 
 func TestOriginalAcquireImmediateSuccess(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
 	var got bool
-	acquireOn(eng, m, c, func(ok bool) { got = ok })
+	acquireOn(eng, NewOriginalGetEndpoint(), c, func(ok bool) { got = ok })
 	if !got {
 		t.Fatal("acquire with a free endpoint did not succeed synchronously")
 	}
@@ -34,12 +33,11 @@ func TestOriginalAcquireImmediateSuccess(t *testing.T) {
 
 func TestOriginalAcquirePollsThenTimesOut(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
-	c.tryEndpoint() // exhaust the pool
+	c.pool.TryAcquire() // exhaust the pool
 	var doneAt sim.Time = -1
 	var result bool
-	acquireOn(eng, m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(eng, NewOriginalGetEndpoint(), c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	eng.Run(time.Second)
 	if result {
 		t.Fatal("acquire succeeded with an exhausted pool")
@@ -53,14 +51,13 @@ func TestOriginalAcquirePollsThenTimesOut(t *testing.T) {
 
 func TestOriginalAcquirePicksUpFreedEndpoint(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
-	c.tryEndpoint()
+	c.pool.TryAcquire()
 	var doneAt sim.Time = -1
 	var result bool
-	acquireOn(eng, m, c, func(ok bool) { result = ok; doneAt = eng.Now() })
+	acquireOn(eng, NewOriginalGetEndpoint(), c, func(ok bool) { result = ok; doneAt = eng.Now() })
 	// Endpoint frees at 150ms; next poll is at 200ms.
-	eng.Schedule(150*time.Millisecond, func() { c.releaseEndpoint() })
+	eng.Schedule(150*time.Millisecond, func() { c.pool.Release() })
 	eng.Run(time.Second)
 	if !result || doneAt != 200*time.Millisecond {
 		t.Fatalf("acquire = %v at %v, want success at 200ms poll", result, doneAt)
@@ -72,10 +69,9 @@ func TestOriginalAcquireBlocksCallerForFullWindow(t *testing.T) {
 	// the whole timeout, and the candidate's state is untouched
 	// throughout — verified here by observing no state change.
 	eng := sim.NewEngine(1, 2)
-	m := NewOriginalGetEndpoint(eng)
 	c := newCand("app1", 1)
-	c.tryEndpoint()
-	acquireOn(eng, m, c, func(bool) {})
+	c.pool.TryAcquire()
+	acquireOn(eng, NewOriginalGetEndpoint(), c, func(bool) {})
 	eng.Run(250 * time.Millisecond)
 	if c.State() != StateAvailable {
 		t.Fatalf("candidate state changed to %v during acquire wait", c.State())
@@ -85,10 +81,8 @@ func TestOriginalAcquireBlocksCallerForFullWindow(t *testing.T) {
 func TestOriginalAcquireCustomTiming(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	m := &OriginalGetEndpoint{Sleep: 10 * time.Millisecond, Timeout: 50 * time.Millisecond}
-	// Inject engine through the exported fields path.
-	m.eng = eng
 	c := newCand("app1", 1)
-	c.tryEndpoint()
+	c.pool.TryAcquire()
 	var doneAt sim.Time = -1
 	acquireOn(eng, m, c, func(bool) { doneAt = eng.Now() })
 	eng.Run(time.Second)
@@ -99,34 +93,33 @@ func TestOriginalAcquireCustomTiming(t *testing.T) {
 
 func TestModifiedAcquireFailsFast(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	m := NewModifiedGetEndpoint()
 	c := newCand("app1", 1)
-	c.tryEndpoint()
-	switch m.Acquire(&Attempt{cand: c}) {
-	case Acquired:
-		t.Fatal("modified acquire succeeded with an exhausted pool")
-	case Polling:
+	c.pool.TryAcquire()
+	answered, got := false, true
+	acquireOn(eng, NewModifiedGetEndpoint(), c, func(ok bool) { answered, got = true, ok })
+	if !answered {
 		t.Fatal("modified acquire was not synchronous")
 	}
-	if eng.Pending() != 0 {
-		t.Fatal("modified acquire scheduled timers")
+	if got {
+		t.Fatal("modified acquire succeeded with an exhausted pool")
+	}
+	if c.State() != StateBusy {
+		t.Fatalf("candidate %v after a fast failure, want busy", c.State())
 	}
 }
 
 func TestModifiedAcquireSucceedsWithFreeEndpoint(t *testing.T) {
-	m := NewModifiedGetEndpoint()
+	eng := sim.NewEngine(1, 2)
 	c := newCand("app1", 2)
-	got := m.Acquire(&Attempt{cand: c})
-	if got != Acquired || c.FreeEndpoints() != 1 {
-		t.Fatalf("verdict=%v free=%d", got, c.FreeEndpoints())
+	var got bool
+	acquireOn(eng, NewModifiedGetEndpoint(), c, func(ok bool) { got = ok })
+	if !got || c.FreeEndpoints() != 1 {
+		t.Fatalf("acquired=%v free=%d", got, c.FreeEndpoints())
 	}
 }
 
 func TestMechanismNamesDistinct(t *testing.T) {
-	eng := sim.NewEngine(1, 2)
-	orig := NewOriginalGetEndpoint(eng)
-	mod := NewModifiedGetEndpoint()
-	if orig.Name() == mod.Name() {
+	if NewOriginalGetEndpoint().Name() == NewModifiedGetEndpoint().Name() {
 		t.Fatal("mechanisms share a name")
 	}
 }

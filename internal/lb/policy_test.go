@@ -12,7 +12,7 @@ func newCand(name string, endpoints int) *Candidate {
 }
 
 func TestTotalRequestIncrementsOnDispatchOnly(t *testing.T) {
-	c := newCand("app1", 5)
+	c := newRecs("app1")[0]
 	p := TotalRequest{}
 	p.OnDispatch(c, RequestInfo{})
 	if c.LBValue() != LBMult {
@@ -25,7 +25,7 @@ func TestTotalRequestIncrementsOnDispatchOnly(t *testing.T) {
 }
 
 func TestTotalTrafficIncrementsOnCompletionOnly(t *testing.T) {
-	c := newCand("app1", 5)
+	c := newRecs("app1")[0]
 	p := TotalTraffic{}
 	info := RequestInfo{RequestBytes: 300, ResponseBytes: 700}
 	p.OnDispatch(c, info)
@@ -39,7 +39,7 @@ func TestTotalTrafficIncrementsOnCompletionOnly(t *testing.T) {
 }
 
 func TestCurrentLoadTracksInFlight(t *testing.T) {
-	c := newCand("app1", 5)
+	c := newRecs("app1")[0]
 	p := CurrentLoad{}
 	p.OnDispatch(c, RequestInfo{})
 	p.OnDispatch(c, RequestInfo{})
@@ -53,7 +53,7 @@ func TestCurrentLoadTracksInFlight(t *testing.T) {
 }
 
 func TestCurrentLoadFloorsAtZero(t *testing.T) {
-	c := newCand("app1", 5)
+	c := newRecs("app1")[0]
 	p := CurrentLoad{}
 	p.OnComplete(c, RequestInfo{})
 	if c.LBValue() != 0 {
@@ -66,7 +66,7 @@ func TestCurrentLoadFloorsAtZero(t *testing.T) {
 // in-flight count times LBMult — the paper's "current state" semantics.
 func TestQuickCurrentLoadEqualsInFlight(t *testing.T) {
 	f := func(ops []bool) bool {
-		c := newCand("app1", 1000)
+		c := newRecs("app1")[0]
 		p := CurrentLoad{}
 		inFlight := 0
 		for _, dispatch := range ops {
@@ -143,4 +143,15 @@ func TestNewCandidateNilPoolPanics(t *testing.T) {
 		}
 	}()
 	NewCandidate("x", nil)
+}
+
+// newRecs returns records numbered in order, as NewCore numbers them.
+func newRecs(names ...string) []*Record {
+	recs := make([]*Record, len(names))
+	for i, n := range names {
+		r := NewRecord(n)
+		r.index = i
+		recs[i] = &r
+	}
+	return recs
 }

@@ -20,9 +20,8 @@ func TestPrequalChooseColdByLatency(t *testing.T) {
 	}, func() time.Duration { return clock })
 	p := NewPrequal(pools)
 
-	slow := newCand("slow-cold", 4)
-	fast := newCand("fast-cold", 4)
-	hot := newCand("hot", 4)
+	eligible := newRecs("slow-cold", "fast-cold", "hot")
+	slow, fast, hot := eligible[0], eligible[1], eligible[2]
 	// lb_values deliberately contradict the probes: the hot backend
 	// looks idle to the counter-based fallback.
 	slow.lbValue, fast.lbValue, hot.lbValue = 5*LBMult, 6*LBMult, 0
@@ -30,7 +29,6 @@ func TestPrequalChooseColdByLatency(t *testing.T) {
 	pools.Observe("fast-cold", 2, 3*time.Millisecond)
 	pools.Observe("hot", 40, time.Millisecond)
 
-	eligible := []*Candidate{slow, fast, hot}
 	rng := prequalRNG()
 	for i := 0; i < 20; i++ {
 		if got := p.Choose(eligible, rng); got != fast {
@@ -44,9 +42,9 @@ func TestPrequalChooseColdByLatency(t *testing.T) {
 // the min-lb_value scan, which under prequal's bookkeeping means lowest
 // in-flight.
 func TestPrequalChooseFallsBackWithoutFreshProbes(t *testing.T) {
-	a, b := newCand("a", 4), newCand("b", 4)
+	eligible := newRecs("a", "b")
+	a, b := eligible[0], eligible[1]
 	a.lbValue, b.lbValue = 3*LBMult, LBMult
-	eligible := []*Candidate{a, b}
 	rng := prequalRNG()
 
 	detached := NewPrequal(nil)
@@ -69,7 +67,7 @@ func TestPrequalChooseFallsBackWithoutFreshProbes(t *testing.T) {
 // lb_value like current_load so the fallback ranking and snapshots
 // remain meaningful, with the same floor at zero.
 func TestPrequalBookkeepingMirrorsCurrentLoad(t *testing.T) {
-	c := newCand("app1", 5)
+	c := newRecs("app1")[0]
 	p := NewPrequal(nil)
 	p.OnDispatch(c, RequestInfo{})
 	p.OnDispatch(c, RequestInfo{})

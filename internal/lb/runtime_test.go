@@ -157,7 +157,7 @@ func TestSetMechanismAtRuntime(t *testing.T) {
 		t.Fatalf("setup dispatch failed")
 	}
 
-	bal.SetMechanism(NewOriginalGetEndpoint(eng))
+	bal.SetMechanism(NewOriginalGetEndpoint())
 	submit() // pool exhausted: must poll, not reject
 	if rejected != 0 {
 		t.Fatalf("rejected under original mechanism — swap did not take effect")

@@ -21,7 +21,6 @@ package probe
 import (
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -105,23 +104,10 @@ type sample struct {
 	uses     int
 }
 
-// pubSample is the lock-free published form of a backend's freshest
-// observation: immutable except for the atomic reuse counter, shared by
-// pointer so readers never hold the pools mutex.
-type pubSample struct {
-	inFlight float64
-	latency  time.Duration
-	at       time.Duration
-	uses     atomic.Int32
-}
-
 // entry is one backend's bounded pool, samples in arrival order
-// (freshest last). pub mirrors the newest observation for the lock-free
-// PickHandles path; the pooled samples remain the source of truth for
-// Pick.
+// (freshest last).
 type entry struct {
 	samples []sample
-	pub     atomic.Pointer[pubSample]
 }
 
 // Pools holds every backend's probe samples behind one mutex. The sim
@@ -172,11 +158,6 @@ func (p *Pools) Observe(name string, inFlight float64, latency time.Duration) {
 	for len(e.samples) > p.cfg.PoolSize {
 		e.removeWorst()
 	}
-	// Publish the new observation for the lock-free consult path. The
-	// allocation is fine here: Observe runs at probe cadence, not
-	// dispatch cadence.
-	ps := &pubSample{inFlight: inFlight, latency: latency, at: now}
-	e.pub.Store(ps)
 }
 
 // evictStale drops samples older than ttl. Samples arrive in time
@@ -227,48 +208,45 @@ func (e *entry) consume(s *sample, budget int) {
 	}
 }
 
-// Pick implements the hot/cold selection over the candidate names:
-// sample d of them, classify each sampled backend hot or cold against
-// the HotQuantile of the fresh in-flight readings, and return the index
-// of the cold backend with the lowest estimated latency — or, when
-// every sampled backend is hot, the one with the lowest in-flight.
-// Backends without a fresh sample are never chosen; -1 means no sampled
-// backend had fresh data and the caller must fall back to its own
-// ranking. Consulted samples are charged one reuse each.
+// Pick implements the hot/cold selection over the eligible backends:
+// mask bit i admits hs[i]. It samples d of them, classifies each sampled
+// backend hot or cold against the HotQuantile of the eligible backends'
+// fresh in-flight readings, and returns the index into hs of the cold
+// backend with the lowest estimated latency — or, when every sampled
+// backend is hot, the one with the lowest in-flight. Backends without a
+// fresh sample are never chosen; -1 means no sampled backend had fresh
+// data and the caller must fall back to its own ranking. Consulted
+// samples are charged one reuse each.
 //
 // Pick never reads cumulative counters — the selection depends only on
 // pooled probe replies, so a backend that stops answering probes ages
 // out of consideration instead of freezing at a flattering rank.
-func (p *Pools) Pick(names []string, rng *rand.Rand) int {
+func (p *Pools) Pick(hs []Handle, mask uint64, rng *rand.Rand) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.now()
 
-	// Hot/cold threshold over the fresh in-flight readings.
-	vals := p.vals[:0]
-	for _, n := range names {
-		if e := p.entries[n]; e != nil {
-			if s := e.freshest(now, p.cfg.TTL); s != nil {
+	// The eligible handles, in order, and the hot/cold threshold over
+	// their fresh in-flight readings.
+	idx, vals := p.idx[:0], p.vals[:0]
+	for i, h := range hs {
+		if i >= 64 || mask&(1<<i) == 0 {
+			continue
+		}
+		idx = append(idx, i)
+		if h.e != nil {
+			if s := h.e.freshest(now, p.cfg.TTL); s != nil {
 				vals = append(vals, s.inFlight)
 			}
 		}
 	}
-	p.vals = vals
+	p.idx, p.vals = idx, vals
 	if len(vals) == 0 {
 		return -1
 	}
 	threshold := quantile(vals, p.cfg.HotQuantile)
 
-	d := p.cfg.D
-	if d > len(names) {
-		d = len(names)
-	}
-	idx := p.idx[:0]
-	for i := range names {
-		idx = append(idx, i)
-	}
-	p.idx = idx
-
+	d := min(p.cfg.D, len(idx))
 	best := -1
 	bestCold := false
 	var bestLat time.Duration
@@ -279,7 +257,7 @@ func (p *Pools) Pick(names []string, rng *rand.Rand) int {
 		j := k + rng.IntN(len(idx)-k)
 		idx[k], idx[j] = idx[j], idx[k]
 		i := idx[k]
-		e := p.entries[names[i]]
+		e := hs[i].e
 		if e == nil {
 			continue
 		}
@@ -366,12 +344,10 @@ func (p *Pools) Staleness(name string) (time.Duration, bool) {
 	return now - s.at, true
 }
 
-// Handle is a pre-resolved reference to one backend's sample pool. A
-// dispatch-path caller resolves its handles once (at wiring time) and
-// consults them through PickHandles, skipping both the per-name map
-// lookups and the pools mutex Pick pays on every selection. Handles
-// remain valid for the lifetime of the Pools — Clear truncates pools
-// but never discards their entries.
+// Handle is a pre-resolved reference to one backend's sample pool: a
+// caller resolves its handles once and hands them to Pick, which then
+// looks up no name. Handles stay valid for the life of the Pools — Clear
+// truncates pools but never discards their entries.
 type Handle struct{ e *entry }
 
 // Handle resolves (creating if needed) the backend's pool entry.
@@ -386,165 +362,6 @@ func (p *Pools) Handle(name string) Handle {
 	return Handle{e: e}
 }
 
-// Now reads the pools' clock — the reading PickHandles expects as its
-// at argument. Callers that already hold a wall-clock timestamp can
-// read this once at wiring time and convert with an offset instead of
-// paying a second clock read per selection.
-func (p *Pools) Now() time.Duration { return p.now() }
-
-// handleFast sizes PickHandles' stack scratch: candidate sets at or
-// below it (every realistic dispatch tier — the paper's testbed has
-// four backends) run with zero allocations and sub-duffzero clearing
-// cost; larger sets up to the 64-bit mask width fall back to
-// allocated scratch.
-const handleFast = 8
-
-// reuseUnbounded marks a ReuseBudget so large it can never bind: the
-// published sample's 32-bit use counter would wrap before reaching it,
-// so PickHandles skips the per-consult charge entirely. Fixtures that
-// isolate selection cost from probe refresh (TTL of an hour, budget of
-// 1<<30) sit here by design.
-const reuseUnbounded = 1 << 30
-
-// PickHandles is Pick over pre-resolved handles: a bitmask chooses the
-// eligible candidates (bit i gates hs[i]) and at is the caller's
-// reading of the pools clock (see Now). It returns an index into hs or
-// -1 exactly as Pick returns over names. The selection logic is the
-// same — hot/cold threshold over the fresh in-flight readings, partial
-// Fisher–Yates d-way sampling, per-sample reuse charging — but the
-// whole consult is lock-free: each backend's freshest observation is
-// published through an atomic pointer by Observe, reuse is charged on
-// an atomic counter, and a spent or stale publication simply reads as
-// "no fresh probe". (The pooled older samples behind Pick are a
-// refinement this path forgoes: a backend whose freshest sample ages or
-// spends out abstains until the next probe lands, which at probe
-// cadence is exactly the freshness contract prequal wants.)
-func (p *Pools) PickHandles(hs []Handle, mask uint64, rng *rand.Rand, at time.Duration) int {
-	var idxA [handleFast]int16
-	var smpA [handleFast]*pubSample
-	idx, smp := idxA[:], smpA[:]
-	if len(hs) > handleFast {
-		if len(hs) > 64 {
-			return -1
-		}
-		idx = make([]int16, len(hs))
-		smp = make([]*pubSample, len(hs))
-	}
-	n, nv := 0, 0
-	var lo, hi float64
-	ttl := p.cfg.TTL
-	for i := range hs {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		var s *pubSample
-		if e := hs[i].e; e != nil {
-			if ps := e.pub.Load(); ps != nil && at-ps.at <= ttl {
-				s = ps
-			}
-		}
-		idx[n] = int16(i)
-		smp[n] = s
-		n++
-		if s != nil {
-			v := s.inFlight
-			if nv == 0 {
-				lo, hi = v, v
-			} else {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
-			nv++
-		}
-	}
-	if nv == 0 {
-		return -1
-	}
-	var threshold float64
-	switch {
-	case nv == 1:
-		threshold = lo
-	case nv == 2:
-		// Nearest-rank over two values is just min or max — the
-		// two-backend dispatch tier never needs the sort below.
-		if int(p.cfg.HotQuantile) >= 1 {
-			threshold = hi
-		} else {
-			threshold = lo
-		}
-	default:
-		// Materialize the value set only when the rank statistic
-		// actually needs a sort; min/max scalars covered it above.
-		var valsA [handleFast]float64
-		vals := valsA[:0]
-		if n > handleFast {
-			vals = make([]float64, 0, n)
-		}
-		for k := 0; k < n; k++ {
-			if s := smp[k]; s != nil {
-				vals = append(vals, s.inFlight)
-			}
-		}
-		threshold = quantile(vals, p.cfg.HotQuantile)
-	}
-
-	d := p.cfg.D
-	if d >= n {
-		// Every eligible candidate gets consulted: sampling order is
-		// irrelevant (ties break by index instead of draw order, which
-		// the randomized sampling never promised anyway), so skip the
-		// shuffle and its rng draws entirely.
-		d = n
-	}
-	best := -1
-	bestCold := false
-	var bestLat time.Duration
-	var bestIF float64
-	budget := p.cfg.ReuseBudget
-	for k := 0; k < d; k++ {
-		if d < n && n-k > 1 {
-			// Partial Fisher–Yates over the eligible candidates; the
-			// sample pointers swap in lockstep so smp[k] stays idx[k]'s.
-			j := k + rng.IntN(n-k)
-			idx[k], idx[j] = idx[j], idx[k]
-			smp[k], smp[j] = smp[j], smp[k]
-		}
-		s := smp[k]
-		if s == nil {
-			continue
-		}
-		i := int(idx[k])
-		inF, lat := s.inFlight, s.latency
-		if budget < reuseUnbounded {
-			if uses := s.uses.Add(1); int(uses) >= budget {
-				// Budget spent: unpublish, unless a fresher probe
-				// already replaced the publication.
-				hs[i].e.pub.CompareAndSwap(s, nil)
-			}
-		}
-		cold := inF <= threshold
-		better := false
-		switch {
-		case best == -1:
-			better = true
-		case cold && !bestCold:
-			better = true
-		case cold == bestCold && cold:
-			better = lat < bestLat
-		case cold == bestCold:
-			better = inF < bestIF
-		}
-		if better {
-			best, bestCold, bestLat, bestIF = i, cold, lat, inF
-		}
-	}
-	return best
-}
-
 // Clear drops every pooled sample — the reseeding step of a runtime
 // policy swap, after which the prober's next round repopulates from
 // live probes only.
@@ -553,6 +370,5 @@ func (p *Pools) Clear() {
 	defer p.mu.Unlock()
 	for _, e := range p.entries {
 		e.samples = e.samples[:0]
-		e.pub.Store(nil)
 	}
 }

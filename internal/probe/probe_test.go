@@ -52,7 +52,7 @@ func TestPoolStalenessEviction(t *testing.T) {
 	if _, ok := p.Peek("a"); ok {
 		t.Fatal("Peek returned a stale sample")
 	}
-	if got := p.Pick([]string{"a"}, testRNG()); got != -1 {
+	if got := pickAll(p, []string{"a"}, testRNG()); got != -1 {
 		t.Fatalf("Pick over stale pool = %d, want -1", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestPoolReuseBudgetExhaustion(t *testing.T) {
 	rng := testRNG()
 
 	for i := 0; i < 3; i++ {
-		if got := p.Pick([]string{"a"}, rng); got != 0 {
+		if got := pickAll(p, []string{"a"}, rng); got != 0 {
 			t.Fatalf("Pick #%d = %d, want 0", i, got)
 		}
 	}
@@ -74,7 +74,7 @@ func TestPoolReuseBudgetExhaustion(t *testing.T) {
 	if got := p.Depth("a"); got != 0 {
 		t.Fatalf("Depth after budget exhaustion = %d, want 0", got)
 	}
-	if got := p.Pick([]string{"a"}, rng); got != -1 {
+	if got := pickAll(p, []string{"a"}, rng); got != -1 {
 		t.Fatalf("Pick after budget exhaustion = %d, want -1", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestPickHotColdSelection(t *testing.T) {
 	// Threshold = median in-flight (2): both cold backends qualify and
 	// the faster one must win every time, regardless of sampling order.
 	for i := 0; i < 20; i++ {
-		if got := p.Pick(names, rng); names[got] != "fast-cold" {
+		if got := pickAll(p, names, rng); names[got] != "fast-cold" {
 			t.Fatalf("Pick #%d = %s, want fast-cold", i, names[got])
 		}
 	}
@@ -152,7 +152,7 @@ func TestPickHotColdSelection(t *testing.T) {
 	p2.Observe("busier", 60, time.Millisecond)
 	names2 := []string{"busy", "busier"}
 	for i := 0; i < 20; i++ {
-		if got := p2.Pick(names2, rng); names2[got] != "busy" {
+		if got := pickAll(p2, names2, rng); names2[got] != "busy" {
 			t.Fatalf("all-hot Pick #%d = %s, want busy", i, names2[got])
 		}
 	}
@@ -169,7 +169,7 @@ func TestPickNeverChoosesStaleBackend(t *testing.T) {
 	names := []string{"frozen", "live"}
 	rng := testRNG()
 	for i := 0; i < 50; i++ {
-		got := p.Pick(names, rng)
+		got := pickAll(p, names, rng)
 		if got == 0 {
 			t.Fatalf("Pick #%d chose the frozen backend on stale data", i)
 		}

@@ -67,7 +67,7 @@ func newGatedCluster(clients int, mech func(*sim.Engine) lb.Mechanism, gate *adm
 	return c
 }
 
-func originalMech(eng *sim.Engine) lb.Mechanism { return lb.NewOriginalGetEndpoint(eng) }
+func originalMech(eng *sim.Engine) lb.Mechanism { return lb.NewOriginalGetEndpoint() }
 func modifiedMech(*sim.Engine) lb.Mechanism     { return lb.NewModifiedGetEndpoint() }
 
 // TestFlightsRecycledOnEveryExit drives three of the four ways a walk
