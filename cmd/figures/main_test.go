@@ -2,24 +2,26 @@ package main
 
 import (
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 func TestFigureTableCoversAllEighteen(t *testing.T) {
-	figs := figureTable()
-	if len(figs) != 18 {
-		t.Fatalf("%d figures registered", len(figs))
+	var got, want []string
+	for n := 1; n <= 18; n++ {
+		want = append(want, strconv.Itoa(n))
 	}
-	seen := map[int]bool{}
-	for _, f := range figs {
-		if f.id < 1 || f.id > 18 || seen[f.id] {
-			t.Fatalf("bad or duplicate figure id %d", f.id)
-		}
-		seen[f.id] = true
+	want = append(want, "table1", "ablations")
+	for _, f := range figureTable() {
 		if f.title == "" || f.run == nil {
-			t.Fatalf("figure %d incomplete", f.id)
+			t.Fatalf("entry %s incomplete", f.id)
 		}
+		got = append(got, f.id)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("entries %v, want %v", got, want)
 	}
 }
 
@@ -33,7 +35,7 @@ func TestListFigures(t *testing.T) {
 	got := out.String()
 	for _, f := range figureTable() {
 		if !strings.Contains(got, f.title) {
-			t.Fatalf("-list missing figure %d (%q):\n%s", f.id, f.title, got)
+			t.Fatalf("-list missing figure %s (%q):\n%s", f.id, f.title, got)
 		}
 	}
 }
@@ -66,18 +68,40 @@ func TestRunUnknownFigure(t *testing.T) {
 
 func TestRunWritesToOutDir(t *testing.T) {
 	tmp := t.TempDir()
-	// An existing directory, and one -out has to create, parents included.
-	for _, dir := range []string{tmp, tmp + "/new/nested"} {
+	// An existing directory, and one -out has to create, parents included;
+	// a named entry's file is named after it.
+	for _, c := range []struct{ dir, fig, file, want string }{
+		{tmp, "1", "fig01.txt", "t_sec"},
+		{tmp + "/new/nested", "1", "fig01.txt", "t_sec"},
+		{tmp, "table1", "table1.txt", "improvement factor"},
+	} {
 		var out strings.Builder
-		if err := run([]string{"-fig", "1", "-scale", "0.02", "-tsv", "-out", dir}, &out); err != nil {
+		if err := run([]string{"-fig", c.fig, "-scale", "0.005", "-tsv", "-out", c.dir}, &out); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(dir + "/fig01.txt")
+		data, err := os.ReadFile(c.dir + "/" + c.file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(string(data), "t_sec") {
-			t.Fatalf("fig01.txt missing TSV: %.80s", data)
+		if !strings.Contains(string(data), c.want) {
+			t.Fatalf("%s missing %q: %.80s", c.file, c.want, data)
 		}
+	}
+}
+
+func TestRunConfigPrintout(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-config"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "MaxClients 200") {
+		t.Fatalf("config printout:\n%s", out.String())
+	}
+}
+
+func TestRunRejectsBadFlag(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-nope"}, &out); err == nil {
+		t.Fatal("bad flag accepted")
 	}
 }

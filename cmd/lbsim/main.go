@@ -1,8 +1,8 @@
 // Command lbsim runs one n-tier load-balancing experiment and prints a
 // summary: throughput, response-time statistics, VLRT/normal shares,
 // drop counts and per-server load. It is the generic driver; use
-// cmd/rubbos-bench for the paper's Table I and cmd/figures for figure
-// series.
+// cmd/figures for the paper's tables and figures (-fig table1 for
+// Table I).
 //
 // Examples:
 //

@@ -1,7 +1,7 @@
 // Policy comparison: run the full simulated n-tier testbed (4 web, 4
 // app, 1 db, RUBBoS-like workload, dirty-page-flush millibottlenecks)
-// under every policy/mechanism combination and print a Table I-style
-// comparison. This is the paper's headline experiment on a smaller
+// under every policy/mechanism combination and print the paper's
+// Table I. This is the paper's headline experiment on a smaller
 // duration so it finishes in seconds.
 //
 //	go run ./examples/policy-comparison
@@ -9,49 +9,14 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"millibalance/internal/cluster"
+	"millibalance/internal/experiments"
 )
 
 func main() {
-	combos := []struct {
-		label     string
-		policy    string
-		mechanism string
-	}{
-		{"original total_request", "total_request", "original_get_endpoint"},
-		{"original total_traffic", "total_traffic", "original_get_endpoint"},
-		{"current_load (policy remedy)", "current_load", "original_get_endpoint"},
-		{"total_request + modified get_endpoint", "total_request", "modified_get_endpoint"},
-		{"total_traffic + modified get_endpoint", "total_traffic", "modified_get_endpoint"},
-		{"current_load + modified get_endpoint", "current_load", "modified_get_endpoint"},
-	}
-
 	fmt.Println("policy/mechanism comparison under millibottlenecks (20s virtual per row)")
-	fmt.Printf("%-40s %10s %12s %8s %8s\n", "configuration", "requests", "mean RT", "%VLRT", "%<10ms")
-
-	var origMean, remedyMean time.Duration
-	for _, combo := range combos {
-		cfg := cluster.PaperConfig()
-		cfg.Policy = combo.policy
-		cfg.Mechanism = combo.mechanism
-		cfg.Duration = 20 * time.Second
-		res := cluster.Run(cfg)
-		r := res.Responses
-		fmt.Printf("%-40s %10d %12v %7.2f%% %7.2f%%\n",
-			combo.label, r.Total(), r.Mean().Round(10*time.Microsecond),
-			r.VLRTPercent(), r.NormalPercent())
-		switch {
-		case combo.policy == "total_request" && combo.mechanism == "original_get_endpoint":
-			origMean = r.Mean()
-		case combo.policy == "current_load" && combo.mechanism == "original_get_endpoint":
-			remedyMean = r.Mean()
-		}
-	}
-	if remedyMean > 0 {
-		fmt.Printf("\ncurrent_load improves mean response time %.1fx over the original total_request\n",
-			float64(origMean)/float64(remedyMean))
-		fmt.Println("(the paper reports 12x on its Emulab testbed)")
-	}
+	fmt.Println()
+	// 20 s of the paper's 180 s per row.
+	fmt.Print(experiments.RunTableI(experiments.Options{DurationScale: 20.0 / 180}).Render())
+	fmt.Println("(the paper reports 12x on its Emulab testbed)")
 }

@@ -3,8 +3,8 @@
 // assembles the right cluster configuration, executes it, and returns a
 // typed result carrying both the raw series (for CSV export via
 // cmd/figures) and the derived findings the paper's narrative rests on
-// (for assertions in tests and for EXPERIMENTS.md). The benchmark
-// harness in the repository root drives the same functions.
+// (for assertions in tests and for EXPERIMENTS.md). cmd/figures drives
+// every one of them.
 package experiments
 
 import (

@@ -25,62 +25,18 @@ func TestRenderTSV(t *testing.T) {
 	}
 }
 
-func TestTableIShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("six paper-scale runs")
-	}
-	res := RunTableI(testOpt)
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	origTR := res.Row("total_request", "original_get_endpoint")
-	origTT := res.Row("total_traffic", "original_get_endpoint")
-	cur := res.Row("current_load", "original_get_endpoint")
-	modTR := res.Row("total_request", "modified_get_endpoint")
-	modTT := res.Row("total_traffic", "modified_get_endpoint")
-	curMod := res.Row("current_load", "modified_get_endpoint")
-	for name, row := range map[string]*TableIRow{
-		"origTR": origTR, "origTT": origTT, "cur": cur,
-		"modTR": modTR, "modTT": modTT, "curMod": curMod,
+func TestReportMarkdown(t *testing.T) {
+	// Assemble a report from zero-valued results: Markdown must render
+	// every section without running anything.
+	var r Report
+	md := r.Markdown()
+	for _, want := range []string{
+		"# Evaluation report", "## Table I", "## Figure 4", "## Figure 8",
+		"## Figures 10/11", "## Generalization",
 	} {
-		if row == nil {
-			t.Fatalf("missing row %s", name)
+		if !strings.Contains(md, want) {
+			t.Fatalf("markdown missing %q", want)
 		}
-		if row.TotalRequests < 100000 {
-			t.Fatalf("%s: only %d requests", name, row.TotalRequests)
-		}
-	}
-
-	// The paper's ordering: original policies suffer heavy VLRT shares
-	// and inflated means; every remedy collapses both.
-	for _, orig := range []*TableIRow{origTR, origTT} {
-		if orig.VLRTPct < 2 {
-			t.Fatalf("original %s VLRT %.2f%% — instability did not reproduce", orig.Policy, orig.VLRTPct)
-		}
-		for _, remedy := range []*TableIRow{cur, modTR, modTT, curMod} {
-			if remedy.AvgRTMillis*3 > orig.AvgRTMillis {
-				t.Fatalf("remedy %s/%s mean %.2fms not well below original %s %.2fms",
-					remedy.Policy, remedy.Mechanism, remedy.AvgRTMillis, orig.Policy, orig.AvgRTMillis)
-			}
-			if remedy.VLRTPct > orig.VLRTPct/4 {
-				t.Fatalf("remedy %s/%s VLRT %.2f%% vs original %.2f%%",
-					remedy.Policy, remedy.Mechanism, remedy.VLRTPct, orig.VLRTPct)
-			}
-		}
-	}
-	// Headline factor: paper reports 12x; require at least 5x and allow
-	// the simulator to exceed it.
-	if f := res.ImprovementFactor(); f < 5 {
-		t.Fatalf("improvement factor %.1fx, want ≥5x", f)
-	}
-	// current_load with the modified mechanism gains nothing further
-	// over plain current_load (both remedies achieve the same goal).
-	if curMod.AvgRTMillis > 2*cur.AvgRTMillis {
-		t.Fatalf("current_load+modified %.2fms much worse than current_load %.2fms",
-			curMod.AvgRTMillis, cur.AvgRTMillis)
-	}
-	if !strings.Contains(res.Render(), "improvement factor") {
-		t.Fatal("Render missing summary")
 	}
 }
 

@@ -13,10 +13,8 @@ import (
 
 // runPaperWith runs the paper topology with the given policy/mechanism.
 func runPaperWith(opt Options, policy, mechanism string) *cluster.Results {
-	cfg := opt.apply(cluster.PaperConfig())
-	cfg.Policy = policy
-	cfg.Mechanism = mechanism
-	return cluster.Run(cfg)
+	res, _ := shapes["dirty_page_flush"].run(opt, pair(policy, mechanism))
+	return res
 }
 
 // Figure3Result is the point-in-time response time of the first ten

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"millibalance/internal/cluster"
-	"millibalance/internal/mbneck"
 	"millibalance/internal/metrics"
 	"millibalance/internal/obs"
 	"millibalance/internal/trace"
@@ -60,24 +59,10 @@ type ObservabilityResult struct {
 // original_get_endpoint, one scripted 250 ms stall on tomcat1) with
 // span tracing, the event log and the online detectors enabled.
 func RunObservability(opt Options) ObservabilityResult {
-	cfg := cluster.BaselineConfig() // writeback disabled everywhere
-	cfg.Policy = "total_request"
-	cfg.Mechanism = "original_get_endpoint"
-	cfg.Duration = zoomDuration
-	cfg.TraceCapacity = 1 << 20
-	cfg.SpanCapacity = 1 << 20
-	cfg.EventCapacity = 1 << 20
-	if opt.Seed != 0 {
-		cfg.Seed1 = opt.Seed
-	}
-	c := cluster.New(cfg)
-	inj := mbneck.NewScriptedStalls(c.Eng, "zoom", c.Apps[0].CPU(), []mbneck.StallEvent{
-		{At: zoomStallAt, Duration: zoomStallDur},
+	res := runStallZoom(opt, func(c *cluster.Config) {
+		c.TraceCapacity, c.SpanCapacity, c.EventCapacity = 1<<20, 1<<20, 1<<20
 	})
-	inj.Start()
-	res := c.Run()
-
-	out := ObservabilityResult{Policy: cfg.Policy, Mechanism: cfg.Mechanism}
+	out := ObservabilityResult{Policy: res.Config.Policy, Mechanism: res.Config.Mechanism}
 
 	// Span decomposition of the VLRT population.
 	var vlrt []trace.Entry
@@ -117,7 +102,7 @@ func RunObservability(opt Options) ObservabilityResult {
 	for _, name := range lbNames {
 		out.LBSeries = append(out.LBSeries, dumpMeans("lb_"+name, lbSeries[name]))
 	}
-	stalled := c.Apps[0].Name()
+	stalled := res.Apps[0].Name
 	valueAt := func(name string, t time.Duration) float64 {
 		last := 0.0
 		for _, ev := range decisions {
@@ -132,9 +117,9 @@ func RunObservability(opt Options) ObservabilityResult {
 		}
 		return last
 	}
-	names := make([]string, 0, len(c.Apps))
-	for _, a := range c.Apps {
-		names = append(names, a.Name())
+	names := make([]string, 0, len(res.Apps))
+	for _, a := range res.Apps {
+		names = append(names, a.Name)
 	}
 	midStall := zoomStallAt + 150*time.Millisecond
 	out.StalledIsMinDuringStall = true

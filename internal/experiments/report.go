@@ -28,12 +28,15 @@ type Report struct {
 	TableIV        TableIVResult
 }
 
-// RunAll executes the complete evaluation. At the default options this
-// is ~30 paper-scale runs (a few minutes of wall time).
+// RunAll executes the complete evaluation. Table I, the generalization
+// table and Table IV share one grid run, so each of their 17 distinct
+// cells runs once; with the figures that is 35 runs (a few minutes of
+// wall time at the default options).
 func RunAll(opt Options) Report {
+	g := runGrids(opt, tableICells, generalizationCells, tableIVCells)
 	return Report{
 		Options:        opt,
-		TableI:         RunTableI(opt),
+		TableI:         TableIResult{g[0]},
 		Fig1:           RunFigure1(opt),
 		Fig2:           RunFigure2(opt),
 		Fig3:           RunFigure3(opt),
@@ -47,8 +50,8 @@ func RunAll(opt Options) Report {
 		Fig11:          RunFigure11(opt),
 		Fig12:          RunFigure12(opt),
 		Fig13:          RunFigure13(opt),
-		Generalization: RunGeneralization(opt),
-		TableIV:        RunTableIV(opt),
+		Generalization: GeneralizationResult{g[1]},
+		TableIV:        TableIVResult{g[2]},
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"millibalance/internal/cluster"
-	"millibalance/internal/mbneck"
 	"millibalance/internal/stats"
 )
 
@@ -16,7 +15,6 @@ import (
 // tomcat1 at a known instant, so the four phases of the instability are
 // exactly measurable.
 const (
-	zoomDuration = 12 * time.Second
 	zoomStallAt  = 5300 * time.Millisecond
 	zoomStallDur = 250 * time.Millisecond
 )
@@ -42,21 +40,10 @@ func zoomPhases() [4]window {
 	}
 }
 
-// runStallZoom executes the controlled scenario.
-func runStallZoom(opt Options, policy, mechanism string) *cluster.Results {
-	cfg := cluster.BaselineConfig() // writeback disabled everywhere
-	cfg.Policy = policy
-	cfg.Mechanism = mechanism
-	cfg.Duration = zoomDuration
-	if opt.Seed != 0 {
-		cfg.Seed1 = opt.Seed
-	}
-	c := cluster.New(cfg)
-	inj := mbneck.NewScriptedStalls(c.Eng, "zoom", c.Apps[0].CPU(), []mbneck.StallEvent{
-		{At: zoomStallAt, Duration: zoomStallDur},
-	})
-	inj.Start()
-	return c.Run()
+// runStallZoom executes the controlled scenario under an arm's edit.
+func runStallZoom(opt Options, edit func(*cluster.Config)) *cluster.Results {
+	res, _ := scriptedStall(zoomStallAt, zoomStallDur).run(opt, edit)
+	return res
 }
 
 // InstabilityResult is the Fig. 6/7 (and 9b/13b) close-up: VLRT windows,
@@ -83,7 +70,7 @@ type InstabilityResult struct {
 }
 
 func runInstability(opt Options, policy, mechanism string) InstabilityResult {
-	res := runStallZoom(opt, policy, mechanism)
+	res := runStallZoom(opt, pair(policy, mechanism))
 	phases := zoomPhases()
 
 	// Phase 2 is adaptive: the last 50 ms window inside the stall that
@@ -203,7 +190,7 @@ type LBValueResult struct {
 }
 
 func runLBValues(opt Options, policy string) LBValueResult {
-	res := runStallZoom(opt, policy, "original_get_endpoint")
+	res := runStallZoom(opt, pair(policy, "original_get_endpoint"))
 	perApp := res.LBValues[0]
 
 	var queues, lbs []SeriesDump
