@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock, a cancellable timer heap, a seeded random source, and
+// a virtual clock, cancellable timers, a seeded random source, and
 // small event-driven concurrency primitives (token pools and FIFO queues)
 // used by the n-tier server models.
 //
@@ -18,6 +18,7 @@ package sim
 
 import (
 	"fmt"
+	mbits "math/bits"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -47,15 +48,28 @@ func (f Func) Fire() { f() }
 // paper-scale run schedules millions of events but keeps a bounded set
 // pending, so recycling removes nearly every per-event allocation. The
 // generation counter invalidates external handles when a node is retired.
-// index and far share one word, so a node stays 40 bytes
-// (TestTimerNodeLayout).
+// A node carries its own (at, seq) key and a link because the wheel files
+// it in an unsorted slot list; index and where share one word, so a node
+// is 56 bytes (TestTimerNodeLayout).
 type timerNode struct {
 	at    Time
-	index int32 // position in its heap, -1 once fired or stopped
-	far   bool  // the far heap holds it, not the near one
+	seq   uint64 // schedule order, which breaks ties at one instant
 	gen   uint64
 	ev    Event
+	next  *timerNode // the next node in its wheel slot
+	index int32      // position in its heap, -1 once fired or stopped
+	where place      // the structure holding it
 }
+
+// place names the structure a pending node is filed in.
+type place uint8
+
+const (
+	inNear place = iota
+	inL0
+	inL1
+	inOverflow
+)
 
 // heapItem is one heap slot. The ordering key sits beside the node
 // pointer so a sift compares slots of one contiguous array instead of
@@ -99,13 +113,23 @@ func (t Timer) Stopped() bool { return t.n == nil || t.gen != t.n.gen || t.n.ind
 // use; construct one with NewEngine.
 type Engine struct {
 	now    Time
-	near   timerHeap // due within nearHorizon of the clock when scheduled
-	far    timerHeap // the rest: think timers, retransmit and recovery waits
+	near   timerHeap // every event due before the cursor
+	over   timerHeap // events due beyond the wheel's last L1 slot
 	free   FreeList[timerNode]
 	seq    uint64
 	rng    *rand.Rand
 	fired  uint64
 	halted bool
+
+	// The wheel. cur0 is the cursor, counted in L0 slots: every event in
+	// an L0 slot before it has moved to the near heap. cur1 is the L1
+	// slot L0 spans; L1 holds the l1Slots-1 slots after it.
+	cur0, cur1 int64
+	n0, n1     int // events filed in L0 and in L1
+	l0         [l0Slots]*timerNode
+	l1         [l1Slots]*timerNode
+	bits0      [l0Slots / 64]uint64 // the non-empty L0 slots
+	bits1      [l1Slots / 64]uint64 // the non-empty L1 slots
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose random
@@ -125,7 +149,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many timers are currently scheduled.
-func (e *Engine) Pending() int { return len(e.near) + len(e.far) }
+func (e *Engine) Pending() int { return len(e.near) + e.n0 + e.n1 + len(e.over) }
 
 // Schedule arranges for fn to run after delay of virtual time. A negative
 // delay is treated as zero. The returned timer may be stopped before it
@@ -170,17 +194,16 @@ func (e *Engine) AtEvent(t Time, ev Event) Timer {
 	return Timer{n: n, gen: n.gen}
 }
 
-// Reserve makes room for n more pending timers in one step: the far
-// heap's slice grows once instead of by repeated doubling-and-copying,
-// and the n timer nodes come from one slab instead of n allocations. A
-// caller about to schedule a known, large number of standing events (a
-// client group's think timers) calls it first; which node backs which
-// timer has no bearing on the order events fire in.
+// Reserve makes room for n more pending timers in one step: the n timer
+// nodes come from one slab instead of n allocations. A caller about to
+// schedule a known, large number of standing events (a client group's
+// think timers) calls it first; the wheel's slots are lists through the
+// nodes themselves, so nothing else grows. Which node backs which timer
+// has no bearing on the order events fire in.
 func (e *Engine) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	e.far = slices.Grow(e.far, n)
 	nodes := make([]timerNode, n)
 	e.free.items = slices.Grow(e.free.items, n)
 	for i := range nodes {
@@ -195,14 +218,14 @@ func (e *Engine) Stop(t Timer) bool {
 	if t.Stopped() {
 		return false
 	}
-	e.heapOf(t.n).remove(int(t.n.index))
+	e.unfile(t.n)
 	e.recycle(t.n)
 	return true
 }
 
 // Reschedule moves a pending timer to fire at now+delay. It reports
 // whether the timer was still pending and thus moved. The timer leaves
-// its heap and re-enters the one its new delay selects, behind every
+// its place and is filed anew under a fresh sequence number, behind every
 // event already scheduled for the same instant.
 func (e *Engine) Reschedule(t Timer, delay Time) bool {
 	if t.Stopped() {
@@ -211,7 +234,7 @@ func (e *Engine) Reschedule(t Timer, delay Time) bool {
 	if delay < 0 {
 		delay = 0
 	}
-	e.heapOf(t.n).remove(int(t.n.index))
+	e.unfile(t.n)
 	e.push(t.n, e.now+delay)
 	return true
 }
@@ -223,11 +246,10 @@ func (e *Engine) Step() bool {
 	if e.halted {
 		return false
 	}
-	h := e.next()
-	if h == nil {
+	if !e.next() {
 		return false
 	}
-	e.fire(h)
+	e.fire()
 	return true
 }
 
@@ -235,11 +257,10 @@ func (e *Engine) Step() bool {
 // clock to exactly until. Events scheduled at until itself are dispatched.
 func (e *Engine) Run(until Time) {
 	for !e.halted {
-		h := e.next()
-		if h == nil || (*h)[0].at > until {
+		if !e.next() || e.near[0].at > until {
 			break
 		}
-		e.fire(h)
+		e.fire()
 	}
 	if e.now < until {
 		e.now = until
@@ -284,63 +305,188 @@ func (e *Engine) recycle(n *timerNode) {
 	e.free.Put(n)
 }
 
-// Pending events live in two heaps. An event due within nearHorizon of
-// the clock at the moment it is scheduled goes to the near heap: the CPU
-// bursts, link hops, polls and hand-offs of the requests in flight, a
-// few dozen slots that stay in cache. Everything due later goes to the
-// far heap: the ~70 000 think timers of a paper-scale run, retransmit
-// waits, error recoveries, writeback periods. Nine pops in ten come from
-// the near heap and no longer sift through the think timers.
+// Pending events live in a near heap, a two-level timing wheel and an
+// overflow heap. The wheel's cursor splits time: every event due before
+// it is in the near heap, every other event is in the wheel or the
+// overflow heap. So the near root, when there is one, is the minimum of
+// all pending events, and the engine fires from the near heap alone.
 //
-// Both heaps are ordered by (at, seq), and the engine fires whichever
-// root is smaller. (at, seq) is a total order and each root is the
-// minimum of its heap, so the smaller root is the minimum of all pending
-// events: the pop sequence is the one a single heap gives, whatever the
-// horizon and wherever an event was filed. The horizon decides cost
-// only. A far event whose time has come stays where it is and fires
-// from the far root; Stop removes a node from the heap its far flag
-// names; Reschedule removes it and pushes it, with a fresh seq, into the
-// heap its new delay selects.
+// L0 has l0Slots slots of 2^l0Shift ns (16.4 µs) and spans one L1 slot;
+// L1 has l1Slots slots of 2^l1Shift ns (4.19 ms), about 17.2 s in all;
+// anything due later waits in the overflow heap. A slot is an unsorted
+// list through the nodes. When the near heap empties, the cursor moves
+// to the next non-empty L0 slot and pushes its events into the near heap
+// with the seq they were scheduled under, so the pop sequence is the
+// (at, seq) order a single heap gives, wherever an event was filed. When
+// L0 is empty, the next non-empty L1 slot cascades into L0, or, with
+// both levels empty, L0 jumps to the overflow root's L1 slot; each time
+// the overflow heap then hands the wheel whatever has come within
+// reach. Times are compared as slot numbers, never as slot ends in
+// nanoseconds, which would overflow near the top of the time range.
 //
-// nearHorizon was picked by a sweep of sim_paper (EXPERIMENTS.md, PR 25):
-// 5, 20 and 100 ms run alike; 20 ms holds the near heap to ~200 slots at
-// most (~1 000 at 100 ms) and moves only 0.1 % of all pops to the far
-// heap. At 1 s thousands of think timers land in the near heap and half
-// the gain is lost.
-const nearHorizon = 20 * time.Millisecond
+// The near heap thus holds about one L0 slot of events — the CPU
+// bursts, link hops, polls and hand-offs of the requests in flight, 2.6
+// at a sim_paper pop on average, 19 at most — and a sift crosses a level
+// or two. The ~70 000 think timers of a paper-scale run cost a list push
+// and a cascade each. Stop unlinks a wheel node by walking its slot; at
+// paper scale it passes 0.9 nodes in L0 and 2.7 in L1 on average. The
+// slot width was picked by a sweep of sim_paper (EXPERIMENTS.md, "a
+// timing wheel under the near heap"): 2^14 ns ties 2^12, whose L1 needs
+// four times the slots for the same reach, and beats 2^16 and 2^18.
+const (
+	l0Shift = 14
+	l0Bits  = 8
+	l0Slots = 1 << l0Bits
+	l1Shift = l0Shift + l0Bits
+	l1Bits  = 12
+	l1Slots = 1 << l1Bits
+)
 
-// push files n, due at t, under a fresh sequence number in the heap t's
-// distance from the clock selects.
+// push files n, due at t, under a fresh sequence number.
 func (e *Engine) push(n *timerNode, t Time) {
 	e.seq++
 	n.at = t
-	n.far = t-e.now >= nearHorizon
-	e.heapOf(n).push(heapItem{at: t, seq: e.seq, n: n})
+	n.seq = e.seq
+	e.file(n)
 }
 
-// heapOf returns the heap holding n.
-func (e *Engine) heapOf(n *timerNode) *timerHeap {
-	if n.far {
-		return &e.far
+// file puts n where its due time belongs relative to the cursor.
+func (e *Engine) file(n *timerNode) {
+	s := int64(n.at) >> l0Shift
+	switch {
+	case s < e.cur0:
+		n.where = inNear
+		e.near.push(heapItem{at: n.at, seq: n.seq, n: n})
+	case s>>l0Bits == e.cur1:
+		n.where = inL0
+		n.index = 0
+		link(e.l0[:], e.bits0[:], int(s&(l0Slots-1)), n)
+		e.n0++
+	case s>>l0Bits-e.cur1 < l1Slots:
+		n.where = inL1
+		n.index = 0
+		link(e.l1[:], e.bits1[:], int(s>>l0Bits&(l1Slots-1)), n)
+		e.n1++
+	default:
+		n.where = inOverflow
+		e.over.push(heapItem{at: n.at, seq: n.seq, n: n})
 	}
-	return &e.near
 }
 
-// next returns the heap whose root fires first, or nil when nothing is
-// pending.
-func (e *Engine) next() *timerHeap {
-	if len(e.far) > 0 && (len(e.near) == 0 || e.far[0].less(&e.near[0])) {
-		return &e.far
+// unfile takes a pending n out of the structure holding it.
+func (e *Engine) unfile(n *timerNode) {
+	s := int64(n.at) >> l0Shift
+	switch n.where {
+	case inNear:
+		e.near.remove(int(n.index))
+	case inL0:
+		unlink(e.l0[:], e.bits0[:], int(s&(l0Slots-1)), n)
+		e.n0--
+	case inL1:
+		unlink(e.l1[:], e.bits1[:], int(s>>l0Bits&(l1Slots-1)), n)
+		e.n1--
+	default:
+		e.over.remove(int(n.index))
 	}
-	if len(e.near) > 0 {
-		return &e.near
-	}
-	return nil
 }
 
-// fire pops h's root, advances the clock to it and dispatches it.
-func (e *Engine) fire(h *timerHeap) {
-	n := h.popMin()
+// next reports whether an event is pending, refilling the near heap from
+// the wheel if it is empty.
+func (e *Engine) next() bool {
+	if len(e.near) == 0 {
+		e.advance()
+	}
+	return len(e.near) > 0
+}
+
+// advance moves the cursor past the next non-empty L0 slot and pushes the
+// slot's events into the near heap, cascading L1 into L0 and refilling
+// the wheel from the overflow heap as the cursor reaches them.
+func (e *Engine) advance() {
+	for {
+		if e.n0 > 0 {
+			i := nextSet(e.bits0[:], int(e.cur0&(l0Slots-1)))
+			e.cur0 = (e.cur1<<l0Bits | int64(i)) + 1
+			for n := take(e.l0[:], e.bits0[:], i); n != nil; {
+				next := n.next
+				n.next = nil
+				n.where = inNear
+				e.near.push(heapItem{at: n.at, seq: n.seq, n: n})
+				e.n0--
+				n = next
+			}
+			return
+		}
+		switch {
+		case e.n1 > 0:
+			i := nextSet(e.bits1[:], int((e.cur1+1)&(l1Slots-1)))
+			e.cur1 += (int64(i) - e.cur1) & (l1Slots - 1)
+		case len(e.over) > 0:
+			e.cur1 = int64(e.over[0].at) >> l1Shift
+		default:
+			return
+		}
+		e.cur0 = e.cur1 << l0Bits
+		for n := take(e.l1[:], e.bits1[:], int(e.cur1&(l1Slots-1))); n != nil; {
+			next := n.next
+			n.next = nil
+			e.n1--
+			e.file(n)
+			n = next
+		}
+		for len(e.over) > 0 && int64(e.over[0].at)>>l1Shift-e.cur1 < l1Slots {
+			e.file(e.over.popMin())
+		}
+	}
+}
+
+// link adds n to the list of slot i.
+func link(heads []*timerNode, bits []uint64, i int, n *timerNode) {
+	n.next = heads[i]
+	heads[i] = n
+	bits[i>>6] |= 1 << (i & 63)
+}
+
+// unlink removes n from the list of slot i, which holds it.
+func unlink(heads []*timerNode, bits []uint64, i int, n *timerNode) {
+	p := &heads[i]
+	for *p != n {
+		p = &(*p).next
+	}
+	*p = n.next
+	n.next = nil
+	if heads[i] == nil {
+		bits[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// take empties slot i and returns its list.
+func take(heads []*timerNode, bits []uint64, i int) *timerNode {
+	n := heads[i]
+	heads[i] = nil
+	bits[i>>6] &^= 1 << (i & 63)
+	return n
+}
+
+// nextSet returns the first set bit at or after i, wrapping around the
+// end; the caller knows one is set.
+func nextSet(bits []uint64, i int) int {
+	w := i >> 6
+	if b := bits[w] >> (i & 63); b != 0 {
+		return i + mbits.TrailingZeros64(b)
+	}
+	for k := 1; k <= len(bits); k++ {
+		j := (w + k) % len(bits)
+		if bits[j] != 0 {
+			return j<<6 + mbits.TrailingZeros64(bits[j])
+		}
+	}
+	panic("sim: no pending slot in a non-empty wheel level")
+}
+
+// fire pops the near root, advances the clock to it and dispatches it.
+func (e *Engine) fire() {
+	n := e.near.popMin()
 	e.now = n.at
 	ev := n.ev
 	e.recycle(n)

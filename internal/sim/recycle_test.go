@@ -125,27 +125,59 @@ func TestScheduleEventZeroAlloc(t *testing.T) {
 		t.Fatalf("event fired %d times, want 1002", ev.fired)
 	}
 
-	// The same holds on the far heap, for a Reschedule that moves a timer
-	// across the horizon both ways, and for a Stop in either heap.
+	// The same holds for a timer that cascades from L1 through L0 to the
+	// near heap, for one that waits in the overflow heap until the wheel
+	// jumps to it, and for a Reschedule across the levels.
 	for _, tc := range []struct {
 		name  string
 		cycle func()
 	}{
-		{"far heap", func() {
+		{"near", func() {
+			e.ScheduleEvent(0, ev)
+			e.Step()
+		}},
+		{"cascade L1→L0→near", func() {
+			e.ScheduleEvent(5*time.Millisecond, ev)
+			e.Step()
+		}},
+		{"overflow", func() {
 			e.ScheduleEvent(time.Hour, ev)
 			e.Step()
 		}},
-		{"reschedule near→far→near", func() {
+		{"reschedule across the levels", func() {
 			tm := e.ScheduleEvent(time.Millisecond, ev)
 			e.Reschedule(tm, time.Hour)
-			e.Reschedule(tm, time.Millisecond)
+			e.Reschedule(tm, 5*time.Millisecond)
 			e.Step()
 		}},
-		{"stop near", func() { e.Stop(e.ScheduleEvent(time.Millisecond, ev)) }},
-		{"stop far", func() { e.Stop(e.ScheduleEvent(time.Hour, ev)) }},
 	} {
 		if allocs := testing.AllocsPerRun(1000, tc.cycle); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per cycle, want 0", tc.name, allocs)
+		}
+	}
+
+	// A Stop in each place. Park the clock early in an L1 slot first, so
+	// each delay below files its timer in the place it names.
+	at := (e.Now()>>l1Shift+2)<<l1Shift + 3<<l0Shift
+	e.ScheduleEvent(at-e.Now(), ev)
+	e.Step()
+	for _, tc := range []struct {
+		where place
+		delay Time
+	}{
+		{inNear, 0},
+		{inL0, 1 << l0Shift},
+		{inL1, 1 << l1Shift},
+		{inOverflow, time.Hour},
+	} {
+		name := "stop in " + placeNames[tc.where]
+		if tm := e.ScheduleEvent(tc.delay, ev); tm.n.where != tc.where {
+			t.Fatalf("%s: the timer went to %s", name, placeNames[tm.n.where])
+		} else {
+			e.Stop(tm)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { e.Stop(e.ScheduleEvent(tc.delay, ev)) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per cycle, want 0", name, allocs)
 		}
 	}
 	if e.Pending() != 0 {
