@@ -104,7 +104,7 @@ func TestGateLimitAndHeadroom(t *testing.T) {
 func TestFixedShedIsUncontendedPassThrough(t *testing.T) {
 	// The Resilience delegation: a static gate at the pool size with a
 	// bounded wait, no CoDel, no adaptation.
-	g := NewGate(*FixedShed(750*time.Millisecond), 64)
+	g := NewGate(*FixedShed(750 * time.Millisecond), 64)
 	if g.MaxWait() != 750*time.Millisecond {
 		t.Fatalf("MaxWait = %v", g.MaxWait())
 	}

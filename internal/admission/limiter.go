@@ -37,12 +37,12 @@ type limiterState struct {
 	cooldown  atomic.Int64 // no further decrease before this time (nanos)
 
 	// Gradient (Vegas-style).
-	smooth float64
-	tol    float64
-	every  int64         // adjustment spacing, nanos
-	ewma   atomic.Uint64 // float64 bits of the RTT EWMA in nanos
-	minRTT atomic.Int64  // no-load RTT floor, nanos; 0 = unset
-	nextAdj atomic.Int64 // next adjustment time, nanos
+	smooth  float64
+	tol     float64
+	every   int64         // adjustment spacing, nanos
+	ewma    atomic.Uint64 // float64 bits of the RTT EWMA in nanos
+	minRTT  atomic.Int64  // no-load RTT floor, nanos; 0 = unset
+	nextAdj atomic.Int64  // next adjustment time, nanos
 }
 
 func (l *limiterState) init(cfg Config) {

@@ -115,7 +115,7 @@ func (c *Cluster) armAdaptive(acfg adapt.Config) {
 	}
 	ctrl := adapt.NewController(acfg, webActuator{c})
 	c.adapt = ctrl
-	c.addEventHook(ctrl.OnEvent)
+	c.addEventHook(ctrl.OnEvent, false)
 	for _, w := range c.Webs {
 		w.Balancer().SetProbeHook(func(cand *lb.Candidate, rt sim.Time, ok bool) {
 			ctrl.OnProbe(c.Eng.Now(), cand.Name(), rt, ok)

@@ -23,9 +23,9 @@ func mallocsFor(cfg Config) (mallocs, completed uint64) {
 // and more than half of a run's CPU went to allocating and collecting
 // them; the walk now rides on recycled records and costs none, the
 // 70 000 clients and their think timers are three slabs, and the planes'
-// logs record into rings that own their storage, so what remains is a
-// candidate table per event-ring slot the first time a decision lands
-// in it.
+// logs record into rings that own their storage. The event ring stores a
+// decision as pointer-free rows in storage each chunk allocates once, so
+// with every plane armed a request costs what it costs with none.
 //
 // Two bounds per configuration: the objects a short run allocates all
 // told, per completed request — the benchmark's mem.mallocs_per_op; an
@@ -34,16 +34,15 @@ func mallocsFor(cfg Config) (mallocs, completed uint64) {
 // and a longer run, which is the walk itself and catches a single new
 // allocation on it.
 func TestAllocationBudget(t *testing.T) {
+	// Measured 0.03 / 0.22 (paper) and 0.10 / 0.05 (full) objects per
+	// request, total / marginal.
+	const total, marginal = 1, 1
 	cases := []struct {
-		name            string
-		cfg             func(seed uint64) Config
-		total, marginal float64
+		name string
+		cfg  func(seed uint64) Config
 	}{
-		// Measured 0.03 / 0.22 and 1.11 / 0.65: the full plane set's event
-		// ring is still on its first lap at 6 s (65 536 slots, 15 000
-		// decisions a second), and each new slot allocates its table.
-		{"paper", goldenPaper, 1, 1},
-		{"full", goldenFull, 2, 1},
+		{"paper", goldenPaper},
+		{"full", goldenFull},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,15 +50,15 @@ func TestAllocationBudget(t *testing.T) {
 			short.Duration, long.Duration = 3*time.Second, 6*time.Second
 			m1, n1 := mallocsFor(short)
 			m2, n2 := mallocsFor(long)
-			total := float64(m1) / float64(n1)
-			marginal := float64(m2-m1) / float64(n2-n1)
-			t.Logf("%.2f objects per request over a 3 s run, %.2f per additional request", total, marginal)
-			if total > tc.total {
-				t.Errorf("a 3 s run allocates %.1f objects per completed request, budget %.0f", total, tc.total)
+			perReq := float64(m1) / float64(n1)
+			perAdded := float64(m2-m1) / float64(n2-n1)
+			t.Logf("%.2f objects per request over a 3 s run, %.2f per additional request", perReq, perAdded)
+			if perReq > total {
+				t.Errorf("a 3 s run allocates %.1f objects per completed request, budget %d", perReq, total)
 			}
-			if marginal > tc.marginal {
-				t.Errorf("each additional request allocates %.2f objects, budget %.0f: something on the walk allocates again",
-					marginal, tc.marginal)
+			if perAdded > marginal {
+				t.Errorf("each additional request allocates %.2f objects, budget %d: something on the walk allocates again",
+					perAdded, marginal)
 			}
 		})
 	}

@@ -132,7 +132,7 @@ type Cluster struct {
 	pools      *probe.Pools
 	prober     *probe.SimProber
 	admGates   []*admission.Gate
-	eventHooks []func(obs.Event)
+	eventHooks []eventHook
 
 	webStats []*ServerStats
 	appStats []*ServerStats
@@ -337,25 +337,16 @@ func (c *Cluster) instrument() {
 
 		assign := metrics.NewDistributionRecorder(names, horizon)
 		c.assign = append(c.assign, assign)
-		// snapBuf is shared by the decision hook and the lb_value poller
-		// below: both run on the engine thread and are done with the
-		// snapshot before they return. viewBuf is the decision's candidate
-		// table in the same way: the event log copies it into its own
-		// storage before Append returns.
-		var snapBuf []lb.Snapshot
-		var viewBuf []obs.CandidateView
+		// Each decision's candidate table is built in rows, the scratch
+		// the event log copies before Append returns, against the table
+		// this web registers once (nil, and inert, without a log).
+		table := c.events.Table(w.Name(), names, lb.StateNames())
+		var rows []obs.Row
 		bal.SetAssignHook(func(cand *lb.Candidate) {
 			assign.Incr(cand.Index(), c.Eng.Now())
-			if c.events != nil {
-				snapBuf = bal.AppendSnapshot(snapBuf[:0])
-				viewBuf = appendCandidateViews(viewBuf[:0], snapBuf)
-				c.events.Append(obs.Event{
-					T:          c.Eng.Now(),
-					Kind:       obs.KindDecision,
-					Source:     w.Name(),
-					Chosen:     cand.Name(),
-					Candidates: viewBuf,
-				})
+			if table != nil {
+				rows = bal.AppendRows(rows[:0], table)
+				table.Append(c.Eng.Now(), cand.Index(), rows)
 			}
 		})
 		if c.events != nil {
@@ -379,6 +370,7 @@ func (c *Cluster) instrument() {
 			lbSeries[a.Name()] = newSeries()
 		}
 		c.lbValues = append(c.lbValues, lbSeries)
+		var snapBuf []lb.Snapshot
 		c.poller.Add(func(now sim.Time) {
 			snapBuf = bal.AppendSnapshot(snapBuf[:0])
 			for _, snap := range snapBuf {
@@ -500,25 +492,36 @@ func (c *Cluster) instrumentTelemetry() {
 	c.telPoller.Add(s.Sample)
 	if c.events != nil {
 		c.correlator = telemetry.NewCorrelator(c.timeline, telemetry.CorrelateConfig{})
-		c.addEventHook(c.correlator.OnEvent)
+		c.addEventHook(c.correlator.OnEvent, false)
 	}
 }
 
-// addEventHook subscribes fn to the event log's append stream. The log
-// supports a single hook, so the cluster owns a fan-out; hooks run in
-// subscription order, on the engine thread, outside the log's lock.
-func (c *Cluster) addEventHook(fn func(obs.Event)) {
+// eventHook is one subscriber of the cluster's event fan-out.
+type eventHook struct {
+	fn        func(obs.Event)
+	decisions bool
+}
+
+// addEventHook subscribes fn to the event log's append stream, with the
+// decisions only if decisions is set (obs.EventLog.SetAppendHook). The
+// log supports a single hook, so the cluster owns a fan-out; hooks run
+// in subscription order, on the engine thread, outside the log's lock.
+func (c *Cluster) addEventHook(fn func(obs.Event), decisions bool) {
 	if c.events == nil || fn == nil {
 		return
 	}
-	c.eventHooks = append(c.eventHooks, fn)
-	if len(c.eventHooks) == 1 {
-		c.events.SetAppendHook(func(ev obs.Event) {
-			for _, h := range c.eventHooks {
-				h(ev)
-			}
-		})
+	c.eventHooks = append(c.eventHooks, eventHook{fn, decisions})
+	decisions = false
+	for _, h := range c.eventHooks {
+		decisions = decisions || h.decisions
 	}
+	c.events.SetAppendHook(func(ev obs.Event) {
+		for _, h := range c.eventHooks {
+			if h.decisions || ev.Kind != obs.KindDecision {
+				h.fn(ev)
+			}
+		}
+	}, decisions)
 }
 
 // newDetector attaches a streaming millibottleneck detector to a
@@ -549,24 +552,6 @@ func (c *Cluster) addServerSamplers(st *ServerStats, det *obs.Detector, read fun
 		st.DirtyBytes.Add(now, float64(dirty))
 		st.CPU.Sample(now)
 	})
-}
-
-// appendCandidateViews appends a balancer snapshot to dst as event views.
-func appendCandidateViews(dst []obs.CandidateView, snaps []lb.Snapshot) []obs.CandidateView {
-	for _, s := range snaps {
-		dst = append(dst, obs.CandidateView{
-			Name:           s.Name,
-			LBValue:        s.LBValue,
-			State:          s.State.String(),
-			InFlight:       s.InFlight,
-			FreeEndpoints:  s.FreeEndpoints,
-			ProbeInFlight:  s.ProbeInFlight,
-			ProbeLatencyMs: float64(s.ProbeLatency) / float64(time.Millisecond),
-			ProbeAgeMs:     float64(s.ProbeAge) / float64(time.Millisecond),
-			ProbeFresh:     s.ProbeFresh,
-		})
-	}
-	return dst
 }
 
 // Run executes the experiment for the configured duration and returns

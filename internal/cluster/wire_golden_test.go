@@ -75,7 +75,7 @@ func TestWireFormatGolden(t *testing.T) {
 					seen[key]++
 					mirror.Append(ev)
 				}
-			})
+			}, true)
 			res := c.Run()
 
 			var sampled, events, spans, access bytes.Buffer

@@ -300,14 +300,15 @@ type Balancer struct {
 	wake chan struct{}
 	// prng backs the core's randomized choices (prequal's sampling).
 	prng *rand.Rand
-	// views parks the decision event's candidate-table scratch between
-	// dispatches; the event log copies the table it is handed.
-	views []obs.CandidateView
+	// rows parks the decision's candidate-table scratch between
+	// dispatches; the event log copies the rows it is handed.
+	rows []obs.Row
 
 	sessions   sessionTable
 	onAssign   func(*Backend)
 	onProbe    func(*Backend, time.Duration, bool)
 	events     *obs.EventLog
+	table      *obs.Table
 	eventEpoch time.Time
 	source     string
 }
@@ -447,27 +448,32 @@ func (b *Balancer) SetAssignHook(hook func(*Backend)) { b.onAssign = hook }
 
 // SetEventLog wires the balancer into an event log: each dispatch
 // decision is recorded with the full candidate table (lb_value, state,
-// in-flight, free endpoints) and each 3-state-machine transition becomes
-// a state event. source names the emitter; epoch is the time base
-// events are stamped against. Call before serving traffic.
+// in-flight, free endpoints and, with probe pools wired, each backend's
+// freshest probe sample) and each 3-state-machine transition becomes a
+// state event. source names the emitter; epoch is the time base events
+// are stamped against. Call before serving traffic.
 func (b *Balancer) SetEventLog(log *obs.EventLog, source string, epoch time.Time) {
+	names := make([]string, len(b.backends))
+	for i, be := range b.backends {
+		names[i] = be.name
+	}
 	b.events, b.source, b.eventEpoch = log, source, epoch
+	b.table = log.Table(source, names, lb.StateNames())
 }
 
 // choice is one pass of the core's choice: the backend, the clock
 // reading it was made at, and — with an event log armed — the candidate
-// table the decision event carries and the pools that enrich it.
+// table the decision event carries.
 type choice struct {
-	be    *Backend
-	now   time.Duration
-	views []obs.CandidateView
-	pools *probe.Pools
+	be   *Backend
+	now  time.Duration
+	rows []obs.Row
 }
 
 // choose runs the core's choice under the balancer's mu and every
 // backend's, starts the mechanism's poll on the chosen backend, and
-// snapshots the candidate table when an event log is
-// armed (the way mod_jk's scheduler reads the worker table).
+// reads the candidate table when an event log is armed (the way
+// mod_jk's scheduler reads the worker table).
 func (b *Balancer) choose(w *lb.Walk, pinned *Backend) choice {
 	c := choice{now: b.now()}
 	var pin *lb.Record
@@ -479,19 +485,15 @@ func (b *Balancer) choose(w *lb.Walk, pinned *Backend) choice {
 	if r := b.core.Choose(w, pin, c.now, b.prng); r != nil {
 		b.core.Assign(w, r)
 		c.be = b.backends[r.Index()]
-		if b.events != nil {
+		if b.table != nil {
 			// A dispatch that finds the scratch taken by a concurrent
-			// emit makes its own.
-			c.views, b.views, c.pools = b.views[:0], nil, b.pools
-			for _, be := range b.backends {
-				c.views = append(c.views, obs.CandidateView{
-					Name:          be.name,
-					LBValue:       be.rec.LBValue(),
-					State:         be.rec.State().String(),
-					InFlight:      be.rec.InFlight(),
-					FreeEndpoints: be.free,
-				})
-			}
+			// emit makes its own. The probe fields come from the prequal
+			// instance's pools whichever policy is active: the pools
+			// SetProbePools wired.
+			pq := b.policies[PolicyPrequal].(*lb.Prequal)
+			free := func(i int) int { return b.backends[i].free }
+			c.rows = b.core.AppendRows(b.rows[:0], b.table, free, pq)
+			b.rows = nil
 		}
 	}
 	b.unlockBackends()
@@ -500,34 +502,15 @@ func (b *Balancer) choose(w *lb.Walk, pinned *Backend) choice {
 }
 
 // emitDecision records one dispatch decision with the table choose
-// took, each row with the backend's freshest probe sample. It runs with
-// no balancer lock held and parks the table's scratch for the next
-// dispatch once the event log has copied it.
+// read. It runs with no balancer lock held and parks the table's
+// scratch for the next dispatch once the event log has copied it.
 func (b *Balancer) emitDecision(c choice) {
-	if b.events == nil {
+	if b.table == nil {
 		return
 	}
-	for i := range c.views {
-		if c.pools == nil {
-			break
-		}
-		v := &c.views[i]
-		if smp, ok := c.pools.Peek(v.Name); ok {
-			v.ProbeInFlight = smp.InFlight
-			v.ProbeLatencyMs = float64(smp.Latency) / float64(time.Millisecond)
-			v.ProbeAgeMs = float64(smp.Age) / float64(time.Millisecond)
-			v.ProbeFresh = true
-		}
-	}
-	b.events.Append(obs.Event{
-		T:          time.Since(b.eventEpoch),
-		Kind:       obs.KindDecision,
-		Source:     b.source,
-		Chosen:     c.be.name,
-		Candidates: c.views,
-	})
+	b.table.Append(time.Since(b.eventEpoch), c.be.rec.Index(), c.rows)
 	b.mu.Lock()
-	b.views = c.views
+	b.rows = c.rows
 	b.mu.Unlock()
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"millibalance/internal/obs"
 	"millibalance/internal/probe"
 )
 
@@ -265,16 +266,32 @@ func TestPrequalSwapStress(t *testing.T) {
 
 // TestPrequalDispatchZeroAlloc is the deterministic guard CI runs by
 // name: the prequal dispatch hot path — eligibility scan, pools.Pick,
-// bookkeeping — must not allocate.
+// bookkeeping — must not allocate, and neither must recording each
+// decision with its probe fields once the event ring has wrapped.
 func TestPrequalDispatchZeroAlloc(t *testing.T) {
-	cycle := prequalCycle()
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := cycle(); err != nil {
-			t.Fatal(err)
+	const capacity = 300
+	log := obs.NewEventLog(capacity)
+	for _, arm := range []struct {
+		name string
+		log  *obs.EventLog
+	}{{"bare", nil}, {"logged", log}} {
+		cycle := prequalCycle(arm.log)
+		for i := 0; i <= capacity; i++ {
+			if err := cycle(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("prequal dispatch allocates %.1f/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if err := cycle(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: prequal dispatch allocates %.1f/op, want 0", arm.name, allocs)
+		}
+	}
+	if last := log.Events()[capacity-1]; len(last.Candidates) != 2 || !last.Candidates[1].ProbeFresh {
+		t.Fatalf("last decision carries no probe fields: %+v", last)
 	}
 }
 
@@ -282,8 +299,9 @@ func TestPrequalDispatchZeroAlloc(t *testing.T) {
 // in-memory 64-endpoint backends: the arms the dispatch benchmark times.
 
 // prequalCycle dispatches under prequal with pools that hold
-// non-expiring samples, isolating the dispatch path from probing I/O.
-func prequalCycle() func() error {
+// non-expiring samples, isolating the dispatch path from probing I/O,
+// and records each decision in log when it is not nil.
+func prequalCycle(log *obs.EventLog) func() error {
 	backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64)}
 	bal := NewBalancer(PolicyPrequal, MechanismModified, backends, Config{Sweeps: 1})
 	start := time.Now()
@@ -292,6 +310,9 @@ func prequalCycle() func() error {
 	pools.Observe("a", 1, time.Millisecond)
 	pools.Observe("b", 2, 2*time.Millisecond)
 	bal.SetProbePools(pools, nil)
+	if log != nil {
+		bal.SetEventLog(log, "proxy", start)
+	}
 	return balancerCycle(bal)
 }
 
@@ -339,7 +360,7 @@ func BenchmarkPrequalDispatchOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("prequal", func(b *testing.B) { run(b, prequalCycle()) })
+	b.Run("prequal", func(b *testing.B) { run(b, prequalCycle(nil)) })
 	b.Run("current_load", func(b *testing.B) { run(b, currentLoadCycle()) })
 	b.Run("parallel", func(b *testing.B) {
 		bal := NewBalancer(PolicyCurrentLoad, MechanismModified, parallelBackends(), Config{Sweeps: 1})

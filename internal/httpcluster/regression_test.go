@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,11 +304,20 @@ func TestAcquireZeroAllocEventLogArmed(t *testing.T) {
 
 // TestEmitDecisionConcurrentScratch: dispatchers on several goroutines
 // share the balancer's one parked scratch buffer; whoever finds it taken
-// makes its own, and every recorded decision carries a whole table.
+// makes its own, and every recorded decision carries a whole table — in
+// the ring, which wraps (a chunk and a bit), and as a hook subscribed to
+// decisions is handed it.
 func TestEmitDecisionConcurrentScratch(t *testing.T) {
 	backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64), NewBackend("c", "u", 64)}
 	bal := NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1})
-	log := obs.NewEventLog(512)
+	log := obs.NewEventLog(300)
+	var hooked atomic.Int64
+	log.SetAppendHook(func(ev obs.Event) {
+		hooked.Add(1)
+		if len(ev.Candidates) != 3 || ev.Candidates[0].Name != "a" || ev.Candidates[2].Name != "c" {
+			t.Errorf("hook handed a torn candidate table: %+v", ev)
+		}
+	}, true)
 	bal.SetEventLog(log, "proxy", time.Now())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -325,8 +335,8 @@ func TestEmitDecisionConcurrentScratch(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := log.Appended(); got != 8*500 {
-		t.Fatalf("%d events for %d dispatches", got, 8*500)
+	if got := log.Appended(); got != 8*500 || hooked.Load() != 8*500 {
+		t.Fatalf("%d events, %d of them hooked, for %d dispatches", got, hooked.Load(), 8*500)
 	}
 	for _, ev := range log.Events() {
 		if len(ev.Candidates) != 3 || ev.Candidates[0].Name != "a" || ev.Candidates[1].Name != "b" || ev.Candidates[2].Name != "c" {

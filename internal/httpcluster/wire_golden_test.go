@@ -31,7 +31,7 @@ func TestWireFormatGolden(t *testing.T) {
 	log.SetAppendHook(func(ev obs.Event) {
 		ev.T = tick()
 		mirror.Append(ev)
-	})
+	}, true)
 
 	a, b := NewBackend("app1", "u", 1), NewBackend("app2", "u", 1)
 	// current_load, not prequal: the choice must follow from the

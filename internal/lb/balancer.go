@@ -49,15 +49,6 @@ type Snapshot struct {
 	Completed     uint64
 	FreeEndpoints int
 	Quarantined   bool
-
-	// Probe* mirror the freshest probe-pool sample when the active
-	// policy exposes one (ProbeViewer); ProbeFresh is false — and the
-	// other fields zero — for every other policy or when the backend's
-	// pool has aged out.
-	ProbeInFlight float64
-	ProbeLatency  sim.Time
-	ProbeAge      sim.Time
-	ProbeFresh    bool
 }
 
 func (c *Candidate) snapshot() Snapshot {
@@ -202,24 +193,21 @@ func (b *Balancer) Snapshot() []Snapshot {
 
 // AppendSnapshot appends every candidate's balancer-visible state to dst
 // and returns the extended slice. Periodic samplers pass a reused buffer
-// to keep the per-tick snapshot allocation-free. When the active policy
-// exposes probe-pool samples (ProbeViewer), each snapshot carries the
-// probe values a dispatch at this instant would have seen.
+// to keep the per-tick snapshot allocation-free.
 func (b *Balancer) AppendSnapshot(dst []Snapshot) []Snapshot {
-	pv, hasPV := b.core.Policy().(ProbeViewer)
 	for _, c := range b.cands {
-		s := c.snapshot()
-		if hasPV {
-			if smp, ok := pv.ProbeView(c.name); ok {
-				s.ProbeInFlight = smp.InFlight
-				s.ProbeLatency = smp.Latency
-				s.ProbeAge = smp.Age
-				s.ProbeFresh = true
-			}
-		}
-		dst = append(dst, s)
+		dst = append(dst, c.snapshot())
 	}
 	return dst
+}
+
+// AppendRows appends the candidate table of a decision taken now to dst
+// (Core.AppendRows): each candidate's free endpoints from its pool and,
+// while the active policy is prequal, the probe samples it chooses by.
+// tab registered the candidates' names and lb.StateNames.
+func (b *Balancer) AppendRows(dst []obs.Row, tab *obs.Table) []obs.Row {
+	pq, _ := b.core.Policy().(*Prequal)
+	return b.core.AppendRows(dst, tab, func(i int) int { return b.cands[i].pool.Free() }, pq)
 }
 
 // Forwarder is the dispatching side of one request: the caller's own

@@ -29,6 +29,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"time"
+
+	"millibalance/internal/obs"
 )
 
 // State is a backend's scheduling state in the paper's 3-state machine.
@@ -59,6 +61,14 @@ func (s State) String() string {
 	default:
 		return fmt.Sprintf("State(%d)", int(s))
 	}
+}
+
+// StateNames lists the name of every State, indexed by the State: the
+// state names a decision emitter registers with an event log
+// (obs.EventLog.Table), so that Core.AppendRows can record a state by
+// its number.
+func StateNames() []string {
+	return []string{State(0).String(), StateAvailable.String(), StateBusy.String(), StateError.String()}
 }
 
 // Record is one backend as one balancer sees it: the policy's lb_value
@@ -255,6 +265,30 @@ func NewCore(policy Policy, mech Mechanism, recs []*Record, cfg Config, onState 
 		r.index = i
 	}
 	return &Core{cfg: cfg.withDefaults(), policy: policy, mech: mech, recs: recs, onState: onState}
+}
+
+// AppendRows appends one decision's candidate table to dst, read the
+// way mod_jk's scheduler reads its worker table: a row per record, in
+// record order, with its lb_value, state and in-flight count, free(i)
+// free endpoints for record i, and — when pq has probe pools — the
+// freshest probe sample of each, read in one Pools call. tab registered
+// the records' names, in order, and StateNames. Both drivers record
+// their decisions through it.
+func (c *Core) AppendRows(dst []obs.Row, tab *obs.Table, free func(i int) int, pq *Prequal) []obs.Row {
+	n := len(dst)
+	for _, r := range c.recs {
+		dst = append(dst, obs.Row{
+			LBValue:       r.lbValue,
+			InFlight:      int32(r.InFlight()),
+			FreeEndpoints: int32(free(r.index)),
+			Name:          tab.Name(r.index),
+			State:         tab.State(int(r.state)),
+		})
+	}
+	if pq != nil {
+		pq.peekRows(dst[n:], c.recs)
+	}
+	return dst
 }
 
 // Config returns the effective (default-filled) configuration.

@@ -2,16 +2,11 @@ package lb
 
 import (
 	"math/rand/v2"
+	"time"
 
+	"millibalance/internal/obs"
 	"millibalance/internal/probe"
 )
-
-// ProbeViewer is an optional Policy extension: policies backed by probe
-// pools expose the freshest sample per backend so snapshots and
-// decision-log events can record the probe values each choice saw.
-type ProbeViewer interface {
-	ProbeView(name string) (probe.Sample, bool)
-}
 
 // Prequal is the probing policy (Wydrowski et al., arXiv:2312.10172)
 // adapted to the mod_jk two-level scheduler: selection consults only the
@@ -95,18 +90,11 @@ func (p *Prequal) pick(eligible []*Record, rng *rand.Rand) *Record {
 	}
 	var mask uint64
 	for _, r := range eligible {
-		i := r.index
-		if i >= 64 {
+		if r.index >= 64 {
 			return nil
 		}
-		for len(p.handles) <= i {
-			p.handles = append(p.handles, probe.Handle{})
-			p.names = append(p.names, "")
-		}
-		if p.names[i] != r.name {
-			p.handles[i], p.names[i] = p.pools.Handle(r.name), r.name
-		}
-		mask |= 1 << i
+		p.resolve(r)
+		mask |= 1 << r.index
 	}
 	i := p.pools.Pick(p.handles, mask, rng)
 	for _, r := range eligible {
@@ -117,10 +105,33 @@ func (p *Prequal) pick(eligible []*Record, rng *rand.Rand) *Record {
 	return nil
 }
 
-// ProbeView implements ProbeViewer for decision-log enrichment.
-func (p *Prequal) ProbeView(name string) (probe.Sample, bool) {
-	if p.pools == nil {
-		return probe.Sample{}, false
+// resolve caches the pool handle of r's name at r's index.
+func (p *Prequal) resolve(r *Record) {
+	i := r.index
+	for len(p.handles) <= i {
+		p.handles = append(p.handles, probe.Handle{})
+		p.names = append(p.names, "")
 	}
-	return p.pools.Peek(name)
+	if p.names[i] != r.name {
+		p.handles[i], p.names[i] = p.pools.Handle(r.name), r.name
+	}
+}
+
+// peekRows fills the probe fields of a decision's rows, rows[i] being
+// recs[i]'s, with the freshest sample the pools hold for each record:
+// one Pools call over the cached handles. Detached, it leaves them zero.
+func (p *Prequal) peekRows(rows []obs.Row, recs []*Record) {
+	if p.pools == nil {
+		return
+	}
+	for _, r := range recs {
+		p.resolve(r)
+	}
+	p.pools.PeekEach(p.handles[:len(recs)], func(i int, s probe.Sample) {
+		row := &rows[i]
+		row.ProbeInFlight = s.InFlight
+		row.ProbeLatencyMs = float64(s.Latency) / float64(time.Millisecond)
+		row.ProbeAgeMs = float64(s.Age) / float64(time.Millisecond)
+		row.ProbeFresh = true
+	})
 }

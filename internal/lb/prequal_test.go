@@ -2,9 +2,11 @@ package lb
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
+	"millibalance/internal/obs"
 	"millibalance/internal/probe"
 )
 
@@ -109,21 +111,33 @@ func TestPrequalSeedPools(t *testing.T) {
 	}
 }
 
-// TestPrequalProbeView: the ProbeViewer extension surfaces the freshest
-// pooled sample for decision-log enrichment, and reports absence for
-// unknown backends or a detached policy.
+// TestPrequalProbeView: a decision's rows carry the freshest pooled
+// sample of each record — the probe view the decision log records —
+// and none for an unprobed backend or under a detached policy, while
+// the other fields come from the records and the free function.
 func TestPrequalProbeView(t *testing.T) {
-	pools := probe.NewPools(probe.Config{TTL: time.Hour}, func() time.Duration { return 0 })
+	pools := probe.NewPools(probe.Config{TTL: time.Hour}, func() time.Duration { return 2 * time.Millisecond })
 	pools.Observe("a", 7, 4*time.Millisecond)
-	p := NewPrequal(pools)
-	smp, ok := p.ProbeView("a")
-	if !ok || smp.InFlight != 7 || smp.Latency != 4*time.Millisecond {
-		t.Fatalf("ProbeView = %+v,%v", smp, ok)
+	a, ghost := NewRecord("a"), NewRecord("ghost")
+	core := NewCore(CurrentLoad{}, NewModifiedGetEndpoint(), []*Record{&a, &ghost}, Config{}, nil)
+	log := obs.NewEventLog(4)
+	tab := log.Table("web", []string{"a", "ghost"}, StateNames())
+	free := func(i int) int { return 10 + i }
+
+	rows := core.AppendRows(nil, tab, free, NewPrequal(pools))
+	log.Append(obs.Event{})
+	tab.Append(0, 0, rows)
+	tab.Append(0, 1, core.AppendRows(rows[:0], tab, free, NewPrequal(nil)))
+	evs := log.Kind(obs.KindDecision)
+	want := []obs.CandidateView{
+		{Name: "a", State: "available", FreeEndpoints: 10, ProbeInFlight: 7, ProbeLatencyMs: 4, ProbeFresh: true},
+		{Name: "ghost", State: "available", FreeEndpoints: 11},
 	}
-	if _, ok := p.ProbeView("ghost"); ok {
-		t.Fatal("ProbeView found a sample for an unprobed backend")
+	if len(evs) != 2 || !reflect.DeepEqual(evs[0].Candidates, want) {
+		t.Fatalf("rows under attached pools read %+v, want %+v", evs, want)
 	}
-	if _, ok := NewPrequal(nil).ProbeView("a"); ok {
-		t.Fatal("detached ProbeView reported a sample")
+	want[0] = obs.CandidateView{Name: "a", State: "available", FreeEndpoints: 10}
+	if evs[1].Chosen != "ghost" || !reflect.DeepEqual(evs[1].Candidates, want) {
+		t.Fatalf("detached rows read %+v, want %+v", evs[1], want)
 	}
 }

@@ -17,9 +17,10 @@ func fourCandidates(i int) []CandidateView {
 	}
 }
 
-// TestEventLogAppendZeroAlloc: once the ring has wrapped, every slot
-// owns a candidate table of the size decisions come in, and recording a
-// decision copies into it.
+// TestEventLogAppendZeroAlloc: once the ring has wrapped, every chunk
+// owns row storage as wide as the decisions that come, and recording a
+// decision passed as an Event copies into it and finds its strings
+// already interned.
 func TestEventLogAppendZeroAlloc(t *testing.T) {
 	const capacity = 2*ringChunk + 10
 	l := NewEventLog(capacity)
@@ -63,7 +64,7 @@ func TestTracerStartFinishZeroAlloc(t *testing.T) {
 func TestRingsAllocateChunksOnDemand(t *testing.T) {
 	l := NewEventLog(65536)
 	tr := NewTracer(4096)
-	chunks := func(table [][]Event) (n int) {
+	chunks := func(table [][]slot) (n int) {
 		for _, c := range table {
 			if c != nil {
 				n++
@@ -205,5 +206,125 @@ func TestFinishedSpanIsPoisoned(t *testing.T) {
 	tr.Finish(b, 1, true)
 	if tr.Start(5, 0) != b || tr.Start(6, 0) != a {
 		t.Fatal("free list is not LIFO")
+	}
+}
+
+// TestStoredRecordsArePointerFree: the event ring's slots and rows hold
+// no pointer, so their arrays are memory the collector never scans and
+// storing a record takes no write barrier. A field added later that
+// holds a string, slice, map, interface or pointer fails here instead of
+// quietly bringing the scanning back.
+func TestStoredRecordsArePointerFree(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s: the event ring would be scanned by the collector", path, typ.Kind())
+		}
+	}
+	walk("slot", reflect.TypeOf(slot{}))
+	walk("Row", reflect.TypeOf(Row{}))
+}
+
+// stateNames are the state names the tests' tables register, indexed by
+// state number the way lb.StateNames is.
+var stateNames = []string{"State(0)", "available", "busy", "error"}
+
+// TestTableAppendZeroAlloc: once the ring has wrapped, every chunk holds
+// row storage as wide as the tables that come, and recording a decision
+// through a registered table copies its rows into it and looks up no
+// string.
+func TestTableAppendZeroAlloc(t *testing.T) {
+	const capacity = 2*ringChunk + 10
+	l := NewEventLog(capacity)
+	names := []string{"tomcat1", "tomcat2", "tomcat3", "tomcat4"}
+	tab := l.Table("apache1", names, stateNames)
+	rows := make([]Row, len(names))
+	for i := range rows {
+		rows[i] = Row{Name: tab.Name(i), State: tab.State(1 + i%3), InFlight: int32(i), FreeEndpoints: 3}
+	}
+	for i := 0; i < capacity+1; i++ {
+		tab.Append(time.Duration(i), i%len(names), rows)
+	}
+	allocs := testing.AllocsPerRun(2*capacity, func() {
+		rows[0].LBValue++
+		tab.Append(1, 2, rows)
+	})
+	if allocs != 0 {
+		t.Fatalf("Table.Append on a wrapped ring allocates %.2f objects per decision, want 0", allocs)
+	}
+	ev := l.Events()[capacity-1]
+	if ev.Kind != KindDecision || ev.Source != "apache1" || ev.Chosen != "tomcat3" || len(ev.Candidates) != 4 ||
+		ev.Candidates[3] != (CandidateView{Name: "tomcat4", State: "available", InFlight: 3, FreeEndpoints: 3}) {
+		t.Fatalf("last decision reads %+v", ev)
+	}
+	var nilTab *Table
+	nilTab.Append(0, 0, rows) // a nil log's table
+	if (*EventLog)(nil).Table("x", names, stateNames) != nil {
+		t.Fatal("a nil log registered a table")
+	}
+}
+
+// TestTableWidensChunkRows: a chunk's row storage is as wide as the
+// widest table it has stored; a wider one regrows it, and the narrower
+// tables stored before read as they were.
+func TestTableWidensChunkRows(t *testing.T) {
+	l := NewEventLog(8)
+	narrow := l.Table("a", []string{"x", "y"}, stateNames)
+	wide := l.Table("b", []string{"x", "y", "z", "w", "v"}, stateNames)
+	row := func(tab *Table, i int) Row { return Row{Name: tab.Name(i), State: tab.State(2), LBValue: float64(i)} }
+	narrow.Append(1, 1, []Row{row(narrow, 0), row(narrow, 1)})
+	l.Append(Event{T: 2, Kind: KindState, Backend: "x"})
+	wide.Append(3, 4, []Row{row(wide, 0), row(wide, 1), row(wide, 2), row(wide, 3), row(wide, 4)})
+	if got := l.rows[0].stride; got != 5 {
+		t.Fatalf("chunk row stride %d after a 5-row table, want 5", got)
+	}
+	evs := l.Events()
+	if len(evs) != 3 || len(evs[0].Candidates) != 2 || evs[0].Candidates[1] != (CandidateView{Name: "y", State: "busy", LBValue: 1}) ||
+		evs[1].Candidates != nil || len(evs[2].Candidates) != 5 || evs[2].Chosen != "v" || evs[2].Candidates[4].Name != "v" {
+		t.Fatalf("after regrowing: %+v", evs)
+	}
+}
+
+// TestInternTableIsBounded: a long run of decisions (through a table
+// and through Append) and state events over a fixed backend set leaves
+// the intern table at the count of distinct strings it has seen.
+func TestInternTableIsBounded(t *testing.T) {
+	l := NewEventLog(300)
+	names := []string{"tomcat1", "tomcat2", "tomcat3", "tomcat4"}
+	tabs := []*Table{l.Table("apache1", names, stateNames), l.Table("apache2", names, stateNames)}
+	distinct := map[string]bool{"": true, KindDecision: true, KindState: true, KindReject: true, "apache1": true, "apache2": true}
+	for _, s := range append(names, stateNames...) {
+		distinct[s] = true
+	}
+	rows := make([]Row, len(names))
+	for i := 0; i < 50_000; i++ {
+		tab := tabs[i%2]
+		for j := range rows {
+			rows[j] = Row{Name: tab.Name(j), State: tab.State(1 + (i+j)%3), LBValue: float64(i)}
+		}
+		switch i % 4 {
+		case 0, 1:
+			tab.Append(time.Duration(i), i%4, rows)
+		case 2:
+			l.Append(Event{T: time.Duration(i), Kind: KindState, Source: "apache1", Backend: names[i%4],
+				From: stateNames[1+i%3], To: stateNames[1+(i+1)%3]})
+		case 3:
+			l.Append(Event{T: time.Duration(i), Kind: KindDecision, Source: "apache2", Chosen: names[i%4],
+				Candidates: fourCandidates(i)})
+			l.Append(Event{T: time.Duration(i), Kind: KindReject, Source: "apache2"})
+		}
+	}
+	if len(l.strs) != len(distinct) || len(l.ids) != len(distinct) {
+		t.Fatalf("intern table holds %d strings (%d ids) after 50 000 events over %d distinct ones: %q",
+			len(l.strs), len(l.ids), len(distinct), l.strs)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -239,4 +241,175 @@ func TestTracerWraparoundConcurrentSnapshots(t *testing.T) {
 	if first := final[0].RequestID; first != finishes-capacity+1 {
 		t.Fatalf("final snapshot starts at id %d, want %d", first, finishes-capacity+1)
 	}
+}
+
+// tableEmitters is how many goroutines record decisions through tables
+// of their own in TestEventLogTableEmittersConcurrent; emitter e's table
+// is 2+e candidates wide, so chunks regrow their rows while readers run.
+const tableEmitters = 3
+
+// tableDecision is the candidate table emitter e records as its k-th
+// decision, at time k*tableEmitters+e, rendered as a reader must see it.
+func tableDecision(e, k int) Event {
+	ev := Event{T: time.Duration(k*tableEmitters + e), Kind: KindDecision, Source: stressNames[e]}
+	for j := 0; j < 2+e; j++ {
+		ev.Candidates = append(ev.Candidates, CandidateView{
+			Name: stressNames[j], LBValue: float64(k), State: stateNames[1+(k+j)%3],
+			InFlight: j, FreeEndpoints: k % 7, ProbeInFlight: float64(j), ProbeFresh: (k+j)%2 == 0,
+		})
+	}
+	ev.Chosen = stressNames[k%(2+e)]
+	return ev
+}
+
+// checkTableEvent fails unless ev is whole: a decision exactly as its
+// emitter recorded it, or one of the state marks.
+func checkTableEvent(t *testing.T, what string, ev Event) bool {
+	t.Helper()
+	var want Event
+	if ev.Kind == KindState {
+		want = Event{T: ev.T, Kind: KindState, Backend: stressNames[int(ev.T)%5]}
+	} else {
+		want = tableDecision(int(ev.T)%tableEmitters, int(ev.T)/tableEmitters)
+	}
+	if !reflect.DeepEqual(ev, want) {
+		t.Errorf("%s: event %d reads %+v, want %+v", what, ev.T, ev, want)
+		return false
+	}
+	return true
+}
+
+// TestEventLogTableEmittersConcurrent is the table path's wraparound
+// stress, run with -race in CI and not skipped under -short: emitters
+// on their own goroutines record decisions through registered tables of
+// different widths into a ring a chunk and a bit long, a fourth appends
+// state events, a hook subscribed to decisions checks every decision it
+// is handed, and Events, Kind and WriteJSONL readers check that every
+// event they render is whole — each emitter's decisions a consecutive
+// run in a snapshot, never a row of another decision.
+func TestEventLogTableEmittersConcurrent(t *testing.T) {
+	const capacity = ringChunk + 44
+	const perEmitter = 20_000
+	l := NewEventLog(capacity)
+	var hooked atomic.Int64
+	l.SetAppendHook(func(ev Event) {
+		if ev.Kind == KindDecision {
+			hooked.Add(1)
+			checkTableEvent(t, "hook", ev)
+		}
+	}, true)
+
+	var emitting sync.WaitGroup
+	done := make(chan struct{})
+	for e := 0; e < tableEmitters; e++ {
+		tab := l.Table(stressNames[e], stressNames[:2+e], stateNames)
+		emitting.Add(1)
+		go func() {
+			defer emitting.Done()
+			var rows []Row
+			for k := 0; k < perEmitter; k++ {
+				want := tableDecision(e, k)
+				rows = rows[:0]
+				for j, c := range want.Candidates {
+					rows = append(rows, Row{
+						Name: tab.Name(j), State: tab.State(1 + (k+j)%3), LBValue: c.LBValue,
+						InFlight: int32(c.InFlight), FreeEndpoints: int32(c.FreeEndpoints),
+						ProbeInFlight: c.ProbeInFlight, ProbeFresh: c.ProbeFresh,
+					})
+				}
+				tab.Append(want.T, k%(2+e), rows)
+			}
+		}()
+	}
+	emitting.Add(1)
+	go func() {
+		defer emitting.Done()
+		for i := 0; i < perEmitter; i++ {
+			l.Append(Event{T: time.Duration(i), Kind: KindState, Backend: stressNames[i%5]})
+		}
+	}()
+
+	consecutive := func(what string, evs []Event) bool {
+		last := map[string]int{}
+		for _, ev := range evs {
+			if !checkTableEvent(t, what, ev) {
+				return false
+			}
+			if ev.Kind != KindDecision {
+				continue
+			}
+			k := int(ev.T) / tableEmitters
+			if prev, ok := last[ev.Source]; ok && k != prev+1 {
+				t.Errorf("%s: %s's decision %d follows its %d", what, ev.Source, k, prev)
+				return false
+			}
+			last[ev.Source] = k
+		}
+		return true
+	}
+	readers := []func(){
+		func() {
+			for ok := true; ok; {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ok = consecutive("Events", l.Events())
+			}
+		},
+		func() {
+			for ok := true; ok; {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ok = consecutive("Kind", l.Kind(KindDecision))
+			}
+		},
+		func() {
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var buf bytes.Buffer
+				if err := l.WriteJSONL(&buf); err != nil {
+					t.Error(err)
+					return
+				}
+				for sc := bufio.NewScanner(&buf); sc.Scan(); {
+					var ev Event
+					if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+						t.Errorf("WriteJSONL: line %q: %v", sc.Bytes(), err)
+						return
+					}
+					if !checkTableEvent(t, "WriteJSONL", ev) {
+						return
+					}
+				}
+			}
+		},
+	}
+	var reading sync.WaitGroup
+	for _, r := range readers {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			r()
+		}()
+	}
+	emitting.Wait()
+	close(done)
+	reading.Wait()
+
+	if got := hooked.Load(); got != tableEmitters*perEmitter {
+		t.Fatalf("the hook saw %d decisions, want %d", got, tableEmitters*perEmitter)
+	}
+	if got := l.Appended(); got != (tableEmitters+1)*perEmitter {
+		t.Fatalf("Appended() = %d, want %d", got, (tableEmitters+1)*perEmitter)
+	}
+	consecutive("final Events", l.Events())
 }

@@ -299,7 +299,7 @@ func quantile(vals []float64, q float64) float64 {
 }
 
 // Peek returns the backend's freshest non-stale sample without charging
-// reuse — the read used by decision-log enrichment and gauges.
+// reuse: one backend's read, where PeekEach reads a decision's.
 func (p *Pools) Peek(name string) (Sample, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -313,6 +313,24 @@ func (p *Pools) Peek(name string) (Sample, bool) {
 		return Sample{}, false
 	}
 	return Sample{InFlight: s.inFlight, Latency: s.latency, Age: now - s.at}, true
+}
+
+// PeekEach calls fn with the index and the freshest non-stale sample of
+// each handle in hs that has one, without charging reuse, all under one
+// lock and at one clock reading — the read behind a decision's probe
+// fields. fn runs under the pools' lock and must not call back into p.
+func (p *Pools) PeekEach(hs []Handle, fn func(i int, s Sample)) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := p.now()
+	for i, h := range hs {
+		if h.e == nil {
+			continue
+		}
+		if s := h.e.freshest(now, p.cfg.TTL); s != nil {
+			fn(i, Sample{InFlight: s.inFlight, Latency: s.latency, Age: now - s.at})
+		}
+	}
 }
 
 // Depth reports how many non-stale samples the backend's pool holds.
