@@ -26,10 +26,9 @@
 // every quarantine and falls back to the information-free round_robin
 // policy so requests keep draining.
 //
-// The controller is substrate-agnostic: internal/cluster steps it on
-// virtual-time events inside the deterministic simulation, and
-// internal/httpcluster drives the identical controller from a
-// wall-clock goroutine.
+// The controller is substrate-agnostic: internal/planes attaches it to
+// both substrates, stepped on virtual-time events inside the
+// deterministic simulation and from a wall-clock goroutine on the proxy.
 package adapt
 
 import (
@@ -53,16 +52,12 @@ type Actuator interface {
 	SetQuarantine(backend string, on bool)
 	// ArmProbe lets one probe request through to a quarantined backend.
 	ArmProbe(backend string)
-}
-
-// LimitActuator is the optional overload-control surface. Actuators
-// that also front an admission gate (internal/admission) implement it;
-// the controller then tightens the gate's concurrency limit on every
-// escalation — load shedding buys headroom while the swap takes hold —
-// and relaxes it once the ladder has fully unwound. TightenLimit
-// reports whether a gate was present, so substrates without admission
-// armed produce no tighten/relax decisions.
-type LimitActuator interface {
+	// TightenLimit squeezes (or restores) the admission gates'
+	// concurrency limit (internal/admission) on every escalation — load
+	// shedding buys headroom while the swap takes hold — until the
+	// ladder has fully unwound. It reports whether a gate was present,
+	// so substrates without admission armed record no tighten/relax
+	// decisions.
 	TightenLimit(on bool) bool
 }
 
@@ -619,16 +614,14 @@ func (c *Controller) windowOnsets() int {
 	return n
 }
 
-// setTightenLocked drives the optional admission-gate squeeze. Only
-// actuators implementing LimitActuator over a live gate record the
-// transition; state is edge-triggered so repeated escalations do not
-// stack halvings.
+// setTightenLocked drives the admission-gate squeeze. Only an actuator
+// over a live gate records the transition; state is edge-triggered so
+// repeated escalations do not stack halvings.
 func (c *Controller) setTightenLocked(now time.Duration, on bool, reason string) {
 	if c.tightened == on {
 		return
 	}
-	la, ok := c.act.(LimitActuator)
-	if !ok || !la.TightenLimit(on) {
+	if !c.act.TightenLimit(on) {
 		return
 	}
 	c.tightened = on

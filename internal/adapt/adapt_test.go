@@ -54,6 +54,8 @@ func (f *fakeActuator) ArmProbe(backend string) {
 	f.probes[backend]++
 }
 
+func (f *fakeActuator) TightenLimit(bool) bool { return false }
+
 func (f *fakeActuator) quarantinedCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -216,7 +216,7 @@ func (d *simDriver) fail(i int) {
 
 func (d *simDriver) setPolicy(p httpcluster.Policy)       { d.bal.SetPolicy(d.policies[p]) }
 func (d *simDriver) setMechanism(m httpcluster.Mechanism) { d.bal.SetMechanism(d.mechs[m]) }
-func (d *simDriver) quarantine(i int, on bool)            { d.bal.SetQuarantined(d.bal.Candidates()[i], on) }
+func (d *simDriver) quarantine(i int, on bool)            { d.bal.SetQuarantine(d.bal.Candidates()[i].Name(), on) }
 func (d *simDriver) weight(i int, w float64)              { d.bal.Candidates()[i].SetWeight(w) }
 func (d *simDriver) rejects() uint64                      { return d.bal.Rejects() }
 func (d *simDriver) settle()                              { d.eng.Run(d.eng.Now() + settleStep) }

@@ -11,6 +11,7 @@ import (
 	"millibalance/internal/metrics"
 	"millibalance/internal/netmodel"
 	"millibalance/internal/obs"
+	"millibalance/internal/planes"
 	"millibalance/internal/probe"
 	"millibalance/internal/resource"
 	"millibalance/internal/server"
@@ -129,9 +130,8 @@ type Cluster struct {
 	timeline   *telemetry.Timeline
 	telPoller  *metrics.Poller
 	correlator *telemetry.Correlator
-	pools      *probe.Pools
+	planes     planes.Attachment
 	prober     *probe.SimProber
-	admGates   []*admission.Gate
 	eventHooks []eventHook
 
 	webStats []*ServerStats
@@ -159,7 +159,10 @@ func New(cfg Config) *Cluster {
 		cfg.EventCapacity = 1 << 16
 	}
 	eng := sim.NewEngine(cfg.Seed1, cfg.Seed2)
-	c := &Cluster{Eng: eng, cfg: cfg}
+	c := &Cluster{Eng: eng, cfg: cfg, planes: planes.New(eng.Now)}
+	if cfg.EventCapacity > 0 {
+		c.events = obs.NewEventLog(cfg.EventCapacity)
+	}
 
 	c.DB = server.NewDB(eng, server.DBConfig{Name: "mysql1", Cores: cfg.DBCores, Workers: cfg.DBWorkers})
 	for i := 0; i < cfg.NumApp; i++ {
@@ -180,20 +183,19 @@ func New(cfg Config) *Cluster {
 		}, c.DB))
 	}
 	c.armProbing()
-	policy, _ := c.newPolicy(cfg.Policy)
+	policy := c.newPolicy(cfg.Policy)
 	for i := 0; i < cfg.NumWeb; i++ {
+		name := fmt.Sprintf("apache%d", i+1)
 		mech, _ := lb.MechanismByName(cfg.Mechanism, eng)
 		// One admission gate per web server, sized to its worker pool
 		// and driven entirely by the engine clock so an armed run
 		// still replays byte-identically.
 		var gate *admission.Gate
 		if cfg.Admission != nil {
-			gate = admission.NewGate(*cfg.Admission, cfg.WebWorkers)
-			gate.SetClock(eng.Now)
-			c.admGates = append(c.admGates, gate)
+			gate = c.planes.NewGate(*cfg.Admission, cfg.WebWorkers, c.events, name)
 		}
 		c.Webs = append(c.Webs, server.NewWeb(eng, server.WebConfig{
-			Name:               fmt.Sprintf("apache%d", i+1),
+			Name:               name,
 			Cores:              cfg.WebCores,
 			Workers:            cfg.WebWorkers,
 			AcceptBacklog:      cfg.WebBacklog,
@@ -215,23 +217,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.SpanCapacity > 0 {
 		c.tracer = obs.NewTracer(cfg.SpanCapacity)
-	}
-	if cfg.EventCapacity > 0 {
-		c.events = obs.NewEventLog(cfg.EventCapacity)
-	}
-	if c.events != nil {
-		for i, g := range c.admGates {
-			name := c.Webs[i].Name()
-			g.SetDropHook(func(now sim.Time, cls admission.Class, r admission.Reason) {
-				c.events.Append(obs.Event{
-					T:      now,
-					Kind:   obs.KindAdmissionDrop,
-					Source: name,
-					Reason: r.String(),
-					Class:  cls.String(),
-				})
-			})
-		}
 	}
 	c.detectors = make(map[string]*obs.Detector)
 	onOutcome := func(req *workload.Request, o workload.Outcome) {
@@ -463,29 +448,14 @@ func (c *Cluster) instrumentTelemetry() {
 		w := w
 		server(w.Name(), w.CPU(), w.QueuedRequests)
 		s.Register(w.Name(), telemetry.SignalDirtyBytes, func() float64 { return float64(w.Writeback().DirtyBytes()) })
-		if g := w.Admission(); g != nil {
-			s.Register(w.Name(), telemetry.SignalAdmitLimit, func() float64 { return float64(g.Limit()) })
-			s.Register(w.Name(), telemetry.SignalAdmitInFlight, func() float64 { return float64(g.InFlight()) })
-			s.Register(w.Name(), telemetry.SignalAdmitQueue, func() float64 { return float64(g.Queued()) })
-			s.Register(w.Name(), telemetry.SignalAdmitDropRate, func() float64 { return g.DropRate(c.Eng.Now()) })
-		}
+		c.planes.GateGauges(s, w.Name(), w.Admission())
 	}
 	for _, a := range c.Apps {
 		a := a
 		server(a.Name(), a.CPU(), a.QueuedRequests)
 		s.Register(a.Name(), telemetry.SignalDirtyBytes, func() float64 { return float64(a.Writeback().DirtyBytes()) })
 		s.Register(a.Name(), telemetry.SignalConnPoolInUse, func() float64 { return float64(a.DBConnsInUse()) })
-		if c.pools != nil {
-			name := a.Name()
-			s.Register(name, telemetry.SignalProbePoolDepth, func() float64 { return float64(c.pools.Depth(name)) })
-			s.Register(name, telemetry.SignalProbeStalenessMs, func() float64 {
-				age, ok := c.pools.Staleness(name)
-				if !ok {
-					return -1
-				}
-				return float64(age) / float64(time.Millisecond)
-			})
-		}
+		c.planes.ProbeGauges(s, a.Name())
 	}
 	server(c.DB.Name(), c.DB.CPU(), c.DB.QueuedRequests)
 	c.telPoller = metrics.NewPoller(c.Eng, sim.Time(tcfg.Interval))

@@ -14,6 +14,7 @@ import (
 	"millibalance/internal/admission"
 	"millibalance/internal/lb"
 	"millibalance/internal/netmodel"
+	"millibalance/internal/planes"
 	"millibalance/internal/probe"
 	"millibalance/internal/resource"
 	"millibalance/internal/sim"
@@ -145,21 +146,8 @@ func (c Config) Validate() error {
 	if _, ok := lb.MechanismByName(c.Mechanism, nil); !ok {
 		return fmt.Errorf("cluster: unknown mechanism %q", c.Mechanism)
 	}
-	if c.Adaptive != nil {
-		ac := *c.Adaptive
-		for _, p := range []string{ac.PolicyTarget, ac.FallbackPolicy} {
-			if p == "" {
-				continue
-			}
-			if _, ok := lb.PolicyByName(p); !ok {
-				return fmt.Errorf("cluster: unknown adaptive policy %q (have %s)", p, strings.Join(lb.PolicyNames(), ", "))
-			}
-		}
-		if ac.MechanismTarget != "" {
-			if _, ok := lb.MechanismByName(ac.MechanismTarget, nil); !ok {
-				return fmt.Errorf("cluster: unknown adaptive mechanism %q", ac.MechanismTarget)
-			}
-		}
+	if err := planes.ValidateLadder(c.Adaptive, lb.PolicyNames()); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if err := c.Admission.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)

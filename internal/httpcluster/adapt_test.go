@@ -82,7 +82,7 @@ func TestBalancerQuarantineAndProbe(t *testing.T) {
 
 	var mu sync.Mutex
 	var probes []bool
-	bal.SetProbeHook(func(be *Backend, rt time.Duration, ok bool) {
+	bal.SetProbeHook(func(_ string, rt time.Duration, ok bool) {
 		mu.Lock()
 		probes = append(probes, ok)
 		mu.Unlock()
@@ -117,6 +117,33 @@ func TestBalancerQuarantineAndProbe(t *testing.T) {
 	defer mu.Unlock()
 	if len(probes) != 1 || !probes[0] {
 		t.Fatalf("probes = %v, want one successful probe", probes)
+	}
+}
+
+// TestStartProxyRejectsUnrunnableAdaptTargets checks the ladder's swap
+// targets against what the proxy's balancer runs: a misspelt target, or
+// a policy only the simulator runs, is refused at start with the valid
+// names, instead of a swap the controller logs but the balancer never
+// makes.
+func TestStartProxyRejectsUnrunnableAdaptTargets(t *testing.T) {
+	policies := strings.Join(PolicyNames(), ", ")
+	for _, tc := range []struct {
+		cfg  adapt.Config
+		want string
+	}{
+		{adapt.Config{PolicyTarget: "curent_load"}, `unknown adaptive policy "curent_load" (have ` + policies + ")"},
+		{adapt.Config{FallbackPolicy: "random"}, `unknown adaptive policy "random" (have ` + policies + ")"},
+		{adapt.Config{MechanismTarget: "modifed"}, `unknown adaptive mechanism "modifed"`},
+	} {
+		cfg := tc.cfg
+		p, err := StartProxy(ProxyConfig{Adapt: &cfg}, []*Backend{NewBackend("app1", "http://127.0.0.1:1", 1)})
+		if err == nil {
+			_ = p.Close()
+			t.Fatalf("%+v: StartProxy accepted an unrunnable target", tc.cfg)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%+v: error %q, want it to contain %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 

@@ -229,6 +229,13 @@ func (b *Backend) Quarantined() bool {
 	return b.rec.Quarantined()
 }
 
+// ProbeArmed reads whether a probe is armed through the drained backend.
+func (b *Backend) ProbeArmed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rec.ProbeArmed()
+}
+
 // Weight returns the backend's lbfactor.
 func (b *Backend) Weight() float64 {
 	b.mu.Lock()
@@ -293,7 +300,6 @@ type Balancer struct {
 	// round_robin's rotation resumes where it left off.
 	policies [len(policyNames)]lb.Policy
 	mechs    [MechanismModified + 1]lb.Mechanism
-	pools    *probe.Pools
 	// wake is closed (and replaced) whenever the mechanism is swapped or
 	// a backend is quarantined, so workers sleeping inside the original
 	// mechanism's poll ask the core at once whether the poll is over.
@@ -306,7 +312,7 @@ type Balancer struct {
 
 	sessions   sessionTable
 	onAssign   func(*Backend)
-	onProbe    func(*Backend, time.Duration, bool)
+	onProbe    func(string, time.Duration, bool)
 	events     *obs.EventLog
 	table      *obs.Table
 	eventEpoch time.Time
@@ -423,16 +429,8 @@ func (b *Balancer) SetProbePools(pools *probe.Pools, reseed func()) {
 	pq := b.policies[PolicyPrequal].(*lb.Prequal)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.pools = pools
 	pq.AttachPools(pools)
 	pq.SetSeedHook(reseed)
-}
-
-// ProbePools exposes the wired pools (nil when probing is off).
-func (b *Balancer) ProbePools() *probe.Pools {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pools
 }
 
 // Rejects reports dispatches that failed on every sweep.
@@ -611,7 +609,7 @@ func (b *Balancer) acquireEndpoint(w *lb.Walk, be *Backend, info lb.RequestInfo,
 		be.mu.Unlock()
 		b.mu.Unlock()
 		if probeFailed && b.onProbe != nil {
-			b.onProbe(be, 0, false)
+			b.onProbe(be.name, 0, false)
 		}
 		if claimed || !poll {
 			return claimed
@@ -658,7 +656,7 @@ func (b *Balancer) complete(be *Backend, info lb.RequestInfo) {
 	be.mu.Unlock()
 	b.mu.Unlock()
 	if probed && b.onProbe != nil {
-		b.onProbe(be, b.now()-start, true)
+		b.onProbe(be.name, b.now()-start, true)
 	}
 }
 
@@ -677,6 +675,6 @@ func (b *Balancer) noteUpstreamFailure(be *Backend) {
 	be.mu.Unlock()
 	b.mu.Unlock()
 	if probeFailed && b.onProbe != nil {
-		b.onProbe(be, 0, false)
+		b.onProbe(be.name, 0, false)
 	}
 }

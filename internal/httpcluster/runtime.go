@@ -118,10 +118,11 @@ func (b *Balancer) backend(name string) *Backend {
 	return nil
 }
 
-// SetProbeHook registers the probe-outcome callback: rt is the measured
+// SetProbeHook registers the probe-outcome callback, keyed by backend
+// name as the control plane addresses backends: rt is the measured
 // response time for a completed probe; ok is false when the probe's
 // endpoint acquisition or exchange failed. Invoked without any lock
 // held. Call before serving traffic.
-func (b *Balancer) SetProbeHook(hook func(be *Backend, rt time.Duration, ok bool)) {
+func (b *Balancer) SetProbeHook(hook func(backend string, rt time.Duration, ok bool)) {
 	b.onProbe = hook
 }

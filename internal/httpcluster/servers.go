@@ -16,6 +16,7 @@ import (
 	"millibalance/internal/adapt"
 	"millibalance/internal/admission"
 	"millibalance/internal/obs"
+	"millibalance/internal/planes"
 	"millibalance/internal/probe"
 	"millibalance/internal/telemetry"
 )
@@ -473,8 +474,12 @@ type Proxy struct {
 	tracer *obs.Tracer
 	events *obs.EventLog
 	reqID  atomic.Uint64
-	adaptC *adapt.Controller
-	adaptR *adaptRunner
+
+	// planes attaches the control planes (planes.go). adaptStop stops
+	// the adaptive ladder's ticker; nil when the ladder is not armed.
+	planes    planes.Attachment
+	adaptC    *adapt.Controller
+	adaptStop chan struct{}
 
 	resil   *Resilience
 	budget  *retryBudget
@@ -487,12 +492,14 @@ type Proxy struct {
 	sampler *telemetry.WallSampler
 	waiting atomic.Int64 // requests blocked on a worker slot
 
-	pools  *probe.Pools
 	prober *probe.WallProber
 }
 
 // StartProxy launches the proxy over the given backends.
 func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
+	if err := planes.ValidateLadder(cfg.Adapt, PolicyNames()); err != nil {
+		return nil, fmt.Errorf("httpcluster: %w", err)
+	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 64
 	}
@@ -511,6 +518,7 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 		upstream:       cfg.Transport,
 		attemptTimeout: defaultAttemptTimeout,
 	}
+	p.planes = planes.New(p.now)
 	if p.upstream == nil {
 		p.owned = NewUpstreamTransport(backends)
 		p.upstream = p.owned
@@ -598,10 +606,10 @@ func (p *Proxy) Close() error {
 		fc.cancel()
 	}
 	p.connMu.Unlock()
-	p.wg.Wait()
-	if p.adaptR != nil {
-		p.adaptR.close()
+	if p.adaptStop != nil {
+		close(p.adaptStop)
 	}
+	p.wg.Wait()
 	if p.prober != nil {
 		p.prober.Stop()
 	}
@@ -611,131 +619,6 @@ func (p *Proxy) Close() error {
 	}
 	return err
 }
-
-// armAdmission builds the gate and its goroutine wait plane. Limits are
-// clamped to the worker pool — the gate must never promise concurrency
-// the pool cannot run, or admitted requests would block on the worker
-// channel and re-create the pile-up the plane exists to prevent. Called
-// from StartProxy before the listener serves traffic.
-func (p *Proxy) armAdmission(acfg admission.Config) {
-	if acfg.Limit > p.cfg.Workers {
-		acfg.Limit = p.cfg.Workers
-	}
-	if acfg.MaxLimit > p.cfg.Workers {
-		acfg.MaxLimit = p.cfg.Workers
-	}
-	g := admission.NewGate(acfg, p.cfg.Workers)
-	g.SetClock(p.now)
-	g.SetDropHook(func(now time.Duration, cls admission.Class, r admission.Reason) {
-		if p.events != nil {
-			p.events.Append(obs.Event{
-				T: now, Kind: obs.KindAdmissionDrop, Source: "proxy",
-				Reason: r.String(), Class: cls.String(),
-			})
-		}
-	})
-	p.adm = g
-	p.admPlane = newAdmissionPlane(g, p.now, &p.waiting)
-}
-
-// Admission exposes the admission gate (nil unless ProxyConfig.Admission
-// or ProxyConfig.Resilience armed it).
-func (p *Proxy) Admission() *admission.Gate { return p.adm }
-
-// armProbing builds the probe pools, wires them into the balancer and
-// starts the wall prober when this proxy can dispatch through prequal:
-// an explicit ProxyConfig.Probe, prequal as the configured policy, or
-// prequal anywhere in the adaptive ladder's swap targets. Called from
-// StartProxy before armAdapt so a controller-driven swap to prequal
-// finds the reseed hook already in place.
-func (p *Proxy) armProbing(backends []*Backend) {
-	need := p.cfg.Probe != nil || p.cfg.Policy == PolicyPrequal
-	if ac := p.cfg.Adapt; ac != nil && (ac.PolicyTarget == "prequal" || ac.FallbackPolicy == "prequal") {
-		need = true
-	}
-	if !need {
-		return
-	}
-	var pcfg probe.Config
-	if p.cfg.Probe != nil {
-		pcfg = *p.cfg.Probe
-	}
-	// The pools share the proxy's epoch so probe sample ages line up
-	// with span and event timestamps.
-	p.pools = probe.NewPools(pcfg, p.now)
-	targets := make([]probe.WallTarget, 0, len(backends))
-	for _, be := range backends {
-		targets = append(targets, probe.WallTarget{Name: be.Name(), URL: be.URL()})
-	}
-	// Rate-couple the probe loop to the proxy's served counter and carry
-	// probes over the same (possibly fault-wrapped) transport as
-	// requests, so probes see the network the traffic sees.
-	p.prober = probe.NewWallProber(p.pools, targets, p.served.Load, p.upstream)
-	p.bal.SetProbePools(p.pools, p.prober.Reseed)
-	p.prober.Start()
-}
-
-// ProbePools exposes the probing subsystem's pools (nil when probing is
-// not armed).
-func (p *Proxy) ProbePools() *probe.Pools { return p.pools }
-
-// armTelemetry builds the wall sampler over the proxy's own gauges and
-// the balancer's per-backend counters. Called from StartProxy before
-// the listener serves traffic.
-func (p *Proxy) armTelemetry(tcfg telemetry.Config) {
-	s := telemetry.NewWallSampler("proxy", tcfg)
-	s.Register("proxy", telemetry.SignalWorkersBusy, func() float64 {
-		return float64(len(p.workers))
-	})
-	s.Register("proxy", telemetry.SignalAcceptWait, func() float64 {
-		return float64(p.waiting.Load())
-	})
-	if p.adm != nil {
-		s.Register("proxy", telemetry.SignalAdmitLimit, func() float64 {
-			return float64(p.adm.Limit())
-		})
-		s.Register("proxy", telemetry.SignalAdmitInFlight, func() float64 {
-			return float64(p.adm.InFlight())
-		})
-		s.Register("proxy", telemetry.SignalAdmitQueue, func() float64 {
-			return float64(p.adm.Queued())
-		})
-		s.Register("proxy", telemetry.SignalAdmitDropRate, func() float64 {
-			return p.adm.DropRate(p.now())
-		})
-	}
-	for _, be := range p.bal.Backends() {
-		be := be
-		s.Register(be.Name(), telemetry.SignalInFlight, func() float64 {
-			return float64(be.InFlight())
-		})
-		s.Register(be.Name(), telemetry.SignalPoolFree, func() float64 {
-			return float64(be.FreeEndpoints())
-		})
-		s.Register(be.Name(), telemetry.SignalCompleted, func() float64 {
-			return float64(be.Completed())
-		})
-		if p.pools != nil {
-			name := be.Name()
-			s.Register(name, telemetry.SignalProbePoolDepth, func() float64 {
-				return float64(p.pools.Depth(name))
-			})
-			s.Register(name, telemetry.SignalProbeStalenessMs, func() float64 {
-				age, ok := p.pools.Staleness(name)
-				if !ok {
-					return -1
-				}
-				return float64(age) / float64(time.Millisecond)
-			})
-		}
-	}
-	p.sampler = s
-	s.Start()
-}
-
-// Timeline exposes the telemetry timeline (nil when telemetry is
-// disabled).
-func (p *Proxy) Timeline() *telemetry.Timeline { return p.sampler.Timeline() }
 
 // handle forwards one request and writes the reply, or an error reply,
 // into the connection's writer. It reports false when the reply was cut
@@ -891,16 +774,6 @@ func (p *Proxy) acquireWorker(cls admission.Class) bool {
 	defer p.waiting.Add(-1)
 	p.workers <- struct{}{}
 	return true
-}
-
-// adaptOutcome streams one client-observed outcome into the adaptive
-// controller; a no-op when the control plane is off.
-func (p *Proxy) adaptOutcome(start time.Duration, ok bool) {
-	if p.adaptC == nil {
-		return
-	}
-	now := p.now()
-	p.adaptC.OnOutcome(now, now-start, ok)
 }
 
 // ParseBackendList parses "name=url,name=url" into backends with the

@@ -85,7 +85,7 @@ type Balancer struct {
 	onDispatch func(*Candidate)
 	onReject   func()
 	onState    func(c *Candidate, from, to State)
-	onProbe    func(c *Candidate, rt sim.Time, ok bool)
+	onProbe    func(backend string, rt sim.Time, ok bool)
 }
 
 // New returns a balancer over the candidates. Policy, mechanism and at
@@ -181,10 +181,11 @@ func (b *Balancer) SetRejectHook(hook func()) { b.onReject = hook }
 // decision log's state events.
 func (b *Balancer) SetStateHook(hook func(c *Candidate, from, to State)) { b.onState = hook }
 
-// SetProbeHook registers the probe outcome callback: rt is the probe's
+// SetProbeHook registers the probe outcome callback, keyed by backend
+// name as the control plane addresses backends: rt is the probe's
 // response time on success, and ok=false means the probe could not even
 // acquire an endpoint or its exchange failed.
-func (b *Balancer) SetProbeHook(hook func(c *Candidate, rt sim.Time, ok bool)) { b.onProbe = hook }
+func (b *Balancer) SetProbeHook(hook func(backend string, rt sim.Time, ok bool)) { b.onProbe = hook }
 
 // Snapshot copies every candidate's balancer-visible state.
 func (b *Balancer) Snapshot() []Snapshot {
@@ -348,7 +349,7 @@ func (b *Balancer) acquire(a *Attempt) {
 	if b.core.DisarmProbe(&c.Record) && b.onProbe != nil {
 		// The armed probe could not even get an endpoint: report a
 		// failed probe instead of dispatching it elsewhere.
-		b.onProbe(c, 0, false)
+		b.onProbe(c.Name(), 0, false)
 	}
 	b.core.GiveUp(&a.walk, b.eng.Now())
 	b.attempt(a)
@@ -389,7 +390,7 @@ func (b *Balancer) pinned(session uint64) *Record {
 func (b *Balancer) Complete(a *Attempt) {
 	c := b.finish(a)
 	if start, probed := b.core.Complete(&c.Record, a.info); probed && b.onProbe != nil {
-		b.onProbe(c, b.eng.Now()-start, true)
+		b.onProbe(c.Name(), b.eng.Now()-start, true)
 	}
 }
 
@@ -400,7 +401,7 @@ func (b *Balancer) Complete(a *Attempt) {
 func (b *Balancer) Fail(a *Attempt) {
 	c := b.finish(a)
 	if b.core.Unwind(&c.Record) && b.onProbe != nil {
-		b.onProbe(c, 0, false)
+		b.onProbe(c.Name(), 0, false)
 	}
 	b.core.Fail(&c.Record, b.eng.Now())
 }
@@ -433,13 +434,33 @@ func (b *Balancer) SetPolicy(p Policy) {
 // poll in progress ends at its next check when the new one does not poll.
 func (b *Balancer) SetMechanism(m Mechanism) { b.core.SetMechanism(m) }
 
-// SetQuarantined drains (or re-admits) a candidate (Core.SetQuarantined).
-func (b *Balancer) SetQuarantined(c *Candidate, q bool) { b.core.SetQuarantined(&c.Record, q) }
+// SetQuarantine drains (or re-admits) the named candidate
+// (Core.SetQuarantined). It reports whether the candidate was found.
+func (b *Balancer) SetQuarantine(name string, on bool) bool {
+	c := b.candidate(name)
+	if c != nil {
+		b.core.SetQuarantined(&c.Record, on)
+	}
+	return c != nil
+}
 
-// ArmProbe lets exactly one request through a quarantined candidate; the
-// probe hook reports how it went. Arming is a no-op when the candidate
-// is not quarantined or a probe is already in flight.
-func (b *Balancer) ArmProbe(c *Candidate) { b.core.ArmProbe(&c.Record) }
+// ArmProbe lets exactly one request through the named quarantined
+// candidate; the probe hook reports how it went. It reports whether a
+// probe was armed: not when the candidate is not quarantined or a probe
+// is already in flight.
+func (b *Balancer) ArmProbe(name string) bool {
+	c := b.candidate(name)
+	return c != nil && b.core.ArmProbe(&c.Record)
+}
+
+func (b *Balancer) candidate(name string) *Candidate {
+	for _, c := range b.cands {
+		if c.Name() == name {
+			return c
+		}
+	}
+	return nil
+}
 
 // MechanismByName returns the mechanism with the given name. The engine
 // argument is unused — the balancer schedules the polls — and stays so

@@ -176,7 +176,7 @@ func TestSetMechanismAtRuntime(t *testing.T) {
 func TestQuarantineExcludesCandidate(t *testing.T) {
 	h := newHarness(t, TotalRequest{}, NewModifiedGetEndpoint(), 10, "app1", "app2")
 	c1 := h.bal.Candidates()[0]
-	h.bal.SetQuarantined(c1, true)
+	h.bal.SetQuarantine("app1", true)
 	if !c1.Quarantined() {
 		t.Fatalf("candidate not marked quarantined")
 	}
@@ -190,7 +190,7 @@ func TestQuarantineExcludesCandidate(t *testing.T) {
 		t.Fatalf("app2 received %d of 10", h.dispatched["app2"])
 	}
 
-	h.bal.SetQuarantined(c1, false)
+	h.bal.SetQuarantine("app1", false)
 	h.submit(RequestInfo{})
 	if h.dispatched["app1"] != 1 {
 		t.Fatalf("re-admitted app1 still starved (dist=%v)", h.dispatched)
@@ -215,8 +215,8 @@ func TestArmProbeDispatchesExactlyOne(t *testing.T) {
 		ok   bool
 	}
 	var probes []probe
-	bal.SetProbeHook(func(c *Candidate, rt sim.Time, ok bool) {
-		probes = append(probes, probe{c.Name(), rt, ok})
+	bal.SetProbeHook(func(name string, rt sim.Time, ok bool) {
+		probes = append(probes, probe{name, rt, ok})
 	})
 
 	dispatched := map[string]int{}
@@ -226,8 +226,8 @@ func TestArmProbeDispatchesExactlyOne(t *testing.T) {
 	}
 	submit := func() { bal.Dispatch(RequestInfo{}, send, func() {}) }
 
-	bal.SetQuarantined(cands[0], true)
-	bal.ArmProbe(cands[0])
+	bal.SetQuarantine(cands[0].Name(), true)
+	bal.ArmProbe(cands[0].Name())
 
 	// The armed candidate has the minimal lb_value, so the next dispatch
 	// is the probe; subsequent ones must avoid it again.
@@ -258,13 +258,13 @@ func TestArmProbeFailureReportsNotOK(t *testing.T) {
 	bal := New(eng, TotalRequest{}, NewModifiedGetEndpoint(), cands, Config{Sweeps: 1})
 
 	var probes []bool
-	bal.SetProbeHook(func(c *Candidate, rt sim.Time, ok bool) { probes = append(probes, ok) })
+	bal.SetProbeHook(func(_ string, rt sim.Time, ok bool) { probes = append(probes, ok) })
 
 	// Exhaust app1's pool, then quarantine it (the in-flight request
 	// never completes — a stalled backend).
 	bal.Dispatch(RequestInfo{}, func(c *Candidate, done func()) {}, func() {})
-	bal.SetQuarantined(cands[0], true)
-	bal.ArmProbe(cands[0])
+	bal.SetQuarantine(cands[0].Name(), true)
+	bal.ArmProbe(cands[0].Name())
 
 	// The probe runs when app1 wins the min-lb_value scan; raise app2's
 	// so the next dispatch attempts the stalled candidate first.
@@ -279,13 +279,12 @@ func TestArmProbeFailureReportsNotOK(t *testing.T) {
 // pending probe arm so a stale probe result cannot fire later.
 func TestSetQuarantinedLiftDisarmsProbe(t *testing.T) {
 	h := newHarness(t, TotalRequest{}, NewModifiedGetEndpoint(), 10, "app1", "app2")
-	c1 := h.bal.Candidates()[0]
 	fired := 0
-	h.bal.SetProbeHook(func(*Candidate, sim.Time, bool) { fired++ })
+	h.bal.SetProbeHook(func(string, sim.Time, bool) { fired++ })
 
-	h.bal.SetQuarantined(c1, true)
-	h.bal.ArmProbe(c1)
-	h.bal.SetQuarantined(c1, false)
+	h.bal.SetQuarantine("app1", true)
+	h.bal.ArmProbe("app1")
+	h.bal.SetQuarantine("app1", false)
 	for i := 0; i < 4; i++ {
 		h.submit(RequestInfo{})
 		h.completeOne("app1")

@@ -83,9 +83,12 @@ func (p *SimProber) Start() {
 	}
 }
 
-// ProbeAll fires one immediate probe at every idle target — the
-// reseeding round after a runtime policy swap cleared the pools.
-func (p *SimProber) ProbeAll() {
+// Reseed clears every pool and fires an immediate full probe round —
+// the runtime policy-swap hook, as WallProber.Reseed: the incoming
+// prequal policy starts from live data only. A target whose probe is
+// still out is not probed twice.
+func (p *SimProber) Reseed() {
+	p.pools.Clear()
 	for i := range p.targets {
 		p.probe(i)
 	}

@@ -45,10 +45,9 @@ type WallProber struct {
 	lastQueries uint64
 	outstanding map[int]bool
 
-	start time.Time
-	stop  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
+	stop chan struct{}
+	wg   sync.WaitGroup
+	once sync.Once
 }
 
 // NewWallProber returns a prober over the targets. queries reports the
@@ -69,22 +68,13 @@ func NewWallProber(pools *Pools, targets []WallTarget, queries func() uint64, tr
 		timeout = 150 * time.Millisecond
 	}
 	return &WallProber{
-		pools:   pools,
-		targets: copied,
-		client:  &http.Client{Transport: transport, Timeout: timeout},
-		queries: queries,
-		// The pools clock and the prober share one epoch so sample ages
-		// are consistent.
-		start:       time.Now(),
+		pools:       pools,
+		targets:     copied,
+		client:      &http.Client{Transport: transport, Timeout: timeout},
+		queries:     queries,
 		outstanding: make(map[int]bool),
 		stop:        make(chan struct{}),
 	}
-}
-
-// Clock returns the monotonic reading NewPools wants as its clock when
-// this prober feeds it; both must share the epoch.
-func (w *WallProber) Clock() func() time.Duration {
-	return func() time.Duration { return time.Since(w.start) }
 }
 
 // Start launches the probe loop.

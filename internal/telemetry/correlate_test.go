@@ -197,7 +197,7 @@ func TestTimelineWriteJSONLAndProm(t *testing.T) {
 }
 
 func TestWallSamplerRuntimeSignals(t *testing.T) {
-	w := NewWallSampler("proxy", Config{Interval: 5 * time.Millisecond, Capacity: 128})
+	w := NewWallSampler("proxy", Config{Interval: 5 * time.Millisecond, Capacity: 128}, nil)
 	var inFlight atomic.Int64
 	w.Register("backend1", SignalInFlight, func() float64 { return float64(inFlight.Load()) })
 	// Pin a visible amount of live heap: right after a collection the

@@ -19,9 +19,9 @@ const (
 // WallSampler samples real process signals on a background goroutine at
 // the timeline interval: runtime signals through runtime/metrics plus
 // any gauges the host registers (per-backend in-flight, pool occupancy,
-// worker saturation). Timestamps are offsets from Start, so wall
-// timelines align with a run's epoch the way sim timelines align with
-// virtual time zero.
+// worker saturation). Points are stamped with the host's clock, so wall
+// timelines share the zero of the host's other records the way sim
+// timelines share virtual time zero.
 type WallSampler struct {
 	tl      *Timeline
 	sampler *Sampler
@@ -32,20 +32,22 @@ type WallSampler struct {
 	pauseTrack     *Track // cumulative GC pause seconds (histogram estimate)
 	pauseIdx       int    // index into runtimeSamples, -1 when unsupported
 
-	epoch time.Time
+	clock func() time.Duration
 	stop  chan struct{}
 	done  chan struct{}
 }
 
 // NewWallSampler returns a sampler for the process, with the runtime
-// signals registered under the given source name. Start must be called
-// to begin sampling.
-func NewWallSampler(source string, cfg Config) *WallSampler {
+// signals registered under the given source name, stamping points with
+// now (nil: the offset from Start). Start must be called to begin
+// sampling.
+func NewWallSampler(source string, cfg Config, now func() time.Duration) *WallSampler {
 	tl := NewTimeline(cfg)
 	w := &WallSampler{
 		tl:       tl,
 		sampler:  NewSampler(tl),
 		pauseIdx: -1,
+		clock:    now,
 	}
 	w.grTrack = tl.AddTrack(source, SignalGoroutines)
 	w.heapTrack = tl.AddTrack(source, SignalHeapBytes)
@@ -99,7 +101,10 @@ func (w *WallSampler) Start() {
 	if w.stop != nil {
 		panic("telemetry: WallSampler.Start called twice")
 	}
-	w.epoch = time.Now()
+	if w.clock == nil {
+		epoch := time.Now()
+		w.clock = func() time.Duration { return time.Since(epoch) }
+	}
 	w.stop = make(chan struct{})
 	w.done = make(chan struct{})
 	go w.run()
@@ -132,7 +137,7 @@ func (w *WallSampler) run() {
 }
 
 func (w *WallSampler) sampleOnce() {
-	at := time.Since(w.epoch)
+	at := w.clock()
 	metrics.Read(w.runtimeSamples)
 	w.grTrack.Append(at, float64(w.runtimeSamples[0].Value.Uint64()))
 	w.heapTrack.Append(at, float64(w.runtimeSamples[1].Value.Uint64()))
