@@ -28,7 +28,7 @@ const probeServiceDemand = 50 * time.Microsecond
 // holds its probe until the stall ends — which is what lets the pools go
 // stale and prequal route away.
 func (c *Cluster) armProbing() {
-	c.planes.ArmProbing(c.cfg.Probe, c.cfg.Policy, c.cfg.Adaptive, func(pools *probe.Pools) planes.Prober {
+	c.planes.ArmProbing(c.cfg.Probe, c.cfg.Policy, c.cfg.Adaptive, func(pools *probe.Pools) func() {
 		targets := make([]probe.SimTarget, 0, len(c.Apps))
 		for _, a := range c.Apps {
 			a := a
@@ -40,7 +40,7 @@ func (c *Cluster) armProbing() {
 			})
 		}
 		c.prober = probe.NewSimProber(c.Eng, pools, targets)
-		return c.prober
+		return c.prober.Reseed
 	})
 }
 

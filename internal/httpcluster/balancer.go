@@ -229,13 +229,6 @@ func (b *Backend) Quarantined() bool {
 	return b.rec.Quarantined()
 }
 
-// ProbeArmed reads whether a probe is armed through the drained backend.
-func (b *Backend) ProbeArmed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rec.ProbeArmed()
-}
-
 // Weight returns the backend's lbfactor.
 func (b *Backend) Weight() float64 {
 	b.mu.Lock()

@@ -38,16 +38,18 @@ func (p *Proxy) Admission() *admission.Gate { return p.adm }
 // (possibly fault-wrapped) transport, so probes see the network the
 // traffic sees.
 func (p *Proxy) armProbing(backends []*Backend) {
-	armed := p.planes.ArmProbing(p.cfg.Probe, p.cfg.Policy.String(), p.cfg.Adapt, func(pools *probe.Pools) planes.Prober {
+	var reseed func()
+	armed := p.planes.ArmProbing(p.cfg.Probe, p.cfg.Policy.String(), p.cfg.Adapt, func(pools *probe.Pools) func() {
 		targets := make([]probe.WallTarget, 0, len(backends))
 		for _, be := range backends {
 			targets = append(targets, probe.WallTarget{Name: be.Name(), URL: be.URL()})
 		}
 		p.prober = probe.NewWallProber(pools, targets, p.served.Load, p.upstream)
-		return p.prober
+		reseed = p.prober.Reseed
+		return reseed
 	})
 	if armed {
-		p.bal.SetProbePools(p.planes.Pools(), p.prober.Reseed)
+		p.bal.SetProbePools(p.planes.Pools(), reseed)
 		p.prober.Start()
 	}
 }

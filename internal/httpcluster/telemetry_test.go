@@ -231,7 +231,8 @@ func BenchmarkTelemetryDisabledOverhead(b *testing.B) {
 		backends := []*Backend{NewBackend("a", "u", 64), NewBackend("b", "u", 64)}
 		bal := NewBalancer(PolicyCurrentLoad, MechanismModified, backends, Config{Sweeps: 1})
 		if enabled {
-			s := telemetry.NewWallSampler("bench", telemetry.Config{}, nil)
+			start := time.Now()
+			s := telemetry.NewWallSampler("bench", telemetry.Config{}, func() time.Duration { return time.Since(start) })
 			for _, be := range backends {
 				be := be
 				s.Register(be.Name(), telemetry.SignalInFlight, func() float64 { return float64(be.InFlight()) })

@@ -137,10 +137,6 @@ func (r *Record) Traffic() int64 { return r.traffic }
 // backend.
 func (r *Record) Quarantined() bool { return r.quarantined }
 
-// ProbeArmed reports whether ArmProbe let a probe through the drained
-// backend that has not been dispatched yet.
-func (r *Record) ProbeArmed() bool { return r.probeArmed }
-
 // Weight returns the backend's lbfactor (default 1).
 func (r *Record) Weight() float64 {
 	if r.weight == 0 {

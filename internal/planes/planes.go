@@ -27,7 +27,7 @@ import (
 type Attachment struct {
 	now      func() time.Duration
 	pools    *probe.Pools
-	prober   Prober
+	reseed   func()
 	gates    []*admission.Gate
 	backends []string
 	drivers  []Driver
@@ -40,18 +40,14 @@ func New(now func() time.Duration) Attachment { return Attachment{now: now} }
 // Clock returns the substrate's clock every plane reads.
 func (a *Attachment) Clock() func() time.Duration { return a.now }
 
-// Prober feeds the probe pools: probe.SimProber, probe.WallProber.
-type Prober interface {
-	// Reseed clears the pools and fires one probe round at once.
-	Reseed()
-}
-
 // ArmProbing builds the probe pools on the attachment's clock, and the
 // substrate's prober over them, when the run can dispatch through
 // prequal: an explicit probe config, prequal as the static policy, or
-// prequal among the ladder's swap targets. It reports whether it did. A
-// run that never can skips the subsystem, keeping its event sequence.
-func (a *Attachment) ArmProbing(pcfg *probe.Config, policy string, ac *adapt.Config, newProber func(*probe.Pools) Prober) bool {
+// prequal among the ladder's swap targets. newProber returns the
+// prober's Reseed (clear the pools, fire one probe round at once). It
+// reports whether it armed. A run that never can skips the subsystem,
+// keeping its event sequence.
+func (a *Attachment) ArmProbing(pcfg *probe.Config, policy string, ac *adapt.Config, newProber func(*probe.Pools) (reseed func())) bool {
 	if pcfg == nil && policy != "prequal" && (ac == nil || ac.PolicyTarget != "prequal" && ac.FallbackPolicy != "prequal") {
 		return false
 	}
@@ -60,7 +56,7 @@ func (a *Attachment) ArmProbing(pcfg *probe.Config, policy string, ac *adapt.Con
 		cfg = *pcfg
 	}
 	a.pools = probe.NewPools(cfg, a.now)
-	a.prober = newProber(a.pools)
+	a.reseed = newProber(a.pools)
 	return true
 }
 
@@ -73,7 +69,7 @@ func (a *Attachment) Pools() *probe.Pools { return a.pools }
 func (a *Attachment) AttachPools(p lb.Policy) lb.Policy {
 	if pq, ok := p.(*lb.Prequal); ok && a.pools != nil {
 		pq.AttachPools(a.pools)
-		pq.SetSeedHook(a.prober.Reseed)
+		pq.SetSeedHook(a.reseed)
 	}
 	return p
 }

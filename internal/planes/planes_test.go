@@ -1,6 +1,8 @@
 package planes_test
 
 import (
+	"io"
+	"net/http"
 	"slices"
 	"strings"
 	"testing"
@@ -21,8 +23,11 @@ type armed struct {
 	planes *planes.Attachment
 	// drivers counts the balancers the actuator fans out to.
 	drivers int
-	// state reads backend's quarantine and probe flags on every driver.
-	state func(backend string) (quarantined, probeArmed []bool)
+	// state reads backend's quarantine flag and dispatch count on every
+	// driver.
+	state func(backend string) (quarantined []bool, dispatched []uint64)
+	// drive sends each driver enough requests to reach an armed probe.
+	drive func()
 	// settle gives a reseed's probe round time to land.
 	settle func()
 	// signals lists every timeline signal the substrate registered.
@@ -44,8 +49,8 @@ var substrates = []struct {
 
 func armSim(t *testing.T, gate bool) armed {
 	cfg := cluster.PaperConfig()
-	cfg.Clients = 200
-	cfg.Duration = 20 * time.Millisecond
+	cfg.Clients = 2000
+	cfg.Duration = 200 * time.Millisecond
 	cfg.Probe = &probe.Config{Interval: time.Hour}
 	cfg.Adaptive = &adapt.Config{PolicyTarget: "prequal"}
 	cfg.Telemetry = &telemetry.Config{Interval: 10 * time.Millisecond}
@@ -53,25 +58,24 @@ func armSim(t *testing.T, gate bool) armed {
 		cfg.Admission = &admission.Config{Limiter: admission.LimiterAIMD}
 	}
 	c := cluster.New(cfg)
+	var res *cluster.Results
 	return armed{
 		planes:  c.Planes(),
 		drivers: len(c.Webs),
-		state: func(backend string) (q, p []bool) {
+		state: func(backend string) (q []bool, d []uint64) {
 			for _, w := range c.Webs {
 				for _, cand := range w.Balancer().Candidates() {
 					if cand.Name() == backend {
-						q, p = append(q, cand.Quarantined()), append(p, cand.ProbeArmed())
+						q, d = append(q, cand.Quarantined()), append(d, cand.Dispatched())
 					}
 				}
 			}
-			return q, p
+			return q, d
 		},
-		settle: func() { c.Eng.Run(c.Eng.Now() + 5*time.Millisecond) },
-		signals: func() []string {
-			res := c.Run()
-			return res.Timeline.Signals()
-		},
-		close: func() {},
+		drive:   func() { res = c.Run() },
+		settle:  func() { c.Eng.Run(c.Eng.Now() + 5*time.Millisecond) },
+		signals: func() []string { return res.Timeline.Signals() },
+		close:   func() {},
 	}
 }
 
@@ -104,13 +108,23 @@ func armProxy(t *testing.T, gate bool) armed {
 	return armed{
 		planes:  p.Planes(),
 		drivers: 1,
-		state: func(backend string) (q, pa []bool) {
+		state: func(backend string) (q []bool, d []uint64) {
 			for _, be := range p.Balancer().Backends() {
 				if be.Name() == backend {
-					q, pa = append(q, be.Quarantined()), append(pa, be.ProbeArmed())
+					q, d = append(q, be.Quarantined()), append(d, be.Dispatched())
 				}
 			}
-			return q, pa
+			return q, d
+		},
+		drive: func() {
+			for i := 0; i < 4; i++ {
+				resp, err := http.Get(p.URL() + "/x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				_ = resp.Body.Close()
+			}
 		},
 		settle: func() {
 			deadline := time.Now().Add(500 * time.Millisecond)
@@ -151,11 +165,18 @@ func TestAttachmentBothSubstrates(t *testing.T) {
 			}
 			act := s.planes
 			backend := act.Backends()[0]
+			_, before := s.state(backend)
 			act.SetQuarantine(backend, true)
 			act.ArmProbe(backend)
-			q, p := s.state(backend)
-			if len(q) != sub.drivers || slices.Contains(q, false) || slices.Contains(p, false) {
-				t.Fatalf("%s: quarantined %v, probe armed %v: want true on all %d drivers", backend, q, p, sub.drivers)
+			s.drive()
+			q, after := s.state(backend)
+			if len(q) != sub.drivers || slices.Contains(q, false) {
+				t.Fatalf("%s: quarantined %v: want true on all %d drivers", backend, q, sub.drivers)
+			}
+			for i := range after {
+				if n := after[i] - before[i]; n != 1 {
+					t.Fatalf("%s: driver %d dispatched %d requests while drained, want exactly the one probe", backend, i, n)
+				}
 			}
 			if !act.TightenLimit(true) {
 				t.Error("TightenLimit reported no gate on a substrate with admission")

@@ -197,7 +197,8 @@ func TestTimelineWriteJSONLAndProm(t *testing.T) {
 }
 
 func TestWallSamplerRuntimeSignals(t *testing.T) {
-	w := NewWallSampler("proxy", Config{Interval: 5 * time.Millisecond, Capacity: 128}, nil)
+	start := time.Now()
+	w := NewWallSampler("proxy", Config{Interval: 5 * time.Millisecond, Capacity: 128}, func() time.Duration { return time.Since(start) })
 	var inFlight atomic.Int64
 	w.Register("backend1", SignalInFlight, func() float64 { return float64(inFlight.Load()) })
 	// Pin a visible amount of live heap: right after a collection the

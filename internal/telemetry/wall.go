@@ -39,8 +39,7 @@ type WallSampler struct {
 
 // NewWallSampler returns a sampler for the process, with the runtime
 // signals registered under the given source name, stamping points with
-// now (nil: the offset from Start). Start must be called to begin
-// sampling.
+// the host's clock now. Start must be called to begin sampling.
 func NewWallSampler(source string, cfg Config, now func() time.Duration) *WallSampler {
 	tl := NewTimeline(cfg)
 	w := &WallSampler{
@@ -100,10 +99,6 @@ func (w *WallSampler) Start() {
 	}
 	if w.stop != nil {
 		panic("telemetry: WallSampler.Start called twice")
-	}
-	if w.clock == nil {
-		epoch := time.Now()
-		w.clock = func() time.Duration { return time.Since(epoch) }
 	}
 	w.stop = make(chan struct{})
 	w.done = make(chan struct{})
