@@ -8,57 +8,46 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
 	"time"
+
+	"millibalance/internal/h1"
 )
 
-// The proxy's front is its only server. Like an Apache worker thread that
-// holds the client connection and copies the backend's reply back to it,
-// one goroutine per client connection reads each request head in place
-// on the connection's bufio.Reader, hands Proxy.handle what it uses of
-// it, and writes the reply into the connection's bufio.Writer with the
-// upstream reply's own framing. A second goroutine per connection peeks
-// the socket while an exchange runs, so a client that goes away cancels
-// the exchange at once.
+// The proxy's front is its only server, a driver of the HTTP/1.1 codec in
+// internal/h1. Like an Apache worker thread that holds the client
+// connection and copies the backend's reply back to it, one goroutine per
+// client connection reads each request head with the codec on the
+// connection's bufio.Reader, hands Proxy.handle what it uses of it, and
+// writes the reply into the connection's bufio.Writer with the upstream
+// reply's own framing. A second goroutine per connection peeks the socket
+// while an exchange runs, so a client that goes away cancels the exchange
+// at once.
 //
 // A request keeps: its method; its path, escaped as sent, from an
 // origin-form or absolute-form target (the query is not forwarded); the
 // body's framing, Content-Length or chunked; Connection and the HTTP
 // version, which decide keep-alive as net/http decides it; the JSESSIONID
-// cookie; whether X-Priority says background. Every other header is
-// checked for syntax and dropped.
-//
-// Where the front answers differently from net/http's server (the reply
-// golden, testdata/front/replies.golden, lists the cases): a reply keeps
-// the upstream's Content-Length where net/http chunked a body over 2 KiB,
-// and is chunked only when the upstream's length is unknown; a head line
-// longer than the 4 KiB read buffer is answered 431, where net/http
-// allows a 1 MB head; an admin reply ends by closing the connection; a
-// request body that breaks off or is malformed ends the connection
-// without a reply.
+// cookie; whether X-Priority says background. The codec checks every
+// other field's syntax and drops it. DESIGN.md §17 lists where the front
+// answers otherwise than net/http's server.
 
 const (
 	// frontBufSize sizes each connection's read and write buffers, and so
 	// bounds a request head line.
 	frontBufSize = 4 << 10
-	// frontMaxHead bounds a whole request head, as net/http's default.
-	frontMaxHead = http.DefaultMaxHeaderBytes
 	// frontMaxDrain is how much of a request body the front reads and
 	// drops before dispatch. A longer body is left unread and the
 	// connection closes after the reply, as net/http does after a handler.
 	frontMaxDrain = 256 << 10
 	// sniffLen is how much of a reply body decides its Content-Type.
 	sniffLen = 512
-	// chunkHead is the room a chunk-size line takes in front of a chunk
-	// of at most frontBufSize bytes: four hex digits and CRLF.
-	chunkHead = 6
 )
 
 // requestHead is what the front keeps of one request. Its slices point
-// into the connection's buffers and are valid until the next request.
+// into the connection's head and are valid until the next request.
 type requestHead struct {
 	method     string
 	target     []byte // the request-target as sent
@@ -82,8 +71,9 @@ type frontConn struct {
 	cancel context.CancelFunc
 	arm    chan struct{} // serve → watch: peek the socket
 	peeked chan error    // watch → serve: the peek returned
-	req    requestHead   // the request being served
-	target []byte        // backs req.target
+	head   h1.Head       // the head being read
+	body   h1.Body       // its body, drained before dispatch
+	req    requestHead   // what the proxy uses of it
 	sniff  [sniffLen]byte
 }
 
@@ -189,155 +179,47 @@ func (fc *frontConn) close() {
 	fc.p.connMu.Unlock()
 }
 
-// readRequest parses one request head into h. A head it will not serve
-// is answered as net/http answers it; that, and a client that went away
-// mid-head, report false.
+// readRequest reads one request head into h through the codec, keeping
+// the Cookie and X-Priority fields beside the framing ones. A head it will
+// not serve is answered as net/http answers it; that, and a client that
+// went away mid-head, report false.
 func (fc *frontConn) readRequest(h *requestHead) bool {
-	total := 0
-	line, err := fc.readHeadLine(&total)
+	hd := &fc.head
+	err := h1.ReadRequestLine(fc.br, hd)
+	if err == nil {
+		h.method, h.minor, h.target = hd.Method, hd.Minor, hd.Target()
+		var ok bool
+		if h.path, ok = escapedPath(h.target); !ok {
+			return fc.reject(http.StatusBadRequest, "")
+		}
+		err = hd.ReadFields(fc.br, frontFields)
+	}
 	if err != nil {
-		return fc.headFailed(err)
+		if e, ok := err.(*h1.Error); ok {
+			return fc.reject(e.Status, e.Text)
+		}
+		return false // the socket's failure, which takes no reply
 	}
-	method, rest, ok1 := bytes.Cut(line, []byte{' '})
-	target, proto, ok2 := bytes.Cut(rest, []byte{' '})
-	major, minor, ok3 := parseVersion(proto)
-	if !ok1 || !ok2 || !ok3 || !isToken(method) {
-		return fc.reject(http.StatusBadRequest, "")
-	}
-	h.method, h.minor = internMethod(method), minor
-	fc.target = append(fc.target[:0], target...)
-	h.target = fc.target
-	var ok bool
-	if h.path, ok = escapedPath(h.target); !ok {
-		return fc.reject(http.StatusBadRequest, "")
-	}
-
-	var (
-		hosts             int
-		badHost           bool
-		length            int64 = -1 // the first Content-Length
-		lengths, badLen   bool       // more than one value; one that does not parse
-		encodings         int
-		chunked           bool
-		closes, keepAlive bool
-		session           []byte
-		haveSession       bool
-		priority          bool // only the first X-Priority counts
-		foldable          bool // the previous line was a field dropped here
-	)
-	for {
-		line, err := fc.readHeadLine(&total)
-		if err != nil {
-			return fc.headFailed(err)
-		}
-		if len(line) == 0 {
-			break
-		}
-		if line[0] == ' ' || line[0] == '\t' { // a folded continuation line
-			if !foldable || !validValue(line, true) {
-				return fc.reject(http.StatusBadRequest, "")
-			}
-			continue
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 || !isToken(line[:colon]) {
-			return fc.reject(http.StatusBadRequest, "")
-		}
-		name, value := line[:colon], bytes.Trim(line[colon+1:], " \t")
-		if !validValue(value, true) {
-			return fc.reject(http.StatusBadRequest, "")
-		}
-		foldable = false
+	h.length, h.keepAlive, h.expect = hd.Length, !hd.Close, hd.Continue
+	haveSession, priority := false, false // only the first of each counts
+	for i := 0; i < hd.NumFields(); i++ {
+		name, value := hd.Field(i)
 		switch {
-		case bytes.EqualFold(name, []byte("Host")):
-			hosts++
-			badHost = badHost || !validValue(value, false)
-		case bytes.EqualFold(name, []byte("Content-Length")):
-			n, ok := parseLength(value)
-			switch {
-			case !ok:
-				badLen = true
-			case length < 0:
-				length = n
-			case n != length:
-				lengths = true
+		case !haveSession && h1.EqualFold(name, "Cookie"):
+			var session []byte
+			if session, haveSession = cookieValue(value, []byte("JSESSIONID")); haveSession {
+				h.session = string(session)
 			}
-		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-			encodings++
-			chunked = bytes.EqualFold(value, []byte("chunked"))
-		case bytes.EqualFold(name, []byte("Connection")):
-			closes = closes || hasToken(value, []byte("close"))
-			keepAlive = keepAlive || hasToken(value, []byte("keep-alive"))
-		case bytes.EqualFold(name, []byte("Expect")):
-			h.expect = h.expect || bytes.EqualFold(value, []byte("100-continue"))
-		case bytes.EqualFold(name, []byte("Cookie")):
-			if !haveSession {
-				session, haveSession = cookieValue(value, []byte("JSESSIONID"))
-			}
-		case bytes.EqualFold(name, []byte("X-Priority")):
-			if !priority {
-				priority = true
-				h.background = bytes.EqualFold(value, []byte("background"))
-			}
-		default:
-			foldable = true
+		case !priority && h1.EqualFold(name, "X-Priority"):
+			priority, h.background = true, h1.EqualFold(value, "background")
 		}
 	}
-
-	switch {
-	case major != 1:
-		return fc.reject(http.StatusHTTPVersionNotSupported, "unsupported protocol version")
-	case minor >= 1 && hosts == 0:
-		return fc.reject(http.StatusBadRequest, "missing required Host header")
-	case hosts > 1:
-		return fc.reject(http.StatusBadRequest, "too many Host headers")
-	case badHost:
-		return fc.reject(http.StatusBadRequest, "malformed Host header")
-	}
-	// Framing as net/http frames a request: Transfer-Encoding counts from
-	// HTTP/1.1 on and must be one "chunked", which then wins over any
-	// Content-Length; otherwise the Content-Length values must parse and
-	// agree; no framing means no body.
-	switch {
-	case minor >= 1 && encodings > 0:
-		if encodings > 1 || !chunked {
-			return fc.reject(http.StatusNotImplemented, "")
-		}
-		h.length = -1
-	case badLen || lengths:
-		return fc.reject(http.StatusBadRequest, "")
-	case length > 0:
-		h.length = length
-	}
-	h.keepAlive = !closes && (minor >= 1 || keepAlive)
-	h.session = string(session)
 	return true
 }
 
-// readHeadLine reads one head line in place, counting it against
-// frontMaxHead.
-func (fc *frontConn) readHeadLine(total *int) ([]byte, error) {
-	line, err := readLine(fc.br)
-	if err == errLineTooLong {
-		return nil, errHeadTooLarge
-	}
-	if *total += len(line) + 2; *total > frontMaxHead {
-		return nil, errHeadTooLarge
-	}
-	return line, err
-}
-
-// errHeadTooLarge marks a head line past the read buffer, or a head past
-// frontMaxHead.
-var errHeadTooLarge = errors.New("httpcluster: request head too large")
-
-// headFailed answers a head too large with 431. Any other failure is the
-// socket's, which takes no reply.
-func (fc *frontConn) headFailed(err error) bool {
-	if err == errHeadTooLarge {
-		return fc.reject(http.StatusRequestHeaderFieldsTooLarge, "")
-	}
-	return false
+// frontFields names the fields the front reads beside the framing ones.
+func frontFields(name []byte) bool {
+	return h1.EqualFold(name, "Cookie") || h1.EqualFold(name, "X-Priority")
 }
 
 // reject answers a head the front will not serve with net/http's bytes
@@ -352,8 +234,12 @@ func (fc *frontConn) reject(code int, text string) bool {
 	if code == http.StatusNotImplemented {
 		body = "Unsupported transfer encoding"
 	}
-	_, _ = fc.bw.WriteString("HTTP/1.1 " + status + "\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\n\r\n" + body)
-	if fc.bw.Flush() == nil {
+	bw := fc.bw
+	bw.WriteString("HTTP/1.1 " + status + "\r\n")
+	h1.WriteField(bw, "Content-Type", "text/plain; charset=utf-8")
+	h1.WriteField(bw, "Connection", "close")
+	bw.WriteString("\r\n" + body)
+	if bw.Flush() == nil {
 		fc.lingerClose()
 	}
 	return false
@@ -384,15 +270,12 @@ func (fc *frontConn) drainBody(h *requestHead) bool {
 	case h.expect && h.minor >= 1, h.length > frontMaxDrain:
 		h.keepAlive = false
 		return true
-	case h.length > 0:
-		_, err := fc.br.Discard(int(h.length))
-		return err == nil
 	}
-	_, err := io.CopyN(io.Discard, httputil.NewChunkedReader(fc.br), frontMaxDrain+1)
-	switch err {
+	fc.body.Reset(fc.br, &fc.head)
+	switch _, err := io.CopyN(io.Discard, &fc.body, frontMaxDrain+1); err {
 	case io.EOF:
-		return skipTrailer(fc.br) == nil
-	case nil: // more than frontMaxDrain
+		return true
+	case nil: // a chunked body longer than frontMaxDrain
 		h.keepAlive = false
 		return true
 	}
@@ -408,7 +291,7 @@ func (fc *frontConn) drainBody(h *requestHead) bool {
 // upstream connection can be reused. It reports the body bytes read and
 // the first failure, the upstream's or the client's.
 func (fc *frontConn) writeReply(h *requestHead, status int, backend string, length int64, body io.Reader) (int64, error) {
-	bodyless := status < 200 || status == http.StatusNoContent || status == http.StatusNotModified
+	bodyless := !h1.BodyAllowed(status)
 	n, ended := 0, bodyless || length == 0
 	if !ended {
 		want := sniffLen
@@ -430,25 +313,25 @@ func (fc *frontConn) writeReply(h *requestHead, status int, backend string, leng
 	}
 
 	bw := fc.bw
-	writeStatusLine(bw, h.minor, status)
+	h1.WriteStatusLine(bw, h.minor, status)
 	if n > 0 {
-		writeField(bw, "Content-Type", http.DetectContentType(fc.sniff[:n]))
+		h1.WriteField(bw, "Content-Type", http.DetectContentType(fc.sniff[:n]))
 	}
-	writeField(bw, "X-Backend", backend)
-	writeDate(bw)
+	h1.WriteField(bw, "X-Backend", backend)
+	h1.WriteDate(bw)
 	chunked := false
 	switch {
 	case bodyless:
 	case length >= 0:
-		writeLength(bw, length)
+		h1.WriteLength(bw, length)
 	case h.method == http.MethodHead: // net/http, too, names no framing for a HEAD reply of unknown length
 	case h.minor >= 1:
-		writeField(bw, "Transfer-Encoding", "chunked")
+		h1.WriteField(bw, "Transfer-Encoding", "chunked")
 		chunked = true
 	default:
 		h.keepAlive = false // the body ends with the connection
 	}
-	writeConnection(bw, h)
+	h1.WriteConnection(bw, h.minor, h.keepAlive)
 	bw.WriteString("\r\n")
 
 	if h.method == http.MethodHead || bodyless {
@@ -456,10 +339,7 @@ func (fc *frontConn) writeReply(h *requestHead, status int, backend string, leng
 		return int64(n) + m, err
 	}
 	if chunked && n > 0 {
-		bw.Write(strconv.AppendUint(bw.AvailableBuffer(), uint64(n), 16))
-		bw.WriteString("\r\n")
-		bw.Write(fc.sniff[:n])
-		bw.WriteString("\r\n")
+		h1.WriteChunk(bw, fc.sniff[:n])
 	} else {
 		bw.Write(fc.sniff[:n])
 	}
@@ -469,134 +349,31 @@ func (fc *frontConn) writeReply(h *requestHead, status int, backend string, leng
 		if length > 0 {
 			limit = length - written
 		}
-		m, err := copyBody(bw, body, limit, chunked)
+		m, err := h1.CopyBody(bw, body, limit, chunked)
 		written += m
 		if err != nil {
 			return written, err
 		}
 	}
 	if chunked {
-		bw.WriteString("0\r\n\r\n")
+		h1.WriteLastChunk(bw)
 	}
 	return written, nil
-}
-
-// copyBody copies body into bw's free space, framing each read as a chunk
-// when chunked, until EOF or, when limit >= 0, limit bytes.
-func copyBody(bw *bufio.Writer, body io.Reader, limit int64, chunked bool) (int64, error) {
-	var written int64
-	for limit < 0 || written < limit {
-		if bw.Available() < 64 {
-			if err := bw.Flush(); err != nil {
-				return written, err
-			}
-		}
-		buf := bw.AvailableBuffer()[:bw.Available()]
-		data := buf
-		if chunked {
-			data = buf[chunkHead : len(buf)-2]
-		}
-		if limit >= 0 && int64(len(data)) > limit-written {
-			data = data[:limit-written]
-		}
-		m, err := body.Read(data)
-		if m > 0 {
-			written += int64(m)
-			out := buf[:m]
-			if chunked {
-				out = frameChunk(buf, m)
-			}
-			if _, werr := bw.Write(out); werr != nil {
-				return written, werr
-			}
-		}
-		switch {
-		case err == io.EOF && limit >= 0 && written < limit:
-			return written, io.ErrUnexpectedEOF
-		case err == io.EOF:
-			return written, nil
-		case err != nil:
-			return written, err
-		}
-	}
-	return written, nil
-}
-
-// frameChunk turns the m bytes at buf[chunkHead:] into a chunk at the
-// start of buf: its size line, the bytes, CRLF.
-func frameChunk(buf []byte, m int) []byte {
-	var hex [8]byte
-	size := strconv.AppendUint(hex[:0], uint64(m), 16)
-	l := len(size) + 2
-	copy(buf[l:], buf[chunkHead:chunkHead+m])
-	copy(buf, size)
-	buf[l-2], buf[l-1] = '\r', '\n'
-	buf[l+m], buf[l+m+1] = '\r', '\n'
-	return buf[:l+m+2]
 }
 
 // writeError writes a reply shaped as http.Error shapes it.
 func (fc *frontConn) writeError(h *requestHead, code int, msg string) {
 	bw := fc.bw
-	writeStatusLine(bw, h.minor, code)
-	writeField(bw, "Content-Type", "text/plain; charset=utf-8")
-	writeField(bw, "X-Content-Type-Options", "nosniff")
-	writeDate(bw)
-	writeLength(bw, int64(len(msg)+1))
-	writeConnection(bw, h)
+	h1.WriteStatusLine(bw, h.minor, code)
+	h1.WriteField(bw, "Content-Type", "text/plain; charset=utf-8")
+	h1.WriteField(bw, "X-Content-Type-Options", "nosniff")
+	h1.WriteDate(bw)
+	h1.WriteLength(bw, int64(len(msg)+1))
+	h1.WriteConnection(bw, h.minor, h.keepAlive)
 	bw.WriteString("\r\n")
 	if h.method != http.MethodHead {
 		bw.WriteString(msg)
 		bw.WriteByte('\n')
-	}
-}
-
-// writeStatusLine writes the status line as net/http does, in the
-// request's HTTP version.
-func writeStatusLine(bw *bufio.Writer, minor, code int) {
-	if minor >= 1 {
-		bw.WriteString("HTTP/1.1 ")
-	} else {
-		bw.WriteString("HTTP/1.0 ")
-	}
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(code), 10))
-	bw.WriteByte(' ')
-	if text := http.StatusText(code); text != "" {
-		bw.WriteString(text)
-	} else {
-		bw.WriteString("status code " + strconv.Itoa(code))
-	}
-	bw.WriteString("\r\n")
-}
-
-func writeField(bw *bufio.Writer, name, value string) {
-	bw.WriteString(name)
-	bw.WriteString(": ")
-	bw.WriteString(value)
-	bw.WriteString("\r\n")
-}
-
-func writeDate(bw *bufio.Writer) {
-	bw.WriteString("Date: ")
-	bw.Write(time.Now().UTC().AppendFormat(bw.AvailableBuffer(), http.TimeFormat))
-	bw.WriteString("\r\n")
-}
-
-func writeLength(bw *bufio.Writer, n int64) {
-	bw.WriteString("Content-Length: ")
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), n, 10))
-	bw.WriteString("\r\n")
-}
-
-// writeConnection says "close" to an HTTP/1.1 client when the connection
-// ends after this reply, and "keep-alive" to an HTTP/1.0 client when it
-// does not, as net/http does.
-func writeConnection(bw *bufio.Writer, h *requestHead) {
-	switch {
-	case !h.keepAlive && h.minor >= 1:
-		writeField(bw, "Connection", "close")
-	case h.keepAlive && h.minor == 0:
-		writeField(bw, "Connection", "keep-alive")
 	}
 }
 
@@ -637,10 +414,10 @@ func (w *adminWriter) WriteHeader(code int) {
 	}
 	w.wrote = true
 	bw := w.fc.bw
-	writeStatusLine(bw, w.h.minor, code)
-	_ = w.header.Write(bw) // bw keeps its first error for the flush
-	writeDate(bw)
-	writeConnection(bw, w.h)
+	h1.WriteStatusLine(bw, w.h.minor, code)
+	_ = w.header.Write(bw) // net/http writes the handler's fields; bw keeps its first error for the flush
+	h1.WriteDate(bw)
+	h1.WriteConnection(bw, w.h.minor, w.h.keepAlive)
 	bw.WriteString("\r\n")
 }
 
@@ -655,29 +432,6 @@ func (w *adminWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return w.fc.bw.Write(p)
-}
-
-// parseVersion parses "HTTP/x.y" with single digits, as
-// http.ParseHTTPVersion does.
-func parseVersion(v []byte) (major, minor int, ok bool) {
-	if len(v) != len("HTTP/1.1") || !bytes.HasPrefix(v, []byte("HTTP/")) || v[6] != '.' || !isDigit(v[5]) || !isDigit(v[7]) {
-		return 0, 0, false
-	}
-	return int(v[5] - '0'), int(v[7] - '0'), true
-}
-
-// internMethod returns the method as a string, without a copy for the
-// common ones.
-func internMethod(m []byte) string {
-	switch string(m) {
-	case http.MethodGet:
-		return http.MethodGet
-	case http.MethodHead:
-		return http.MethodHead
-	case http.MethodPost:
-		return http.MethodPost
-	}
-	return string(m)
 }
 
 // escapedPath returns the path a target names, escaped as url.URL's
@@ -720,17 +474,7 @@ func keptAsSent(path []byte) bool {
 	return true
 }
 
-// isToken reports whether b is an HTTP token: a method or a field name.
-func isToken(b []byte) bool {
-	for _, c := range b {
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || isDigit(c) || strings.IndexByte("!#$%&'*+-.^_`|~", c) >= 0) {
-			return false
-		}
-	}
-	return len(b) > 0
-}
-
-func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
+func isHex(c byte) bool { return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
 
 // cookieValue finds the cookie name in one Cookie header value as
 // net/http's Request.Cookie finds it: pairs split on ';' and trimmed, a

@@ -2,22 +2,19 @@ package httpcluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"net/url"
 	"os"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"millibalance/internal/h1"
 )
 
 // upstreamIdleAge is how long a parked connection stays usable. The
@@ -33,7 +30,8 @@ const upstreamIdleAge = 90 * time.Second
 // goroutine — one buffered write, one in-place read of the reply's head —
 // over a bounded LIFO stack of idle connections per host. It starts no
 // goroutine and no timer per connection or per request; it speaks plain
-// http only.
+// http only, and is a driver of the HTTP/1.1 codec in internal/h1, which
+// writes the request and reads the reply.
 //
 // Two entry points share the exchange. forward is the tiers' own hop: it
 // writes GET <uri> and Host from its arguments under the caller's context
@@ -48,14 +46,12 @@ const upstreamIdleAge = 90 * time.Second
 // set the socket deadline to the earlier of the attempt deadline and the
 // context's; register one context.AfterFunc on the caller's context that
 // forces the deadline into the past, so a cancelled context fails the
-// pending read or write at once; write the request; read the status line
-// and scan the header lines with ReadSlice on the connection's
-// bufio.Reader for the framing fields — Content-Length,
-// Transfer-Encoding, Connection — and, for RoundTrip, every header. The
-// body reads through an io.LimitedReader or httputil's chunked reader on
-// the same buffer, and decides the connection's fate when it is closed.
-// A head line longer than that 4 KiB buffer fails the exchange, where
-// net/http would accept it.
+// pending read or write at once; write the request; read the reply's head
+// on the connection's bufio.Reader into the connection's h1.Head, keeping
+// the framing fields and, for RoundTrip, every field. The body reads
+// through an h1.Body on the same buffer, and decides the connection's
+// fate when it is closed. DESIGN.md §17 lists where the exchange differs
+// from net/http's.
 //
 // Reuse. A connection goes back on the stack only if all of these hold:
 // the body was read to EOF (a chunked body's trailer section included);
@@ -95,7 +91,8 @@ type upstreamConn struct {
 	nc     net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	abort  func() // what the context's AfterFunc runs
+	head   h1.Head // the reply being read
+	abort  func()  // what the context's AfterFunc runs
 	idleAt time.Time
 }
 
@@ -144,7 +141,7 @@ func NewUpstreamTransport(backends []*Backend) *UpstreamTransport {
 // It returns the reply's status, its Content-Length (-1 when chunked or
 // read until the peer closes) and its body.
 func (t *UpstreamTransport) forward(ctx context.Context, deadline time.Time, base *url.URL, uri string) (status int, length int64, body io.ReadCloser, err error) {
-	if base.Scheme != "http" || base.Host == "" || !validValue(base.Host, false) || !validValue(uri, false) {
+	if base.Scheme != "http" || base.Host == "" || !h1.ValidHost(base.Host) || !h1.ValidTarget(uri) {
 		return 0, 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri, base.Redacted())
 	}
 	rq := upstreamRequest{method: http.MethodGet, uri: uri, host: base.Host}
@@ -152,7 +149,7 @@ func (t *UpstreamTransport) forward(ctx context.Context, deadline time.Time, bas
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	return b.status, b.length, b, nil
+	return b.c.head.Status, b.c.head.Length, b, nil // the body owns the connection, and its head
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -242,32 +239,23 @@ func (t *UpstreamTransport) exchange(ctx context.Context, deadline time.Time, c 
 	if err = c.writeRequest(rq); err == nil {
 		_, err = c.br.Peek(1)
 	}
-	var h replyHead
 	if err == nil {
 		early = false
-		h, err = readHead(c.br, rq.method == http.MethodHead, sink)
+		err = c.readHead(rq.method == http.MethodHead, sink)
 	}
 	if err != nil {
 		stop()
 		_ = c.nc.Close() // discarded after a failure that is already reported
 		return nil, early, err
 	}
+	h := &c.head
 	b = &upstreamBody{
-		t: t, c: c, ctx: ctx, stop: stop, addr: addr, status: h.status, length: h.length,
+		t: t, c: c, ctx: ctx, stop: stop, addr: addr,
 		// An informational reply would leave the final one unread.
-		keep: !h.close && !rq.close && h.status >= 200,
+		keep: !h.Close && !rq.close && h.Status >= 200,
 	}
-	switch {
-	case h.chunked:
-		b.chunks = httputil.NewChunkedReader(c.br)
-	case h.length == 0:
-		b.eof.Store(true)
-	case h.length > 0:
-		b.lr = io.LimitedReader{R: c.br, N: h.length}
-	default: // until the peer closes
-		b.lr = io.LimitedReader{R: c.br, N: math.MaxInt64}
-		b.toEOF = true
-	}
+	b.body.Reset(c.br, h)
+	b.eof.Store(h.Length == 0)
 	return b, false, nil
 }
 
@@ -275,53 +263,58 @@ func (t *UpstreamTransport) exchange(ctx context.Context, deadline time.Time, c 
 // in as few writes as the buffer allows. The request has been checked.
 func (c *upstreamConn) writeRequest(rq *upstreamRequest) error {
 	bw := c.bw
-	// bufio.Writer keeps its first error and returns it from Flush.
-	bw.WriteString(rq.method)
-	bw.WriteByte(' ')
-	bw.WriteString(rq.uri)
-	bw.WriteString(" HTTP/1.1\r\nHost: ")
-	bw.WriteString(rq.host)
-	bw.WriteString("\r\n")
-	for name, values := range rq.header {
-		if framingHeader(name) {
-			continue
-		}
-		for _, v := range values {
-			bw.WriteString(name)
-			bw.WriteString(": ")
-			bw.WriteString(v)
-			bw.WriteString("\r\n")
-		}
-	}
+	h1.WriteRequestLine(bw, rq.method, rq.uri, rq.host)
+	h1.WriteHeader(bw, rq.header)
 	if rq.close {
-		bw.WriteString("Connection: close\r\n")
+		h1.WriteField(bw, "Connection", "close")
 	}
 	if rq.length > 0 {
-		bw.WriteString("Content-Length: ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), rq.length, 10))
-		bw.WriteString("\r\n\r\n")
+		h1.WriteLength(bw, rq.length)
+	}
+	bw.WriteString("\r\n")
+	if rq.length > 0 {
 		if _, err := io.CopyN(bw, rq.body, rq.length); err != nil {
 			return fmt.Errorf("request body: %w", err)
 		}
-	} else {
-		bw.WriteString("\r\n")
 	}
 	return bw.Flush()
 }
 
-// framingHeader names the header fields the transport writes from the
-// request's own fields, never from its header map.
-func framingHeader(name string) bool {
-	switch name {
-	case "Host", "Content-Length", "Transfer-Encoding", "Trailer":
-		return true
+// readHead reads the reply's head into c.head. A non-nil sink also
+// receives its status, its protocol and every field but Transfer-Encoding
+// (and Content-Length beside a chunked body), as net/http hands them on.
+func (c *upstreamConn) readHead(head bool, sink *http.Response) error {
+	h := &c.head
+	var keep func([]byte) bool
+	if sink != nil {
+		keep = h1.All
 	}
-	return false
+	err := h1.ReadStatusLine(c.br, h, head)
+	if err == nil {
+		err = h.ReadFields(c.br, keep)
+	}
+	if err != nil || sink == nil {
+		return err
+	}
+	sink.Status, sink.StatusCode, sink.Proto = string(h.StatusText()), h.Status, fmt.Sprintf("HTTP/%d.%d", h.Major, h.Minor)
+	sink.ProtoMajor, sink.ProtoMinor = h.Major, h.Minor
+	sink.ContentLength, sink.Close = h.Length, h.Close
+	for i := 0; i < h.NumFields(); i++ {
+		name, value := h.Field(i)
+		if h1.EqualFold(name, "Transfer-Encoding") || h.Chunked && h.Length < 0 && h1.EqualFold(name, "Content-Length") {
+			continue
+		}
+		key := http.CanonicalHeaderKey(string(name))
+		sink.Header[key] = append(sink.Header[key], string(value))
+	}
+	return nil
 }
 
 // checkRequest rejects what this transport cannot send — anything but
-// plain http to a host, a body of unknown length — and anything that
-// would end a line of the request early, before a connection is touched.
+// plain http to a host, a body of unknown length — and what net/http would
+// not send either: a method or field name that is not a token, a control
+// byte in a field value, a space or control byte in the target, a byte a
+// Host may not hold. It does so before a connection is touched.
 // It returns the address to dial and the request-URI.
 func checkRequest(req *http.Request) (addr, uri string, err error) {
 	u := req.URL
@@ -329,15 +322,15 @@ func checkRequest(req *http.Request) (addr, uri string, err error) {
 		return "", "", fmt.Errorf("httpcluster: upstream transport: want an http://host URL, got %q", u)
 	}
 	uri = u.RequestURI()
-	ok := (req.Method == "" || validToken(req.Method)) && validValue(uri, false) && validValue(u.Host, false) && validValue(req.Host, false)
+	ok := (req.Method == "" || h1.ValidToken(req.Method)) && h1.ValidTarget(uri) && h1.ValidHost(u.Host) && h1.ValidHost(req.Host)
 	for name, values := range req.Header {
-		ok = ok && validToken(name)
+		ok = ok && h1.ValidToken(name)
 		for _, v := range values {
-			ok = ok && validValue(v, true)
+			ok = ok && h1.ValidValue(v)
 		}
 	}
 	if !ok {
-		return "", "", fmt.Errorf("httpcluster: upstream transport: %s %s: control character or space in method, URL, host or header", req.Method, u.Redacted())
+		return "", "", fmt.Errorf("httpcluster: upstream transport: %s %s: invalid method, target, host, field name or field value", req.Method, u.Redacted())
 	}
 	if req.Body != nil && req.Body != http.NoBody && req.ContentLength <= 0 {
 		return "", "", fmt.Errorf("httpcluster: upstream transport: %s %s: request body without a Content-Length", req.Method, u.Redacted())
@@ -352,233 +345,6 @@ func hostAddr(u *url.URL) string {
 		return net.JoinHostPort(u.Hostname(), "80")
 	}
 	return u.Host
-}
-
-// validToken reports whether s can stand as a method or a header name.
-func validToken(s string) bool {
-	return s != "" && validValue(s, false) && !strings.Contains(s, ":")
-}
-
-// validValue reports whether s holds no control byte and, unless
-// spaces are allowed (header values), no space or tab.
-func validValue[T string | []byte](s T, spaces bool) bool {
-	for i := 0; i < len(s); i++ {
-		switch b := s[i]; {
-		case b == ' ' || b == '\t':
-			if !spaces {
-				return false
-			}
-		case b < ' ' || b == 0x7f:
-			return false
-		}
-	}
-	return true
-}
-
-// replyHead is what the transport keeps of a reply's head.
-type replyHead struct {
-	status  int
-	length  int64 // body bytes; -1 when chunked or read until the peer closes
-	chunked bool
-	close   bool // the connection carries nothing after this reply
-}
-
-var (
-	errHeadCut     = errors.New("httpcluster: reply ends inside its head")
-	errLineTooLong = errors.New("httpcluster: reply head line longer than the read buffer")
-	errTrailerCut  = errors.New("httpcluster: reply ends inside its chunked trailer")
-)
-
-// readHead parses a reply's status line and header lines in place on br,
-// keeping only what framing needs, as net/http frames a reply: no body
-// after a HEAD request or a 1xx, 204 or 304 status; chunked encoding wins
-// over Content-Length and is ignored in an HTTP/1.0 reply; two different
-// Content-Length values, or one that does not parse, are an error; a
-// reply with neither is read until the peer closes. An HTTP/1.0 reply
-// closes the connection unless it says "Connection: keep-alive". A
-// non-nil sink also receives the status, the protocol and every header
-// but Transfer-Encoding.
-func readHead(br *bufio.Reader, head bool, sink *http.Response) (h replyHead, err error) {
-	line, err := readLine(br)
-	if err != nil {
-		return h, err
-	}
-	sp := bytes.IndexByte(line, ' ')
-	if sp < 0 {
-		return h, fmt.Errorf("httpcluster: malformed HTTP response %q", line)
-	}
-	proto, status := line[:sp], bytes.TrimLeft(line[sp+1:], " ")
-	code, _, _ := bytes.Cut(status, []byte{' '})
-	if len(code) != 3 || !isDigit(code[0]) || !isDigit(code[1]) || !isDigit(code[2]) {
-		return h, fmt.Errorf("httpcluster: malformed HTTP status code %q", code)
-	}
-	h.status = int(code[0]-'0')*100 + int(code[1]-'0')*10 + int(code[2]-'0')
-	if len(proto) != len("HTTP/1.1") || !bytes.HasPrefix(proto, []byte("HTTP/")) || proto[6] != '.' || !isDigit(proto[5]) || !isDigit(proto[7]) {
-		return h, fmt.Errorf("httpcluster: malformed HTTP version %q", proto)
-	}
-	major, minor := int(proto[5]-'0'), int(proto[7]-'0')
-	if sink != nil {
-		sink.Status, sink.StatusCode, sink.Proto = string(status), h.status, string(proto)
-		sink.ProtoMajor, sink.ProtoMinor = major, minor
-	}
-
-	var (
-		length             int64 = -1 // the first Content-Length
-		lengths, badLength bool       // more than one value; one that does not parse
-		encodings          int
-		chunked            bool
-		closes, keepAlive  bool
-		lastKey            string // the sink's, for a folded line
-		lastFraming        = true // no fold continues a framing field, or nothing
-	)
-	for {
-		line, err := readLine(br)
-		if err == io.ErrUnexpectedEOF {
-			err = errHeadCut
-		}
-		if err != nil {
-			return h, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		if line[0] == ' ' || line[0] == '\t' { // a folded continuation line
-			if lastFraming {
-				return h, fmt.Errorf("httpcluster: malformed header continuation %q", line)
-			}
-			if sink != nil {
-				v := sink.Header[lastKey]
-				v[len(v)-1] += " " + string(bytes.TrimSpace(line))
-			}
-			continue
-		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 || !validValue(line[:colon], false) {
-			return h, fmt.Errorf("httpcluster: malformed header line %q", line)
-		}
-		name, value := line[:colon], bytes.Trim(line[colon+1:], " \t")
-		lastFraming = true
-		switch {
-		case bytes.EqualFold(name, []byte("Content-Length")):
-			n, ok := parseLength(value)
-			switch {
-			case !ok:
-				badLength = true
-			case length < 0:
-				length = n
-			case n != length:
-				lengths = true
-			}
-		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-			encodings++
-			chunked = bytes.EqualFold(value, []byte("chunked"))
-			continue // net/http takes it out of the header, too
-		case bytes.EqualFold(name, []byte("Connection")):
-			closes = closes || hasToken(value, []byte("close"))
-			keepAlive = keepAlive || hasToken(value, []byte("keep-alive"))
-		default:
-			lastFraming = false
-		}
-		if sink != nil {
-			lastKey = http.CanonicalHeaderKey(string(name))
-			sink.Header[lastKey] = append(sink.Header[lastKey], string(value))
-		}
-	}
-
-	if major >= 1 && (major > 1 || minor >= 1) && encodings > 0 {
-		if encodings > 1 || !chunked {
-			return h, errors.New("httpcluster: unsupported transfer encoding")
-		}
-	} else {
-		chunked = false
-	}
-	if !chunked && lengths {
-		return h, errors.New("httpcluster: reply carries two different Content-Length values")
-	}
-	h.close = closes || major < 1 || (major == 1 && minor == 0 && !keepAlive)
-	switch {
-	case head || h.status/100 == 1 || h.status == 204 || h.status == 304:
-		h.length = 0
-	case chunked:
-		h.chunked, h.length = true, -1
-	case badLength:
-		return h, errors.New("httpcluster: reply carries a bad Content-Length")
-	default:
-		h.length = length
-		h.close = h.close || length < 0
-	}
-	if sink != nil {
-		if chunked {
-			delete(sink.Header, "Content-Length")
-		}
-		sink.ContentLength, sink.Close = h.length, h.close
-	}
-	return h, nil
-}
-
-// readLine returns the next line on br without its line ending. The
-// slice points into br's buffer and is valid until the next read.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch err {
-	case nil:
-	case bufio.ErrBufferFull:
-		return nil, errLineTooLong
-	case io.EOF:
-		return nil, io.ErrUnexpectedEOF
-	default:
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
-}
-
-// skipTrailer consumes a chunked body's trailer section, up to and
-// including its blank line.
-func skipTrailer(br *bufio.Reader) error {
-	for {
-		line, err := readLine(br)
-		if err == io.ErrUnexpectedEOF {
-			return errTrailerCut
-		}
-		if err != nil || len(line) == 0 {
-			return err
-		}
-	}
-}
-
-func isDigit(b byte) bool { return '0' <= b && b <= '9' }
-
-// parseLength parses a Content-Length value: decimal digits only, at
-// most 18 of them.
-func parseLength(v []byte) (int64, bool) {
-	if len(v) == 0 || len(v) > 18 {
-		return 0, false
-	}
-	var n int64
-	for _, b := range v {
-		if !isDigit(b) {
-			return 0, false
-		}
-		n = n*10 + int64(b-'0')
-	}
-	return n, true
-}
-
-// hasToken reports whether the comma-separated list v holds token,
-// ignoring case.
-func hasToken(v []byte, token []byte) bool {
-	for len(v) > 0 {
-		var item []byte
-		item, v, _ = bytes.Cut(v, []byte{','})
-		if bytes.EqualFold(bytes.Trim(item, " \t"), token) {
-			return true
-		}
-	}
-	return false
 }
 
 // exchangeError names the hop in an error and turns a socket deadline
@@ -660,19 +426,15 @@ func (t *UpstreamTransport) CloseIdleConnections() {
 // upstreamBody is the body of one reply. It owns the connection until it
 // is closed.
 type upstreamBody struct {
-	t      *UpstreamTransport
-	c      *upstreamConn
-	ctx    context.Context
-	stop   func() bool // the AfterFunc's
-	addr   string
-	status int
-	length int64            // the reply's Content-Length; -1 when chunked or read until the peer closes
-	lr     io.LimitedReader // the framing, unless chunks is set
-	chunks io.Reader        // httputil's chunked reader on c.br
-	eof    atomic.Bool
-	done   atomic.Bool
-	keep   bool
-	toEOF  bool // lr runs until the peer closes
+	t    *UpstreamTransport
+	c    *upstreamConn
+	ctx  context.Context
+	stop func() bool // the AfterFunc's
+	addr string
+	body h1.Body // the framing on c.br
+	eof  atomic.Bool
+	done atomic.Bool
+	keep bool
 }
 
 func (b *upstreamBody) Read(p []byte) (n int, err error) {
@@ -682,22 +444,7 @@ func (b *upstreamBody) Read(p []byte) (n int, err error) {
 	if b.eof.Load() {
 		return 0, io.EOF
 	}
-	if b.chunks != nil {
-		n, err = b.chunks.Read(p)
-		if err == io.EOF {
-			if err = skipTrailer(b.c.br); err == nil {
-				err = io.EOF
-			}
-		}
-	} else {
-		n, err = b.lr.Read(p)
-		switch {
-		case err == io.EOF && b.lr.N > 0 && !b.toEOF:
-			err = io.ErrUnexpectedEOF
-		case err == nil && b.lr.N == 0:
-			err = io.EOF // with the last bytes, which saves the caller a read
-		}
-	}
+	n, err = b.body.Read(p)
 	switch {
 	case err == io.EOF:
 		b.eof.Store(true)

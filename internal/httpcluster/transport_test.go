@@ -480,6 +480,8 @@ func TestUpstreamTransportWritesTheRequest(t *testing.T) {
 		"https":                  {Method: "GET", URL: mustParse(t, "https://"+p.ln.Addr().String()+"/")},
 		"line break in a header": {Method: "GET", URL: mustParse(t, p.url()), Header: http.Header{"X-A": {"v\r\nX-B: w"}}},
 		"space in the method":    {Method: "GET /admin HTTP/1.1\r\nX:", URL: mustParse(t, p.url())},
+		"method not a token":     {Method: "GE(T", URL: mustParse(t, p.url())},
+		"name not a token":       {Method: "GET", URL: mustParse(t, p.url()), Header: http.Header{"X(Bad": {"v"}}},
 		"body of unknown length": {Method: "POST", URL: mustParse(t, p.url()), Body: io.NopCloser(strings.NewReader("x")), ContentLength: -1},
 	} {
 		if resp, err := tr.RoundTrip(req); err == nil {
@@ -505,9 +507,10 @@ func mustParse(t *testing.T, raw string) *url.URL {
 // three ways — through net/http's transport, through this one's RoundTrip
 // under a context deadline, and through its forward under an attempt
 // deadline — and requires equal status, body and kind of error, and for a
-// case sent twice the same number of connections. The one named exception
-// is a header line longer than the connection's read buffer: net/http
-// reads it, this transport fails the exchange.
+// case sent twice the same number of connections. The two named
+// exceptions are a header line longer than the connection's read buffer,
+// and a field name holding a space: net/http reads both, this transport
+// fails the exchange.
 func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 	kind := func(err error) string {
 		switch {
@@ -522,7 +525,7 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 		}
 		return "failed"
 	}
-	const longHeader = "5KiB header line"
+	const longHeader, spaceName = "5KiB header line", "space in a field name"
 	cases := map[string]struct {
 		answer reply
 		conns  int64 // sent twice when set: the connections the two requests must take
@@ -557,6 +560,9 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 		"truncated trailer":            {answer: reply{raw: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\nX-Sum: 4", close: true}},
 		"Connection: close, Upgrade":   {answer: reply{raw: "HTTP/1.1 200 OK\r\nConnection: Upgrade, close\r\nContent-Length: 2\r\n\r\nok"}, conns: 2},
 		"status without a reason text": {answer: reply{raw: "HTTP/1.1 200\r\nContent-Length: 2\r\n\r\nok"}, conns: 1},
+		"field name not a token":       {answer: reply{raw: "HTTP/1.1 200 OK\r\nX(Bad\": v\r\nContent-Length: 2\r\n\r\nok", close: true}},
+		"control byte in a value":      {answer: reply{raw: "HTTP/1.1 200 OK\r\nX-Ctl: a\x01b\r\nContent-Length: 2\r\n\r\nok", close: true}},
+		spaceName:                      {answer: reply{raw: "HTTP/1.1 200 OK\r\nX A: v\r\nContent-Length: 2\r\n\r\nok", close: true}},
 	}
 	type result struct {
 		status int
@@ -608,7 +614,7 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 					}
 				}
 			}
-			if name == longHeader {
+			if name == longHeader || name == spaceName {
 				if want := (result{status: 200, body: "ok", kind: "none"}); res[0] != want {
 					t.Errorf("net/http: %+v, want %+v", res[0], want)
 				}
