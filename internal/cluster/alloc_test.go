@@ -22,10 +22,11 @@ func mallocsFor(cfg Config) (mallocs, completed uint64) {
 // per wait, a timer handle per CPU burst, a fresh request per issue —
 // and more than half of a run's CPU went to allocating and collecting
 // them; the walk now rides on recycled records and costs none, the
-// 70 000 clients and their think timers are three slabs, and the planes'
-// logs record into rings that own their storage. The event ring stores a
-// decision as pointer-free rows in storage each chunk allocates once, so
-// with every plane armed a request costs what it costs with none.
+// 70 000 clients, each owning its think timer's node, are one slab, and
+// the planes' logs record into rings that own their storage. The event
+// ring stores a decision as pointer-free rows in storage each chunk
+// allocates once, so with every plane armed a request costs what it
+// costs with none.
 //
 // Two bounds per configuration: the objects a short run allocates all
 // told, per completed request — the benchmark's mem.mallocs_per_op; an

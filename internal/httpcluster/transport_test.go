@@ -755,11 +755,18 @@ func TestCloseIdleConnectionsCoversExchangesInFlight(t *testing.T) {
 // servers that crash and restart under them. Every error falls in a crash
 // window of the host it was sent to, the transport owns no goroutine, and
 // no socket it dialled outlives it.
+//
+// The hosts crash and restart for at least minRun, so each goes down
+// several times, and then until the callers have made 10×callers
+// exchanges: on a host busy with other work the callers run slower, and
+// a run stopped on the clock alone once ended with too few exchanges to
+// judge the pool by. A run that has not got there in 30 s fails.
 func TestUpstreamTransportCrashRestartStress(t *testing.T) {
 	const callers, hosts = 64, 4
-	run := 1200 * time.Millisecond
+	const deadline = 30 * time.Second
+	minRun := 1200 * time.Millisecond
 	if testing.Short() {
-		run = 400 * time.Millisecond
+		minRun = 400 * time.Millisecond
 	}
 	base := runtime.NumGoroutine()
 
@@ -811,7 +818,11 @@ func TestUpstreamTransportCrashRestartStress(t *testing.T) {
 			}
 		}(i)
 	}
-	for end := time.Now().Add(run); time.Now().Before(end); {
+	for start := time.Now(); time.Since(start) < minRun || sent.Load() < 10*callers; {
+		if time.Since(start) > deadline {
+			t.Errorf("after %v the callers had made %d exchanges (%d failed), want %d", deadline, sent.Load(), failed.Load(), 10*callers)
+			break
+		}
 		for h, app := range apps {
 			time.Sleep(15 * time.Millisecond)
 			epoch[h].Add(1)

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"math/rand/v2"
-	"slices"
 	"time"
 )
 
@@ -43,22 +42,34 @@ type Func func()
 // Fire calls f.
 func (f Func) Fire() { f() }
 
-// timerNode is one scheduled event. Nodes are owned by the engine and
-// recycled through a per-engine free list once fired or stopped: a
+// timerNode is one scheduled event. Most nodes are owned by the engine
+// and recycled through a per-engine free list once fired or stopped: a
 // paper-scale run schedules millions of events but keeps a bounded set
-// pending, so recycling removes nearly every per-event allocation. The
-// generation counter invalidates external handles when a node is retired.
-// A node carries its own (at, seq) key and a link because the wheel files
-// it in an unsorted slot list; index and where share one word, so a node
-// is 56 bytes (TestTimerNodeLayout).
+// pending, so recycling removes nearly every per-event allocation. A
+// long-lived record may own its node instead (TimerNode), which then
+// never enters the free list. The generation counter invalidates
+// external handles when a node is retired. A node carries its own (at,
+// seq) key and a link because the wheel files it in an unsorted slot
+// list; index, where and owned share one word, so a node is 56 bytes
+// (TestTimerNodeLayout).
 type timerNode struct {
 	at    Time
 	seq   uint64 // schedule order, which breaks ties at one instant
 	gen   uint64
-	ev    Event
+	ev    Event      // set while pending
 	next  *timerNode // the next node in its wheel slot
 	index int32      // position in its heap, -1 once fired or stopped
 	where place      // the structure holding it
+	owned bool       // embedded in a caller's record, never on the free list
+}
+
+// TimerNode is a timer node that a long-lived record embeds, so that the
+// record is its own timer: arming it with Engine.Arm takes nothing from
+// the engine's free list, and the record and its node share cache lines.
+// A record re-armed for its whole life — a closed-loop client thinking
+// between requests — uses one. The zero value is ready to arm.
+type TimerNode struct {
+	n timerNode
 }
 
 // place names the structure a pending node is filed in.
@@ -87,10 +98,10 @@ type heapItem struct {
 // small values, safe to copy and compare.
 //
 // Once a timer fires or is stopped, its node returns to the engine's
-// free list and may back a later timer; the generation check makes every
-// outstanding handle to the retired timer permanently dead, so holding a
-// stale handle can never stop, move, or observe the recycled node's new
-// occupant.
+// free list, or stays with the record that owns it, and may back a later
+// timer; the generation check makes every outstanding handle to the
+// retired timer permanently dead, so holding a stale handle can never
+// stop, move, or observe the recycled node's new occupant.
 type Timer struct {
 	n   *timerNode
 	gen uint64
@@ -194,21 +205,25 @@ func (e *Engine) AtEvent(t Time, ev Event) Timer {
 	return Timer{n: n, gen: n.gen}
 }
 
-// Reserve makes room for n more pending timers in one step: the n timer
-// nodes come from one slab instead of n allocations. A caller about to
-// schedule a known, large number of standing events (a client group's
-// think timers) calls it first; the wheel's slots are lists through the
-// nodes themselves, so nothing else grows. Which node backs which timer
-// has no bearing on the order events fire in.
-func (e *Engine) Reserve(n int) {
-	if n <= 0 {
-		return
+// Arm schedules ev to fire after delay on a node the caller owns. The
+// node is pending from Arm until it fires or is stopped; arming it again
+// meanwhile panics. Its handles are generation-checked like any timer's,
+// so a handle from an earlier arming is dead once that arming ended.
+func (e *Engine) Arm(tn *TimerNode, delay Time, ev Event) Timer {
+	if ev == nil {
+		panic("sim: Arm called with nil event")
 	}
-	nodes := make([]timerNode, n)
-	e.free.items = slices.Grow(e.free.items, n)
-	for i := range nodes {
-		e.free.items = append(e.free.items, &nodes[i])
+	n := &tn.n
+	if n.ev != nil {
+		panic("sim: Arm called on a pending node")
 	}
+	if delay < 0 {
+		delay = 0
+	}
+	n.owned = true
+	n.ev = ev
+	e.push(n, e.now+delay)
+	return Timer{n: n, gen: n.gen}
 }
 
 // Stop cancels a scheduled timer. It reports whether the timer was still
@@ -297,12 +312,15 @@ func (e *Engine) alloc() *timerNode {
 }
 
 // recycle retires a fired or stopped node: bumping the generation kills
-// every outstanding handle before the node re-enters circulation.
+// every outstanding handle before the node re-enters circulation. An
+// owned node stays with its record.
 func (e *Engine) recycle(n *timerNode) {
 	n.ev = nil
 	n.index = -1
 	n.gen++
-	e.free.Put(n)
+	if !n.owned {
+		e.free.Put(n)
+	}
 }
 
 // Pending events live in a near heap, a two-level timing wheel and an
@@ -327,12 +345,13 @@ func (e *Engine) recycle(n *timerNode) {
 // The near heap thus holds about one L0 slot of events — the CPU
 // bursts, link hops, polls and hand-offs of the requests in flight, 2.6
 // at a sim_paper pop on average, 19 at most — and a sift crosses a level
-// or two. The ~70 000 think timers of a paper-scale run cost a list push
-// and a cascade each. Stop unlinks a wheel node by walking its slot; at
-// paper scale it passes 0.9 nodes in L0 and 2.7 in L1 on average. The
-// slot width was picked by a sweep of sim_paper (EXPERIMENTS.md, "a
-// timing wheel under the near heap"): 2^14 ns ties 2^12, whose L1 needs
-// four times the slots for the same reach, and beats 2^16 and 2^18.
+// or two. The ~70 000 think timers of a paper-scale run, nodes their
+// clients own, cost a list push and a cascade each. Stop unlinks a wheel
+// node by walking its slot; at paper scale it passes 0.9 nodes in L0 and
+// 2.7 in L1 on average. The slot width was picked by a sweep of
+// sim_paper (docs/bench-history.md, "a timing wheel under the near
+// heap"): 2^14 ns ties 2^12, whose L1 needs four times the slots for the
+// same reach, and beats 2^16 and 2^18.
 const (
 	l0Shift = 14
 	l0Bits  = 8

@@ -11,20 +11,26 @@ import (
 )
 
 // TestTimerNodeLayout pins the sizes of the engine's two per-timer
-// records. Reserve makes a 70 000-node slab for a paper-scale run, and a
-// heap slot is copied on every sift step. A node grown from 40 to 48
+// records. Every closed-loop client embeds a node (TimerNode), 70 000
+// of them in a paper-scale run, so a byte here is a byte per client, and
+// a heap slot is copied on every sift step. A node grown from 40 to 48
 // bytes (a far flag placed after a full-width index) once put sim_paper's
 // alloc_bytes_per_op up 5 %, exactly the benchmark's bound. The wheel's
-// node carries its own seq and a slot link, 56 bytes with index and
-// place sharing a word; with the far heap's 1.7 MB slice gone, sim_paper
-// allocates 60.52 B per request against the two heaps' 60.65 (medians of
-// ten 20 s runs, 0.23 % less in every pair).
+// node carries its own seq and a slot link, 56 bytes with index, place
+// and the owned flag sharing a word; with the far heap's 1.7 MB slice
+// gone, sim_paper allocates 60.52 B per request against the two heaps'
+// 60.65 (medians of ten 20 s runs, 0.23 % less in every pair). The
+// client record around the node is pinned in internal/workload
+// (TestClientLayout).
 func TestTimerNodeLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
 	if got := unsafe.Sizeof(timerNode{}); got != 56 {
 		t.Errorf("timerNode is %d bytes, want 56", got)
+	}
+	if got := unsafe.Sizeof(TimerNode{}); got != 56 {
+		t.Errorf("TimerNode is %d bytes, want 56", got)
 	}
 	if got := unsafe.Sizeof(heapItem{}); got != 24 {
 		t.Errorf("heapItem is %d bytes, want 24", got)

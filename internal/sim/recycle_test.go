@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -232,5 +233,203 @@ func TestPoolHandOffZeroAlloc(t *testing.T) {
 	}
 	if w.fired != 1002 || p.InUse() != 1 || p.Waiting() != 0 {
 		t.Fatalf("grants=%d inUse=%d waiting=%d, want 1002/1/0", w.fired, p.InUse(), p.Waiting())
+	}
+}
+
+// A record may own its timer node (TimerNode) instead of taking one from
+// the free list. The tests below pin what owning changes — the node
+// never enters the free list, and arming a pending node panics — and
+// what it does not: handles stay generation-checked, and Stop and
+// Reschedule behave as they do on a pooled node.
+
+// looper owns its node the way a closed-loop client does, and re-arms
+// it from its own Fire when loop is set.
+type looper struct {
+	fired int
+	loop  Time
+	e     *Engine
+	TimerNode
+}
+
+func (lp *looper) Fire() {
+	lp.fired++
+	if lp.loop > 0 {
+		lp.e.Arm(&lp.TimerNode, lp.loop, lp)
+	}
+}
+
+// TestOwnedNodeStaleHandle: a handle from an earlier arming, ended by
+// firing or by Stop, neither stops, moves nor observes the next arming.
+func TestOwnedNodeStaleHandle(t *testing.T) {
+	for _, end := range []string{"fired", "stopped"} {
+		t.Run(end, func(t *testing.T) {
+			e := NewEngine(1, 2)
+			lp := &looper{}
+			stale := e.Arm(&lp.TimerNode, time.Millisecond, lp)
+			if stale.Stopped() || stale.When() != time.Millisecond {
+				t.Fatalf("fresh arming: Stopped=%v When=%v", stale.Stopped(), stale.When())
+			}
+			if end == "fired" {
+				e.Run(time.Second)
+			} else if !e.Stop(stale) {
+				t.Fatal("Stop of a pending owned node returned false")
+			}
+			fresh := e.Arm(&lp.TimerNode, time.Millisecond, lp)
+			if !stale.Stopped() || stale.When() != 0 {
+				t.Fatalf("stale handle observes the next arming: Stopped=%v When=%v", stale.Stopped(), stale.When())
+			}
+			if stale == fresh {
+				t.Fatal("stale and fresh handles compare equal")
+			}
+			if e.Stop(stale) || e.Reschedule(stale, time.Hour) {
+				t.Fatal("Stop or Reschedule through a stale handle returned true")
+			}
+			if fresh.Stopped() || fresh.When() != e.Now()+time.Millisecond {
+				t.Fatalf("stale Stop/Reschedule touched the next arming: Stopped=%v When=%v", fresh.Stopped(), fresh.When())
+			}
+			before := lp.fired
+			e.Run(e.Now() + time.Second)
+			if lp.fired != before+1 || !fresh.Stopped() {
+				t.Fatalf("the next arming fired %d times, want 1", lp.fired-before)
+			}
+		})
+	}
+}
+
+// TestOwnedNodeArmPendingPanics: a pending node carries one event, so a
+// second Arm before it fires or is stopped is a bug in the caller. Once
+// it has fired, even from inside its own Fire, or been stopped, it may be
+// armed again.
+func TestOwnedNodeArmPendingPanics(t *testing.T) {
+	e := NewEngine(1, 2)
+	lp := &looper{}
+	e.Arm(&lp.TimerNode, time.Millisecond, lp)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("arming a pending owned node did not panic")
+			}
+		}()
+		e.Arm(&lp.TimerNode, time.Second, lp)
+	}()
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d after the refused arming, want 1", e.Pending())
+	}
+	lp.e, lp.loop = e, time.Millisecond
+	e.Run(10 * time.Millisecond) // fires and re-arms from Fire ten times
+	if lp.fired != 10 || e.Pending() != 1 {
+		t.Fatalf("fired %d times with %d pending, want 10 and 1", lp.fired, e.Pending())
+	}
+}
+
+// TestOwnedNodeStopReschedule: the same script of arms, Stops and
+// Reschedules, in every place a node can be filed, fires the same events
+// at the same times in the same order on owned nodes as on pooled ones.
+func TestOwnedNodeStopReschedule(t *testing.T) {
+	type fire struct {
+		id int
+		at Time
+	}
+	run := func(owned bool) []fire {
+		e := NewEngine(1, 2)
+		var log []fire
+		lps := make([]looper, 8)
+		evs := make([]Event, len(lps))
+		for i := range lps {
+			id := i
+			evs[i] = Func(func() { log = append(log, fire{id, e.Now()}) })
+		}
+		arm := func(i int, delay Time) Timer {
+			if owned {
+				return e.Arm(&lps[i].TimerNode, delay, evs[i])
+			}
+			return e.ScheduleEvent(delay, evs[i])
+		}
+		// Park the clock early in an L1 slot, so the delays land in the
+		// places they name.
+		e.ScheduleEvent(2<<l1Shift+3<<l0Shift, Func(func() {}))
+		e.Step()
+		delays := []Time{0, 1 << l0Shift, 1 << l1Shift, time.Hour}
+		var tms []Timer
+		for i, d := range delays {
+			tms = append(tms, arm(2*i, d), arm(2*i+1, d))
+			if want := place(i); tms[2*i].n.where != want {
+				t.Fatalf("owned=%v: timer %d went to %s, want %s", owned, 2*i, placeNames[tms[2*i].n.where], placeNames[want])
+			}
+		}
+		for i := range delays {
+			if !e.Stop(tms[2*i]) || e.Stop(tms[2*i]) {
+				t.Fatalf("owned=%v: Stop of timer %d did not report pending exactly once", owned, 2*i)
+			}
+			// Each survivor moves to the place after its own.
+			if !e.Reschedule(tms[2*i+1], delays[(i+1)%len(delays)]) {
+				t.Fatalf("owned=%v: Reschedule of timer %d returned false", owned, 2*i+1)
+			}
+		}
+		if e.Pending() != len(delays) {
+			t.Fatalf("owned=%v: Pending() = %d, want %d", owned, e.Pending(), len(delays))
+		}
+		// A stopped owned node may be armed again at once.
+		arm(0, 1<<l0Shift)
+		if err := e.RunAll(100); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	pooled, owned := run(false), run(true)
+	if !slices.Equal(pooled, owned) {
+		t.Fatalf("owned nodes fired %v, pooled nodes %v", owned, pooled)
+	}
+	if len(owned) != 5 {
+		t.Fatalf("fired %d events, want 5", len(owned))
+	}
+}
+
+// TestOwnedNodeOffFreeList: a fired or stopped owned node stays with its
+// record, so a thinking client's cycle leaves the engine's free list as
+// it found it, while the pooled nodes around it still circulate.
+func TestOwnedNodeOffFreeList(t *testing.T) {
+	e := NewEngine(1, 2)
+	for i := 0; i < 3; i++ {
+		e.Schedule(time.Millisecond, func() {})
+	}
+	e.Run(time.Second)
+	warm := e.free.Len()
+	lp := &looper{e: e, loop: 7 * time.Second}
+	e.Arm(&lp.TimerNode, time.Second, lp)
+	for cycle := 0; cycle < 100; cycle++ {
+		e.Schedule(time.Millisecond, func() {}) // a request-path event
+		e.Step()
+		e.Step() // the think timer fires and re-arms
+		if got := e.free.Len(); got != warm {
+			t.Fatalf("cycle %d: free list holds %d nodes, want %d", cycle, got, warm)
+		}
+	}
+	if lp.fired != 100 {
+		t.Fatalf("fired %d think cycles, want 100", lp.fired)
+	}
+	lp.loop = 0
+	e.Step() // fires without re-arming
+	stopped := e.Arm(&lp.TimerNode, time.Second, lp)
+	e.Stop(stopped)
+	if got := e.free.Len(); got != warm {
+		t.Fatalf("after a fire and a Stop the free list holds %d nodes, want %d", got, warm)
+	}
+}
+
+// TestOwnedNodeZeroAlloc: arming an owned node and firing it allocates
+// nothing, without a warmed free list.
+func TestOwnedNodeZeroAlloc(t *testing.T) {
+	e := NewEngine(1, 2)
+	lp := &looper{}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Arm(&lp.TimerNode, 5*time.Millisecond, lp)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("Arm+Step allocates %.1f objects per cycle, want 0", allocs)
+	}
+	if e.free.Len() != 0 {
+		t.Fatalf("free list holds %d nodes, want 0", e.free.Len())
 	}
 }

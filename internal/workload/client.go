@@ -130,8 +130,9 @@ type Group struct {
 	eng    *sim.Engine
 	cfg    ClientConfig
 	submit SubmitFunc
+	nav    Navigator // the chain's fixed part; each client holds its cursor
 
-	clients []client // one slab: a paper-scale group is 70 000 of them
+	size    int
 	nextID  uint64
 	issued  uint64
 	stopped bool
@@ -142,11 +143,13 @@ type Group struct {
 }
 
 // client is one closed loop. It is also the event its think timer
-// fires, so thinking allocates nothing.
+// fires and the owner of that timer's node, so thinking allocates
+// nothing and touches only the client's own record: 72 bytes
+// (TestClientLayout).
 type client struct {
-	g   *Group
-	id  int
-	nav Navigator
+	g       *Group
+	id, cur int32 // cur is the client's place in the navigation chain
+	sim.TimerNode
 }
 
 // Fire ends the client's think time.
@@ -164,28 +167,26 @@ func NewGroup(eng *sim.Engine, n int, cfg ClientConfig, submit SubmitFunc) *Grou
 	if cfg.FollowProb == 0 {
 		cfg.FollowProb = 0.5
 	}
-	g := &Group{eng: eng, cfg: cfg, submit: submit, clients: make([]client, n)}
-	nav := newNavigator(eng, indexMix(cfg.Mix), cfg.FollowProb)
-	for i := range g.clients {
-		g.clients[i] = client{g: g, id: i, nav: nav}
-	}
-	return g
+	return &Group{eng: eng, cfg: cfg, submit: submit, size: n,
+		nav: newNavigator(eng, indexMix(cfg.Mix), cfg.FollowProb)}
 }
 
 // Size returns the number of clients.
-func (g *Group) Size() int { return len(g.clients) }
+func (g *Group) Size() int { return g.size }
 
 // Issued reports how many requests have been issued so far.
 func (g *Group) Issued() uint64 { return g.issued }
 
 // Start begins the closed loops. Clients first think (a random fraction
 // of one think time, to desynchronize) and then issue their first
-// request.
+// request. The clients are one slab, which their pending timers keep
+// alive: a paper-scale group is 70 000 of them.
 func (g *Group) Start() {
-	// One think timer per client is about to stand in the engine.
-	g.eng.Reserve(len(g.clients))
-	for i := range g.clients {
-		g.eng.ScheduleEvent(g.eng.Uniform(0, g.thinkNow()), &g.clients[i])
+	clients := make([]client, g.size)
+	for i := range clients {
+		c := &clients[i]
+		c.g, c.id, c.cur = g, int32(i), -1
+		g.eng.Arm(&c.TimerNode, g.eng.Uniform(0, g.thinkNow()), c)
 	}
 }
 
@@ -215,8 +216,8 @@ func (g *Group) issue(c *client) {
 	}
 	*req = Request{
 		ID:          g.nextID,
-		ClientID:    c.id,
-		Interaction: c.nav.Next(),
+		ClientID:    int(c.id),
+		Interaction: g.nav.step(&c.cur),
 		IssuedAt:    g.eng.Now(),
 		group:       g,
 		client:      c,
@@ -235,7 +236,8 @@ func (g *Group) finish(r *Request, o Outcome) {
 	if g.cfg.OnOutcome != nil {
 		g.cfg.OnOutcome(r, o)
 	}
-	g.eng.ScheduleEvent(g.eng.Exponential(g.thinkNow()), r.client)
+	c := r.client
+	g.eng.Arm(&c.TimerNode, g.eng.Exponential(g.thinkNow()), c)
 	*r = Request{
 		ClientID:    -1,
 		IssuedAt:    poisonTime,

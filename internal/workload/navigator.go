@@ -44,7 +44,7 @@ type Navigator struct {
 	eng        *sim.Engine
 	mix        *mixIndex
 	followProb float64
-	cur        int // -1 before the first step
+	cur        int32 // -1 before the first step
 }
 
 // mixIndex is a mix with the navigation graph resolved against it: for
@@ -65,7 +65,7 @@ func NewNavigator(eng *sim.Engine, mix Mix, followProb float64) *Navigator {
 }
 
 // indexMix resolves the navigation graph for a mix; Group does it once
-// and shares the result across tens of thousands of client navigators.
+// and shares the result across tens of thousands of clients.
 func indexMix(mix Mix) *mixIndex {
 	byName := make(map[string]int, len(mix.Interactions))
 	for i, it := range mix.Interactions {
@@ -83,7 +83,7 @@ func indexMix(mix Mix) *mixIndex {
 }
 
 // newNavigator returns a navigator at the start of its chain, by value:
-// a Group copies it into each client of its slab.
+// a Group keeps one and steps it over each client's own cursor.
 func newNavigator(eng *sim.Engine, mix *mixIndex, followProb float64) Navigator {
 	if followProb < 0 {
 		followProb = 0
@@ -95,15 +95,20 @@ func newNavigator(eng *sim.Engine, mix *mixIndex, followProb float64) Navigator 
 }
 
 // Next advances the chain and returns the next interaction to issue.
-func (n *Navigator) Next() *Interaction {
+func (n *Navigator) Next() *Interaction { return n.step(&n.cur) }
+
+// step advances a chain whose current interaction is *cur (-1 before the
+// first step) instead of the navigator's own, so one navigator serves
+// many walkers.
+func (n *Navigator) step(cur *int32) *Interaction {
 	next := -1
-	if n.cur >= 0 && n.eng.Bernoulli(n.followProb) {
-		next = n.pickSuccessor(n.cur)
+	if *cur >= 0 && n.eng.Bernoulli(n.followProb) {
+		next = n.pickSuccessor(int(*cur))
 	}
 	if next < 0 {
 		next = n.eng.PickWeighted(n.mix.Weights)
 	}
-	n.cur = next
+	*cur = int32(next)
 	return &n.mix.Interactions[next]
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"millibalance/internal/sim"
 )
@@ -64,6 +65,21 @@ func TestIssueAllocatesOnlyNewRecords(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("think → issue → finish allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
+// TestClientLayout pins the closed-loop client record at 72 bytes: the
+// group pointer, the id and the navigation cursor in two words, then the
+// 56-byte timer node it owns (internal/sim TestTimerNodeLayout). A
+// paper-scale group is 70 000 of them in one slab. Before the client
+// owned its node it was 48 bytes plus a 56-byte node from the engine
+// and an 8-byte free-list pointer to it: 112 bytes in three places.
+func TestClientLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(client{}); got != 72 {
+		t.Errorf("client is %d bytes, want 72", got)
 	}
 }
 
