@@ -105,7 +105,7 @@ type Event struct {
 // holds no pointer. Name and State are the ids a Table hands out
 // (Table.Name, Table.State); the other fields are CandidateView's, the
 // two counts narrowed to 32 bits (a backend's requests in flight and
-// free endpoints).
+// free endpoints). The log stores a row packed (storedRow).
 type Row struct {
 	LBValue        float64
 	ProbeInFlight  float64
@@ -118,23 +118,57 @@ type Row struct {
 	ProbeFresh     bool
 }
 
-// slot is one stored event: Event's times and numbers, its strings as
-// intern-table ids, and how many rows of its chunk's row storage it
-// owns. Like Row it holds no pointer, so the ring's arrays are memory
-// the collector never scans and storing a record needs no write barrier.
+// slot is one stored event: its time, its kind, source and chosen
+// backend as intern-table ids, and how many rows of its chunk's row
+// storage it owns — all a decision fills in. The other kinds' fields
+// are in the slot's ext entry.
+// Like Row it holds no pointer, so the ring's arrays are memory the
+// collector never scans and storing a record needs no write barrier.
 type slot struct {
-	t, spanStart, spanEnd, queuePeakAt, window time.Duration
-	queuePeak                                  float64
+	t                          time.Duration
+	kind, source, chosen, rows uint32
+}
 
-	kind, source, chosen, backend, from, to, fault, reason, class uint32
-	rows                                                          uint32
+// ext is the rest of a stored event: the detector, fault, state and
+// admission fields, strings as intern-table ids. Nearly every event of
+// a busy log is a decision, which has none of them, so a chunk holds its
+// ext entries in an array of their own (EventLog.ext) that it allocates
+// only when it first stores an event that has one.
+type ext struct {
+	spanStart, spanEnd, queuePeakAt, window time.Duration
+	queuePeak                               float64
+
+	backend, from, to, fault, reason, class uint32
+}
+
+// freshBit marks a storedRow's state id as carrying ProbeFresh; intern
+// never issues an id that has it set.
+const freshBit = 1 << 31
+
+// storedRow is a Row as the ring keeps it: ProbeFresh packed into the
+// state id, which makes it 48 bytes instead of Row's 56.
+type storedRow struct {
+	lbValue, probeInFlight, probeLatencyMs, probeAgeMs float64
+	inFlight, freeEndpoints                            int32
+	name, state                                        uint32
+}
+
+// pack stores r into s field by field: building a storedRow and then
+// copying it in made a four-row Table.Append take about 40 ns more,
+// nearly twice as long, on a 2-vCPU x86 host.
+func (s *storedRow) pack(r *Row) {
+	s.lbValue, s.probeInFlight, s.probeLatencyMs, s.probeAgeMs = r.LBValue, r.ProbeInFlight, r.ProbeLatencyMs, r.ProbeAgeMs
+	s.inFlight, s.freeEndpoints, s.name, s.state = r.InFlight, r.FreeEndpoints, r.Name, r.State
+	if r.ProbeFresh {
+		s.state |= freshBit
+	}
 }
 
 // chunkRows is the row storage of one ring chunk: slot j of the chunk
 // owns rows[j*stride:][:slot.rows]. stride is the widest table the
 // chunk has stored; a wider one regrows the chunk's rows by copying.
 type chunkRows struct {
-	rows   []Row
+	rows   []storedRow
 	stride int
 }
 
@@ -142,9 +176,10 @@ type chunkRows struct {
 // when full. All methods are safe for concurrent use and nil-safe.
 //
 // The ring (ring.go) is chunked, and every record is stored without a
-// pointer: a slot of times and interned string ids, and for a decision a
-// run of Rows in storage the slot's chunk owns and keeps when the slot
-// is overwritten. So recording allocates nothing once the ring has
+// pointer: a slot of a time and interned string ids, the rest of a
+// non-decision event in its chunk's ext array, and for a decision a run
+// of stored rows in storage the slot's chunk owns and keeps when the
+// slot is overwritten. So recording allocates nothing once the ring has
 // wrapped, and however large the ring, the collector never walks it.
 // The intern table grows only with distinct strings — backend, emitter,
 // kind, state and reason names, a bounded set for a given deployment —
@@ -155,6 +190,11 @@ type EventLog struct {
 	mu   sync.Mutex
 	ring ring[slot]
 	rows []chunkRows // one per ring chunk
+	// ext holds one array per ring chunk, nil until the chunk stores an
+	// event whose ext entry is not zero; from then on every event the
+	// chunk stores writes its entry, so a slot's entry is never its
+	// predecessor's.
+	ext [][]ext
 
 	strs     []string // id → string; id 0 is ""
 	ids      map[string]uint32
@@ -168,18 +208,23 @@ type EventLog struct {
 func NewEventLog(capacity int) *EventLog {
 	l := &EventLog{ring: newRing[slot](capacity), strs: []string{""}, ids: map[string]uint32{"": 0}}
 	l.rows = make([]chunkRows, len(l.ring.chunks))
+	l.ext = make([][]ext, len(l.ring.chunks))
 	l.decision = l.intern(KindDecision)
 	return l
 }
 
-// intern returns the id of s, adding it to the table if it is new. The
-// caller holds l.mu.
+// intern returns the id of s, adding it to the table if it is new. An
+// id never reaches freshBit: the table would hold 2^31 distinct strings
+// first. The caller holds l.mu.
 func (l *EventLog) intern(s string) uint32 {
 	if s == "" {
 		return 0
 	}
 	id, ok := l.ids[s]
 	if !ok {
+		if len(l.strs) >= freshBit {
+			panic("obs: intern table full")
+		}
 		id = uint32(len(l.strs))
 		l.strs = append(l.strs, s)
 		l.ids[s] = id
@@ -187,21 +232,34 @@ func (l *EventLog) intern(s string) uint32 {
 	return id
 }
 
-// rowsFor returns the storage of record seq's rows, room for n. The
-// caller holds l.mu and has pushed the record but not yet written its
-// slot, which still counts its predecessor's rows.
-func (l *EventLog) rowsFor(seq uint64, n int) []Row {
-	c, off := l.ring.place(seq)
+// rowsFor returns the storage of the rows of the record at offset off
+// of chunk c, room for n. The caller holds l.mu and has pushed the
+// record but not yet written its slot, which still counts its
+// predecessor's rows.
+func (l *EventLog) rowsFor(c, off, n int) []storedRow {
 	cr := &l.rows[c]
 	if n > cr.stride {
 		slots := l.ring.chunks[c]
-		grown := make([]Row, len(slots)*n)
+		grown := make([]storedRow, len(slots)*n)
 		for j := range slots {
 			copy(grown[j*n:], cr.rows[j*cr.stride:][:slots[j].rows])
 		}
 		cr.rows, cr.stride = grown, n
 	}
 	return cr.rows[off*cr.stride:][:n]
+}
+
+// setExt stores x as the ext entry of the record at offset off of chunk
+// c, allocating the chunk's ext array if x is the first entry there that
+// is not zero. The caller holds l.mu and has pushed the record.
+func (l *EventLog) setExt(c, off int, x ext) {
+	if l.ext[c] == nil {
+		if x == (ext{}) {
+			return
+		}
+		l.ext[c] = make([]ext, len(l.ring.chunks[c]))
+	}
+	l.ext[c][off] = x
 }
 
 // Append records an event, copying ev.Candidates: the caller may reuse
@@ -212,24 +270,27 @@ func (l *EventLog) Append(ev Event) {
 		return
 	}
 	l.mu.Lock()
-	seq := l.ring.appended
 	s := slot{
-		t: ev.T, spanStart: ev.SpanStart, spanEnd: ev.SpanEnd, queuePeakAt: ev.QueuePeakAt, window: ev.Window,
-		queuePeak: ev.QueuePeak,
-		kind:      l.intern(ev.Kind), source: l.intern(ev.Source), chosen: l.intern(ev.Chosen),
-		backend: l.intern(ev.Backend), from: l.intern(ev.From), to: l.intern(ev.To),
-		fault: l.intern(ev.Fault), reason: l.intern(ev.Reason), class: l.intern(ev.Class),
+		t: ev.T, kind: l.intern(ev.Kind), source: l.intern(ev.Source), chosen: l.intern(ev.Chosen),
 		rows: uint32(len(ev.Candidates)),
 	}
+	x := ext{
+		spanStart: ev.SpanStart, spanEnd: ev.SpanEnd, queuePeakAt: ev.QueuePeakAt, window: ev.Window,
+		queuePeak: ev.QueuePeak,
+		backend:   l.intern(ev.Backend), from: l.intern(ev.From), to: l.intern(ev.To),
+		fault: l.intern(ev.Fault), reason: l.intern(ev.Reason), class: l.intern(ev.Class),
+	}
+	c, off := l.ring.place(l.ring.appended)
 	p := l.ring.push()
+	l.setExt(c, off, x)
 	if len(ev.Candidates) > 0 {
-		rows := l.rowsFor(seq, len(ev.Candidates))
-		for i, c := range ev.Candidates {
-			rows[i] = Row{
-				LBValue: c.LBValue, ProbeInFlight: c.ProbeInFlight, ProbeLatencyMs: c.ProbeLatencyMs, ProbeAgeMs: c.ProbeAgeMs,
-				InFlight: int32(c.InFlight), FreeEndpoints: int32(c.FreeEndpoints),
-				Name: l.intern(c.Name), State: l.intern(c.State), ProbeFresh: c.ProbeFresh,
-			}
+		rows := l.rowsFor(c, off, len(ev.Candidates))
+		for i, v := range ev.Candidates {
+			rows[i].pack(&Row{
+				LBValue: v.LBValue, ProbeInFlight: v.ProbeInFlight, ProbeLatencyMs: v.ProbeLatencyMs, ProbeAgeMs: v.ProbeAgeMs,
+				InFlight: int32(v.InFlight), FreeEndpoints: int32(v.FreeEndpoints),
+				Name: l.intern(v.Name), State: l.intern(v.State), ProbeFresh: v.ProbeFresh,
+			})
 		}
 	}
 	*p = s
@@ -288,21 +349,25 @@ func (t *Table) Append(at time.Duration, chosen int, rows []Row) {
 	}
 	l := t.log
 	l.mu.Lock()
-	seq := l.ring.appended
 	s := slot{t: at, kind: l.decision, source: t.source, chosen: t.names[chosen], rows: uint32(len(rows))}
+	c, off := l.ring.place(l.ring.appended)
 	p := l.ring.push()
+	l.setExt(c, off, ext{})
+	var stored []storedRow
 	if len(rows) > 0 {
-		copy(l.rowsFor(seq, len(rows)), rows)
+		stored = l.rowsFor(c, off, len(rows))
+		for i := range rows {
+			stored[i].pack(&rows[i])
+		}
 	}
 	*p = s
 	var hook func(Event)
 	var ev []Event
 	if l.hook != nil && l.hookDecisions {
-		// Rendered under the lock from the caller's rows, into a table of
-		// its own: a concurrent emitter may overwrite the slot as soon as
-		// the lock is released.
+		// Rendered under the lock, into a table of its own: a concurrent
+		// emitter may overwrite the slot as soon as the lock is released.
 		hook = l.hook
-		ev, _ = l.render(make([]Event, 0, 1), make([]CandidateView, 0, len(rows)), &s, rows)
+		ev, _ = l.render(make([]Event, 0, 1), make([]CandidateView, 0, len(rows)), &s, nil, stored)
 	}
 	l.mu.Unlock()
 	if hook != nil {
@@ -379,15 +444,20 @@ func (l *EventLog) Kind(kind string) []Event {
 	return l.snapshot(func(s *slot) bool { return s.kind == id })
 }
 
-// stored returns record seq's slot and rows. The caller holds l.mu.
-func (l *EventLog) stored(seq uint64) (*slot, []Row) {
-	s := l.ring.at(seq)
-	if s.rows == 0 {
-		return s, nil
-	}
+// stored returns record seq's slot, its ext entry (nil when its chunk
+// holds none, which reads as zero) and its rows. The caller holds l.mu.
+func (l *EventLog) stored(seq uint64) (*slot, *ext, []storedRow) {
 	c, off := l.ring.place(seq)
+	s := &l.ring.chunks[c][off]
+	var x *ext
+	if l.ext[c] != nil {
+		x = &l.ext[c][off]
+	}
+	if s.rows == 0 {
+		return s, x, nil
+	}
 	cr := &l.rows[c]
-	return s, cr.rows[off*cr.stride:][:s.rows]
+	return s, x, cr.rows[off*cr.stride:][:s.rows]
 }
 
 // snapshot renders the stored events that match, oldest-first, as of one
@@ -412,32 +482,32 @@ func (l *EventLog) snapshot(match func(*slot) bool) []Event {
 	out := make([]Event, 0, events)
 	table := make([]CandidateView, 0, views)
 	for seq := from; seq < to; seq++ {
-		if s, rows := l.stored(seq); match(s) {
-			out, table = l.render(out, table, s, rows)
+		if s, x, rows := l.stored(seq); match(s) {
+			out, table = l.render(out, table, s, x, rows)
 		}
 	}
 	return out
 }
 
-// render appends the event s stores, with rows as its candidate table,
-// to out, the table's views to table (an event without rows reads nil
-// Candidates, as it was appended), and returns both. The caller holds
-// l.mu.
-func (l *EventLog) render(out []Event, table []CandidateView, s *slot, rows []Row) ([]Event, []CandidateView) {
+// render appends the event that s and x (nil reads as zero) store, with
+// rows as its candidate table, to out, the table's views to table (an
+// event without rows reads nil Candidates, as it was appended), and
+// returns both. The caller holds l.mu.
+func (l *EventLog) render(out []Event, table []CandidateView, s *slot, x *ext, rows []storedRow) ([]Event, []CandidateView) {
 	str := l.strs
-	ev := Event{
-		T: s.t, Kind: str[s.kind], Source: str[s.source], Chosen: str[s.chosen],
-		Backend: str[s.backend], From: str[s.from], To: str[s.to],
-		SpanStart: s.spanStart, SpanEnd: s.spanEnd, QueuePeak: s.queuePeak, QueuePeakAt: s.queuePeakAt,
-		Fault: str[s.fault], Window: s.window, Reason: str[s.reason], Class: str[s.class],
+	ev := Event{T: s.t, Kind: str[s.kind], Source: str[s.source], Chosen: str[s.chosen]}
+	if x != nil {
+		ev.Backend, ev.From, ev.To = str[x.backend], str[x.from], str[x.to]
+		ev.SpanStart, ev.SpanEnd, ev.QueuePeak, ev.QueuePeakAt = x.spanStart, x.spanEnd, x.queuePeak, x.queuePeakAt
+		ev.Fault, ev.Window, ev.Reason, ev.Class = str[x.fault], x.window, str[x.reason], str[x.class]
 	}
 	if n := len(rows); n > 0 {
 		for _, r := range rows {
 			table = append(table, CandidateView{
-				Name: str[r.Name], LBValue: r.LBValue, State: str[r.State],
-				InFlight: int(r.InFlight), FreeEndpoints: int(r.FreeEndpoints),
-				ProbeInFlight: r.ProbeInFlight, ProbeLatencyMs: r.ProbeLatencyMs, ProbeAgeMs: r.ProbeAgeMs,
-				ProbeFresh: r.ProbeFresh,
+				Name: str[r.name], LBValue: r.lbValue, State: str[r.state&^freshBit],
+				InFlight: int(r.inFlight), FreeEndpoints: int(r.freeEndpoints),
+				ProbeInFlight: r.probeInFlight, ProbeLatencyMs: r.probeLatencyMs, ProbeAgeMs: r.probeAgeMs,
+				ProbeFresh: r.state&freshBit != 0,
 			})
 		}
 		ev.Candidates = table[len(table)-n : len(table) : len(table)]
@@ -463,8 +533,8 @@ func (l *EventLog) WriteJSONL(w io.Writer) error {
 		seq = max(seq, l.ring.oldest())
 		batch, table = batch[:0], table[:0]
 		for ; seq < end && len(batch) < ringChunk; seq++ {
-			s, rows := l.stored(seq)
-			batch, table = l.render(batch, table, s, rows)
+			s, x, rows := l.stored(seq)
+			batch, table = l.render(batch, table, s, x, rows)
 		}
 		l.mu.Unlock()
 		for i := range batch {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fourCandidates is the paper testbed's decision: four application
@@ -231,7 +232,33 @@ func TestStoredRecordsArePointerFree(t *testing.T) {
 		}
 	}
 	walk("slot", reflect.TypeOf(slot{}))
+	walk("ext", reflect.TypeOf(ext{}))
 	walk("Row", reflect.TypeOf(Row{}))
+	walk("storedRow", reflect.TypeOf(storedRow{}))
+	walk("finishedSpan", reflect.TypeOf(finishedSpan{}))
+}
+
+// TestStoredRecordLayout pins the widths the rings store records at: a
+// slot carries only what a decision fills in, the other events' fields
+// live in the chunk's ext array, a row packs ProbeFresh into its state
+// id, and a finished span drops the open-stage bookkeeping. At these
+// widths a chunk of slots (6 KB), of ext entries (16 KB), of four-row
+// tables (48 KB, six pages) and of spans (28 KB) each fill their
+// allocation exactly. A field added later that widens one fails here.
+func TestStoredRecordLayout(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"slot", unsafe.Sizeof(slot{}), 24},
+		{"ext", unsafe.Sizeof(ext{}), 64},
+		{"storedRow", unsafe.Sizeof(storedRow{}), 48},
+		{"finishedSpan", unsafe.Sizeof(finishedSpan{}), 112},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 // stateNames are the state names the tests' tables register, indexed by

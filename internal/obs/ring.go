@@ -1,9 +1,10 @@
 package obs
 
-// ringChunk is how many records one chunk of a ring holds: 22 KB of
-// event slots or 52 KB of spans, small enough that a log which sees ten
-// records costs one modest allocation and large enough that a
-// paper-scale ring (65 536 events) is a few hundred of them.
+// ringChunk is how many records one chunk of a ring holds: 6 KB of
+// event slots or 28 KB of finished spans, each filling its allocation
+// exactly, small enough that a log which sees ten records costs one
+// modest allocation and large enough that a paper-scale ring (65 536
+// events) is a few hundred of them.
 const ringChunk = 256
 
 // ring is the bounded store behind EventLog and Tracer: the newest
@@ -13,9 +14,9 @@ const ringChunk = 256
 // that are allocated when the sequence first reaches them — nothing at
 // construction beyond the chunk table, and no array is ever grown,
 // copied or discarded. A slot is reused in place when the ring wraps;
-// the event log keeps a decision's rows beside each chunk (events.go),
-// where they are still there for the slot's successor. The owner's
-// mutex guards every method.
+// the event log keeps a decision's rows, and the fields other events
+// carry, beside each chunk (events.go), where they are still there for
+// the slot's successor. The owner's mutex guards every method.
 type ring[T any] struct {
 	capacity uint64
 	appended uint64
