@@ -76,6 +76,50 @@ func BenchmarkEngineScheduleFireDepth(b *testing.B) {
 	}
 }
 
+// BenchmarkCalendarDepth is BenchmarkEngineScheduleFireDepth's
+// standing=70000 with the thinkers where a closed-loop group keeps them:
+// 70 000 ids in one Calendar, each re-filed from its own fire with an
+// exponential 7 s delay. In probe, an iteration schedules a pooled probe
+// 10 µs ahead and steps until it has fired, as there, so the two rows
+// differ only in where the thinkers wait; in cycle, an iteration is one
+// step, which fires a thinker and re-files it.
+func BenchmarkCalendarDepth(b *testing.B) {
+	const depth = 70000
+	setup := func() *Engine {
+		e := NewEngine(1, 2)
+		var c *Calendar
+		c = NewCalendar(e, depth, func(id int) { c.After(id, e.Exponential(7*time.Second)) })
+		for i := 0; i < depth; i++ {
+			c.After(i, e.Exponential(7*time.Second))
+		}
+		return e
+	}
+	b.Run("probe", func(b *testing.B) {
+		e := setup()
+		probe := &benchEvent{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ScheduleEvent(10*time.Microsecond, probe)
+			for probe.fired == i {
+				e.Step()
+			}
+		}
+	})
+	b.Run("cycle", func(b *testing.B) {
+		e := setup()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+		b.StopTimer()
+		if got := e.Fired(); got != uint64(b.N) {
+			b.Fatalf("fired %d thinkers in %d steps", got, b.N)
+		}
+	})
+}
+
 // benchEvent is a long-lived record scheduled by pointer, as the request
 // path schedules its flight records.
 type benchEvent struct{ fired int }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -74,15 +75,21 @@ func (r *refEngine) step() int {
 }
 
 // diffEvent is what a scripted event does when it fires: schedule its
-// children and, for the script's last event, halt the engine.
+// children and, for the script's last event, halt the engine. An event
+// filed as a calendar entry has no handle; slot names its calendar id.
 type diffEvent struct {
 	children []diffChild
 	halt     bool
+	onCal    bool
+	slot     int
 }
 
+// diffChild is an event a firing event schedules: on the engine, or with
+// Calendar.After when cal is set and a calendar id is idle.
 type diffChild struct {
 	id    int
 	delay Time
+	cal   bool
 }
 
 // engineDiff drives an Engine and a refEngine through one script in
@@ -101,6 +108,10 @@ type engineDiff struct {
 	when      map[int]Time // check's scratch: pending id -> reference time
 	placed    map[int]place
 	cursor    int64 // the cursor at the last check: it never moves back
+	cal       *Calendar
+	calEvent  []int          // calendar id -> the event pending on it, -1 when idle
+	calPlaced map[int]string // event -> where the calendar filed it at the last check
+	calCursor int64          // the calendar's cursor at the last check
 	nFired    int
 	ops       int
 	covered   map[string]int
@@ -250,7 +261,8 @@ func (d *engineDiff) newEvent(depth int) int {
 	if depth < 3 && d.rng.IntN(4) == 0 {
 		for range 1 + d.rng.IntN(2) {
 			child := d.newEvent(depth + 1)
-			d.events[id].children = append(d.events[id].children, diffChild{id: child, delay: d.delay()})
+			d.events[id].children = append(d.events[id].children,
+				diffChild{id: child, delay: d.delay(), cal: d.rng.IntN(3) == 0})
 		}
 	}
 	return id
@@ -259,7 +271,22 @@ func (d *engineDiff) newEvent(depth int) int {
 func (d *engineDiff) fn(id int) func() {
 	return func() {
 		d.fired = append(d.fired, id)
-		for _, c := range d.events[id].children {
+		ev := d.events[id]
+		for _, c := range ev.children {
+			if c.cal {
+				own := -1
+				if ev.onCal {
+					own = ev.slot
+				}
+				if slot := d.idleSlot(own); slot >= 0 {
+					d.fileAfter(slot, c.id, c.delay)
+					d.covered["After inside a fire"]++
+					if slot == own {
+						d.covered["calendar entry re-arms its id"]++
+					}
+					continue
+				}
+			}
 			d.timers[c.id] = d.e.Schedule(c.delay, d.fn(c.id))
 			d.covered["event schedules event"]++
 		}
@@ -367,6 +394,12 @@ func (d *engineDiff) stepUntil(cond func() bool) {
 // placeName names where a pending timer is filed ("near", "L0", "L1" or
 // "overflow"), or "none".
 func (d *engineDiff) placeName(id int) string {
+	if ev := d.events[id]; ev.onCal {
+		if d.calEvent[ev.slot] == id {
+			return "calendar"
+		}
+		return "none"
+	}
 	if tm := d.timers[id]; !tm.Stopped() {
 		return placeNames[tm.n.where]
 	}
@@ -412,21 +445,33 @@ func (d *engineDiff) check(want []int) {
 		d.firedAt[id] = d.nFired
 		d.nFired++
 		delete(d.placed, id)
+		delete(d.calPlaced, id)
 	}
 	d.fired = d.fired[:0]
 	if d.e.Now() != d.ref.now {
 		d.fail("Now() = %v, reference %v", d.e.Now(), d.ref.now)
-	}
-	if d.e.Pending() != len(d.ref.pending) {
-		d.fail("Pending() = %d, reference %d", d.e.Pending(), len(d.ref.pending))
 	}
 	if d.e.cur0 < d.cursor {
 		d.fail("the cursor moved back from slot %d to %d", d.cursor, d.e.cur0)
 	}
 	d.cursor = d.e.cur0
 	clear(d.when)
-	for _, ev := range d.ref.pending {
+	var calFirst *refEvent
+	calPending := 0
+	for i, ev := range d.ref.pending {
 		d.when[ev.id] = ev.at
+		if d.events[ev.id].onCal {
+			if calFirst == nil {
+				calFirst = &d.ref.pending[i]
+			}
+			calPending++
+			slot := d.events[ev.id].slot
+			if d.calEvent[slot] != ev.id || d.cal.stamp[slot] != (stamp{ev.at, ev.seq}) {
+				d.fail("calendar id %d holds event %d at %v, the reference has event %d at %v seq %d",
+					slot, d.calEvent[slot], d.cal.stamp[slot], ev.id, ev.at, ev.seq)
+			}
+			continue
+		}
 		n := d.timers[ev.id].n
 		if want := d.placeFor(ev.at); n.where != want {
 			d.fail("timer %d due at %v is in %s, the cursor at %v files it in %s",
@@ -437,7 +482,15 @@ func (d *engineDiff) check(want []int) {
 		}
 		d.placed[ev.id] = n.where
 	}
+	// The calendar is one timer however many entries it holds.
+	if want := len(d.ref.pending) - calPending + min(calPending, 1); d.e.Pending() != want {
+		d.fail("Pending() = %d, reference %d with %d calendar entries", d.e.Pending(), len(d.ref.pending), calPending)
+	}
+	d.checkCalendar(calFirst)
 	for id, tm := range d.timers {
+		if d.events[id].onCal {
+			continue // checked against the calendar above
+		}
 		when, pending := d.when[id]
 		if tm.Stopped() == pending || tm.When() != when {
 			d.fail("timer %d: Stopped() = %v, When() = %v; reference pending = %v at %v",
@@ -446,6 +499,181 @@ func (d *engineDiff) check(want []int) {
 		if !pending {
 			delete(d.placed, id)
 		}
+	}
+}
+
+// The calendar's ids, and the times its placement turns on.
+const (
+	calIDs  = 8
+	calSpan = Time(1) << (calShift + calBits)
+)
+
+// calBoundaryDelays sit on either side of a bucket's width and the
+// ring's reach.
+var calBoundaryDelays = []Time{
+	0, 1<<calShift - 1, 1 << calShift, 1<<calShift + 1, calSpan - 1, calSpan, calSpan + 1,
+}
+
+// calPlaceFor is where the calendar's invariant files an entry due at t.
+func (d *engineDiff) calPlaceFor(t Time) string {
+	switch b := int64(t) >> calShift; {
+	case b < d.cal.cur:
+		return "near"
+	case b-d.cal.cur < calBuckets:
+		return "ring"
+	default:
+		return "far"
+	}
+}
+
+// calDelay draws from the calendar's boundaries, its cursor's edges,
+// think-time-like delays and the engine's delays.
+func (d *engineDiff) calDelay() Time {
+	switch d.rng.IntN(4) {
+	case 0:
+		return calBoundaryDelays[d.rng.IntN(len(calBoundaryDelays))]
+	case 1:
+		cursor, reach := Time(d.cal.cur)<<calShift, Time(d.cal.cur+calBuckets)<<calShift
+		edge := []Time{cursor - 1, cursor, reach - 1, reach}[d.rng.IntN(4)]
+		return max(edge-d.ref.now, 0)
+	case 2:
+		return Time(d.rng.ExpFloat64() * float64(7*time.Second))
+	default:
+		return d.delay()
+	}
+}
+
+// idleSlot returns an idle calendar id, pref when it is idle, or -1.
+func (d *engineDiff) idleSlot(pref int) int {
+	if pref >= 0 && d.calEvent[pref] < 0 {
+		return pref
+	}
+	return slices.Index(d.calEvent, -1)
+}
+
+func (d *engineDiff) idle() (n int) {
+	for _, id := range d.calEvent {
+		if id < 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// needSlots steps until k calendar ids are idle.
+func (d *engineDiff) needSlots(k int) {
+	d.stepUntil(func() bool { return d.idle() >= k })
+}
+
+// fileAfter files event id on calendar id slot, on the engine side only,
+// and counts where it went.
+func (d *engineDiff) fileAfter(slot, id int, delay Time) {
+	c := d.cal
+	var old stamp
+	if c.node != nil {
+		old = stamp{c.node.at, c.node.seq}
+	}
+	d.events[id].onCal, d.events[id].slot = true, slot
+	d.calEvent[slot] = id
+	c.After(slot, delay)
+	s := c.stamp[slot]
+	where := d.calPlaceFor(s.at)
+	d.covered["calendar files in "+where]++
+	if b := int64(s.at) >> calShift; where == "ring" && b&(calBuckets-1) < c.cur&(calBuckets-1) {
+		d.covered["calendar ring wrap"]++
+	}
+	if old.seq != 0 && s.before(old) {
+		d.covered["calendar entry beats the node"]++
+	}
+}
+
+// after files a new event with Calendar.After, stepping first if no
+// calendar id is idle.
+func (d *engineDiff) after(delay Time) int {
+	d.needSlots(1)
+	id := d.newEvent(0)
+	d.fileAfter(d.idleSlot(-1), id, delay)
+	d.ref.schedule(id, delay)
+	d.check(nil)
+	return id
+}
+
+// checkCalendar checks the calendar against its invariant: every pending
+// id filed once, in the near heap, the ring or the far heap as its
+// bucket and the cursor say, a ring entry in its own bucket's list, the
+// cursor not moved back, and the engine node filed at the earliest
+// pending entry, first, or not at all when there is none.
+func (d *engineDiff) checkCalendar(first *refEvent) {
+	c := d.cal
+	if c.cur < d.calCursor {
+		d.fail("the calendar's cursor moved back from bucket %d to %d", d.calCursor, c.cur)
+	}
+	if c.cur>>calBits > d.calCursor>>calBits {
+		d.covered["calendar cursor wraps the ring"]++
+	}
+	d.calCursor = c.cur
+	where := map[int32]string{}
+	put := func(id int32, p string) {
+		if prev, ok := where[id]; ok {
+			d.fail("calendar id %d is filed in %s and %s", id, prev, p)
+		}
+		where[id] = p
+	}
+	for _, it := range c.near {
+		put(it.id, "near")
+	}
+	for _, it := range c.far {
+		put(it.id, "far")
+	}
+	// Walk the buckets the bitmap marks; an entry in an unmarked bucket
+	// shows as a count the walk falls short of.
+	ring := 0
+	for w, word := range c.bits {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | mbits.TrailingZeros64(word)
+			if c.head[i] < 0 {
+				d.fail("bucket %d is marked and empty", i)
+			}
+			for id := c.head[i]; id >= 0; id = c.link[id] {
+				put(id, "ring")
+				ring++
+				if b := int64(c.stamp[id].at) >> calShift; int(b&(calBuckets-1)) != i {
+					d.fail("calendar id %d due in bucket %d is listed in bucket %d", id, b, i)
+				}
+			}
+		}
+	}
+	if ring != c.ring {
+		d.fail("the marked buckets list %d entries and the ring counts %d", ring, c.ring)
+	}
+	for slot, id := range d.calEvent {
+		got, filed := where[int32(slot)]
+		if id < 0 {
+			if filed || c.stamp[slot].seq != 0 {
+				d.fail("idle calendar id %d is filed in %q with seq %d", slot, got, c.stamp[slot].seq)
+			}
+			continue
+		}
+		if _, ok := d.when[id]; !ok {
+			d.fail("calendar id %d holds event %d, which the reference does not hold", slot, id)
+		}
+		if want := d.calPlaceFor(c.stamp[slot].at); got != want {
+			d.fail("calendar id %d due at %v is in %q, the cursor at bucket %d files it in %s", slot, c.stamp[slot].at, got, c.cur, want)
+		}
+		if prev, ok := d.calPlaced[id]; ok && prev != got {
+			d.covered["calendar "+prev+"→"+got]++
+		}
+		d.calPlaced[id] = got
+	}
+	n := c.node
+	switch {
+	case first == nil && n != nil:
+		d.fail("the empty calendar has a node filed at %v", n.at)
+	case first == nil:
+	case n == nil || n.at != first.at || n.seq != first.seq:
+		d.fail("the calendar's node is %+v, its earliest entry is at %v seq %d", n, first.at, first.seq)
+	case n.index == -1 || n.where != d.placeFor(n.at) || n.ev != (*calendarEvent)(c):
+		d.fail("the calendar's node due at %v is in %s with index %d", n.at, placeNames[n.where], n.index)
 	}
 }
 
@@ -568,13 +796,80 @@ var requiredOps = []op{
 		d.run(d.ref.pending[0].at)
 		d.covered["run to a root's time"]++
 	},
+	// Calendar entries that tie at one instant, with an engine timer
+	// filed between them: all three fire in the order they were filed.
+	func(d *engineDiff) {
+		d.needSlots(2)
+		delay := d.calDelay()
+		ids := []int{d.after(delay), d.schedule(delay), d.after(delay)}
+		for _, id := range ids {
+			d.protected[id] = true
+		}
+		d.stepUntil(func() bool { return d.done(ids[2]) })
+		if a, b, c := d.firedAt[ids[0]], d.firedAt[ids[1]], d.firedAt[ids[2]]; a > b || b > c {
+			d.fail("tie at %v fired in positions %d, %d, %d", d.ref.now, a, b, c)
+		}
+		d.covered["calendar tie at one instant"]++
+	},
+	// An entry that beats the engine node's stamp: the node moves to it.
+	func(d *engineDiff) {
+		d.stepUntil(func() bool {
+			n := d.cal.node
+			return d.idle() >= 2 && (n == nil || n.at > d.ref.now)
+		})
+		if d.cal.node == nil {
+			d.after(time.Hour)
+		}
+		d.after(0)
+	},
+	// An entry past the ring's reach, fired.
+	func(d *engineDiff) {
+		d.needSlots(1)
+		reach := Time(d.cal.cur+calBuckets) << calShift
+		id := d.after(max(reach, d.ref.now) + Time(d.rng.Int64N(int64(time.Hour))) - d.ref.now)
+		d.protected[id] = true
+		d.stepUntil(func() bool { return d.done(id) })
+	},
+	// An entry filed in a bucket whose ring index is below the cursor's,
+	// fired: the cursor wraps the ring to reach it. Until the cursor
+	// leaves such room, an entry a bucket ahead is fired to move it.
+	func(d *engineDiff) {
+		for {
+			d.needSlots(1)
+			lo := max(Time(d.cal.cur|(calBuckets-1)+1)<<calShift, d.ref.now)
+			hi := Time(d.cal.cur+calBuckets) << calShift
+			if lo < hi {
+				id := d.after(lo + Time(d.rng.Int64N(int64(hi-lo))) - d.ref.now)
+				d.protected[id] = true
+				d.stepUntil(func() bool { return d.done(id) })
+				return
+			}
+			id := d.after(1 << calShift)
+			d.protected[id] = true
+			d.stepUntil(func() bool { return d.done(id) })
+		}
+	},
+	// After inside a fire: a calendar entry that re-arms its own id and
+	// files a second entry, and an engine event that files one.
+	func(d *engineDiff) {
+		id := d.after(5 * time.Millisecond)
+		d.events[id].children = append(d.events[id].children,
+			diffChild{id: d.newEvent(1), delay: 7 * time.Second, cal: true},
+			diffChild{id: d.newEvent(1), delay: 0, cal: true})
+		ev := d.schedule(3 * time.Millisecond)
+		d.events[ev].children = append(d.events[ev].children,
+			diffChild{id: d.newEvent(1), delay: 1 << calShift, cal: true})
+		d.protected[id], d.protected[ev] = true, true
+	},
 }
 
 // randomOp is one of the operations that fill a script.
 func randomOp(d *engineDiff) {
-	switch d.rng.IntN(8) {
+	switch d.rng.IntN(9) {
 	case 0, 1:
 		d.schedule(d.delay())
+	case 7:
+		d.after(d.calDelay())
 	case 2:
 		d.step()
 	case 3:
@@ -613,7 +908,17 @@ func runScript(t *testing.T, seed uint64) map[string]int {
 		firedAt:   map[int]int{},
 		when:      map[int]Time{},
 		placed:    map[int]place{},
+		calPlaced: map[int]string{},
 		covered:   map[string]int{},
+	}
+	d.cal = NewCalendar(d.e, calIDs, func(slot int) {
+		id := d.calEvent[slot]
+		d.calEvent[slot] = -1
+		d.fn(id)()
+	})
+	d.calEvent = make([]int, calIDs)
+	for i := range d.calEvent {
+		d.calEvent[i] = -1
 	}
 	script := slices.Clone(requiredOps)
 	for range 80 {
@@ -646,7 +951,14 @@ func runScript(t *testing.T, seed uint64) map[string]int {
 // TestQuickHeapRemoval with Stop and Reschedule in each of the near
 // heap, the wheel's two levels and the overflow heap, with delays on
 // every slot boundary, and with the cascades, refills and jumps that
-// carry events from one to the next.
+// carry events from one to the next. Scripts also file events with
+// Calendar.After, which the reference schedules like any other: entries
+// that tie with each other and with an engine timer, an entry that beats
+// the engine node's stamp, entries past the ring's reach, a ring wrap,
+// and entries filed from inside a fire, an entry re-arming its own id
+// among them. After every operation each calendar entry's stamp is
+// checked against the reference's (at, seq), its place against the
+// calendar's cursor, and the engine node against the earliest entry.
 func TestEngineDifferential(t *testing.T) {
 	scripts := 2000
 	if testing.Short() {
@@ -664,11 +976,17 @@ func TestEngineDifferential(t *testing.T) {
 		"wheel L1→L0", "wheel overflow→L1", "wheel L0→near",
 		"schedule before the cursor after a run", "tie between a cascaded timer and a near push",
 		"run to a root's time", "halt", "event schedules event",
+		"calendar tie at one instant", "calendar entry beats the node", "calendar files in ring",
+		"calendar files in far", "calendar ring wrap", "calendar cursor wraps the ring",
+		"After inside a fire", "calendar entry re-arms its id",
 	)
 	// Moves that random scripts make often but not in every script: a
 	// jump of the empty wheel to the overflow root, and a cascade whose
-	// events reach the near heap within one step.
-	rare := []string{"wheel overflow→L0", "wheel overflow→near", "wheel L1→near"}
+	// events reach the near heap within one step; in the calendar, an
+	// entry filed behind the cursor and an entry that waits in the near
+	// heap or moves out of the far heap between two operations.
+	rare := []string{"wheel overflow→L0", "wheel overflow→near", "wheel L1→near",
+		"calendar files in near", "calendar ring→near", "calendar far→ring", "calendar far→near"}
 	total := map[string]int{}
 	for seed := range uint64(scripts) {
 		covered := runScript(t, seed)

@@ -21,7 +21,9 @@ type Outcome struct {
 type Request struct {
 	// ID is unique per generator group.
 	ID uint64
-	// ClientID identifies the issuing client within its group.
+	// ClientID identifies the issuing client within its group. A Group
+	// reads it back in Finish to start that client's think time, so the
+	// system under test must not change it.
 	ClientID int
 	// Interaction is the RUBBoS interaction being requested.
 	Interaction *Interaction
@@ -46,7 +48,6 @@ type Request struct {
 	// back for recycling. A standalone request (NewRequest) has a done
 	// callback instead.
 	group    *Group
-	client   *client
 	done     func(Outcome)
 	finished bool
 }
@@ -132,6 +133,13 @@ type Group struct {
 	submit SubmitFunc
 	nav    Navigator // the chain's fixed part; each client holds its cursor
 
+	// A client is its cursor in the navigation chain (-1 before its
+	// first request) and its entry in the think calendar, both indexed
+	// by client id: 24 bytes a client, in pointer-free arrays that
+	// Start makes.
+	cur []int32
+	cal *sim.Calendar
+
 	size    int
 	nextID  uint64
 	issued  uint64
@@ -141,19 +149,6 @@ type Group struct {
 	// in flight, a few hundred at paper scale against 70 000 clients.
 	free sim.FreeList[Request]
 }
-
-// client is one closed loop. It is also the event its think timer
-// fires and the owner of that timer's node, so thinking allocates
-// nothing and touches only the client's own record: 72 bytes
-// (TestClientLayout).
-type client struct {
-	g       *Group
-	id, cur int32 // cur is the client's place in the navigation chain
-	sim.TimerNode
-}
-
-// Fire ends the client's think time.
-func (c *client) Fire() { c.g.issue(c) }
 
 // NewGroup creates n clients. The submit function must be non-nil; the
 // mix must be non-empty.
@@ -179,14 +174,14 @@ func (g *Group) Issued() uint64 { return g.issued }
 
 // Start begins the closed loops. Clients first think (a random fraction
 // of one think time, to desynchronize) and then issue their first
-// request. The clients are one slab, which their pending timers keep
-// alive: a paper-scale group is 70 000 of them.
+// request. A client thinks in the group's calendar, whose entry fires
+// issue with its id: a paper-scale group is 70 000 of them.
 func (g *Group) Start() {
-	clients := make([]client, g.size)
-	for i := range clients {
-		c := &clients[i]
-		c.g, c.id, c.cur = g, int32(i), -1
-		g.eng.Arm(&c.TimerNode, g.eng.Uniform(0, g.thinkNow()), c)
+	g.cur = make([]int32, g.size)
+	g.cal = sim.NewCalendar(g.eng, g.size, g.issue)
+	for i := range g.cur {
+		g.cur[i] = -1
+		g.cal.After(i, g.eng.Uniform(0, g.thinkNow()))
 	}
 }
 
@@ -204,7 +199,8 @@ func (g *Group) thinkNow() sim.Time {
 	return think
 }
 
-func (g *Group) issue(c *client) {
+// issue ends client id's think time.
+func (g *Group) issue(id int) {
 	if g.stopped {
 		return
 	}
@@ -216,11 +212,10 @@ func (g *Group) issue(c *client) {
 	}
 	*req = Request{
 		ID:          g.nextID,
-		ClientID:    int(c.id),
-		Interaction: g.nav.step(&c.cur),
+		ClientID:    id,
+		Interaction: g.nav.step(&g.cur[id]),
 		IssuedAt:    g.eng.Now(),
 		group:       g,
-		client:      c,
 	}
 	g.submit(req)
 }
@@ -236,8 +231,7 @@ func (g *Group) finish(r *Request, o Outcome) {
 	if g.cfg.OnOutcome != nil {
 		g.cfg.OnOutcome(r, o)
 	}
-	c := r.client
-	g.eng.Arm(&c.TimerNode, g.eng.Exponential(g.thinkNow()), c)
+	g.cal.After(r.ClientID, g.eng.Exponential(g.thinkNow()))
 	*r = Request{
 		ClientID:    -1,
 		IssuedAt:    poisonTime,

@@ -1,9 +1,9 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"millibalance/internal/sim"
 )
@@ -68,18 +68,28 @@ func TestIssueAllocatesOnlyNewRecords(t *testing.T) {
 	}
 }
 
-// TestClientLayout pins the closed-loop client record at 72 bytes: the
-// group pointer, the id and the navigation cursor in two words, then the
-// 56-byte timer node it owns (internal/sim TestTimerNodeLayout). A
-// paper-scale group is 70 000 of them in one slab. Before the client
-// owned its node it was 48 bytes plus a 56-byte node from the engine
-// and an 8-byte free-list pointer to it: 112 bytes in three places.
-func TestClientLayout(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("sizes are pinned for 64-bit platforms")
+// TestGroupStartBytes bounds the bytes a paper-scale group allocates
+// when it starts: 24 a client — its navigation cursor, and its calendar
+// entry's 16-byte stamp and 4-byte link — plus 64 KB for the calendar's
+// fixed part (bucket heads and bitmap, heaps, one timer node) and the
+// closure it fires. TestAllocationBudget counts objects only, so a field
+// that widened every client would pass it and show only in the
+// benchmark's alloc_bytes_per_op.
+func TestGroupStartBytes(t *testing.T) {
+	const clients = 70000
+	eng := sim.NewEngine(1, 2)
+	g := NewGroup(eng, clients, ClientConfig{ThinkTime: 7 * time.Second, Mix: BrowseOnlyMix()}, func(*Request) {})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.Start()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Start allocated %d B for %d clients, %.2f B a client", got, clients, float64(got)/clients)
+	if budget := uint64(clients*24 + 64<<10); got > budget {
+		t.Errorf("Start allocated %d B for %d clients, budget %d B (24 B a client + 64 KB)", got, clients, budget)
 	}
-	if got := unsafe.Sizeof(client{}); got != 72 {
-		t.Errorf("client is %d bytes, want 72", got)
+	if eng.Pending() != 1 {
+		t.Fatalf("%d timers pending after Start, want the calendar's one", eng.Pending())
 	}
 }
 
