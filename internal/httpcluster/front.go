@@ -11,28 +11,29 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"millibalance/internal/h1"
 )
 
-// The proxy's front is its only server, a driver of the HTTP/1.1 codec in
-// internal/h1. Like an Apache worker thread that holds the client
-// connection and copies the backend's reply back to it, one goroutine per
-// client connection reads each request head with the codec on the
-// connection's bufio.Reader, hands Proxy.handle what it uses of it, and
-// writes the reply into the connection's bufio.Writer with the upstream
-// reply's own framing. A second goroutine per connection peeks the socket
-// while an exchange runs, so a client that goes away cancels the exchange
-// at once.
+// A front is an HTTP/1.1 server on the codec in internal/h1: an accept
+// loop, and per connection a goroutine that reads each request head with
+// the codec on the connection's bufio.Reader and hands a handler what it
+// uses of it, which writes the reply into the connection's bufio.Writer.
+// A second goroutine per connection peeks the socket while a request is
+// handled, so a client that goes away cancels the request at once. It has
+// two users: the proxy (Proxy.serve), whose connection goroutine is the
+// Apache worker thread that holds the client connection and copies the
+// backend's reply back to it, and the DB stub (DBServer.serve).
 //
 // A request keeps: its method; its path, escaped as sent, from an
 // origin-form or absolute-form target (the query is not forwarded); the
 // body's framing, Content-Length or chunked; Connection and the HTTP
 // version, which decide keep-alive as net/http decides it; the JSESSIONID
 // cookie; whether X-Priority says background. The codec checks every
-// other field's syntax and drops it. DESIGN.md §17 lists where the front
-// answers otherwise than net/http's server.
+// other field's syntax and drops it. DESIGN.md §16 and §17 list where a
+// front answers otherwise than net/http's server.
 
 const (
 	// frontBufSize sizes each connection's read and write buffers, and so
@@ -60,10 +61,26 @@ type requestHead struct {
 	background bool   // X-Priority: background
 }
 
+// frontHandler answers one request: it writes the reply into fc.bw and
+// reports false when the reply was cut short, which ends the connection.
+type frontHandler func(fc *frontConn, h *requestHead) bool
+
+// front is one server: its listener, its handler and its open
+// connections, which Close closes.
+type front struct {
+	ln      net.Listener
+	handler frontHandler
+	wg      sync.WaitGroup // the accept loop and each connection's two goroutines
+
+	mu      sync.Mutex // guards conns and closing
+	conns   map[*frontConn]struct{}
+	closing bool
+}
+
 // frontConn is one client connection: its buffers, and the context that
-// ends when the client goes away, shared by every exchange it carries.
+// ends when the client goes away, shared by every request it carries.
 type frontConn struct {
-	p      *Proxy
+	f      *front
 	nc     net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
@@ -73,16 +90,45 @@ type frontConn struct {
 	peeked chan error    // watch → serve: the peek returned
 	head   h1.Head       // the head being read
 	body   h1.Body       // its body, drained before dispatch
-	req    requestHead   // what the proxy uses of it
+	req    requestHead   // what the handler uses of it
 	sniff  [sniffLen]byte
 }
 
-// accept runs the proxy's accept loop until the listener closes.
-func (p *Proxy) accept() {
-	defer p.wg.Done()
+// startFront serves ln with handler until Close.
+func startFront(ln net.Listener, handler frontHandler) *front {
+	f := &front{ln: ln, handler: handler, conns: make(map[*frontConn]struct{})}
+	f.wg.Add(1)
+	go f.accept()
+	return f
+}
+
+// addr returns the address the front listens on.
+func (f *front) addr() string { return f.ln.Addr().String() }
+
+// Close closes the listener and every open connection, cancels each
+// connection's context, and waits for the accept loop and every
+// connection's goroutines, handlers included.
+func (f *front) Close() error {
+	f.mu.Lock()
+	f.closing = true
+	err := f.ln.Close()
+	for fc := range f.conns {
+		_ = fc.nc.Close() // its goroutines see the failure and return
+		// The watch sees the closed socket only when a peek is pending, and
+		// none is while pipelined bytes or an unread body sit in the buffer.
+		fc.cancel()
+	}
+	f.mu.Unlock()
+	f.wg.Wait()
+	return err
+}
+
+// accept runs the accept loop until the listener closes.
+func (f *front) accept() {
+	defer f.wg.Done()
 	var backoff time.Duration
 	for {
-		nc, err := p.ln.Accept()
+		nc, err := f.ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -96,33 +142,33 @@ func (p *Proxy) accept() {
 		backoff = 0
 		ctx, cancel := context.WithCancel(context.Background())
 		fc := &frontConn{
-			p: p, nc: nc, ctx: ctx, cancel: cancel,
+			f: f, nc: nc, ctx: ctx, cancel: cancel,
 			br:     bufio.NewReaderSize(nc, frontBufSize),
 			bw:     bufio.NewWriterSize(nc, frontBufSize),
 			arm:    make(chan struct{}, 1),
 			peeked: make(chan error, 1),
 		}
-		p.connMu.Lock()
-		if p.closing {
-			p.connMu.Unlock()
+		f.mu.Lock()
+		if f.closing {
+			f.mu.Unlock()
 			cancel()
 			_ = nc.Close() // accepted as the listener closed
 			return
 		}
-		p.conns[fc] = struct{}{}
-		p.wg.Add(2)
-		p.connMu.Unlock()
+		f.conns[fc] = struct{}{}
+		f.wg.Add(2)
+		f.mu.Unlock()
 		go fc.serve()
 		go fc.watch()
 	}
 }
 
 // serve reads requests off the connection and answers them in order until
-// the client or the proxy closes it, a reply ends it, or it sits idle for
+// the client or the server closes it, a reply ends it, or it sits idle for
 // serverIdleTimeout. A head must arrive within serverReadHeaderTimeout of
 // its first byte.
 func (fc *frontConn) serve() {
-	defer fc.p.wg.Done()
+	defer fc.f.wg.Done()
 	defer fc.close()
 	fc.arm <- struct{}{} // the first peek waits for the first request
 	for {
@@ -141,10 +187,8 @@ func (fc *frontConn) serve() {
 		if !fc.drainBody(h) {
 			return
 		}
-		fc.arm <- struct{}{} // watch the socket while the exchange runs
-		if admin := fc.p.adminHandler(h.path); admin != nil {
-			fc.serveAdmin(h, admin)
-		} else if !fc.p.handle(fc, h) {
+		fc.arm <- struct{}{} // watch the socket while the handler runs
+		if !fc.f.handler(fc, h) {
 			h.keepAlive = false // a reply cut short ends the connection
 		}
 		if err := fc.bw.Flush(); err != nil || !h.keepAlive {
@@ -156,10 +200,10 @@ func (fc *frontConn) serve() {
 // watch peeks the socket each time serve arms it. The peek returns when
 // the next request begins, which serve then reads, or when the socket
 // fails: the client closed or reset it, it sat idle too long, or the
-// proxy closed it. A failure cancels the connection's context, and with
-// it the exchange in flight. Bytes that arrive early stay buffered.
+// server closed it. A failure cancels the connection's context, and with
+// it the request in flight. Bytes that arrive early stay buffered.
 func (fc *frontConn) watch() {
-	defer fc.p.wg.Done()
+	defer fc.f.wg.Done()
 	for range fc.arm {
 		_, err := fc.br.Peek(1)
 		if err != nil {
@@ -174,9 +218,9 @@ func (fc *frontConn) close() {
 	fc.cancel()
 	_ = fc.nc.Close() // nobody is left to tell
 	close(fc.arm)
-	fc.p.connMu.Lock()
-	delete(fc.p.conns, fc)
-	fc.p.connMu.Unlock()
+	fc.f.mu.Lock()
+	delete(fc.f.conns, fc)
+	fc.f.mu.Unlock()
 }
 
 // readRequest reads one request head into h through the codec, keeping
@@ -261,7 +305,7 @@ func (fc *frontConn) lingerClose() {
 // drainBody reads the request body and drops it, so the watch that
 // follows sees the client's next bytes, not the body. It leaves the body
 // unread, and the connection to close after the reply, when the client
-// waits for a 100 Continue the proxy never sends or the body is longer
+// waits for a 100 Continue no handler sends or the body is longer
 // than frontMaxDrain. It reports false when the body broke off.
 func (fc *frontConn) drainBody(h *requestHead) bool {
 	switch {

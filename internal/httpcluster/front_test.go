@@ -351,9 +351,9 @@ func TestFrontCloseWaitsForConnections(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return")
 	}
-	proxy.connMu.Lock()
-	open := len(proxy.conns)
-	proxy.connMu.Unlock()
+	proxy.front.mu.Lock()
+	open := len(proxy.front.conns)
+	proxy.front.mu.Unlock()
 	if open != 0 || be.InFlight() != 0 {
 		t.Fatalf("after Close: %d connections registered, %d requests in flight", open, be.InFlight())
 	}

@@ -15,6 +15,7 @@ import (
 
 	"millibalance/internal/adapt"
 	"millibalance/internal/admission"
+	"millibalance/internal/h1"
 	"millibalance/internal/obs"
 	"millibalance/internal/planes"
 	"millibalance/internal/probe"
@@ -30,8 +31,10 @@ const (
 	serverIdleTimeout       = 120 * time.Second
 )
 
-// newServer is the net/http server of the app server and the DB stub;
-// the proxy reads its own requests (front.go).
+// newServer is the app server's net/http server. The proxy and the DB stub
+// are fronts (front.go); the app server stays on net/http because
+// proxy_bare's direct arm, the bench's latency reference, goes through it
+// (DESIGN.md §16).
 func newServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: serverReadHeaderTimeout, IdleTimeout: serverIdleTimeout}
 }
@@ -333,12 +336,12 @@ func (a *AppServer) EWMALatency() time.Duration {
 }
 
 // DBServer is the database stub: each query burns a fixed service time
-// and returns a small payload.
+// and returns a small payload. It is a front (front.go), not a net/http
+// server, and answers as the net/http mux it replaced answered.
 type DBServer struct {
-	ln      net.Listener
-	srv     *http.Server
-	queries atomic.Uint64
-	wg      sync.WaitGroup
+	front     *front
+	queryTime time.Duration
+	queries   atomic.Uint64
 }
 
 // StartDBServer launches the stub on an ephemeral loopback port.
@@ -348,34 +351,51 @@ func StartDBServer(queryTime time.Duration) (*DBServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("httpcluster: listen: %w", err)
 	}
-	d := &DBServer{ln: ln}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", func(w http.ResponseWriter, _ *http.Request) {
-		time.Sleep(queryTime)
-		d.queries.Add(1)
-		fmt.Fprintln(w, `{"rows":1}`)
-	})
-	d.srv = newServer(mux)
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		_ = d.srv.Serve(ln)
-	}()
-	return d, nil
+	return serveDB(ln, queryTime), nil
+}
+
+// serveDB runs the stub on ln.
+func serveDB(ln net.Listener, queryTime time.Duration) *DBServer {
+	d := &DBServer{queryTime: queryTime}
+	d.front = startFront(ln, d.serve)
+	return d
+}
+
+// dbReply is the body of every query's reply.
+const dbReply = "{\"rows\":1}\n"
+
+// serve answers GET, or any method, at /query after the query time, with
+// net/http's head for the reply: Date, Content-Length, the Content-Type
+// net/http sniffed from it. Any other path is net/http's 404.
+func (d *DBServer) serve(fc *frontConn, h *requestHead) bool {
+	if string(h.path) != "/query" {
+		fc.writeError(h, http.StatusNotFound, "404 page not found")
+		return true
+	}
+	time.Sleep(d.queryTime)
+	d.queries.Add(1)
+	bw := fc.bw
+	h1.WriteStatusLine(bw, h.minor, http.StatusOK)
+	h1.WriteDate(bw)
+	h1.WriteLength(bw, int64(len(dbReply)))
+	h1.WriteField(bw, "Content-Type", "text/plain; charset=utf-8")
+	h1.WriteConnection(bw, h.minor, h.keepAlive)
+	bw.WriteString("\r\n")
+	if h.method != http.MethodHead {
+		bw.WriteString(dbReply)
+	}
+	return true
 }
 
 // URL returns the stub's base URL.
-func (d *DBServer) URL() string { return "http://" + d.ln.Addr().String() }
+func (d *DBServer) URL() string { return "http://" + d.front.addr() }
 
 // Queries reports served queries.
 func (d *DBServer) Queries() uint64 { return d.queries.Load() }
 
-// Close shuts the stub down.
-func (d *DBServer) Close() error {
-	err := d.srv.Close()
-	d.wg.Wait()
-	return err
-}
+// Close shuts the stub down: the listener, every connection, and the
+// queries they carry, which it waits for.
+func (d *DBServer) Close() error { return d.front.Close() }
 
 // ProxyConfig sizes the web-tier reverse proxy.
 type ProxyConfig struct {
@@ -452,16 +472,11 @@ type ProxyConfig struct {
 type Proxy struct {
 	cfg     ProxyConfig
 	bal     *Balancer
-	ln      net.Listener
+	front   *front // started last in StartProxy
 	workers chan struct{}
 	served  atomic.Uint64
 	errors  atomic.Uint64
-	wg      sync.WaitGroup // the accept loop and each connection's two goroutines
-
-	// connMu guards the open client connections, which Close closes.
-	connMu  sync.Mutex
-	conns   map[*frontConn]struct{}
-	closing bool
+	wg      sync.WaitGroup // the adaptive ladder's ticker
 
 	// upstream carries every request and probe to the app tier; owned is
 	// the same transport when the proxy built it (ProxyConfig.Transport
@@ -510,9 +525,7 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 	p := &Proxy{
 		cfg:     cfg,
 		bal:     NewBalancer(cfg.Policy, cfg.Mechanism, backends, cfg.LB),
-		ln:      ln,
 		workers: make(chan struct{}, cfg.Workers),
-		conns:   make(map[*frontConn]struct{}),
 		epoch:   time.Now(),
 
 		upstream:       cfg.Transport,
@@ -552,13 +565,12 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 	if cfg.Telemetry != nil {
 		p.armTelemetry(*cfg.Telemetry)
 	}
-	p.wg.Add(1)
-	go p.accept()
+	p.front = startFront(ln, p.serve)
 	return p, nil
 }
 
 // URL returns the proxy's base URL.
-func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
+func (p *Proxy) URL() string { return "http://" + p.front.addr() }
 
 // Balancer exposes the proxy's balancer for inspection.
 func (p *Proxy) Balancer() *Balancer { return p.bal }
@@ -596,19 +608,10 @@ func (p *Proxy) now() time.Duration { return time.Since(p.epoch) }
 // connection, cancels the exchanges they carry, and waits for their
 // goroutines.
 func (p *Proxy) Close() error {
-	p.connMu.Lock()
-	p.closing = true
-	err := p.ln.Close()
-	for fc := range p.conns {
-		_ = fc.nc.Close() // its goroutines see the failure and return
-		// The watch sees the closed socket only when a peek is pending, and
-		// none is while pipelined bytes or an unread body sit in the buffer.
-		fc.cancel()
-	}
-	p.connMu.Unlock()
 	if p.adaptStop != nil {
 		close(p.adaptStop)
 	}
+	err := p.front.Close()
 	p.wg.Wait()
 	if p.prober != nil {
 		p.prober.Stop()
@@ -618,6 +621,16 @@ func (p *Proxy) Close() error {
 		p.owned.CloseIdleConnections()
 	}
 	return err
+}
+
+// serve answers one request the front read: an admin page, or the
+// forwarded reply.
+func (p *Proxy) serve(fc *frontConn, h *requestHead) bool {
+	if admin := p.adminHandler(h.path); admin != nil {
+		fc.serveAdmin(h, admin)
+		return true
+	}
+	return p.handle(fc, h)
 }
 
 // handle forwards one request and writes the reply, or an error reply,
