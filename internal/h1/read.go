@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/http/httputil"
 	"strings"
 )
 
@@ -303,32 +302,43 @@ func (h *Head) bytes(s span) []byte { return h.buf[s.at:s.end:s.end] }
 // after them, or everything up to the peer's close. The last bytes of a
 // body with a length come with io.EOF; a body cut short of its framing
 // reads io.ErrUnexpectedEOF. The first error, io.EOF included, sticks.
+//
+// A chunked body is decoded in place, its state in the Body, as
+// httputil.NewChunkedReader decodes it and with its bounds: a size line
+// of fewer than maxChunkLine bytes, at most 16 hex digits, extensions
+// dropped, and at most 16 KiB of framing beyond what the data pays for.
 type Body struct {
-	br     *bufio.Reader
-	left   int64     // bytes left of a body with a length; -1: until the peer closes
-	chunks io.Reader // httputil's chunked reader on br, for a chunked body
-	err    error
+	br      *bufio.Reader
+	left    int64 // bytes left of a body with a length; -1: until the peer closes
+	chunked bool
+	chunk   uint64 // bytes left of the current chunk
+	crlf    bool   // the current chunk's data is read; its CRLF is not
+	excess  int64  // framing bytes read beyond the allowance
+	err     error
 }
+
+// maxChunkLine bounds a chunk-size line, line end included, as
+// net/http's chunked reader bounds it.
+const maxChunkLine = 4096
+
+var (
+	errChunkLine   = errors.New("h1: malformed chunk size line")
+	errChunkEnd    = errors.New("h1: malformed chunked encoding")
+	errChunkSize   = errors.New("h1: chunk size too large")
+	errChunkExcess = errors.New("h1: chunked encoding contains too much non-data")
+)
 
 // Reset points b at the body of the message whose head h read off br.
 func (b *Body) Reset(br *bufio.Reader, h *Head) {
-	*b = Body{br: br, left: h.Length}
-	if h.Chunked && h.Length != 0 {
-		b.chunks = httputil.NewChunkedReader(br)
-	}
+	*b = Body{br: br, left: h.Length, chunked: h.Chunked && h.Length != 0}
 }
 
 func (b *Body) Read(p []byte) (n int, err error) {
 	switch {
 	case b.err != nil:
 		return 0, b.err
-	case b.chunks != nil:
-		// The chunked reader stops at the last chunk's size line.
-		if n, err = b.chunks.Read(p); err == io.EOF {
-			if err = skipTrailer(b.br); err == nil {
-				err = io.EOF
-			}
-		}
+	case b.chunked:
+		n, err = b.readChunked(p)
 	case b.left < 0:
 		n, err = b.br.Read(p)
 	default:
@@ -345,6 +355,124 @@ func (b *Body) Read(p []byte) (n int, err error) {
 	}
 	b.err = err
 	return n, err
+}
+
+// readChunked reads chunk data into p. Once it holds some, it returns
+// rather than wait for a chunk's CRLF or the next size line; after the
+// last chunk it reads the trailer section, then reports io.EOF.
+func (b *Body) readChunked(p []byte) (n int, err error) {
+	for {
+		if b.crlf {
+			if n > 0 && b.br.Buffered() < 2 {
+				return n, nil
+			}
+			if err = b.chunkEnd(); err != nil {
+				return n, err
+			}
+		}
+		if b.chunk == 0 {
+			if n > 0 && !b.lineBuffered() {
+				return n, nil
+			}
+			if err = b.chunkSize(); err != nil {
+				return n, err
+			}
+			if b.chunk == 0 { // the last chunk
+				if err = skipTrailer(b.br); err == nil {
+					err = io.EOF
+				}
+				return n, err
+			}
+			continue
+		}
+		if len(p) == 0 {
+			return n, nil
+		}
+		q := p
+		if uint64(len(q)) > b.chunk {
+			q = q[:b.chunk]
+		}
+		m, err := b.br.Read(q)
+		n, p, b.chunk = n+m, p[m:], b.chunk-uint64(m)
+		switch {
+		case err == io.EOF:
+			return n, io.ErrUnexpectedEOF
+		case err != nil:
+			return n, err
+		}
+		b.crlf = b.chunk == 0
+	}
+}
+
+// chunkEnd reads the CRLF after a chunk's data.
+func (b *Body) chunkEnd() error {
+	end, err := b.br.Peek(2)
+	switch {
+	case err == io.EOF:
+		return io.ErrUnexpectedEOF
+	case err != nil:
+		return err
+	case end[0] != '\r' || end[1] != '\n':
+		return errChunkEnd
+	}
+	_, _ = b.br.Discard(2)
+	b.crlf = false
+	return nil
+}
+
+// lineBuffered reports whether a whole line waits in the buffer.
+func (b *Body) lineBuffered() bool {
+	n := b.br.Buffered()
+	if n == 0 {
+		return false
+	}
+	buf, _ := b.br.Peek(n)
+	return bytes.IndexByte(buf, '\n') >= 0
+}
+
+// chunkSize reads a chunk-size line: hex digits, then anything after a
+// ';' (extensions), with trailing white space trimmed first.
+func (b *Body) chunkSize() error {
+	line, err := b.br.ReadSlice('\n')
+	switch {
+	case err == io.EOF:
+		return io.ErrUnexpectedEOF
+	case err == bufio.ErrBufferFull, err == nil && len(line) >= maxChunkLine:
+		return errTooLarge
+	case err != nil:
+		return err
+	}
+	b.excess += int64(len(line)) + 2 // the line, and the CRLF after the data
+	for len(line) > 0 && isSpace(line[len(line)-1]) {
+		line = line[:len(line)-1]
+	}
+	digits, _, _ := bytes.Cut(line, []byte{';'})
+	if len(digits) == 0 {
+		return errChunkLine
+	}
+	var n uint64
+	for i, c := range digits {
+		var v byte
+		switch {
+		case isDigit(c):
+			v = c - '0'
+		case 'a' <= c|0x20 && c|0x20 <= 'f':
+			v = (c | 0x20) - 'a' + 10
+		default:
+			return errChunkLine
+		}
+		if i == 16 {
+			return errChunkSize
+		}
+		n = n<<4 | uint64(v)
+	}
+	b.chunk = n
+	// Framing may cost 16 bytes a chunk plus twice the chunk's data; the
+	// last chunk is not held to it.
+	if b.excess = max(b.excess-16-2*int64(n), 0); n > 0 && b.excess > 16<<10 {
+		return errChunkExcess
+	}
+	return nil
 }
 
 // skipTrailer reads a chunked body's trailer section, up to and including
@@ -512,7 +640,7 @@ func ValidToken[T string | []byte](s T) bool { return len(s) > 0 && all(s, token
 func ValidValue[T string | []byte](s T) bool { return all(s, valueByte) }
 
 // ValidTarget reports whether s can stand as a request-target.
-func ValidTarget(s string) bool { return all(s, targetByte) }
+func ValidTarget[T string | []byte](s T) bool { return all(s, targetByte) }
 
 // ValidHost reports whether s can stand as a Host value.
 func ValidHost[T string | []byte](s T) bool { return all(s, hostByte) }
@@ -530,5 +658,7 @@ func trim(b []byte) []byte {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' || c == '\n' }
 
 func isLetter(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' }

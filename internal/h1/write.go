@@ -30,12 +30,14 @@ func WriteStatusLine(bw *bufio.Writer, minor, code int) {
 }
 
 // WriteRequestLine writes an HTTP/1.1 request line and its Host field.
-// The caller has checked method with ValidToken, target with ValidTarget
-// and host with ValidHost.
-func WriteRequestLine(bw *bufio.Writer, method, target, host string) {
+// The request-target is target followed by rest, which saves a caller
+// that joins two pieces building a string. The caller has checked method
+// with ValidToken, both pieces with ValidTarget and host with ValidHost.
+func WriteRequestLine(bw *bufio.Writer, method, target string, rest []byte, host string) {
 	bw.WriteString(method)
 	bw.WriteByte(' ')
 	bw.WriteString(target)
+	bw.Write(rest)
 	bw.WriteString(" HTTP/1.1\r\n")
 	WriteField(bw, "Host", host)
 }

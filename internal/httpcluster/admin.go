@@ -49,7 +49,7 @@ func (a *AppServer) adminMux(mux *http.ServeMux) {
 			Workers:  cap(a.workers),
 		})
 	})
-	mux.HandleFunc("/admin/probe", func(w http.ResponseWriter, _ *http.Request) {
+	mux.HandleFunc(probe.ProbePath, func(w http.ResponseWriter, _ *http.Request) {
 		// One stall-gate pass before answering: a stall-frozen server
 		// freezes its own probe replies with it, so the prober's pool
 		// ages past the TTL — the exclusion signal prequal relies on.
@@ -78,25 +78,33 @@ type BackendStats struct {
 
 // ProxyStats is the proxy's /admin/stats payload.
 type ProxyStats struct {
-	Policy    string         `json:"policy"`
-	Mechanism string         `json:"mechanism"`
-	Served    uint64         `json:"served"`
-	Errors    uint64         `json:"errors"`
-	Rejects   uint64         `json:"rejects"`
-	Shed      uint64         `json:"shed"`
-	Retries   uint64         `json:"retries"`
-	Backends  []BackendStats `json:"backends"`
+	Policy    string `json:"policy"`
+	Mechanism string `json:"mechanism"`
+	Served    uint64 `json:"served"`
+	Errors    uint64 `json:"errors"`
+	Rejects   uint64 `json:"rejects"`
+	Shed      uint64 `json:"shed"`
+	Retries   uint64 `json:"retries"`
+	// Causes splits Errors by cause (causes.go).
+	Causes   map[string]uint64 `json:"error_causes"`
+	Backends []BackendStats    `json:"backends"`
 }
 
 // Stats snapshots the proxy's balancer state.
 func (p *Proxy) Stats() ProxyStats {
+	causes := p.ErrorCauses()
+	var errs uint64
+	for _, n := range causes {
+		errs += n
+	}
 	out := ProxyStats{
 		// Read from the balancer, not the construction config: the
 		// adaptive control plane may have hot-swapped either.
 		Policy:    p.bal.CurrentPolicy().String(),
 		Mechanism: p.bal.CurrentMechanism().String(),
 		Served:    p.served.Load(),
-		Errors:    p.errors.Load(),
+		Errors:    errs,
+		Causes:    causes,
 		Rejects:   p.bal.Rejects(),
 		Shed:      p.shed.Load(),
 		Retries:   p.retries.Load(),

@@ -149,14 +149,16 @@ func TestDBStubMatchesNetHTTP(t *testing.T) {
 }
 
 // TestDBQueryAllocs: one query on a kept-alive connection through the
-// tiers' hop (forward) to the DB stub, both in this process, allocates the
-// exchange's own three objects (TestForwardAllocs) and nothing of the
-// stub's. On net/http's server the stub added 14.
+// tiers' hop (forward) to the DB stub, both in this process, allocates
+// nothing, neither the hop (TestForwardAllocs) nor the stub. On net/http's
+// server the stub added 14. A request's whole DB hop (AppServer.queryDB)
+// adds the one context.AfterFunc it registers on the request's context:
+// its context and its stop function.
 func TestDBQueryAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard: the race detector's runs use -short and allocate differently")
 	}
-	const maxAllocs = 3
+	const maxQueryAllocs, maxHopAllocs = 0, 2
 	db, err := StartDBServer(time.Microsecond)
 	if err != nil {
 		t.Fatal(err)
@@ -167,10 +169,11 @@ func TestDBQueryAllocs(t *testing.T) {
 	u := mustParse(t, db.URL()+"/query")
 	ctx, cancel := context.WithCancel(context.Background()) // cancellable, as a server request's is
 	defer cancel()
+	slot := new(exchangeSlot)
 	var buf [64]byte
 	var failure error
 	once := func() {
-		status, length, body, err := tr.forward(ctx, time.Now().Add(5*time.Second), u, u.RequestURI())
+		status, length, body, err := tr.forward(ctx, slot, time.Now().Add(5*time.Second), u, nil)
 		if err != nil {
 			failure = err
 			return
@@ -194,10 +197,26 @@ func TestDBQueryAllocs(t *testing.T) {
 		t.Fatal(failure)
 	}
 	t.Logf("%.1f allocations per query", allocs)
-	if allocs > maxAllocs {
-		t.Fatalf("%.1f allocations per query on a kept-alive connection, budget %d", allocs, maxAllocs)
+	if allocs > maxQueryAllocs {
+		t.Fatalf("%.1f allocations per query on a kept-alive connection, budget %d", allocs, maxQueryAllocs)
 	}
 	if q := db.Queries(); q != 1011 { // AllocsPerRun runs once more to warm up
 		t.Fatalf("%d queries served, want 1011", q)
+	}
+
+	app := &AppServer{cfg: AppServerConfig{DBQueries: 1}, db: tr, dbURL: u}
+	hop := func() {
+		if err := app.queryDB(ctx); err != nil {
+			failure = err
+		}
+	}
+	hop() // the slot pool's first slot
+	allocs = testing.AllocsPerRun(1000, hop)
+	if failure != nil {
+		t.Fatal(failure)
+	}
+	t.Logf("%.1f allocations per request's DB hop", allocs)
+	if allocs > maxHopAllocs {
+		t.Fatalf("%.1f allocations per request's DB hop, budget %d", allocs, maxHopAllocs)
 	}
 }

@@ -22,7 +22,10 @@ import (
 // the codec on the connection's bufio.Reader and hands a handler what it
 // uses of it, which writes the reply into the connection's bufio.Writer.
 // A second goroutine per connection peeks the socket while a request is
-// handled, so a client that goes away cancels the request at once. It has
+// handled, so a client that goes away cancels the request at once: it
+// cancels the connection's context and aborts its exchangeSlot, the one
+// the proxy's upstream exchanges run on. The connection's two buffers come
+// from a pool and go back to it when both goroutines have returned. It has
 // two users: the proxy (Proxy.serve), whose connection goroutine is the
 // Apache worker thread that holds the client connection and copies the
 // backend's reply back to it, and the DB stub (DBServer.serve).
@@ -77,8 +80,9 @@ type front struct {
 	closing bool
 }
 
-// frontConn is one client connection: its buffers, and the context that
-// ends when the client goes away, shared by every request it carries.
+// frontConn is one client connection: its buffers, and the context and
+// the exchange slot that end when the client goes away, shared by every
+// request it carries.
 type frontConn struct {
 	f      *front
 	nc     net.Conn
@@ -86,13 +90,24 @@ type frontConn struct {
 	bw     *bufio.Writer
 	ctx    context.Context
 	cancel context.CancelFunc
+	slot   exchangeSlot  // the proxy's upstream exchanges run on it
 	arm    chan struct{} // serve → watch: peek the socket
-	peeked chan error    // watch → serve: the peek returned
+	peeked chan error    // watch → serve: the peek returned; closed when watch returns
 	head   h1.Head       // the head being read
 	body   h1.Body       // its body, drained before dispatch
 	req    requestHead   // what the handler uses of it
 	sniff  [sniffLen]byte
 }
+
+// The pools of the connections' buffers, as net/http's server pools them.
+var (
+	frontReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, frontBufSize) }}
+	frontWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, frontBufSize) }}
+)
+
+// frontBuffersReturned, when set by a test, runs as a connection's
+// buffers go back to their pools.
+var frontBuffersReturned func(*frontConn)
 
 // startFront serves ln with handler until Close.
 func startFront(ln net.Listener, handler frontHandler) *front {
@@ -116,7 +131,7 @@ func (f *front) Close() error {
 		_ = fc.nc.Close() // its goroutines see the failure and return
 		// The watch sees the closed socket only when a peek is pending, and
 		// none is while pipelined bytes or an unread body sit in the buffer.
-		fc.cancel()
+		fc.abort()
 	}
 	f.mu.Unlock()
 	f.wg.Wait()
@@ -140,21 +155,22 @@ func (f *front) accept() {
 			continue
 		}
 		backoff = 0
-		ctx, cancel := context.WithCancel(context.Background())
-		fc := &frontConn{
-			f: f, nc: nc, ctx: ctx, cancel: cancel,
-			br:     bufio.NewReaderSize(nc, frontBufSize),
-			bw:     bufio.NewWriterSize(nc, frontBufSize),
-			arm:    make(chan struct{}, 1),
-			peeked: make(chan error, 1),
-		}
 		f.mu.Lock()
 		if f.closing {
 			f.mu.Unlock()
-			cancel()
 			_ = nc.Close() // accepted as the listener closed
 			return
 		}
+		ctx, cancel := context.WithCancel(context.Background())
+		fc := &frontConn{
+			f: f, nc: nc, ctx: ctx, cancel: cancel,
+			br:     frontReaders.Get().(*bufio.Reader),
+			bw:     frontWriters.Get().(*bufio.Writer),
+			arm:    make(chan struct{}, 1),
+			peeked: make(chan error, 1),
+		}
+		fc.br.Reset(nc)
+		fc.bw.Reset(nc)
 		f.conns[fc] = struct{}{}
 		f.wg.Add(2)
 		f.mu.Unlock()
@@ -204,23 +220,44 @@ func (fc *frontConn) serve() {
 // it the request in flight. Bytes that arrive early stay buffered.
 func (fc *frontConn) watch() {
 	defer fc.f.wg.Done()
+	defer close(fc.peeked)
 	for range fc.arm {
 		_, err := fc.br.Peek(1)
 		if err != nil {
-			fc.cancel()
+			fc.abort()
 		}
 		fc.peeked <- err
 	}
 }
 
-// close ends the connection: the socket, the context, the watcher.
+// abort cancels the connection's context, then aborts its slot, so a
+// failure the abort causes reads as the context's.
+func (fc *frontConn) abort() {
+	fc.cancel()
+	fc.slot.abort()
+}
+
+// close ends the connection: the socket, the context, the watcher. Once
+// the watcher has returned — at most one peek result is left unread, so
+// it never blocks — nothing else touches the buffers, and they go back to
+// their pools.
 func (fc *frontConn) close() {
 	fc.cancel()
 	_ = fc.nc.Close() // nobody is left to tell
 	close(fc.arm)
+	for range fc.peeked {
+	}
 	fc.f.mu.Lock()
 	delete(fc.f.conns, fc)
 	fc.f.mu.Unlock()
+	if frontBuffersReturned != nil {
+		frontBuffersReturned(fc)
+	}
+	fc.br.Reset(nil)
+	fc.bw.Reset(nil)
+	frontReaders.Put(fc.br)
+	frontWriters.Put(fc.bw)
+	fc.br, fc.bw = nil, nil
 }
 
 // readRequest reads one request head into h through the codec, keeping
@@ -315,15 +352,21 @@ func (fc *frontConn) drainBody(h *requestHead) bool {
 		h.keepAlive = false
 		return true
 	}
+	// The sniff buffer is free until the reply, and a read loop on it
+	// allocates nothing where io.CopyN builds a LimitReader.
 	fc.body.Reset(fc.br, &fc.head)
-	switch _, err := io.CopyN(io.Discard, &fc.body, frontMaxDrain+1); err {
-	case io.EOF:
-		return true
-	case nil: // a chunked body longer than frontMaxDrain
-		h.keepAlive = false
-		return true
+	for n := 0; n <= frontMaxDrain; {
+		m, err := fc.body.Read(fc.sniff[:])
+		n += m
+		switch {
+		case err == io.EOF:
+			return true
+		case err != nil:
+			return false
+		}
 	}
-	return false
+	h.keepAlive = false // a chunked body longer than frontMaxDrain
+	return true
 }
 
 // writeReply writes a forwarded reply: the upstream's status, the

@@ -8,7 +8,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -208,18 +211,18 @@ func readFrontReply(br *bufio.Reader) (status int, n int64, err error) {
 	return status, n, err
 }
 
-// TestFrontAllocs: one GET on a kept-alive client connection through the
-// front allocates what the upstream exchange allocates (TestForwardAllocs:
-// the AfterFunc registration and the body) and the request-URI it sends,
-// nothing else: the head is read in place, the reply written from the
-// upstream's framing, and the connection's context is the exchange's
-// parent for every request it carries. The client and the backend are
-// raw sockets that allocate nothing themselves.
+// TestFrontAllocs: one GET, or one POST with a short body, on a
+// kept-alive client connection through the front allocates nothing: the
+// head is read in place, the body drained through the connection's own
+// buffers, the upstream exchange runs on the connection's slot
+// (TestForwardAllocs), and the reply is written from the upstream's
+// framing. The client and the
+// backend are raw sockets that allocate nothing themselves.
 func TestFrontAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard: the race detector's runs use -short and allocate differently")
 	}
-	const exchangeAllocs, uriAllocs = 3, 1
+	const maxAllocs = 0
 	addr := zeroAllocPeer(t, []byte(lengthReply(128)))
 	proxy, err := StartProxy(ProxyConfig{Workers: 2, Policy: PolicyCurrentLoad, Mechanism: MechanismModified},
 		[]*Backend{NewBackend("app1", "http://"+addr, 2)})
@@ -233,31 +236,38 @@ func TestFrontAllocs(t *testing.T) {
 	}
 	defer func() { _ = c.Close() }()
 	_ = c.SetDeadline(time.Now().Add(30 * time.Second))
-	request := []byte("GET /x HTTP/1.1\r\nHost: proxy\r\n\r\n")
 	br := bufio.NewReader(c)
-	var failure error
-	once := func() {
-		if _, err := c.Write(request); err != nil {
-			failure = err
-			return
+	// A GET, and a POST whose body the front drains before dispatch, each
+	// measured on its own: AllocsPerRun rounds down.
+	for i, request := range [][]byte{
+		[]byte("GET /x HTTP/1.1\r\nHost: proxy\r\n\r\n"),
+		[]byte("POST /x HTTP/1.1\r\nHost: proxy\r\nContent-Length: 5\r\n\r\nhello"),
+	} {
+		var failure error
+		once := func() {
+			if _, err := c.Write(request); err != nil {
+				failure = err
+				return
+			}
+			if status, n, err := readFrontReply(br); err != nil || status != http.StatusOK || n != 128 {
+				failure = errors.Join(failure, err, errors.New("want a 200 with 128 bytes"))
+			}
 		}
-		if status, n, err := readFrontReply(br); err != nil || status != http.StatusOK || n != 128 {
-			failure = errors.Join(failure, err, errors.New("want a 200 with 128 bytes"))
+		for i := 0; i < 10; i++ { // the connection's buffers, the upstream connection
+			once()
 		}
-	}
-	for i := 0; i < 10; i++ { // the connection's buffers, the upstream connection
-		once()
-	}
-	allocs := testing.AllocsPerRun(1000, once)
-	if failure != nil {
-		t.Fatal(failure)
-	}
-	t.Logf("%.1f allocations per proxied GET", allocs)
-	if allocs > exchangeAllocs+uriAllocs {
-		t.Fatalf("%.1f allocations per proxied GET on a kept-alive connection, budget %d", allocs, exchangeAllocs+uriAllocs)
-	}
-	if s, e := proxy.Served(), proxy.Errors(); s != 1011 || e != 0 { // AllocsPerRun runs once more to warm up
-		t.Fatalf("served %d, errors %d; want 1011 and 0", s, e)
+		allocs := testing.AllocsPerRun(1000, once)
+		if failure != nil {
+			t.Fatal(failure)
+		}
+		method, _, _ := strings.Cut(string(request), " ")
+		t.Logf("%.1f allocations per proxied %s", allocs, method)
+		if allocs > maxAllocs {
+			t.Fatalf("%.1f allocations per proxied %s on a kept-alive connection, budget %d", allocs, method, maxAllocs)
+		}
+		if s, e := proxy.Served(), proxy.Errors(); s != uint64(1011*(i+1)) || e != 0 { // AllocsPerRun runs once more to warm up
+			t.Fatalf("served %d, errors %d; want %d and 0", s, e, 1011*(i+1))
+		}
 	}
 }
 
@@ -362,5 +372,168 @@ func TestFrontCloseWaitsForConnections(t *testing.T) {
 		if _, err := c.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			t.Errorf("connection %d still open after Close: %v", i, err)
 		}
+	}
+}
+
+// countingListener counts the connections it accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestFrontBuffersReturnAfterGoroutines: a connection's read and write
+// buffers go back to their pools once, and only when its watch goroutine
+// has returned and its serve goroutine is returning, however the
+// connection ends: the client closes it idle, asks for Connection: close,
+// sends a head the front refuses, goes away mid-request, or the front is
+// closed under it. One connection is open at a time, so the goroutine
+// dump at the hand-back names its goroutines alone. Then many connections
+// at once reuse the pooled buffers, which the race detector watches.
+func TestFrontBuffersReturnAfterGoroutines(t *testing.T) {
+	returned := make(chan string, 1)
+	var returns atomic.Int64
+	frontBuffersReturned = func(fc *frontConn) {
+		returns.Add(1)
+		buf := make([]byte, 1<<20)
+		stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+		problem := ""
+		switch {
+		case !strings.Contains(stacks[0], "(*frontConn).serve("):
+			problem = "buffers returned off the serve goroutine"
+		case strings.Contains(strings.Join(stacks, "\n\n"), "(*frontConn).watch("):
+			problem = "buffers returned while the watch goroutine runs"
+		case strings.Contains(strings.Join(stacks[1:], "\n\n"), "(*frontConn).serve("):
+			problem = "another serve goroutine is running"
+		}
+		select {
+		case returned <- problem:
+		default: // the concurrent part
+		}
+	}
+	defer func() { frontBuffersReturned = nil }()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	f := startFront(cl, func(fc *frontConn, h *requestHead) bool {
+		if string(h.path) == "/wait" {
+			<-fc.ctx.Done() // until the client goes away
+			return false
+		}
+		fc.writeError(h, http.StatusOK, "ok")
+		return true
+	})
+	closed := false
+	defer func() {
+		if !closed {
+			_ = f.Close()
+		}
+	}()
+	dial := func() (net.Conn, *bufio.Reader) {
+		t.Helper()
+		c, err := net.Dial("tcp", f.addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+		return c, bufio.NewReader(c)
+	}
+	served := func(c net.Conn, br *bufio.Reader, head string) {
+		t.Helper()
+		_, _ = io.WriteString(c, head)
+		if status, _, err := readFrontReply(br); err != nil || status != http.StatusOK {
+			t.Fatalf("status %d, %v", status, err)
+		}
+	}
+	wait := func(how string) {
+		t.Helper()
+		select {
+		case problem := <-returned:
+			if problem != "" {
+				t.Fatalf("%s: %s", how, problem)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the buffers never went back", how)
+		}
+	}
+
+	c, br := dial()
+	served(c, br, "GET / HTTP/1.1\r\nHost: f\r\n\r\n")
+	_ = c.Close()
+	wait("closed idle")
+
+	c, br = dial()
+	served(c, br, "GET / HTTP/1.1\r\nHost: f\r\nConnection: close\r\n\r\n")
+	wait("Connection: close")
+	_ = c.Close()
+
+	c, _ = dial()
+	_, _ = io.WriteString(c, "GET / HTTP/1.1\r\n\r\n") // no Host
+	wait("refused head")
+	_ = c.Close()
+
+	c, _ = dial()
+	_, _ = io.WriteString(c, "GET /wait HTTP/1.1\r\nHost: f\r\n\r\n")
+	time.Sleep(20 * time.Millisecond)
+	_ = c.Close()
+	wait("client gone mid-request")
+
+	c, br = dial()
+	served(c, br, "GET / HTTP/1.1\r\nHost: f\r\n\r\n")
+	go func() { _ = f.Close() }()
+	wait("front closed")
+	_ = c.Close()
+	closed = true
+	if n, m := returns.Load(), cl.accepted.Load(); n != m {
+		t.Fatalf("%d connections accepted, %d returned their buffers", m, n)
+	}
+
+	// Many connections at once, each with a few requests.
+	ln, err = net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl = &countingListener{Listener: ln}
+	returns.Store(0)
+	f = startFront(cl, func(fc *frontConn, h *requestHead) bool {
+		fc.writeError(h, http.StatusOK, "ok")
+		return true
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 5; j++ {
+				c, err := net.Dial("tcp", f.addr())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				br := bufio.NewReader(c)
+				for k := 0; k < 3; k++ {
+					_, _ = io.WriteString(c, "GET / HTTP/1.1\r\nHost: f\r\n\r\n")
+					if status, _, err := readFrontReply(br); err != nil || status != http.StatusOK {
+						t.Errorf("status %d, %v", status, err)
+					}
+				}
+				_ = c.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	_ = f.Close()
+	if n, m := returns.Load(), cl.accepted.Load(); n != m || m != 80 {
+		t.Fatalf("%d connections accepted (want 80), %d returned their buffers", m, n)
 	}
 }

@@ -1,6 +1,8 @@
 package httpcluster
 
 import (
+	"context"
+	"io"
 	"time"
 
 	"millibalance/internal/adapt"
@@ -34,17 +36,24 @@ func (p *Proxy) Admission() *admission.Gate { return p.adm }
 
 // armProbing builds the pools and the wall prober when the proxy can
 // dispatch through prequal, and starts probing. The prober is
-// rate-coupled to the served counter and probes over the requests'
-// (possibly fault-wrapped) transport, so probes see the network the
-// traffic sees.
+// rate-coupled to the served counter and fetches through roundTrip, the
+// requests' own path over the (possibly fault-wrapped) transport, so
+// probes see the network the traffic sees. Each backend has a slot of its
+// own for its probes, which the prober runs one at a time.
 func (p *Proxy) armProbing(backends []*Backend) {
 	var reseed func()
 	armed := p.planes.ArmProbing(p.cfg.Probe, p.cfg.Policy.String(), p.cfg.Adapt, func(pools *probe.Pools) func() {
-		targets := make([]probe.WallTarget, 0, len(backends))
-		for _, be := range backends {
-			targets = append(targets, probe.WallTarget{Name: be.Name(), URL: be.URL()})
+		names := make([]string, len(backends))
+		for i, be := range backends {
+			names[i] = be.Name()
 		}
-		p.prober = probe.NewWallProber(pools, targets, p.served.Load, p.upstream)
+		slots := make([]exchangeSlot, len(backends))
+		path := []byte(probe.ProbePath)
+		fetch := func(i int, deadline time.Time) (int, io.ReadCloser, error) {
+			status, _, body, err := p.roundTrip(context.Background(), &slots[i], path, backends[i], deadline)
+			return status, body, err
+		}
+		p.prober = probe.NewWallProber(pools, names, p.served.Load, fetch)
 		reseed = p.prober.Reseed
 		return reseed
 	})

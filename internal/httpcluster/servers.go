@@ -71,9 +71,11 @@ type AppServer struct {
 	// db carries the DB queries: a transport this server owns, pooled to
 	// Workers connections — that many handlers can be at the DB at once.
 	// Close releases it. dbURL is the URL every query sends GET to, parsed
-	// once; nil without a DB tier.
+	// once; nil without a DB tier. dbSlots keeps the requests' slots for
+	// their queries (*dbSlot).
 	db      *UpstreamTransport
 	dbURL   *url.URL
+	dbSlots sync.Pool
 	payload []byte
 	wg      sync.WaitGroup
 
@@ -271,7 +273,7 @@ func (a *AppServer) handle(w http.ResponseWriter, r *http.Request) {
 		a.stallGate()
 		time.Sleep(slice)
 	}
-	for i := 0; i < a.cfg.DBQueries && a.dbURL != nil; i++ {
+	if a.dbURL != nil && a.cfg.DBQueries > 0 {
 		if err := a.queryDB(r.Context()); err != nil {
 			http.Error(w, "db error: "+err.Error(), http.StatusBadGateway)
 			return
@@ -280,23 +282,46 @@ func (a *AppServer) handle(w http.ResponseWriter, r *http.Request) {
 	a.stallGate()
 	a.served.Add(1)
 	a.recordLatency(time.Since(start))
-	w.Header().Set("X-App-Server", a.cfg.Name)
+	// No header: /admin/probe names the server, the proxy names the
+	// backend in X-Backend, and a header set here costs net/http a map.
 	_, _ = w.Write(a.payload)
 }
 
 // dbQueryTimeout bounds one DB query, reply body included.
 const dbQueryTimeout = 5 * time.Second
 
-// queryDB sends one query and discards the reply. It runs under the
-// handler's context, so a request whose client has gone — or whose server
-// was closed — stops querying.
+// dbSlot is the slot one request's DB queries run on, and its abort as a
+// func value made once, so arming it per request allocates nothing of
+// its own.
+type dbSlot struct {
+	slot  exchangeSlot
+	abort func()
+}
+
+// queryDB sends the request's DB queries, one after another, and
+// discards the replies. The handler's context is net/http's only signal
+// that the app's client has gone, so one context.AfterFunc on it per
+// request fires the queries' slot: a request whose client has gone — or
+// whose server was closed — stops querying at once. A slot whose abort
+// did not run goes back to the pool.
 func (a *AppServer) queryDB(ctx context.Context) error {
-	_, _, body, err := a.db.forward(ctx, time.Now().Add(dbQueryTimeout), a.dbURL, a.dbURL.RequestURI())
-	if err != nil {
-		return err
+	ds, _ := a.dbSlots.Get().(*dbSlot)
+	if ds == nil {
+		ds = new(dbSlot)
+		ds.abort = ds.slot.abort
 	}
-	_, err = io.Copy(io.Discard, body)
-	_ = body.Close() // always nil
+	stop := context.AfterFunc(ctx, ds.abort)
+	var err error
+	for i := 0; i < a.cfg.DBQueries && err == nil; i++ {
+		var body io.ReadCloser
+		if _, _, body, err = a.db.forward(ctx, &ds.slot, time.Now().Add(dbQueryTimeout), a.dbURL, nil); err == nil {
+			_, err = io.Copy(io.Discard, body)
+			_ = body.Close() // always nil
+		}
+	}
+	if stop() {
+		a.dbSlots.Put(ds)
+	}
 	return err
 }
 
@@ -475,8 +500,8 @@ type Proxy struct {
 	front   *front // started last in StartProxy
 	workers chan struct{}
 	served  atomic.Uint64
-	errors  atomic.Uint64
-	wg      sync.WaitGroup // the adaptive ladder's ticker
+	errors  [numCauses]atomic.Uint64 // error replies by cause
+	wg      sync.WaitGroup           // the adaptive ladder's ticker
 
 	// upstream carries every request and probe to the app tier; owned is
 	// the same transport when the proxy built it (ProxyConfig.Transport
@@ -578,8 +603,24 @@ func (p *Proxy) Balancer() *Balancer { return p.bal }
 // Served and Errors report response counters.
 func (p *Proxy) Served() uint64 { return p.served.Load() }
 
-// Errors reports requests answered with an error.
-func (p *Proxy) Errors() uint64 { return p.errors.Load() }
+// Errors reports requests answered with an error: the sum of
+// ErrorCauses.
+func (p *Proxy) Errors() uint64 {
+	var n uint64
+	for i := range p.errors {
+		n += p.errors[i].Load()
+	}
+	return n
+}
+
+// ErrorCauses reports the requests answered with an error, by cause.
+func (p *Proxy) ErrorCauses() map[string]uint64 {
+	out := make(map[string]uint64, numCauses)
+	for c := range p.errors {
+		out[Cause(c).String()] = p.errors[c].Load()
+	}
+	return out
+}
 
 // Shed reports requests fast-failed at the worker-pool door.
 func (p *Proxy) Shed() uint64 { return p.shed.Load() }
@@ -654,7 +695,7 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 		if p.events != nil {
 			p.events.Append(obs.Event{T: p.now(), Kind: obs.KindShed, Source: "proxy"})
 		}
-		p.noteError(sp, start)
+		p.noteError(sp, start, CauseShed)
 		fc.writeError(h, http.StatusServiceUnavailable, "proxy saturated")
 		return true
 	}
@@ -678,6 +719,7 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 	}
 	failStatus := http.StatusServiceUnavailable
 	failMsg := ErrNoBackend.Error()
+	failCause := CauseNoBackend
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			if !p.budget.withdraw() {
@@ -705,16 +747,18 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 		if err != nil {
 			failStatus = http.StatusServiceUnavailable
 			failMsg = err.Error()
+			failCause = CauseNoBackend
 			continue
 		}
 
 		sp.Enter(obs.StageAppThread, p.now())
-		status, length, body, err := p.roundTrip(fc.ctx, h.path, be)
+		status, length, body, err := p.roundTrip(fc.ctx, &fc.slot, h.path, be, time.Now().Add(p.attemptTimeout))
 		if err != nil {
 			sp.Exit(obs.StageAppThread, p.now())
 			rel.Fail()
 			failStatus = http.StatusBadGateway
 			failMsg = "upstream: " + err.Error()
+			failCause = upstreamCause(err)
 			continue
 		}
 		if status >= 500 && p.resil != nil && attempt < maxAttempts-1 {
@@ -727,6 +771,7 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 			if text := http.StatusText(status); text != "" {
 				failMsg += " " + text
 			}
+			failCause = CauseUpstream5xx
 			continue
 		}
 
@@ -738,7 +783,7 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 			// retried nor answered with an error status; the connection
 			// closes instead of ending a truncated reply cleanly.
 			rel.Fail()
-			p.noteError(sp, start)
+			p.noteError(sp, start, CauseCutShort)
 			return false
 		}
 		rel.Done(n)
@@ -748,16 +793,16 @@ func (p *Proxy) handle(fc *frontConn, h *requestHead) bool {
 		p.adaptOutcome(start, admOK)
 		return true
 	}
-	p.noteError(sp, start)
+	p.noteError(sp, start, failCause)
 	fc.writeError(h, failStatus, failMsg)
 	return true
 }
 
-// noteError accounts one request answered with an error: the counter,
-// the failed span, the adaptive controller's outcome stream. Every
-// request ends in exactly one of noteError and the served counter.
-func (p *Proxy) noteError(sp *obs.Span, start time.Duration) {
-	p.errors.Add(1)
+// noteError accounts one request answered with an error: its cause's
+// counter, the failed span, the adaptive controller's outcome stream.
+// Every request ends in exactly one of noteError and the served counter.
+func (p *Proxy) noteError(sp *obs.Span, start time.Duration, cause Cause) {
+	p.errors[cause].Add(1)
 	p.tracer.Finish(sp, p.now(), false)
 	p.adaptOutcome(start, false)
 }

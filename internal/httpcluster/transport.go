@@ -34,33 +34,37 @@ const upstreamIdleAge = 90 * time.Second
 // writes the request and reads the reply.
 //
 // Two entry points share the exchange. forward is the tiers' own hop: it
-// writes GET <uri> and Host from its arguments under the caller's context
-// and an attempt deadline, and returns the status and the body — no
-// request object, no derived context, no header map. RoundTrip is the
-// http.RoundTripper for everything else (probes, tests, wrappers such as
+// writes GET <base path><path> and Host from its arguments under the
+// caller's context, its exchangeSlot and an attempt deadline, and returns
+// the status and the body — no request object, no derived context, no
+// header map, and on a reused connection no allocation. RoundTrip is the
+// http.RoundTripper for everything else (tests, wrappers such as
 // internal/faults' Transport): it writes the request's method, headers
 // and body, and returns an *http.Response with Status, StatusCode,
 // Proto*, Header, ContentLength, Close and Request set.
 //
 // The exchange: pop the youngest idle connection to the host or dial one;
 // set the socket deadline to the earlier of the attempt deadline and the
-// context's; register one context.AfterFunc on the caller's context that
-// forces the deadline into the past, so a cancelled context fails the
-// pending read or write at once; write the request; read the reply's head
-// on the connection's bufio.Reader into the connection's h1.Head, keeping
-// the framing fields and, for RoundTrip, every field. The body reads
-// through an h1.Body on the same buffer, and decides the connection's
-// fate when it is closed. DESIGN.md §17 lists where the exchange differs
-// from net/http's.
+// context's; arm the caller's slot with the connection, so that the
+// slot's abort forces the deadline into the past and fails the pending
+// read or write at once; write the request; read the reply's head on the
+// connection's bufio.Reader into the connection's h1.Head, keeping the
+// framing fields and, for RoundTrip, every field. The body reads through
+// an h1.Body on the same buffer, and decides the connection's fate when it
+// is closed. forward's caller fires its slot when its context ends;
+// RoundTrip builds a slot per request and registers one context.AfterFunc
+// that fires it. DESIGN.md §17 lists where the exchange differs from
+// net/http's.
 //
 // Reuse. A connection goes back on the stack only if all of these hold:
 // the body was read to EOF (a chunked body's trailer section included);
 // the reply was a final one that did not say "Connection: close", was not
 // an HTTP/1.0 reply without "Connection: keep-alive", was not read to the
-// peer's EOF, and left nothing unread behind it; the context's AfterFunc
-// did not run; the stack has room; and CloseIdleConnections has not been
-// called. Anything else closes the socket. Connections parked for longer
-// than upstreamIdleAge are closed when a pop finds them, not by a timer.
+// peer's EOF, and left nothing unread behind it; the slot's abort did not
+// take the connection; the stack has room; and CloseIdleConnections has
+// not been called. Anything else closes the socket. Connections parked for
+// longer than upstreamIdleAge are closed when a pop finds them, not by a
+// timer.
 //
 // Replay. The transport does not watch idle connections, so it learns
 // that the peer closed one only by using it. A reused connection that
@@ -92,13 +96,85 @@ type upstreamConn struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	head   h1.Head // the reply being read
-	abort  func()  // what the context's AfterFunc runs
 	idleAt time.Time
 }
 
-// upstreamRequest is what one exchange writes.
+// abort fails the connection's pending read or write at once. On a closed
+// socket it fails, and a closed socket needs no abort.
+func (c *upstreamConn) abort() { _ = c.nc.SetDeadline(time.Unix(1, 0)) }
+
+// exchangeSlot is where one caller runs its exchanges, one at a time: the
+// connection of the exchange in flight, whether the caller has gone, and
+// the body of the slot's latest reply. A front connection owns one for
+// the proxy's hop, the app server one per request for its DB queries, the
+// prober one per target; RoundTrip builds one per request. Its abort may
+// run on any goroutine, at any time, any number of times.
+//
+// The hand-off: an exchange sets its connection's deadline, then stores
+// the connection in the slot and checks fired; abort sets fired, then
+// swaps the connection out and forces its deadline into the past. Either
+// the exchange sees fired, or abort sees the connection. The exchange
+// takes its connection back with a compare-and-swap when it ends, and a
+// connection that abort swapped out is closed, never parked, so an abort
+// never lands on another caller's exchange.
+//
+// A body lives in the slot, not in the connection, because a connection
+// passes from caller to caller: a stale Read or Close of a closed body
+// reaches only the slot that read it, never the exchange that pops its
+// connection next.
+type exchangeSlot struct {
+	conn  atomic.Pointer[upstreamConn] // the exchange in flight's; nil between exchanges
+	fired atomic.Bool                  // the caller has gone: no exchange goes on or starts
+	body  upstreamBody
+}
+
+// abort ends the slot: the exchange in flight fails at once, and every
+// exchange after it before it starts.
+func (s *exchangeSlot) abort() {
+	s.fired.Store(true)
+	if c := s.conn.Swap(nil); c != nil {
+		c.abort()
+	}
+}
+
+// arm makes c the slot's connection, once the exchange has set c's
+// deadline. It reports false when the slot has fired; the caller then
+// closes c.
+func (s *exchangeSlot) arm(c *upstreamConn) bool {
+	s.conn.Store(c)
+	if !s.fired.Load() {
+		return true
+	}
+	s.disarm(c)
+	return false
+}
+
+// disarm takes c back from the slot. It reports false when abort took it
+// first: c's deadline is in the past, or about to be, and c must be
+// closed.
+func (s *exchangeSlot) disarm(c *upstreamConn) bool { return s.conn.CompareAndSwap(c, nil) }
+
+// cause reports a failure as the context's error when the context has
+// ended, as context.Canceled when the slot fired without it, and a socket
+// timeout otherwise as context.DeadlineExceeded: the attempt deadline
+// passed.
+func (s *exchangeSlot) cause(ctx context.Context, err error) error {
+	switch {
+	case ctx.Err() != nil:
+		return ctx.Err()
+	case s.fired.Load():
+		return context.Canceled
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return context.DeadlineExceeded
+	}
+	return err
+}
+
+// upstreamRequest is what one exchange writes: the target is uri, then
+// path.
 type upstreamRequest struct {
 	method, uri, host string
+	path              []byte
 	header            http.Header // written as it stands, framing fields aside
 	close             bool        // ask the peer to close after its reply
 	body              io.Reader   // length bytes of it
@@ -134,18 +210,24 @@ func NewUpstreamTransport(backends []*Backend) *UpstreamTransport {
 	return newUpstreamTransport(idle)
 }
 
-// forward sends GET uri with base's Host and no other header or body. The
-// socket deadline is the earlier of deadline and ctx's, and it covers the
-// body read as well; a cancelled ctx ends the exchange at once. The
-// caller reads the body to EOF and closes it to give the connection back.
-// It returns the reply's status, its Content-Length (-1 when chunked or
-// read until the peer closes) and its body.
-func (t *UpstreamTransport) forward(ctx context.Context, deadline time.Time, base *url.URL, uri string) (status int, length int64, body io.ReadCloser, err error) {
-	if base.Scheme != "http" || base.Host == "" || !h1.ValidHost(base.Host) || !h1.ValidTarget(uri) {
-		return 0, 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri, base.Redacted())
+// forward sends GET <base's escaped path><path> ("/" when both are empty)
+// with base's Host and no other header or body, on slot s. The socket
+// deadline is the earlier of deadline and ctx's, and it covers the body
+// read as well; s's abort ends the exchange at once, and ctx ends a dial.
+// The caller reads the body to EOF and closes it to give the connection
+// back, before it starts another exchange on s. It returns the reply's
+// status, its Content-Length (-1 when chunked or read until the peer
+// closes) and its body.
+func (t *UpstreamTransport) forward(ctx context.Context, s *exchangeSlot, deadline time.Time, base *url.URL, path []byte) (status int, length int64, body io.ReadCloser, err error) {
+	uri := base.EscapedPath()
+	if uri == "" && len(path) == 0 {
+		uri = "/"
 	}
-	rq := upstreamRequest{method: http.MethodGet, uri: uri, host: base.Host}
-	b, err := t.do(ctx, deadline, hostAddr(base), &rq, nil)
+	if base.Scheme != "http" || base.Host == "" || !h1.ValidHost(base.Host) || !h1.ValidTarget(uri) || !h1.ValidTarget(path) {
+		return 0, 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri+string(path), base.Redacted())
+	}
+	rq := upstreamRequest{method: http.MethodGet, uri: uri, path: path, host: base.Host}
+	b, err := t.do(ctx, s, deadline, hostAddr(base), &rq, nil)
 	if err != nil {
 		return 0, 0, nil, err
 	}
@@ -172,25 +254,31 @@ func (t *UpstreamTransport) RoundTrip(req *http.Request) (*http.Response, error)
 	if !bodyless {
 		rq.body, rq.length = req.Body, req.ContentLength
 	}
+	// The body reaches code outside the package, so the request has a slot
+	// of its own: no stale call on the body can reach another exchange.
+	ctx, s := req.Context(), new(exchangeSlot)
+	stop := context.AfterFunc(ctx, s.abort)
 	resp := &http.Response{Header: make(http.Header), Request: req}
-	b, err := t.do(req.Context(), time.Time{}, addr, &rq, resp)
+	b, err := t.do(ctx, s, time.Time{}, addr, &rq, resp)
 	if err != nil {
+		stop()
 		return nil, err
 	}
+	b.stop = stop
 	resp.Body = b
 	return resp, nil
 }
 
-// do runs one exchange of rq with addr under ctx and deadline (the zero
-// time: ctx's alone), replaying it once on a fresh dial when a reused
-// connection fails before the reply began. A non-nil sink receives the
-// reply's head.
-func (t *UpstreamTransport) do(ctx context.Context, deadline time.Time, addr string, rq *upstreamRequest, sink *http.Response) (*upstreamBody, error) {
+// do runs one exchange of rq with addr on s under ctx and deadline (the
+// zero time: ctx's alone), replaying it once on a fresh dial when a
+// reused connection fails before the reply began. A non-nil sink receives
+// the reply's head.
+func (t *UpstreamTransport) do(ctx context.Context, s *exchangeSlot, deadline time.Time, addr string, rq *upstreamRequest, sink *http.Response) (*upstreamBody, error) {
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, exchangeError(ctx, addr, err)
+	if err := ctx.Err(); err != nil || s.fired.Load() {
+		return nil, exchangeError(ctx, s, addr, err)
 	}
 	c := t.popIdle(addr)
 	reused := c != nil
@@ -198,15 +286,15 @@ func (t *UpstreamTransport) do(ctx context.Context, deadline time.Time, addr str
 		if c == nil {
 			var err error
 			if c, err = t.dialConn(ctx, deadline, addr); err != nil {
-				return nil, exchangeError(ctx, addr, err)
+				return nil, exchangeError(ctx, s, addr, err)
 			}
 		}
-		b, early, err := t.exchange(ctx, deadline, c, rq, addr, sink)
+		early, err := t.exchange(ctx, s, deadline, c, rq, addr, sink)
 		if err == nil {
-			return b, nil
+			return &s.body, nil
 		}
-		if !reused || !early || rq.length > 0 || ctx.Err() != nil {
-			return nil, exchangeError(ctx, addr, err)
+		if !reused || !early || rq.length > 0 || ctx.Err() != nil || s.fired.Load() {
+			return nil, exchangeError(ctx, s, addr, err)
 		}
 		reused, c = false, nil
 	}
@@ -223,18 +311,21 @@ func (t *UpstreamTransport) dialConn(ctx context.Context, deadline time.Time, ad
 	if err != nil {
 		return nil, err
 	}
-	c := &upstreamConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}
-	c.abort = func() { _ = nc.SetDeadline(time.Unix(1, 0)) } // fails on a closed socket, which needs no abort
-	return c, nil
+	return &upstreamConn{nc: nc, br: bufio.NewReader(nc), bw: bufio.NewWriter(nc)}, nil
 }
 
-// exchange writes rq on c and reads the reply's head. On failure it
-// closes c and reports whether that was before any byte of a reply.
-func (t *UpstreamTransport) exchange(ctx context.Context, deadline time.Time, c *upstreamConn, rq *upstreamRequest, addr string, sink *http.Response) (b *upstreamBody, early bool, err error) {
+// exchange writes rq on c and reads the reply's head into s's body. On
+// failure it closes c and reports whether that was before any byte of a
+// reply.
+func (t *UpstreamTransport) exchange(ctx context.Context, s *exchangeSlot, deadline time.Time, c *upstreamConn, rq *upstreamRequest, addr string, sink *http.Response) (early bool, err error) {
 	// The zero time clears the previous exchange's deadline. A socket that
-	// cannot take a deadline is closed; the write reports it.
+	// cannot take a deadline is closed; the write reports it. The deadline
+	// is set before the slot is armed, so it cannot undo an abort.
 	_ = c.nc.SetDeadline(deadline)
-	stop := context.AfterFunc(ctx, c.abort)
+	if !s.arm(c) {
+		_ = c.nc.Close() // never used
+		return true, context.Canceled
+	}
 	early = true
 	if err = c.writeRequest(rq); err == nil {
 		_, err = c.br.Peek(1)
@@ -244,26 +335,25 @@ func (t *UpstreamTransport) exchange(ctx context.Context, deadline time.Time, c 
 		err = c.readHead(rq.method == http.MethodHead, sink)
 	}
 	if err != nil {
-		stop()
+		s.disarm(c)
 		_ = c.nc.Close() // discarded after a failure that is already reported
-		return nil, early, err
+		return early, err
 	}
-	h := &c.head
-	b = &upstreamBody{
-		t: t, c: c, ctx: ctx, stop: stop, addr: addr,
-		// An informational reply would leave the final one unread.
-		keep: !h.Close && !rq.close && h.Status >= 200,
-	}
+	h, b := &c.head, &s.body
+	b.t, b.s, b.c, b.ctx, b.stop, b.addr = t, s, c, ctx, nil, addr
+	// An informational reply would leave the final one unread.
+	b.keep = !h.Close && !rq.close && h.Status >= 200
 	b.body.Reset(c.br, h)
 	b.eof.Store(h.Length == 0)
-	return b, false, nil
+	b.done.Store(false)
+	return false, nil
 }
 
 // writeRequest sends the request line, the headers and the body, if any,
 // in as few writes as the buffer allows. The request has been checked.
 func (c *upstreamConn) writeRequest(rq *upstreamRequest) error {
 	bw := c.bw
-	h1.WriteRequestLine(bw, rq.method, rq.uri, rq.host)
+	h1.WriteRequestLine(bw, rq.method, rq.uri, rq.path, rq.host)
 	h1.WriteHeader(bw, rq.header)
 	if rq.close {
 		h1.WriteField(bw, "Connection", "close")
@@ -349,22 +439,8 @@ func hostAddr(u *url.URL) string {
 
 // exchangeError names the hop in an error and turns a socket deadline
 // into what caused it.
-func exchangeError(ctx context.Context, addr string, err error) error {
-	return fmt.Errorf("httpcluster: upstream %s: %w", addr, contextCause(ctx, err))
-}
-
-// contextCause reports a failure as the context's error when the context
-// has ended — the AfterFunc's forced deadline, or the context's own — and
-// a socket timeout under a live context as context.DeadlineExceeded: the
-// attempt deadline passed.
-func contextCause(ctx context.Context, err error) error {
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		return context.DeadlineExceeded
-	}
-	return err
+func exchangeError(ctx context.Context, s *exchangeSlot, addr string, err error) error {
+	return fmt.Errorf("httpcluster: upstream %s: %w", addr, s.cause(ctx, err))
 }
 
 // popIdle takes the youngest idle connection to addr. If even that one is
@@ -424,12 +500,14 @@ func (t *UpstreamTransport) CloseIdleConnections() {
 }
 
 // upstreamBody is the body of one reply. It owns the connection until it
-// is closed.
+// is closed; after that, Read reports http.ErrBodyReadAfterClose and Close
+// nil, until the slot it lives in starts its next exchange.
 type upstreamBody struct {
 	t    *UpstreamTransport
+	s    *exchangeSlot
 	c    *upstreamConn
 	ctx  context.Context
-	stop func() bool // the AfterFunc's
+	stop func() bool // RoundTrip's AfterFunc's; nil on forward's
 	addr string
 	body h1.Body // the framing on c.br
 	eof  atomic.Bool
@@ -449,7 +527,7 @@ func (b *upstreamBody) Read(p []byte) (n int, err error) {
 	case err == io.EOF:
 		b.eof.Store(true)
 	case err != nil:
-		err = contextCause(b.ctx, err)
+		err = b.s.cause(b.ctx, err)
 	}
 	return n, err
 }
@@ -460,7 +538,10 @@ func (b *upstreamBody) Close() error {
 	if b.done.Swap(true) {
 		return nil
 	}
-	live := b.stop()
+	live := b.s.disarm(b.c)
+	if b.stop != nil {
+		b.stop()
+	}
 	if live && b.keep && b.eof.Load() && b.c.br.Buffered() == 0 && b.t.pushIdle(b.addr, b.c) {
 		return nil
 	}

@@ -591,7 +591,7 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 					return exchange(ctx, ours, "GET", p.url(), nil, nil)
 				},
 				func() (int, []byte, error) {
-					status, _, body, err := fwd.forward(context.Background(), time.Now().Add(100*time.Millisecond), base, "/")
+					status, _, body, err := fwd.forward(context.Background(), new(exchangeSlot), time.Now().Add(100*time.Millisecond), base, []byte("/"))
 					if err != nil {
 						return 0, nil, err
 					}
@@ -631,12 +631,13 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 }
 
 // TestForwardAllocs: one native exchange on a reused connection to a
-// Content-Length peer allocates the context.AfterFunc registration and the
-// body wrapper, nothing else. The peer reads each request, whose length it
-// knows, into one buffer and writes one fixed reply, so it allocates
-// nothing either.
+// Content-Length peer allocates nothing: the body lives in the caller's
+// slot, the request line is written from the base path and the path as
+// they are, and cancellation is the slot's, armed without a registration.
+// The peer reads each request, whose length it knows, into one buffer and
+// writes one fixed reply, so it allocates nothing either.
 func TestForwardAllocs(t *testing.T) {
-	const maxAllocs = 3 // AfterFunc's context and stop function, the body
+	const maxAllocs = 0
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -669,10 +670,12 @@ func TestForwardAllocs(t *testing.T) {
 	base := mustParse(t, "http://"+host)
 	ctx, cancel := context.WithCancel(context.Background()) // cancellable, as a server request's is
 	defer cancel()
+	slot := new(exchangeSlot)
+	path := []byte("/x")
 	var buf [512]byte
 	var failure error
 	once := func() {
-		status, length, body, err := tr.forward(ctx, time.Now().Add(5*time.Second), base, "/x")
+		status, length, body, err := tr.forward(ctx, slot, time.Now().Add(5*time.Second), base, path)
 		if err != nil {
 			failure = err
 			return

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -20,13 +21,14 @@ type Report struct {
 	EWMALatencyMs float64 `json:"ewma_latency_ms"`
 }
 
-// WallTarget is one probed backend in the wall-clock substrate.
-type WallTarget struct {
-	// Name keys the backend's pool.
-	Name string
-	// URL is the backend's base URL; the prober GETs URL+"/admin/probe".
-	URL string
-}
+// ProbePath is the path every backend serves its Report at.
+const ProbePath = "/admin/probe"
+
+// Fetch GETs ProbePath from target i, within deadline, and returns the
+// reply's status and body, which the prober reads and closes. The prober
+// runs at most one fetch per target at a time, so a fetch may keep state
+// per target.
+type Fetch func(i int, deadline time.Time) (status int, body io.ReadCloser, err error)
 
 // WallProber polls each target's /admin/probe endpoint from its own
 // goroutine pool, never blocking the dispatch path. The probe rate is
@@ -36,9 +38,11 @@ type WallTarget struct {
 // proxy refreshes its pools faster — Prequal's r_probe coupling.
 type WallProber struct {
 	pools   *Pools
-	targets []WallTarget
-	client  *http.Client
+	targets []string // the pools' keys
+	fetch   Fetch
+	timeout time.Duration // one probe's deadline, the pools' TTL
 	queries func() uint64
+	replies [][probeReplyMax]byte // per target
 
 	mu          sync.Mutex
 	rr          int
@@ -50,28 +54,32 @@ type WallProber struct {
 	once sync.Once
 }
 
-// NewWallProber returns a prober over the targets. queries reports the
-// proxy's cumulative query count for rate coupling (nil pins the rate
-// to one probe per tick per round-robin turn); transport carries the
-// probes. The proxy hands over the transport its requests use, so probes
-// ride its pooled connections and experience the same injected network
-// degradation as requests do; the prober never closes it. Nil is
-// net/http's default transport.
-func NewWallProber(pools *Pools, targets []WallTarget, queries func() uint64, transport http.RoundTripper) *WallProber {
-	if pools == nil {
-		panic("probe: NewWallProber with nil pools")
+// probeReplyMax bounds a Report the prober reads; a longer reply is
+// dropped.
+const probeReplyMax = 512
+
+// NewWallProber returns a prober over the targets, named by their pools'
+// keys. queries reports the proxy's cumulative query count for rate
+// coupling (nil pins the rate to one probe per tick per round-robin
+// turn); fetch carries the probes, each within the pools' TTL. The proxy
+// fetches over the path its requests take, so probes ride its pooled
+// connections and see the same injected network degradation as requests
+// do.
+func NewWallProber(pools *Pools, targets []string, queries func() uint64, fetch Fetch) *WallProber {
+	if pools == nil || fetch == nil {
+		panic("probe: NewWallProber with nil pools or fetch")
 	}
-	copied := make([]WallTarget, len(targets))
-	copy(copied, targets)
 	timeout := pools.cfg.TTL
 	if timeout <= 0 {
 		timeout = 150 * time.Millisecond
 	}
 	return &WallProber{
 		pools:       pools,
-		targets:     copied,
-		client:      &http.Client{Transport: transport, Timeout: timeout},
+		targets:     append([]string(nil), targets...),
+		fetch:       fetch,
+		timeout:     timeout,
 		queries:     queries,
+		replies:     make([][probeReplyMax]byte, len(targets)),
 		outstanding: make(map[int]bool),
 		stop:        make(chan struct{}),
 	}
@@ -151,7 +159,6 @@ func (w *WallProber) probe(i int) {
 	w.outstanding[i] = true
 	w.mu.Unlock()
 
-	t := w.targets[i]
 	w.wg.Add(1)
 	go func() {
 		defer w.wg.Done()
@@ -161,22 +168,29 @@ func (w *WallProber) probe(i int) {
 			w.mu.Unlock()
 		}()
 		start := time.Now()
-		resp, err := w.client.Get(t.URL + "/admin/probe")
-		if err != nil {
+		rep, ok := w.get(i, start.Add(w.timeout))
+		if !ok {
 			return // stale-out is the signal; a failed probe adds nothing
-		}
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusOK {
-			return
-		}
-		var rep Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			return
 		}
 		latency := time.Duration(rep.EWMALatencyMs * float64(time.Millisecond))
 		if latency <= 0 {
 			latency = time.Since(start) // RTT stands in until the EWMA warms up
 		}
-		w.pools.Observe(t.Name, float64(rep.InFlight), latency)
+		w.pools.Observe(w.targets[i], float64(rep.InFlight), latency)
 	}()
+}
+
+// get fetches target i's Report into its reply buffer and decodes it.
+func (w *WallProber) get(i int, deadline time.Time) (rep Report, ok bool) {
+	status, body, err := w.fetch(i, deadline)
+	if err != nil {
+		return rep, false
+	}
+	buf := w.replies[i][:]
+	n, err := io.ReadFull(body, buf)
+	_ = body.Close() // a reply that did not fit is dropped
+	if status != http.StatusOK || err != io.ErrUnexpectedEOF && err != io.EOF {
+		return rep, false
+	}
+	return rep, json.Unmarshal(buf[:n], &rep) == nil
 }
