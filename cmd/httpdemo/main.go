@@ -46,7 +46,7 @@ func run(args []string) error {
 	endpoints := fs.Int("endpoints", 4, "proxy endpoint pool per backend")
 	obsOn := fs.Bool("obs", false, "arm span tracing and the balancer event log (GET /admin/trace and /admin/events on the proxy)")
 	adaptive := fs.Bool("adaptive", false, "arm the adaptive control plane (GET /admin/adapt and /admin/adapt/decisions; implies -obs)")
-	faultSpec := fs.String("faults", "", "fault scenario, e.g. 'freeze:periodic:interval=1s:duration=300ms:target=app1,netloss:oneshot:interval=2s:duration=500ms' (replaces the single scripted stall; implies -obs)")
+	faultSpec := fs.String("faults", "", "fault scenario, e.g. 'freeze:periodic:interval=1s:duration=300ms:jitter=0.2:target=app1,netloss:oneshot:interval=2s:duration=500ms' (jitter is a fraction of each gap and window; replaces the single scripted stall; implies -obs)")
 	resilient := fs.Bool("resilience", false, "arm the proxy resilience layer: attempt deadlines, budgeted retries, fast-fail shedding")
 	admSpec := fs.String("admission", "", "arm the proxy admission plane (GET /admin/admission): + joined tokens from static[:n], aimd, gradient, codel, lifo")
 	telemetryOn := fs.Bool("telemetry", false, "arm the 50 ms telemetry sampler (GET /metrics and /admin/timeline on the proxy)")
@@ -62,11 +62,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var specs []faults.Spec
-	if *faultSpec != "" {
-		if specs, err = faults.ParseScenario(*faultSpec); err != nil {
-			return err
-		}
+	scenario := *faultSpec
+	if scenario == "" { // the single scripted stall
+		scenario = fmt.Sprintf("freeze:oneshot:interval=%v:duration=%v:target=app1", *stallAt, *stallFor)
+	}
+	specs, err := faults.ParseScenario(scenario)
+	if err != nil {
+		return err
 	}
 
 	db, err := httpcluster.StartDBServer(200 * time.Microsecond)
@@ -99,7 +101,7 @@ func run(args []string) error {
 		Policy:    policy,
 		Mechanism: mech,
 	}
-	if *obsOn || *adaptive || len(specs) > 0 {
+	if *obsOn || *adaptive || *faultSpec != "" {
 		pcfg.SpanCapacity = 1 << 16
 		pcfg.EventCapacity = 1 << 17
 	}
@@ -127,7 +129,7 @@ func run(args []string) error {
 		defer stopProf()
 	}
 	var transport *faults.Transport
-	if len(specs) > 0 {
+	if *faultSpec != "" {
 		// The fault wrapper sits on the pooled transport the proxy would
 		// have built for itself, so injected latency is added to the same
 		// keep-alive path the unfaulted demo measures.
@@ -142,7 +144,7 @@ func run(args []string) error {
 	}
 	defer func() { _ = proxy.Close() }()
 
-	injectors, err := buildInjectors(specs, appServers, transport)
+	injectors, err := faults.Bind(specs, appServers, transport)
 	if err != nil {
 		return err
 	}
@@ -165,22 +167,12 @@ func run(args []string) error {
 		fmt.Printf("admission: GET %s/admin/admission (JSONL gate snapshot + limit history)\n",
 			proxy.URL())
 	}
-	if len(injectors) > 0 {
-		fmt.Printf("policy=%s mechanism=%s resilience=%v; fault scenario: %s\n",
-			policy, mech, *resilient, *faultSpec)
-		for _, inj := range injectors {
-			inj.Arm(proxy.Events(), proxy.Epoch())
-			inj.Start()
-			defer inj.Stop()
-		}
-	} else {
-		fmt.Printf("policy=%s mechanism=%s; stalling app1 for %v at t=%v\n",
-			policy, mech, *stallFor, *stallAt)
-		timer := time.AfterFunc(*stallAt, func() {
-			fmt.Printf("!! millibottleneck: app1 frozen for %v\n", *stallFor)
-			appServers[0].Stall(*stallFor)
-		})
-		defer timer.Stop()
+	fmt.Printf("policy=%s mechanism=%s resilience=%v; fault scenario: %s\n",
+		policy, mech, *resilient, scenario)
+	for _, inj := range injectors {
+		inj.Arm(proxy.Events(), proxy.Epoch())
+		inj.Start()
+		defer inj.Stop()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
@@ -192,10 +184,10 @@ func run(args []string) error {
 
 	fmt.Printf("\nrequests: %d total, %d failed, %d rejected by the balancer\n",
 		stats.Total(), stats.Failures(), proxy.Balancer().Rejects())
-	if len(injectors) > 0 || *resilient {
-		for _, inj := range injectors {
-			fmt.Printf("fault %s on %s: %d windows\n", inj.Name(), inj.Shape().Target(), inj.Fired())
-		}
+	for _, inj := range injectors {
+		fmt.Printf("fault %s on %s: %d windows\n", inj.Name(), inj.Shape().Target(), inj.Fired())
+	}
+	if *faultSpec != "" || *resilient {
 		fmt.Printf("resilience: shed=%d retries=%d\n", proxy.Shed(), proxy.Retries())
 	}
 	fmt.Printf("latency: mean=%v p50=%v p90=%v p99=%v max=%v\n",
@@ -251,47 +243,4 @@ func servePprof(addr string) (stop func(), err error) {
 	go func() { _ = srv.Serve(ln) }()
 	fmt.Printf("pprof: http://%s/debug/pprof/\n", ln.Addr())
 	return func() { _ = srv.Close() }, nil
-}
-
-// buildInjectors resolves parsed fault specs against the live tier:
-// each spec's target names an app server (default: the first), and the
-// network shapes degrade that server's host on the proxy's transport.
-func buildInjectors(specs []faults.Spec, apps []*httpcluster.AppServer, tr *faults.Transport) ([]*faults.Injector, error) {
-	byName := make(map[string]*httpcluster.AppServer, len(apps))
-	for _, app := range apps {
-		byName[app.Name()] = app
-	}
-	var out []*faults.Injector
-	for _, spec := range specs {
-		target := spec.Target
-		if target == "" {
-			target = apps[0].Name()
-		}
-		app, ok := byName[target]
-		if !ok {
-			return nil, fmt.Errorf("fault target %q: no such app server", target)
-		}
-		var shape faults.Shape
-		switch spec.ShapeKind {
-		case "freeze":
-			shape = faults.Freeze{Name: app.Name(), S: app}
-		case "gc_pause":
-			shape = faults.GCPause{Name: app.Name(), S: app}
-		case "slow":
-			shape = faults.Slow{Name: app.Name(), D: app, Extra: spec.Delay}
-		case "crash":
-			shape = faults.Crash{Name: app.Name(), R: app}
-		case "netdelay", "netloss":
-			shape = faults.NetDegrade{
-				T:       tr,
-				Host:    strings.TrimPrefix(app.URL(), "http://"),
-				Latency: spec.Latency,
-				Loss:    spec.Loss,
-			}
-		default:
-			return nil, fmt.Errorf("fault shape %q not supported by httpdemo", spec.ShapeKind)
-		}
-		out = append(out, spec.Bind(shape))
-	}
-	return out, nil
 }

@@ -72,12 +72,10 @@ func TestAdaptiveFallbackWhenAllBackendsStalled(t *testing.T) {
 	}
 
 	c := New(cfg)
-	for i, app := range c.Apps {
-		inj := mbneck.NewScriptedStalls(c.Eng, "all-stall", app.CPU(), []mbneck.StallEvent{
-			{At: 3 * time.Second, Duration: 1200 * time.Millisecond},
-		})
-		inj.Start()
-		_ = i
+	for _, app := range c.Apps {
+		mbneck.NewStalls(c.Eng, app.CPU(), mbneck.Schedule{
+			Kind: mbneck.OneShot, Interval: 3 * time.Second, Duration: 1200 * time.Millisecond,
+		}).Start()
 	}
 	res := c.Run()
 

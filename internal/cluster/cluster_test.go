@@ -154,10 +154,9 @@ func TestCurrentLoadAvoidsStalledServer(t *testing.T) {
 	cfg.Policy = "current_load"
 	c := New(cfg)
 	// Scripted millibottleneck: stall tomcat1 at t=3s for 300ms.
-	inj := mbneck.NewScriptedStalls(c.Eng, "scripted", c.Apps[0].CPU(), []mbneck.StallEvent{
-		{At: 3 * time.Second, Duration: 300 * time.Millisecond},
-	})
-	inj.Start()
+	mbneck.NewStalls(c.Eng, c.Apps[0].CPU(), mbneck.Schedule{
+		Kind: mbneck.OneShot, Interval: 3 * time.Second, Duration: 300 * time.Millisecond,
+	}).Start()
 	res := c.Run()
 
 	for i := range res.Dispatch {
@@ -176,10 +175,9 @@ func TestOriginalPolicyPilesOntoStalledServer(t *testing.T) {
 	cfg.Policy = "total_request"
 	cfg.Mechanism = "original_get_endpoint"
 	c := New(cfg)
-	inj := mbneck.NewScriptedStalls(c.Eng, "scripted", c.Apps[0].CPU(), []mbneck.StallEvent{
-		{At: 3 * time.Second, Duration: 300 * time.Millisecond},
-	})
-	inj.Start()
+	mbneck.NewStalls(c.Eng, c.Apps[0].CPU(), mbneck.Schedule{
+		Kind: mbneck.OneShot, Interval: 3 * time.Second, Duration: 300 * time.Millisecond,
+	}).Start()
 	res := c.Run()
 
 	// Once tomcat1's endpoint pools exhaust, every new arrival chooses

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"millibalance/internal/cluster"
-	"millibalance/internal/mbneck"
 	"millibalance/internal/telemetry"
 )
 
@@ -74,15 +73,14 @@ func RunFigure16(opt Options) CausalChainResult {
 	}
 	c := cluster.New(cfg)
 	injected := c.Apps[0].Name()
-	stalls := make([]mbneck.StallEvent, 0, chainStallCount)
-	for i := 0; i < chainStallCount; i++ {
-		stalls = append(stalls, mbneck.StallEvent{
-			At:       chainStallFirst + time.Duration(i)*chainStallEvery,
-			Duration: chainStallDuration,
-		})
+	stalls := make([]string, chainStallCount)
+	for i := range stalls {
+		stalls[i] = fmt.Sprintf("freeze:oneshot:interval=%v:duration=%v",
+			chainStallFirst+time.Duration(i)*chainStallEvery, chainStallDuration)
 	}
-	inj := mbneck.NewScriptedStalls(c.Eng, "fig16", c.Apps[0].CPU(), stalls)
-	inj.Start()
+	if _, err := inject(c, strings.Join(stalls, ",")); err != nil {
+		panic(err)
+	}
 	res := c.Run()
 
 	out := CausalChainResult{

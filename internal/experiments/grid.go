@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"time"
 
 	"millibalance/internal/adapt"
 	"millibalance/internal/admission"
 	"millibalance/internal/cluster"
+	"millibalance/internal/faults"
 	"millibalance/internal/mbneck"
 	"millibalance/internal/parallel"
+	"millibalance/internal/server"
 	"millibalance/internal/sim"
 	"millibalance/internal/trace"
 	"millibalance/internal/workload"
@@ -19,7 +22,7 @@ import (
 // The paper's evaluation is one matrix: balancer policy × get_endpoint
 // mechanism × millibottleneck cause. Table I, the generalization table,
 // Table IV, Figures 17/18 and the ablations are each a list of its cells.
-// A cell pairs a shape (a base configuration and the injector that
+// A cell pairs a shape (a base configuration and the scenario that
 // stalls it) with an arm (an edit to the balancer or a control plane).
 // runCells runs each distinct cell once, so tables run together share
 // their common runs.
@@ -28,52 +31,26 @@ import (
 type cell struct{ shape, arm string }
 
 // shape is one millibottleneck cause: its base configuration and the
-// injector that arms it on a built cluster, returning a fired-stall
-// counter. A nil inject means the base configuration stalls by itself
-// (or not at all).
+// -faults scenario (internal/faults) that stalls a built cluster whose
+// run lasts d. A nil scenario means the base configuration stalls by
+// itself (or not at all).
 type shape struct {
 	config func(Options) cluster.Config
-	inject func(c *cluster.Cluster, duration sim.Time) func() int
+	faults func(c *cluster.Cluster, d sim.Time) string
 }
 
 // shapes is the grid's shape table. Injected shapes run over the quiet
 // baseline so each run isolates one cause; durations derive from the
-// run length so scaled runs keep the same relative shape.
+// run length so scaled runs keep the same relative shape. The simulator
+// can only freeze a CPU, so every injected shape is a freeze or a GC
+// pause; the keys name the cause each stands in for.
 var shapes = map[string]shape{
 	// The paper's cause: the application tier's writeback daemons.
 	"dirty_page_flush": {config: paperConfig},
 	// Full-GC-like pauses: clocked per server, slightly jittered.
-	"gc_pause": {config: baselineConfig, inject: func(c *cluster.Cluster, _ sim.Time) func() int {
-		var injs []*mbneck.PeriodicStalls
-		for i, app := range c.Apps {
-			inj := mbneck.NewPeriodicStalls(c.Eng, fmt.Sprintf("gc-%d", i), app.CPU(),
-				4*time.Second, 180*time.Millisecond, 0.3)
-			inj.Start()
-			injs = append(injs, inj)
-		}
-		return func() (n int) {
-			for _, inj := range injs {
-				n += inj.Stalls()
-			}
-			return n
-		}
-	}},
-	// Noisy-neighbour interference: random stalls on every server.
-	"vm_colocation": {config: baselineConfig, inject: func(c *cluster.Cluster, _ sim.Time) func() int {
-		var injs []*mbneck.RandomStalls
-		for i, app := range c.Apps {
-			inj := mbneck.NewRandomStalls(c.Eng, fmt.Sprintf("vm-%d", i), app.CPU(),
-				5*time.Second, 150*time.Millisecond)
-			inj.Start()
-			injs = append(injs, inj)
-		}
-		return func() (n int) {
-			for _, inj := range injs {
-				n += inj.Stalls()
-			}
-			return n
-		}
-	}},
+	"gc_pause": {config: baselineConfig, faults: onEveryApp("gc_pause:periodic:interval=4s:duration=180ms:jitter=0.3")},
+	// Noisy-neighbour interference: random full stalls on every server.
+	"vm_colocation": {config: baselineConfig, faults: onEveryApp("freeze:random:interval=5s:duration=150ms")},
 	// Synchronized 7× arrival bursts: every backend saturates at once.
 	"bursty_workload": {config: func(opt Options) cluster.Config {
 		cfg := baselineConfig(opt)
@@ -83,26 +60,18 @@ var shapes = map[string]shape{
 	// A stream of sub-TTL stalls on one server: never long enough to
 	// trip staleness exclusion on its own, just a persistently slow
 	// backend — the shape probes must expose through latency.
-	"slow": {config: baselineConfig, inject: func(c *cluster.Cluster, d sim.Time) func() int {
-		inj := mbneck.NewPeriodicStalls(c.Eng, "slow-app1", c.Apps[0].CPU(), d/25, d/250, 0.2)
-		inj.Start()
-		return inj.Stalls
+	"slow": {config: baselineConfig, faults: func(_ *cluster.Cluster, d sim.Time) string {
+		return fmt.Sprintf("freeze:periodic:interval=%v:duration=%v:jitter=0.2", d/25, d/250)
 	}},
 	// Two crash-length outages on one server, at fixed fractions of the
-	// run.
-	"crash": {config: baselineConfig, inject: func(c *cluster.Cluster, d sim.Time) func() int {
-		inj := mbneck.NewScriptedStalls(c.Eng, "crash-app1", c.Apps[0].CPU(), []mbneck.StallEvent{
-			{At: d / 4, Duration: d / 10},
-			{At: d * 3 / 5, Duration: d / 10},
-		})
-		inj.Start()
-		return inj.Fired
+	// run: stalls, so the balancer's Error state is never entered.
+	"crash": {config: baselineConfig, faults: func(_ *cluster.Cluster, d sim.Time) string {
+		return fmt.Sprintf("freeze:oneshot:interval=%v:duration=%v,freeze:oneshot:interval=%v:duration=%v",
+			d/4, d/10, d*3/5, d/10)
 	}},
 	// Loss-and-retransmit waves: random, brief, frequent freezes.
-	"netloss": {config: baselineConfig, inject: func(c *cluster.Cluster, d sim.Time) func() int {
-		inj := mbneck.NewRandomStalls(c.Eng, "netloss-app1", c.Apps[0].CPU(), d/40, d/300)
-		inj.Start()
-		return inj.Stalls
+	"netloss": {config: baselineConfig, faults: func(_ *cluster.Cluster, d sim.Time) string {
+		return fmt.Sprintf("freeze:random:interval=%v:duration=%v", d/40, d/300)
 	}},
 	// The fault-free control.
 	"none": {config: baselineConfig},
@@ -115,36 +84,77 @@ var shapes = map[string]shape{
 func paperConfig(opt Options) cluster.Config    { return opt.apply(cluster.PaperConfig()) }
 func baselineConfig(opt Options) cluster.Config { return opt.apply(cluster.BaselineConfig()) }
 
+// onEveryApp repeats a spec on every app server.
+func onEveryApp(spec string) func(*cluster.Cluster, sim.Time) string {
+	return func(c *cluster.Cluster, _ sim.Time) string {
+		specs := make([]string, len(c.Apps))
+		for i, app := range c.Apps {
+			specs[i] = spec + ":target=" + app.Name()
+		}
+		return strings.Join(specs, ",")
+	}
+}
+
 // scriptedStall is one stall of d at `at` on tomcat1 during a fixed 12 s
 // run with writeback off: the close-ups' controlled scenario.
 func scriptedStall(at, d time.Duration) shape {
+	scenario := fmt.Sprintf("freeze:oneshot:interval=%v:duration=%v", at, d)
 	return shape{
 		config: func(opt Options) cluster.Config {
 			cfg := baselineConfig(opt)
 			cfg.Duration = 12 * time.Second
 			return cfg
 		},
-		inject: func(c *cluster.Cluster, _ sim.Time) func() int {
-			inj := mbneck.NewScriptedStalls(c.Eng, "scripted-app1", c.Apps[0].CPU(),
-				[]mbneck.StallEvent{{At: at, Duration: d}})
-			inj.Start()
-			return inj.Fired
-		},
+		faults: func(*cluster.Cluster, sim.Time) string { return scenario },
 	}
 }
 
-// run builds the shape's cluster with an arm's edit, arms its injector,
-// and returns the results and the stalls the injector fired.
+// run builds the shape's cluster with an arm's edit, injects its
+// scenario, and returns the results and the stalls the scenario fired.
 func (sh shape) run(opt Options, edit func(*cluster.Config)) (*cluster.Results, int) {
 	cfg := sh.config(opt)
 	edit(&cfg)
 	c := cluster.New(cfg)
 	stalls := func() int { return 0 }
-	if sh.inject != nil {
-		stalls = sh.inject(c, cfg.Duration)
+	if sh.faults != nil {
+		var err error
+		if stalls, err = inject(c, sh.faults(c, cfg.Duration)); err != nil {
+			panic(err)
+		}
 	}
 	res := c.Run()
 	return res, stalls()
+}
+
+// inject starts one engine driver per spec of a -faults scenario, on the
+// CPU of the app server the spec targets (the first when it names none),
+// and returns the count of windows they opened. The simulator can only
+// freeze a CPU: it refuses every shape but freeze and gc_pause.
+func inject(c *cluster.Cluster, scenario string) (func() int, error) {
+	specs, err := faults.ParseScenario(scenario)
+	if err != nil {
+		return nil, err
+	}
+	drivers := make([]*mbneck.Stalls, len(specs))
+	for i, spec := range specs {
+		if spec.ShapeKind != "freeze" && spec.ShapeKind != "gc_pause" {
+			return nil, fmt.Errorf("experiments: the simulator cannot inject %s, only freeze and gc_pause", spec.ShapeKind)
+		}
+		app := slices.IndexFunc(c.Apps, func(a *server.App) bool { return spec.Target == "" || a.Name() == spec.Target })
+		if app < 0 {
+			return nil, fmt.Errorf("experiments: fault target %q: no such app server", spec.Target)
+		}
+		drivers[i] = mbneck.NewStalls(c.Eng, c.Apps[app].CPU(), spec.Sched)
+	}
+	for _, d := range drivers {
+		d.Start()
+	}
+	return func() (n int) {
+		for _, d := range drivers {
+			n += d.Fired()
+		}
+		return n
+	}, nil
 }
 
 // arms is the grid's arm table. Every shape's base configuration runs
@@ -218,7 +228,7 @@ type Row struct {
 	AvgRTMillis              float64
 	VLRTPct, NormalPct       float64
 	Drops, Rejects, Sheds    uint64
-	InjectedStalls           int // stalls the shape's injector fired
+	InjectedStalls           int // stalls the shape's scenario fired
 
 	// Controller activity and its full decision log, for JSONL export
 	// and round-trip checks (the adaptive arm only).

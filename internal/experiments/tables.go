@@ -189,10 +189,13 @@ func (t TableIVResult) Render() string {
 type Fig17Result struct{ Grid }
 
 // faultShapes are the sim analogues of the wall-clock chaos suite's five
-// shapes: the native dirty-page freeze, clocked GC pauses, sustained slow
-// response, crash-length outages and lossy-network retransmission storms
-// (modelled as frequent brief stalls, the queue signature loss produces
-// upstream). Figures 17 and 18 print the paper's cause as "freeze".
+// shapes. The simulator can only freeze a CPU, so each is a freeze or a
+// GC-pause scenario that leaves the cause's queue signature: the native
+// dirty-page freeze, clocked GC pauses, a stream of sub-TTL stalls for
+// the slow response, two long stalls for the crash (the Error state is
+// never entered) and random brief freezes for the lossy network (no
+// drops at the accept queue). Figures 17 and 18 print the paper's cause
+// as "freeze".
 var faultShapes = labels{
 	{"dirty_page_flush", "freeze"},
 	{"gc_pause", "gc_pause"},

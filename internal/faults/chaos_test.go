@@ -2,6 +2,8 @@ package faults_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,25 @@ const (
 	chaosLoadTime = time.Second
 )
 
+// chaosRows are the matrix's shapes, each injected on app1 as a
+// scenario in the -faults grammar, with the error causes
+// (httpcluster.Cause) its arms may answer with besides client_cancel,
+// which every row allows because the load ends on a context deadline.
+// A stall or a slow reply delays requests and fails none; a crash
+// refuses dials and tears down the exchanges in flight; an injected
+// loss is the fault transport's own error, which the proxy counts as
+// other.
+var chaosRows = []struct {
+	shape, scenario string
+	causes          []string
+}{
+	{"freeze", "freeze:periodic:interval=250ms:duration=150ms:seed=7", nil},
+	{"crash", "crash:periodic:interval=400ms:duration=150ms:seed=7", []string{"dial_refused", "reset", "cut_short"}},
+	{"slow", "slow:periodic:interval=250ms:duration=200ms:delay=150ms:seed=7", nil},
+	{"netloss", "netloss:periodic:interval=250ms:duration=200ms:loss=0.9:seed=7", []string{"other"}},
+	{"gc_pause", "gc_pause:periodic:interval=250ms:duration=150ms:seed=7", nil},
+}
+
 type chaosArm struct {
 	stats      *httpcluster.LoadStats
 	maxWorkers int
@@ -36,6 +57,7 @@ type chaosArm struct {
 	shed           uint64
 	retries        uint64
 	faultsSeen     int
+	causes         map[string]uint64
 }
 
 // share is the fraction of requests at or over the threshold.
@@ -55,9 +77,9 @@ func (a chaosArm) failShare() float64 {
 	return float64(a.stats.Failures()) / float64(total)
 }
 
-// runChaosArm boots a fresh 3-backend tier, injects the shape
-// periodically against the first backend, and drives closed-loop load.
-func runChaosArm(t *testing.T, shape, arm string) chaosArm {
+// runChaosArm boots a fresh 3-backend tier, injects the scenario
+// against the first backend, and drives closed-loop load.
+func runChaosArm(t *testing.T, scenario, arm string) chaosArm {
 	t.Helper()
 
 	var apps []*httpcluster.AppServer
@@ -128,7 +150,15 @@ func runChaosArm(t *testing.T, shape, arm string) chaosArm {
 	}
 	defer func() { _ = proxy.Close() }()
 
-	inj := buildInjector(t, shape, apps[0], tr)
+	specs, err := faults.ParseScenario(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injs, err := faults.Bind(specs, apps, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := injs[0]
 	inj.Arm(proxy.Events(), proxy.Epoch())
 	inj.Start()
 	defer inj.Stop()
@@ -160,7 +190,7 @@ func runChaosArm(t *testing.T, shape, arm string) chaosArm {
 	<-sampleDone
 
 	if stats.Total() == 0 {
-		t.Fatalf("%s/%s: no requests completed", shape, arm)
+		t.Fatalf("%s/%s: no requests completed", scenario, arm)
 	}
 	var maxGE time.Duration
 	for _, sp := range proxy.Tracer().Spans() {
@@ -175,31 +205,7 @@ func runChaosArm(t *testing.T, shape, arm string) chaosArm {
 		shed:           proxy.Shed(),
 		retries:        proxy.Retries(),
 		faultsSeen:     inj.Fired(),
-	}
-}
-
-// buildInjector maps a shape name onto the live tier.
-func buildInjector(t *testing.T, shape string, target *httpcluster.AppServer, tr *faults.Transport) *faults.Injector {
-	t.Helper()
-	host := strings.TrimPrefix(target.URL(), "http://")
-	sched := faults.Schedule{Kind: faults.Periodic, Interval: 250 * time.Millisecond, Duration: 150 * time.Millisecond, Seed: 7}
-	switch shape {
-	case "freeze":
-		return faults.NewInjector(faults.Freeze{Name: target.Name(), S: target}, sched)
-	case "gc_pause":
-		return faults.NewInjector(faults.GCPause{Name: target.Name(), S: target}, sched)
-	case "slow":
-		return faults.NewInjector(faults.Slow{Name: target.Name(), D: target, Extra: 150 * time.Millisecond},
-			faults.Schedule{Kind: faults.Periodic, Interval: 250 * time.Millisecond, Duration: 200 * time.Millisecond, Seed: 7})
-	case "crash":
-		return faults.NewInjector(faults.Crash{Name: target.Name(), R: target},
-			faults.Schedule{Kind: faults.Periodic, Interval: 400 * time.Millisecond, Duration: 150 * time.Millisecond, Seed: 7})
-	case "netloss":
-		return faults.NewInjector(faults.NetDegrade{T: tr, Host: host, Loss: 0.9},
-			faults.Schedule{Kind: faults.Periodic, Interval: 250 * time.Millisecond, Duration: 200 * time.Millisecond, Seed: 7})
-	default:
-		t.Fatalf("unknown shape %q", shape)
-		return nil
+		causes:         proxy.ErrorCauses(),
 	}
 }
 
@@ -207,15 +213,15 @@ func TestChaosMatrix(t *testing.T) {
 	if testing.Short() && testing.Verbose() {
 		t.Log("short mode: freeze and crash shapes only")
 	}
-	shapes := []string{"freeze", "crash", "slow", "netloss", "gc_pause"}
+	rows := chaosRows
 	if testing.Short() {
-		shapes = []string{"freeze", "crash"}
+		rows = rows[:2] // freeze and crash
 	}
-	for _, shape := range shapes {
-		shape := shape
+	for _, row := range rows {
+		shape := row.shape
 		t.Run(shape, func(t *testing.T) {
-			orig := runChaosArm(t, shape, "original")
-			remedy := runChaosArm(t, shape, "remedy")
+			orig := runChaosArm(t, row.scenario, "original")
+			remedy := runChaosArm(t, row.scenario, "remedy")
 
 			if orig.faultsSeen == 0 || remedy.faultsSeen == 0 {
 				t.Fatalf("injector idle: orig=%d remedy=%d windows", orig.faultsSeen, remedy.faultsSeen)
@@ -262,8 +268,19 @@ func TestChaosMatrix(t *testing.T) {
 				remedy.stats.Total(), remedy.failShare(), remedy.share(100*time.Millisecond), remedy.maxGetEndpoint,
 				remedy.shed, remedy.retries)
 
+			checkCauses := func(arm string, a chaosArm) {
+				t.Logf("%s: %s error causes %s", shape, arm, causeList(a.causes))
+				for cause, n := range a.causes {
+					if n > 0 && cause != "client_cancel" && !slices.Contains(row.causes, cause) {
+						t.Errorf("%s %s: %d error replies for cause %s, allowed client_cancel and %v", shape, arm, n, cause, row.causes)
+					}
+				}
+			}
+			checkCauses("original", orig)
+			checkCauses("remedy", remedy)
+
 			if shape == "freeze" {
-				adaptive := runChaosArm(t, shape, "adaptive")
+				adaptive := runChaosArm(t, row.scenario, "adaptive")
 				// The control plane must remediate: its tail share stays
 				// within the baseline's, and it survives the run.
 				if as, os := adaptive.share(100*time.Millisecond), orig.share(100*time.Millisecond); as > os+0.05 {
@@ -271,9 +288,22 @@ func TestChaosMatrix(t *testing.T) {
 				}
 				t.Logf("%s: adaptive total=%d fail=%.3f slow100=%.3f maxGE=%v",
 					shape, adaptive.stats.Total(), adaptive.failShare(), adaptive.share(100*time.Millisecond), adaptive.maxGetEndpoint)
+				checkCauses("adaptive", adaptive)
 			}
 		})
 	}
+}
+
+// causeList prints the non-zero error causes in name order.
+func causeList(causes map[string]uint64) string {
+	var out []string
+	for c, n := range causes {
+		if n > 0 {
+			out = append(out, fmt.Sprintf("%s=%d", c, n))
+		}
+	}
+	slices.Sort(out)
+	return "[" + strings.Join(out, " ") + "]"
 }
 
 // TestCorrelatedFreezeSheds: when every backend freezes at once there

@@ -1,7 +1,7 @@
 // Package faults is the wall-clock fault-injection subsystem: the
-// real-HTTP twin of internal/mbneck's simulated injectors. A fault is a
-// Shape (what breaks: freeze, GC pause, slow response, crash+restart,
-// network latency/loss) bound to a Schedule (when it breaks: periodic
+// real-HTTP twin of internal/mbneck's engine driver. A fault is a Shape
+// (what breaks: freeze, GC pause, slow response, crash+restart, network
+// latency/loss) bound to mbneck's Schedule (when it breaks: periodic
 // with jitter, random, one-shot) by an Injector, which emits
 // fault_start/fault_end events into an obs.EventLog so experiment
 // post-processing can correlate injected windows with the balancer's
@@ -11,14 +11,10 @@
 // Shapes act through narrow interfaces (Staller, Delayer, Restarter)
 // implemented by httpcluster.AppServer, and through a fault-wrapping
 // http.RoundTripper for the network shapes, so the package depends only
-// on internal/obs and the standard library.
+// on internal/obs, internal/mbneck and the standard library.
 package faults
 
-import (
-	"time"
-
-	"millibalance/internal/obs"
-)
+import "time"
 
 // Staller freezes all request progress for a window — the
 // dirty-page-writeback millibottleneck (httpcluster.AppServer.Stall).
@@ -127,19 +123,4 @@ func (c Correlated) Open(d time.Duration) {
 	for _, s := range c {
 		s.Open(d)
 	}
-}
-
-// Fault is a runnable injector: Arm wires the event log, Start launches
-// the schedule, Stop halts it (idempotent).
-type Fault interface {
-	// Name identifies the injector ("freeze:periodic", ...).
-	Name() string
-	// Arm attaches the event log and epoch used for fault_start /
-	// fault_end records. Call before Start.
-	Arm(log *obs.EventLog, epoch time.Time)
-	// Start launches the injection schedule in a background goroutine.
-	Start()
-	// Stop halts the schedule and waits for the runner to exit. Fault
-	// windows already opened still close on their own timers.
-	Stop()
 }

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -108,6 +109,42 @@ func TestInjectorStopHaltsSchedule(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if got := in.Fired(); got != fired {
 		t.Fatalf("injector fired after Stop: %d → %d", fired, got)
+	}
+}
+
+// TestInjectorWindowsFollowSchedule pins the wall driver apart from the
+// chaos matrix: for a fixed Seed, the fault_start events' Window values
+// are the lengths the schedule draws from the injector's source, a gap
+// before each length, window after window.
+func TestInjectorWindowsFollowSchedule(t *testing.T) {
+	for _, sched := range []Schedule{
+		{Kind: Periodic, Interval: 2 * time.Millisecond, Duration: time.Millisecond, Jitter: 0.5, Count: 6, Seed: 7},
+		{Kind: Random, Interval: 2 * time.Millisecond, Duration: time.Millisecond, Count: 6, Seed: 7},
+		{Kind: OneShot, Interval: time.Millisecond, Duration: 3 * time.Millisecond, Jitter: 0.5, Count: 1, Seed: 9},
+	} {
+		t.Run(sched.Kind.String(), func(t *testing.T) {
+			in := NewInjector(Freeze{Name: "app1", S: &fakeStaller{}}, sched)
+			log := obs.NewEventLog(64)
+			in.Arm(log, time.Now())
+			in.Start()
+			deadline := time.Now().Add(2 * time.Second)
+			for in.Fired() < sched.Count && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			in.Stop()
+			starts := log.Kind(obs.KindFaultStart)
+			if len(starts) != sched.Count {
+				t.Fatalf("%d fault_start events, want %d", len(starts), sched.Count)
+			}
+			// The injector's source, seeded as run seeds it.
+			rng := rand.New(rand.NewPCG(sched.Seed, sched.Seed^0x9e3779b97f4a7c15))
+			for i, ev := range starts {
+				sched.Gap(rng)
+				if want := sched.Length(rng); ev.Window != want {
+					t.Fatalf("window %d = %v, want %v", i, ev.Window, want)
+				}
+			}
+		})
 	}
 }
 
@@ -240,7 +277,7 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 
 func TestParseScenario(t *testing.T) {
 	specs, err := ParseScenario(
-		"freeze:periodic:interval=2s:duration=300ms:jitter=500ms:target=app1, " +
+		"freeze:periodic:interval=2s:duration=300ms:jitter=0.25:target=app1, " +
 			"netloss:oneshot:interval=5s:duration=1s:loss=0.25:target=app2," +
 			"slow:random:delay=80ms:seed=9")
 	if err != nil {
@@ -251,7 +288,7 @@ func TestParseScenario(t *testing.T) {
 	}
 	f := specs[0]
 	if f.ShapeKind != "freeze" || f.Sched.Kind != Periodic || f.Sched.Interval != 2*time.Second ||
-		f.Sched.Duration != 300*time.Millisecond || f.Sched.Jitter != 500*time.Millisecond || f.Target != "app1" {
+		f.Sched.Duration != 300*time.Millisecond || f.Sched.Jitter != 0.25 || f.Target != "app1" {
 		t.Fatalf("freeze spec %+v", f)
 	}
 	n := specs[1]
@@ -271,6 +308,7 @@ func TestParseScenario(t *testing.T) {
 		"freeze:periodic:bogus=1",
 		"freeze:periodic:interval=-2s",
 		"netloss:oneshot:loss=1.5",
+		"freeze:periodic:jitter=500ms",
 		"freeze:periodic:duration",
 	} {
 		if _, err := ParseScenario(bad); err == nil {

@@ -3,37 +3,40 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Scenario text format, shared by cmd/httpdemo's -faults flag and the
-// chaos tooling: a comma-separated list of specs, each
+// Scenario text format, shared by cmd/httpdemo's -faults flag, the chaos
+// matrix and the simulator's evaluation grid: a comma-separated list of
+// specs, each
 //
 //	shape:schedule[:key=value]...
 //
 // with shapes freeze | gc_pause | slow | crash | netdelay | netloss,
 // schedules periodic | random | oneshot, and keys interval, duration,
-// jitter, count, seed, target, delay (slow's extra service time),
-// latency and loss (the network shapes). Example:
+// jitter (a fraction in [0, 1] of each gap and length), count, seed,
+// target, delay (slow's extra service time), latency and loss (the
+// network shapes). Example:
 //
-//	freeze:periodic:interval=2s:duration=300ms:jitter=500ms:target=app1,
+//	freeze:periodic:interval=2s:duration=300ms:jitter=0.25:target=app1,
 //	netloss:oneshot:interval=5s:duration=1s:loss=0.5:target=app2
 //
-// The same vocabulary maps onto internal/mbneck's simulated injectors
-// (periodic↔PeriodicStalls, random↔RandomStalls, oneshot↔Scripted), so
-// one scenario description drives both substrates.
+// A schedule means the same windows on both substrates: the wall clock
+// runs it through Injector, the simulator through mbneck.Stalls, both
+// drawing from mbneck.Schedule. The simulator can only freeze a CPU, so
+// it takes freeze and gc_pause and refuses the other shapes.
 
 // Spec is one parsed fault specification, not yet bound to a live
-// target. The caller resolves Target to a Shape (an app server or the
-// proxy transport) and calls Bind.
+// target: Bind binds it on the wall clock.
 type Spec struct {
 	// ShapeKind is one of freeze, gc_pause, slow, crash, netdelay,
 	// netloss.
 	ShapeKind string
-	// Target names the backend the fault afflicts; empty means the
-	// caller's default (typically the first backend).
+	// Target names the app server the fault afflicts; empty means the
+	// first.
 	Target string
 	// Sched is the window arrival process.
 	Sched Schedule
@@ -43,9 +46,6 @@ type Spec struct {
 	Latency time.Duration
 	Loss    float64
 }
-
-// Bind attaches the resolved shape, producing a runnable injector.
-func (s Spec) Bind(shape Shape) *Injector { return NewInjector(shape, s.Sched) }
 
 // ParseScenario parses a comma-separated scenario string.
 func ParseScenario(text string) ([]Spec, error) {
@@ -79,15 +79,11 @@ func ParseSpec(text string) (Spec, error) {
 	default:
 		return Spec{}, fmt.Errorf("faults: unknown shape %q", spec.ShapeKind)
 	}
-	switch fields[1] {
-	case "periodic":
-		spec.Sched.Kind = Periodic
-	case "random":
-		spec.Sched.Kind = Random
-	case "oneshot":
-		spec.Sched.Kind = OneShot
-	default:
-		return Spec{}, fmt.Errorf("faults: unknown schedule %q", fields[1])
+	// Walk the kinds, periodic to oneshot, to the one fields[1] names.
+	for spec.Sched.Kind = Periodic; spec.Sched.Kind.String() != fields[1]; spec.Sched.Kind++ {
+		if spec.Sched.Kind == OneShot {
+			return Spec{}, fmt.Errorf("faults: unknown schedule %q", fields[1])
+		}
 	}
 	// Shape-specific defaults; overridable below.
 	spec.Sched.Interval = 500 * time.Millisecond
@@ -112,7 +108,7 @@ func ParseSpec(text string) (Spec, error) {
 		case "duration":
 			spec.Sched.Duration, err = parseDur(val)
 		case "jitter":
-			spec.Sched.Jitter, err = parseDur(val)
+			spec.Sched.Jitter, err = parseFrac(key, val)
 		case "count":
 			spec.Sched.Count, err = strconv.Atoi(val)
 		case "seed":
@@ -124,14 +120,7 @@ func ParseSpec(text string) (Spec, error) {
 		case "latency":
 			spec.Latency, err = parseDur(val)
 		case "loss":
-			spec.Loss, err = strconv.ParseFloat(val, 64)
-			// NaN compares false against both bounds, so without its own
-			// check "loss=NaN" parsed as a valid spec (found by
-			// FuzzParseScenario); every subsequent roll against it is
-			// false, silently disabling the shape.
-			if err == nil && (math.IsNaN(spec.Loss) || spec.Loss < 0 || spec.Loss > 1) {
-				err = fmt.Errorf("loss outside [0,1]")
-			}
+			spec.Loss, err = parseFrac(key, val)
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown key %q in %q", key, text)
 		}
@@ -151,4 +140,55 @@ func parseDur(s string) (time.Duration, error) {
 		return 0, fmt.Errorf("duration %v not positive", d)
 	}
 	return d, nil
+}
+
+// parseFrac parses a fraction in [0, 1]. NaN compares false against
+// both bounds, so without its own check "loss=NaN" parsed as a valid
+// spec (found by FuzzParseScenario); every roll against it is false,
+// silently disabling the shape.
+func parseFrac(key, s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || f < 0 || f > 1) {
+		err = fmt.Errorf("%s outside [0,1]", key)
+	}
+	return f, err
+}
+
+// App is a live backend a scenario can afflict
+// (httpcluster.AppServer).
+type App interface {
+	Name() string
+	URL() string
+	Staller
+	Delayer
+	Restarter
+}
+
+// Bind resolves each spec against apps and binds its shape: the target
+// names an app server (the first when it names none), and the network
+// shapes degrade that server's host on tr.
+func Bind[A App](specs []Spec, apps []A, tr *Transport) ([]*Injector, error) {
+	var out []*Injector
+	for _, spec := range specs {
+		i := slices.IndexFunc(apps, func(a A) bool { return spec.Target == "" || a.Name() == spec.Target })
+		if i < 0 {
+			return nil, fmt.Errorf("faults: target %q: no such app server", spec.Target)
+		}
+		app := apps[i]
+		var shape Shape
+		switch spec.ShapeKind {
+		case "freeze":
+			shape = Freeze{Name: app.Name(), S: app}
+		case "gc_pause":
+			shape = GCPause{Name: app.Name(), S: app}
+		case "slow":
+			shape = Slow{Name: app.Name(), D: app, Extra: spec.Delay}
+		case "crash":
+			shape = Crash{Name: app.Name(), R: app}
+		default: // netdelay, netloss
+			shape = NetDegrade{T: tr, Host: strings.TrimPrefix(app.URL(), "http://"), Latency: spec.Latency, Loss: spec.Loss}
+		}
+		out = append(out, NewInjector(shape, spec.Sched))
+	}
+	return out, nil
 }

@@ -18,7 +18,12 @@ func TestParseSpecErrorMessages(t *testing.T) {
 		{"freeze:periodic:bogus=1", `faults: unknown key "bogus" in "freeze:periodic:bogus=1"`},
 		{"freeze:periodic:interval=-2s", `faults: "interval=-2s": duration -2s not positive`},
 		{"freeze:periodic:duration=0s", `faults: "duration=0s": duration 0s not positive`},
-		{"gc_pause:random:jitter=-5ms", `faults: "jitter=-5ms": duration -5ms not positive`},
+		{"gc_pause:periodic:jitter=-0.1", `faults: "jitter=-0.1": jitter outside [0,1]`},
+		{"gc_pause:periodic:jitter=1.5", `faults: "jitter=1.5": jitter outside [0,1]`},
+		{"gc_pause:periodic:jitter=NaN", `faults: "jitter=NaN": jitter outside [0,1]`},
+		{"gc_pause:periodic:jitter=+Inf", `faults: "jitter=+Inf": jitter outside [0,1]`},
+		{"gc_pause:periodic:jitter=-Inf", `faults: "jitter=-Inf": jitter outside [0,1]`},
+		{"gc_pause:periodic:jitter=5ms", `faults: "jitter=5ms": strconv.ParseFloat: parsing "5ms": invalid syntax`},
 		{"netloss:oneshot:loss=1.5", `faults: "loss=1.5": loss outside [0,1]`},
 		{"netloss:oneshot:loss=-0.1", `faults: "loss=-0.1": loss outside [0,1]`},
 	}

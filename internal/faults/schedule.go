@@ -3,59 +3,29 @@ package faults
 import (
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"millibalance/internal/mbneck"
 	"millibalance/internal/obs"
 )
 
-// ScheduleKind selects the arrival process of fault windows.
-type ScheduleKind int
-
-const (
-	// Periodic opens a window every Interval ± uniform Jitter — the
-	// simulator's PeriodicStalls (dirty-page writeback cadence).
-	Periodic ScheduleKind = iota
-	// Random opens windows as a Poisson process with mean gap Interval
-	// — the simulator's RandomStalls (JVM GC arrivals).
-	Random
-	// OneShot opens a single window after Interval, then stops — the
-	// scripted what-happens-at-t scenario.
-	OneShot
+// Schedule and its kinds are internal/mbneck's, so one scenario opens
+// the same windows on the simulator and on the wall clock.
+type (
+	Schedule     = mbneck.Schedule
+	ScheduleKind = mbneck.ScheduleKind
 )
 
-func (k ScheduleKind) String() string {
-	switch k {
-	case Periodic:
-		return "periodic"
-	case Random:
-		return "random"
-	case OneShot:
-		return "oneshot"
-	default:
-		return "schedule(?)"
-	}
-}
+const (
+	Periodic = mbneck.Periodic
+	Random   = mbneck.Random
+	OneShot  = mbneck.OneShot
+)
 
-// Schedule describes when fault windows open.
-type Schedule struct {
-	Kind ScheduleKind
-	// Interval is the periodic gap, the random mean gap, or the
-	// one-shot delay.
-	Interval time.Duration
-	// Duration is the window length.
-	Duration time.Duration
-	// Jitter, for Periodic, spreads each gap uniformly over
-	// [Interval-Jitter, Interval+Jitter].
-	Jitter time.Duration
-	// Count, when positive, stops the schedule after that many windows.
-	Count int
-	// Seed makes the jittered/random gaps reproducible; zero derives a
-	// fixed default so runs are deterministic unless varied explicitly.
-	Seed uint64
-}
-
-// Injector binds a Shape to a Schedule and runs it, emitting
-// fault_start/fault_end events. Construct with NewInjector.
+// Injector drives a Schedule on the wall clock, opening its Shape for
+// each window and emitting fault_start/fault_end events. Construct with
+// NewInjector.
 type Injector struct {
 	shape Shape
 	sched Schedule
@@ -63,11 +33,10 @@ type Injector struct {
 	log   *obs.EventLog
 	epoch time.Time
 
-	mu      sync.Mutex
-	stop    chan struct{}
-	wg      sync.WaitGroup
-	fired   int
-	started bool
+	mu    sync.Mutex
+	stop  chan struct{} // nil while stopped
+	wg    sync.WaitGroup
+	fired atomic.Int64
 }
 
 // NewInjector binds shape to sched.
@@ -90,47 +59,34 @@ func (in *Injector) Name() string {
 func (in *Injector) Shape() Shape { return in.shape }
 
 // Fired reports opened windows.
-func (in *Injector) Fired() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fired
-}
+func (in *Injector) Fired() int { return int(in.fired.Load()) }
 
-// Arm attaches the event log and epoch. Call before Start.
-func (in *Injector) Arm(log *obs.EventLog, epoch time.Time) {
-	in.mu.Lock()
-	in.log = log
-	in.epoch = epoch
-	in.mu.Unlock()
-}
+// Arm attaches the event log and epoch. Call before Start: the runner
+// reads them without a lock.
+func (in *Injector) Arm(log *obs.EventLog, epoch time.Time) { in.log, in.epoch = log, epoch }
 
 // Start launches the schedule. A second Start is a no-op until Stop.
 func (in *Injector) Start() {
 	in.mu.Lock()
-	if in.started {
-		in.mu.Unlock()
-		return
+	defer in.mu.Unlock()
+	if in.stop == nil {
+		in.stop = make(chan struct{})
+		in.wg.Add(1)
+		go in.run(in.stop)
 	}
-	in.started = true
-	in.stop = make(chan struct{})
-	stop := in.stop
-	in.mu.Unlock()
-	in.wg.Add(1)
-	go in.run(stop)
 }
 
 // Stop halts the schedule and waits for the runner goroutine. Windows
 // already open close on their own timers. Idempotent.
 func (in *Injector) Stop() {
 	in.mu.Lock()
-	if !in.started {
-		in.mu.Unlock()
-		return
-	}
-	in.started = false
-	close(in.stop)
+	stop := in.stop
+	in.stop = nil
 	in.mu.Unlock()
-	in.wg.Wait()
+	if stop != nil {
+		close(stop)
+		in.wg.Wait()
+	}
 }
 
 func (in *Injector) run(stop chan struct{}) {
@@ -140,61 +96,35 @@ func (in *Injector) run(stop chan struct{}) {
 		seed = 0x6d696c6c69 // deterministic default
 	}
 	rng := rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
-	for n := 0; in.sched.Count <= 0 || n < in.sched.Count; n++ {
-		var gap time.Duration
-		switch in.sched.Kind {
-		case Random:
-			gap = time.Duration(rng.ExpFloat64() * float64(in.sched.Interval))
-		case OneShot:
-			gap = in.sched.Interval
-		default: // Periodic
-			gap = in.sched.Interval
-			if j := in.sched.Jitter; j > 0 {
-				gap += time.Duration(rng.Int64N(int64(2*j))) - j
-			}
-		}
-		if gap < 0 {
-			gap = 0
-		}
-		t := time.NewTimer(gap)
+	for fired := 0; !in.sched.Done(fired); fired++ {
+		t := time.NewTimer(in.sched.Gap(rng))
 		select {
 		case <-stop:
 			t.Stop()
 			return
 		case <-t.C:
 		}
-		in.open()
-		if in.sched.Kind == OneShot {
-			return
-		}
+		in.open(in.sched.Length(rng))
 	}
 }
 
-// open fires one fault window and schedules its closing event.
-func (in *Injector) open() {
-	in.mu.Lock()
-	in.fired++
-	log, epoch := in.log, in.epoch
-	in.mu.Unlock()
-	d := in.sched.Duration
-	if log != nil {
-		log.Append(obs.Event{
+// open fires one fault window of length d and schedules its closing
+// event.
+func (in *Injector) open(d time.Duration) {
+	in.fired.Add(1)
+	if log, epoch := in.log, in.epoch; log != nil {
+		ev := obs.Event{
 			T:       time.Since(epoch),
 			Kind:    obs.KindFaultStart,
 			Source:  in.Name(),
 			Backend: in.shape.Target(),
 			Fault:   in.shape.Kind(),
 			Window:  d,
-		})
+		}
+		log.Append(ev)
 		time.AfterFunc(d, func() {
-			log.Append(obs.Event{
-				T:       time.Since(epoch),
-				Kind:    obs.KindFaultEnd,
-				Source:  in.Name(),
-				Backend: in.shape.Target(),
-				Fault:   in.shape.Kind(),
-				Window:  d,
-			})
+			ev.T, ev.Kind = time.Since(epoch), obs.KindFaultEnd
+			log.Append(ev)
 		})
 	}
 	in.shape.Open(d)

@@ -1,13 +1,16 @@
 // Package mbneck provides millibottleneck tooling on both sides of the
-// experiment: injectors that create transient full-saturation windows
-// from the causes the paper catalogs (dirty-page flushing lives in
-// internal/resource as the writeback daemon; this package adds Java GC,
-// DVFS, VM-colocation and scripted stalls), and a detector implementing
-// the paper's diagnosis methodology — find sub-second 100%-utilization
-// windows and correlate them with queue peaks and VLRT windows.
+// experiment: the stall schedule both substrates inject from (periodic,
+// random and one-shot windows; dirty-page flushing lives in
+// internal/resource as the writeback daemon), its engine driver, and a
+// detector implementing the paper's diagnosis methodology — find
+// sub-second 100%-utilization windows and correlate them with queue
+// peaks and VLRT windows.
 package mbneck
 
 import (
+	"math/rand/v2"
+	"time"
+
 	"millibalance/internal/sim"
 )
 
@@ -17,187 +20,114 @@ type Stallable interface {
 	Stall(d sim.Time)
 }
 
-// Injector is a source of millibottlenecks that can be armed and
-// disarmed.
-type Injector interface {
-	// Name identifies the injector in configs and reports.
-	Name() string
-	// Start arms the injector.
-	Start()
-	// Stop disarms it; an in-progress stall runs out naturally.
-	Stop()
+// ScheduleKind selects the arrival process of stall windows.
+type ScheduleKind int
+
+const (
+	// Periodic opens a window every Interval: clocked causes such as
+	// full Java garbage collections and DVFS power-state transitions.
+	Periodic ScheduleKind = iota
+	// Random opens windows as a Poisson process with mean gap Interval
+	// and exponential lengths of mean Duration: VM-colocation
+	// interference and other unscheduled causes.
+	Random
+	// OneShot opens one window Interval after the start: the zoom
+	// scenario's scripted stall.
+	OneShot
+)
+
+func (k ScheduleKind) String() string { return [...]string{"periodic", "random", "oneshot"}[k] }
+
+// Schedule says when stall windows open and how long each lasts. It
+// holds no state: a driver draws a window's gap when it arms the window
+// and its length when the window opens, from its own source, so the
+// engine driver (Stalls) and the wall-clock faults.Injector replay one
+// sequence from one source.
+type Schedule struct {
+	Kind ScheduleKind
+	// Interval is the periodic gap, the random mean gap, or the
+	// one-shot delay.
+	Interval time.Duration
+	// Duration is the window length (the random mean length).
+	Duration time.Duration
+	// Jitter in [0, 1] scales each periodic or one-shot gap and length
+	// by a uniform factor in [1-Jitter, 1+Jitter] (sim.Jitter).
+	Jitter float64
+	// Count, when positive, stops the schedule after that many windows.
+	Count int
+	// Seed seeds the wall-clock driver's source; zero derives a fixed
+	// default. The engine driver draws from the engine's source.
+	Seed uint64
 }
 
-// PeriodicStalls stalls the target on a fixed period, modelling
-// clocked causes: full Java garbage collections and DVFS power-state
-// transitions (the paper's other VLRT sources). The paper's hardware
-// DVFS slows the clock rather than halting it; a short full stall is the
-// closest equivalent our frozen-progress CPU model exposes, and produces
-// the same queue signature.
-type PeriodicStalls struct {
-	eng    *sim.Engine
-	name   string
-	target Stallable
-	// Interval separates stall starts; Duration is each stall's length;
-	// Jitter (0..1) randomizes both uniformly.
-	Interval sim.Time
-	Duration sim.Time
-	Jitter   float64
+// Gap draws the wait before the next window opens.
+func (s Schedule) Gap(rng *rand.Rand) time.Duration {
+	if s.Kind == Random {
+		return sim.Exponential(rng, s.Interval)
+	}
+	return sim.Jitter(rng, s.Interval, s.Jitter)
+}
 
+// Length draws the length of the window that opens now.
+func (s Schedule) Length(rng *rand.Rand) time.Duration {
+	if s.Kind == Random {
+		return sim.Exponential(rng, s.Duration)
+	}
+	return sim.Jitter(rng, s.Duration, s.Jitter)
+}
+
+// Done reports whether a driver that has opened fired windows stops.
+func (s Schedule) Done(fired int) bool {
+	return s.Kind == OneShot && fired > 0 || s.Count > 0 && fired >= s.Count
+}
+
+// Stalls drives a Schedule on the engine's clock, stalling its target
+// for each window. It draws from the engine's source, so a run replays
+// from its seed.
+type Stalls struct {
+	eng    *sim.Engine
+	target Stallable
+	sched  Schedule
 	timer  sim.Timer
 	armed  bool
-	stalls int
-}
-
-// NewPeriodicStalls returns a periodic injector.
-func NewPeriodicStalls(eng *sim.Engine, name string, target Stallable, interval, duration sim.Time, jitter float64) *PeriodicStalls {
-	if target == nil {
-		panic("mbneck: nil stall target")
-	}
-	if interval <= 0 || duration <= 0 {
-		panic("mbneck: PeriodicStalls requires positive interval and duration")
-	}
-	return &PeriodicStalls{eng: eng, name: name, target: target, Interval: interval, Duration: duration, Jitter: jitter}
-}
-
-// Name implements Injector.
-func (p *PeriodicStalls) Name() string { return p.name }
-
-// Stalls reports how many stalls have fired.
-func (p *PeriodicStalls) Stalls() int { return p.stalls }
-
-// Start implements Injector.
-func (p *PeriodicStalls) Start() {
-	if p.armed {
-		panic("mbneck: Start called twice")
-	}
-	p.armed = true
-	p.arm()
-}
-
-func (p *PeriodicStalls) arm() {
-	p.timer = p.eng.Schedule(p.eng.Jitter(p.Interval, p.Jitter), func() {
-		p.stalls++
-		p.target.Stall(p.eng.Jitter(p.Duration, p.Jitter))
-		p.arm()
-	})
-}
-
-// Stop implements Injector.
-func (p *PeriodicStalls) Stop() {
-	p.eng.Stop(p.timer)
-	p.timer = sim.Timer{}
-}
-
-// RandomStalls stalls the target with exponential inter-arrivals and
-// exponential durations, modelling VM-colocation interference (a noisy
-// neighbour bursting onto the shared cores) and other unscheduled
-// causes.
-type RandomStalls struct {
-	eng          *sim.Engine
-	name         string
-	target       Stallable
-	MeanInterval sim.Time
-	MeanDuration sim.Time
-
-	timer  sim.Timer
-	armed  bool
-	stalls int
-}
-
-// NewRandomStalls returns a random injector.
-func NewRandomStalls(eng *sim.Engine, name string, target Stallable, meanInterval, meanDuration sim.Time) *RandomStalls {
-	if target == nil {
-		panic("mbneck: nil stall target")
-	}
-	if meanInterval <= 0 || meanDuration <= 0 {
-		panic("mbneck: RandomStalls requires positive means")
-	}
-	return &RandomStalls{eng: eng, name: name, target: target, MeanInterval: meanInterval, MeanDuration: meanDuration}
-}
-
-// Name implements Injector.
-func (r *RandomStalls) Name() string { return r.name }
-
-// Stalls reports how many stalls have fired.
-func (r *RandomStalls) Stalls() int { return r.stalls }
-
-// Start implements Injector.
-func (r *RandomStalls) Start() {
-	if r.armed {
-		panic("mbneck: Start called twice")
-	}
-	r.armed = true
-	r.arm()
-}
-
-func (r *RandomStalls) arm() {
-	r.timer = r.eng.Schedule(r.eng.Exponential(r.MeanInterval), func() {
-		r.stalls++
-		r.target.Stall(r.eng.Exponential(r.MeanDuration))
-		r.arm()
-	})
-}
-
-// Stop implements Injector.
-func (r *RandomStalls) Stop() {
-	r.eng.Stop(r.timer)
-	r.timer = sim.Timer{}
-}
-
-// StallEvent is one scripted stall.
-type StallEvent struct {
-	At       sim.Time
-	Duration sim.Time
-}
-
-// ScriptedStalls plays back an exact stall schedule — the controlled
-// scenario used by the zoomed-in experiments (Fig. 6/7/9/10/11/13 zoom
-// into a window around one known millibottleneck).
-type ScriptedStalls struct {
-	eng    *sim.Engine
-	name   string
-	target Stallable
-	events []StallEvent
-	timers []sim.Timer
 	fired  int
 }
 
-// NewScriptedStalls returns a scripted injector; the events are copied.
-func NewScriptedStalls(eng *sim.Engine, name string, target Stallable, events []StallEvent) *ScriptedStalls {
+// NewStalls binds target to sched. A periodic or random schedule needs
+// a positive interval and duration.
+func NewStalls(eng *sim.Engine, target Stallable, sched Schedule) *Stalls {
 	if target == nil {
 		panic("mbneck: nil stall target")
 	}
-	copied := make([]StallEvent, len(events))
-	copy(copied, events)
-	return &ScriptedStalls{eng: eng, name: name, target: target, events: copied}
+	if sched.Kind != OneShot && (sched.Interval <= 0 || sched.Duration <= 0) {
+		panic("mbneck: a recurring schedule requires positive interval and duration")
+	}
+	return &Stalls{eng: eng, target: target, sched: sched}
 }
 
-// Name implements Injector.
-func (s *ScriptedStalls) Name() string { return s.name }
+// Fired reports how many windows have opened.
+func (s *Stalls) Fired() int { return s.fired }
 
-// Fired reports how many scripted stalls have fired.
-func (s *ScriptedStalls) Fired() int { return s.fired }
-
-// Start implements Injector.
-func (s *ScriptedStalls) Start() {
-	if s.timers != nil {
+// Start arms the first window.
+func (s *Stalls) Start() {
+	if s.armed {
 		panic("mbneck: Start called twice")
 	}
-	s.timers = make([]sim.Timer, 0, len(s.events))
-	for _, ev := range s.events {
-		ev := ev
-		s.timers = append(s.timers, s.eng.At(ev.At, func() {
-			s.fired++
-			s.target.Stall(ev.Duration)
-		}))
+	s.armed = true
+	s.timer = s.eng.ScheduleEvent(s.sched.Gap(s.eng.Rand()), s)
+}
+
+// Fire opens a window and arms the next one: the engine's callback.
+func (s *Stalls) Fire() {
+	s.fired++
+	s.target.Stall(s.sched.Length(s.eng.Rand()))
+	if !s.sched.Done(s.fired) {
+		s.timer = s.eng.ScheduleEvent(s.sched.Gap(s.eng.Rand()), s)
 	}
 }
 
-// Stop implements Injector.
-func (s *ScriptedStalls) Stop() {
-	for _, tm := range s.timers {
-		s.eng.Stop(tm)
-	}
-	s.timers = nil
+// Stop disarms the driver; a stall in progress runs out.
+func (s *Stalls) Stop() {
+	s.eng.Stop(s.timer)
+	s.timer = sim.Timer{}
 }

@@ -8,21 +8,29 @@ import (
 	"millibalance/internal/stats"
 )
 
+// stall is one window a recorder saw open.
+type stall struct{ At, Duration sim.Time }
+
 // recorder implements Stallable and logs stall calls.
 type recorder struct {
 	eng    *sim.Engine
-	stalls []StallEvent
+	stalls []stall
 }
 
 func (r *recorder) Stall(d sim.Time) {
-	r.stalls = append(r.stalls, StallEvent{At: r.eng.Now(), Duration: d})
+	r.stalls = append(r.stalls, stall{At: r.eng.Now(), Duration: d})
+}
+
+func startStalls(eng *sim.Engine, sched Schedule) (*recorder, *Stalls) {
+	rec := &recorder{eng: eng}
+	s := NewStalls(eng, rec, sched)
+	s.Start()
+	return rec, s
 }
 
 func TestPeriodicStallsFireOnInterval(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	rec := &recorder{eng: eng}
-	inj := NewPeriodicStalls(eng, "gc", rec, time.Second, 100*time.Millisecond, 0)
-	inj.Start()
+	rec, inj := startStalls(eng, Schedule{Kind: Periodic, Interval: time.Second, Duration: 100 * time.Millisecond})
 	eng.Run(3500 * time.Millisecond)
 	if len(rec.stalls) != 3 {
 		t.Fatalf("stalls = %v, want 3", rec.stalls)
@@ -32,16 +40,14 @@ func TestPeriodicStallsFireOnInterval(t *testing.T) {
 			t.Fatalf("stall %d = %+v", i, s)
 		}
 	}
-	if inj.Stalls() != 3 || inj.Name() != "gc" {
-		t.Fatalf("Stalls=%d Name=%q", inj.Stalls(), inj.Name())
+	if inj.Fired() != 3 {
+		t.Fatalf("Fired=%d", inj.Fired())
 	}
 }
 
 func TestPeriodicStallsStop(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	rec := &recorder{eng: eng}
-	inj := NewPeriodicStalls(eng, "gc", rec, time.Second, 50*time.Millisecond, 0)
-	inj.Start()
+	rec, inj := startStalls(eng, Schedule{Kind: Periodic, Interval: time.Second, Duration: 50 * time.Millisecond})
 	eng.Run(1500 * time.Millisecond)
 	inj.Stop()
 	eng.Run(10 * time.Second)
@@ -52,9 +58,7 @@ func TestPeriodicStallsStop(t *testing.T) {
 
 func TestPeriodicStallsJitterBounds(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	rec := &recorder{eng: eng}
-	inj := NewPeriodicStalls(eng, "gc", rec, time.Second, 100*time.Millisecond, 0.2)
-	inj.Start()
+	rec, _ := startStalls(eng, Schedule{Kind: Periodic, Interval: time.Second, Duration: 100 * time.Millisecond, Jitter: 0.2})
 	eng.Run(30 * time.Second)
 	if len(rec.stalls) < 20 {
 		t.Fatalf("only %d stalls", len(rec.stalls))
@@ -76,10 +80,12 @@ func TestPeriodicStallsValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("nil target", func() { NewPeriodicStalls(eng, "x", nil, 1, 1, 0) })
-	mustPanic("zero interval", func() { NewPeriodicStalls(eng, "x", &recorder{eng: eng}, 0, 1, 0) })
+	periodic := Schedule{Kind: Periodic, Interval: 1, Duration: 1}
+	mustPanic("nil target", func() { NewStalls(eng, nil, periodic) })
+	mustPanic("zero interval", func() { NewStalls(eng, &recorder{eng: eng}, Schedule{Kind: Periodic, Duration: 1}) })
+	mustPanic("zero random duration", func() { NewStalls(eng, &recorder{eng: eng}, Schedule{Kind: Random, Interval: 1}) })
 	mustPanic("double start", func() {
-		i := NewPeriodicStalls(eng, "x", &recorder{eng: eng}, 1, 1, 0)
+		i := NewStalls(eng, &recorder{eng: eng}, periodic)
 		i.Start()
 		i.Start()
 	})
@@ -87,9 +93,7 @@ func TestPeriodicStallsValidation(t *testing.T) {
 
 func TestRandomStallsStatistics(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	rec := &recorder{eng: eng}
-	inj := NewRandomStalls(eng, "vm", rec, time.Second, 100*time.Millisecond)
-	inj.Start()
+	rec, inj := startStalls(eng, Schedule{Kind: Random, Interval: time.Second, Duration: 100 * time.Millisecond})
 	eng.Run(200 * time.Second)
 	n := len(rec.stalls)
 	if n < 150 || n > 260 {
@@ -106,15 +110,21 @@ func TestRandomStallsStatistics(t *testing.T) {
 	inj.Stop()
 }
 
+// A script is a list of one-shot schedules, each opening once at its
+// Interval after the start.
 func TestScriptedStallsExactPlayback(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	rec := &recorder{eng: eng}
-	script := []StallEvent{
+	script := []stall{
 		{At: 500 * time.Millisecond, Duration: 120 * time.Millisecond},
 		{At: 2 * time.Second, Duration: 80 * time.Millisecond},
 	}
-	inj := NewScriptedStalls(eng, "scripted", rec, script)
-	inj.Start()
+	var injs []*Stalls
+	for _, s := range script {
+		inj := NewStalls(eng, rec, Schedule{Kind: OneShot, Interval: s.At, Duration: s.Duration, Count: 5})
+		inj.Start()
+		injs = append(injs, inj)
+	}
 	eng.Run(5 * time.Second)
 	if len(rec.stalls) != 2 {
 		t.Fatalf("stalls = %v", rec.stalls)
@@ -123,38 +133,91 @@ func TestScriptedStallsExactPlayback(t *testing.T) {
 		if rec.stalls[i] != script[i] {
 			t.Fatalf("stall %d = %+v, want %+v", i, rec.stalls[i], script[i])
 		}
-	}
-	if inj.Fired() != 2 {
-		t.Fatalf("Fired = %d", inj.Fired())
+		if injs[i].Fired() != 1 {
+			t.Fatalf("one-shot %d fired %d times", i, injs[i].Fired())
+		}
 	}
 }
 
 func TestScriptedStallsStopCancelsRemaining(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
 	rec := &recorder{eng: eng}
-	inj := NewScriptedStalls(eng, "scripted", rec, []StallEvent{
-		{At: time.Second, Duration: time.Millisecond},
-		{At: 10 * time.Second, Duration: time.Millisecond},
-	})
-	inj.Start()
+	var injs []*Stalls
+	for _, at := range []sim.Time{time.Second, 10 * time.Second} {
+		inj := NewStalls(eng, rec, Schedule{Kind: OneShot, Interval: at, Duration: time.Millisecond})
+		inj.Start()
+		injs = append(injs, inj)
+	}
 	eng.Run(2 * time.Second)
-	inj.Stop()
+	for _, inj := range injs {
+		inj.Stop()
+	}
 	eng.Run(20 * time.Second)
 	if len(rec.stalls) != 1 {
 		t.Fatalf("stalls = %d after Stop", len(rec.stalls))
 	}
 }
 
-func TestScriptedStallsCopiesEvents(t *testing.T) {
+func TestStallsCountStopsSchedule(t *testing.T) {
 	eng := sim.NewEngine(1, 2)
-	rec := &recorder{eng: eng}
-	script := []StallEvent{{At: time.Second, Duration: 50 * time.Millisecond}}
-	inj := NewScriptedStalls(eng, "scripted", rec, script)
-	script[0].Duration = time.Hour // must not affect the injector
-	inj.Start()
-	eng.Run(2 * time.Second)
-	if rec.stalls[0].Duration != 50*time.Millisecond {
-		t.Fatal("ScriptedStalls did not copy its event slice")
+	rec, inj := startStalls(eng, Schedule{Kind: Random, Interval: time.Second, Duration: time.Millisecond, Count: 4})
+	eng.Run(time.Minute)
+	if len(rec.stalls) != 4 || inj.Fired() != 4 || eng.Pending() != 0 {
+		t.Fatalf("stalls=%d fired=%d pending=%d, want 4, 4, 0", len(rec.stalls), inj.Fired(), eng.Pending())
+	}
+}
+
+// TestStallsDrawOrder pins the engine driver's draws apart from the
+// goldens: for a fixed seed, each window's (gap, length) pair is what
+// eng.Jitter or eng.Exponential draws on a twin engine, the gap when
+// the window is armed and the length when it opens, window after
+// window. A zero jitter draws nothing.
+func TestStallsDrawOrder(t *testing.T) {
+	const windows = 6
+	cases := []struct {
+		name  string
+		sched Schedule
+		draw  func(ref *sim.Engine, d sim.Time) sim.Time
+	}{
+		{"periodic", Schedule{Kind: Periodic, Interval: time.Second, Duration: 100 * time.Millisecond},
+			func(ref *sim.Engine, d sim.Time) sim.Time { return ref.Jitter(d, 0) }},
+		{"periodic_jitter", Schedule{Kind: Periodic, Interval: time.Second, Duration: 100 * time.Millisecond, Jitter: 0.3},
+			func(ref *sim.Engine, d sim.Time) sim.Time { return ref.Jitter(d, 0.3) }},
+		{"random", Schedule{Kind: Random, Interval: time.Second, Duration: 100 * time.Millisecond},
+			func(ref *sim.Engine, d sim.Time) sim.Time { return ref.Exponential(d) }},
+		{"oneshot", Schedule{Kind: OneShot, Interval: 3 * time.Second, Duration: 250 * time.Millisecond},
+			func(ref *sim.Engine, d sim.Time) sim.Time { return d }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, ref := sim.NewEngine(7, 11), sim.NewEngine(7, 11)
+			rec, _ := startStalls(eng, tc.sched)
+			var want []stall
+			var at sim.Time
+			for i := 0; i < windows && !tc.sched.Done(i); i++ {
+				at += tc.draw(ref, tc.sched.Interval)
+				want = append(want, stall{At: at, Duration: tc.draw(ref, tc.sched.Duration)})
+			}
+			eng.Run(at) // the next window's gap is drawn when this one opens
+			if tc.sched.Kind != OneShot {
+				tc.draw(ref, tc.sched.Interval)
+			}
+			if len(rec.stalls) != len(want) {
+				t.Fatalf("%d windows, want %d: %v", len(rec.stalls), len(want), rec.stalls)
+			}
+			for i := range want {
+				if rec.stalls[i] != want[i] {
+					t.Fatalf("window %d = %+v, want %+v", i, rec.stalls[i], want[i])
+				}
+			}
+			next := eng.Rand().Uint64()
+			if next != ref.Rand().Uint64() {
+				t.Fatal("the driver drew more or fewer values than the reference")
+			}
+			if tc.sched.Jitter == 0 && tc.sched.Kind != Random && next != sim.NewEngine(7, 11).Rand().Uint64() {
+				t.Fatal("a zero jitter drew from the engine's source")
+			}
+		})
 	}
 }
 

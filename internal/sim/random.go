@@ -2,16 +2,21 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
 	"time"
 )
 
 // Exponential draws an exponentially distributed duration with the given
 // mean. A non-positive mean returns zero.
-func (e *Engine) Exponential(mean Time) Time {
+func (e *Engine) Exponential(mean Time) Time { return Exponential(e.rng, mean) }
+
+// Exponential is Engine.Exponential drawing from rng, for a driver that
+// keeps its own source (the wall-clock fault injector).
+func Exponential(rng *rand.Rand, mean Time) Time {
 	if mean <= 0 {
 		return 0
 	}
-	return Time(e.rng.ExpFloat64() * float64(mean))
+	return Time(rng.ExpFloat64() * float64(mean))
 }
 
 // Uniform draws a duration uniformly from [lo, hi). If hi <= lo it
@@ -96,11 +101,15 @@ func (e *Engine) PickWeighted(weights []float64) int {
 }
 
 // Jitter returns d scaled by a uniform factor in [1-frac, 1+frac].
-func (e *Engine) Jitter(d Time, frac float64) Time {
+func (e *Engine) Jitter(d Time, frac float64) Time { return Jitter(e.rng, d, frac) }
+
+// Jitter is Engine.Jitter drawing from rng. A zero frac or d draws
+// nothing.
+func Jitter(rng *rand.Rand, d Time, frac float64) Time {
 	if frac <= 0 || d <= 0 {
 		return d
 	}
-	f := 1 + (e.rng.Float64()*2-1)*frac
+	f := 1 + (rng.Float64()*2-1)*frac
 	if f < 0 {
 		f = 0
 	}
