@@ -128,23 +128,13 @@ func run(args []string) error {
 		}
 		defer stopProf()
 	}
-	var transport *faults.Transport
-	if *faultSpec != "" {
-		// The fault wrapper sits on the pooled transport the proxy would
-		// have built for itself, so injected latency is added to the same
-		// keep-alive path the unfaulted demo measures.
-		pooled := httpcluster.NewUpstreamTransport(backends)
-		defer pooled.CloseIdleConnections()
-		transport = faults.NewTransport(pooled, 1)
-		pcfg.Transport = transport
-	}
 	proxy, err := httpcluster.StartProxy(pcfg, backends)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = proxy.Close() }()
 
-	injectors, err := faults.Bind(specs, appServers, transport)
+	injectors, err := faults.Bind(specs, appServers)
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,16 @@
 package faults_test
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -33,8 +39,9 @@ const (
 // which every row allows because the load ends on a context deadline.
 // A stall or a slow reply delays requests and fails none; a crash
 // refuses dials and tears down the exchanges in flight; an injected
-// loss is the fault transport's own error, which the proxy counts as
-// other.
+// loss resets the connection at the app server with no reply, after
+// the proxy's replay of a reused connection, so the proxy counts it as
+// reset.
 var chaosRows = []struct {
 	shape, scenario string
 	causes          []string
@@ -42,7 +49,7 @@ var chaosRows = []struct {
 	{"freeze", "freeze:periodic:interval=250ms:duration=150ms:seed=7", nil},
 	{"crash", "crash:periodic:interval=400ms:duration=150ms:seed=7", []string{"dial_refused", "reset", "cut_short"}},
 	{"slow", "slow:periodic:interval=250ms:duration=200ms:delay=150ms:seed=7", nil},
-	{"netloss", "netloss:periodic:interval=250ms:duration=200ms:loss=0.9:seed=7", []string{"other"}},
+	{"netloss", "netloss:periodic:interval=250ms:duration=200ms:loss=0.9:seed=7", []string{"reset"}},
 	{"gc_pause", "gc_pause:periodic:interval=250ms:duration=150ms:seed=7", nil},
 }
 
@@ -99,11 +106,6 @@ func runChaosArm(t *testing.T, scenario, arm string) chaosArm {
 		backends = append(backends, httpcluster.NewBackend(name, app.URL(), 16))
 	}
 
-	// Faults are injected on the pooled transport the proxy would have
-	// built for itself, so the matrix measures the keep-alive path.
-	pooled := httpcluster.NewUpstreamTransport(backends)
-	defer pooled.CloseIdleConnections()
-	tr := faults.NewTransport(pooled, 42)
 	resil := &httpcluster.Resilience{
 		AttemptTimeout: 500 * time.Millisecond,
 		MaxRetries:     2,
@@ -117,7 +119,6 @@ func runChaosArm(t *testing.T, scenario, arm string) chaosArm {
 	}
 	cfg := httpcluster.ProxyConfig{
 		Workers:       64,
-		Transport:     tr,
 		EventCapacity: 4096,
 		SpanCapacity:  16384,
 		LB:            httpcluster.Config{},
@@ -154,7 +155,7 @@ func runChaosArm(t *testing.T, scenario, arm string) chaosArm {
 	if err != nil {
 		t.Fatal(err)
 	}
-	injs, err := faults.Bind(specs, apps, tr)
+	injs, err := faults.Bind(specs, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +292,99 @@ func TestChaosMatrix(t *testing.T) {
 				checkCauses("adaptive", adaptive)
 			}
 		})
+	}
+}
+
+// TestNetLossResetsAtTheAppServer: a netloss window acts on the app
+// server it names. A request sent to it straight meets a reset with no
+// reply, the proxy, started as production starts it, answers its share
+// with reset, the window's events name the backend, and once the window
+// ends the server answers again.
+func TestNetLossResetsAtTheAppServer(t *testing.T) {
+	var apps []*httpcluster.AppServer
+	var backends []*httpcluster.Backend
+	for _, name := range []string{"app1", "app2"} {
+		app, err := httpcluster.StartAppServer(httpcluster.AppServerConfig{Name: name, Workers: 4, ServiceTime: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = app.Close() }()
+		apps = append(apps, app)
+		backends = append(backends, httpcluster.NewBackend(name, app.URL(), 4))
+	}
+	proxy, err := httpcluster.StartProxy(httpcluster.ProxyConfig{
+		Workers: 4, Policy: httpcluster.PolicyRoundRobin, Mechanism: httpcluster.MechanismModified, EventCapacity: 256,
+	}, backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+	specs, err := faults.ParseScenario("netloss:oneshot:interval=10ms:duration=400ms:loss=1:seed=3:target=app2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	injs, err := faults.Bind(specs, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := injs[0]
+	inj.Arm(proxy.Events(), proxy.Epoch())
+	inj.Start()
+	defer inj.Stop()
+	for deadline := time.Now().Add(2 * time.Second); inj.Fired() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the window never opened")
+		}
+	}
+
+	// rawGet sends one GET on a connection of its own and returns what
+	// came back before the connection ended.
+	rawGet := func(addr string) (string, error) {
+		c, err := net.Dial("tcp", strings.TrimPrefix(addr, "http://"))
+		if err != nil {
+			return "", err
+		}
+		defer func() { _ = c.Close() }()
+		_ = c.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := io.WriteString(c, "GET /x HTTP/1.1\r\nHost: app\r\n\r\n"); err != nil {
+			return "", err
+		}
+		got, err := bufio.NewReader(c).ReadString('\n')
+		return got, err
+	}
+	if got, err := rawGet(apps[1].URL()); got != "" || !errors.Is(err, syscall.ECONNRESET) {
+		t.Errorf("app2 in the window: read %q, %v; want nothing and a reset", got, err)
+	}
+	if got, err := rawGet(apps[0].URL()); err != nil || !strings.HasPrefix(got, "HTTP/1.1 200") {
+		t.Errorf("app1 in app2's window: read %q, %v; want a 200", got, err)
+	}
+	client := &http.Client{Transport: &http.Transport{}, Timeout: 2 * time.Second}
+	defer client.CloseIdleConnections()
+	for i := 0; i < 8; i++ {
+		resp, err := client.Get(proxy.URL() + "/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+	}
+	if causes := proxy.ErrorCauses(); causes["reset"] == 0 || proxy.Errors() != causes["reset"] {
+		t.Errorf("proxy error causes %s, want reset alone", causeList(causes))
+	}
+
+	log := proxy.Events()
+	for deadline := time.Now().Add(2 * time.Second); len(log.Kind(obs.KindFaultEnd)) == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the window never closed")
+		}
+	}
+	for _, kind := range []string{obs.KindFaultStart, obs.KindFaultEnd} {
+		if evs := log.Kind(kind); len(evs) != 1 || evs[0].Backend != "app2" || evs[0].Fault != "netloss" {
+			t.Errorf("%s events %+v, want one netloss event on app2", kind, evs)
+		}
+	}
+	if got, err := rawGet(apps[1].URL()); err != nil || !strings.HasPrefix(got, "HTTP/1.1 200") {
+		t.Errorf("app2 after the window: read %q, %v; want a 200", got, err)
 	}
 }
 

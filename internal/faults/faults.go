@@ -8,9 +8,10 @@
 // observed behavior — the paper's fine-grained timeline analysis,
 // driven against live goroutines instead of virtual time.
 //
-// Shapes act through narrow interfaces (Staller, Delayer, Restarter)
-// implemented by httpcluster.AppServer, and through a fault-wrapping
-// http.RoundTripper for the network shapes, so the package depends only
+// Shapes act through narrow interfaces (Staller, Delayer, Restarter,
+// NetFaulter) implemented by httpcluster.AppServer, so every shape —
+// the network ones included — acts on the afflicted server itself and
+// the proxy meets it on its one upstream path. The package depends only
 // on internal/obs, internal/mbneck and the standard library.
 package faults
 
@@ -35,13 +36,21 @@ type Restarter interface {
 	Restart() error
 }
 
+// NetFaulter opens and clears a network fault on a server's connections:
+// added latency before a request is served, and seeded loss that resets
+// the connection without a reply (httpcluster.AppServer.SetNetFault).
+// Zero latency and loss clear it.
+type NetFaulter interface {
+	SetNetFault(latency time.Duration, loss float64, seed uint64)
+}
+
 // Shape is one way a backend (or its network path) can break. Open
 // applies the fault for the window d and must return immediately; the
 // shape is responsible for undoing itself after d elapses.
 type Shape interface {
 	// Kind names the fault taxonomy entry ("freeze", "gc_pause", ...).
 	Kind() string
-	// Target names the afflicted backend (or host), for event records.
+	// Target names the afflicted backend, for event records.
 	Target() string
 	// Open applies the fault for the window d, returning immediately.
 	Open(d time.Duration)
@@ -100,6 +109,32 @@ func (c Crash) Target() string { return c.Name }
 func (c Crash) Open(d time.Duration) {
 	c.R.Crash()
 	time.AfterFunc(d, func() { _ = c.R.Restart() })
+}
+
+// NetDegrade is the network fault shape: for the window, every request
+// to the target waits Latency before it is served and is lost with
+// probability Loss, its connection reset without a reply. Seed seeds the
+// loss draws.
+type NetDegrade struct {
+	Name    string
+	N       NetFaulter
+	Latency time.Duration
+	Loss    float64
+	Seed    uint64
+}
+
+func (n NetDegrade) Kind() string {
+	if n.Loss > 0 && n.Latency <= 0 {
+		return "netloss"
+	}
+	return "netdelay"
+}
+
+func (n NetDegrade) Target() string { return n.Name }
+
+func (n NetDegrade) Open(d time.Duration) {
+	n.N.SetNetFault(n.Latency, n.Loss, n.Seed)
+	time.AfterFunc(d, func() { n.N.SetNetFault(0, 0, 0) })
 }
 
 // Correlated opens several shapes for the same window — the

@@ -2,13 +2,16 @@ package faults
 
 import (
 	"errors"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"millibalance/internal/httpcluster"
 	"millibalance/internal/obs"
 )
 
@@ -205,75 +208,105 @@ func TestCorrelatedOpensAllShapes(t *testing.T) {
 	}
 }
 
+// TestTransportLatencyAndLoss: the network fault acts on the app
+// server's connections. A request waits the injected latency; a lost one
+// meets a reset with no reply; cleared, the server answers at once.
 func TestTransportLatencyAndLoss(t *testing.T) {
-	inner := roundTripFunc(func(req *http.Request) (*http.Response, error) {
-		return &http.Response{StatusCode: 200, Body: http.NoBody}, nil
-	})
-	tr := NewTransport(inner, 1)
+	app, err := httpcluster.StartAppServer(httpcluster.AppServerConfig{Name: "app1", ServiceTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = app.Close() }()
+	client := &http.Client{Transport: &http.Transport{}, Timeout: 5 * time.Second}
+	defer client.CloseIdleConnections()
+	get := func() error {
+		resp, err := client.Get(app.URL() + "/x")
+		if err != nil {
+			return err
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		return err
+	}
 
-	req, _ := http.NewRequest(http.MethodGet, "http://10.0.0.1:8080/x", nil)
-
-	// Untouched host passes through with no delay.
+	// An untouched server answers with no delay, once the client's
+	// connection is up.
+	if err := get(); err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	if _, err := tr.RoundTrip(req); err != nil {
+	if err := get(); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 20*time.Millisecond {
-		t.Fatal("undegraded host delayed")
+		t.Fatal("undegraded server delayed")
 	}
 
 	// Latency applies while degraded.
-	tr.Degrade("10.0.0.1:8080", 30*time.Millisecond, 0)
+	app.SetNetFault(30*time.Millisecond, 0, 1)
 	start = time.Now()
-	if _, err := tr.RoundTrip(req); err != nil {
+	if err := get(); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
-		t.Fatalf("degraded round trip took %v, want ≥ ~30ms", elapsed)
+		t.Fatalf("degraded request took %v, want ≥ ~30ms", elapsed)
 	}
 
-	// Full loss drops every request with the sentinel error.
-	tr.Degrade("10.0.0.1:8080", 0, 1.0)
-	if _, err := tr.RoundTrip(req); !errors.Is(err, ErrInjectedLoss) {
-		t.Fatalf("err = %v, want ErrInjectedLoss", err)
+	// Full loss resets every connection without a reply.
+	app.SetNetFault(0, 1, 1)
+	if err := get(); !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("err = %v, want a reset connection", err)
 	}
 
-	// Clear restores pass-through.
-	tr.Clear("10.0.0.1:8080")
-	if _, err := tr.RoundTrip(req); err != nil {
-		t.Fatalf("cleared host still failing: %v", err)
+	// Clearing restores service.
+	app.SetNetFault(0, 0, 0)
+	if err := get(); err != nil {
+		t.Fatalf("cleared server still failing: %v", err)
 	}
 }
 
+// fakeNetFaulter records the open network fault.
+type fakeNetFaulter struct {
+	mu      sync.Mutex
+	latency time.Duration
+	loss    float64
+	seed    uint64
+}
+
+func (f *fakeNetFaulter) SetNetFault(latency time.Duration, loss float64, seed uint64) {
+	f.mu.Lock()
+	f.latency, f.loss, f.seed = latency, loss, seed
+	f.mu.Unlock()
+}
+
+func (f *fakeNetFaulter) open() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.latency > 0 || f.loss > 0
+}
+
 func TestNetDegradeShape(t *testing.T) {
-	tr := NewTransport(nil, 1)
-	loss := NetDegrade{T: tr, Host: "h:1", Loss: 0.5}
-	if loss.Kind() != "netloss" {
-		t.Fatalf("kind %q", loss.Kind())
+	n := &fakeNetFaulter{}
+	loss := NetDegrade{Name: "app2", N: n, Loss: 0.5}
+	if loss.Kind() != "netloss" || loss.Target() != "app2" {
+		t.Fatalf("identity %s/%s", loss.Kind(), loss.Target())
 	}
-	delay := NetDegrade{T: tr, Host: "h:1", Latency: 10 * time.Millisecond}
+	delay := NetDegrade{Name: "app2", N: n, Latency: 10 * time.Millisecond, Seed: 9}
 	if delay.Kind() != "netdelay" {
 		t.Fatalf("kind %q", delay.Kind())
 	}
 	delay.Open(20 * time.Millisecond)
-	tr.mu.Lock()
-	_, open := tr.hosts["h:1"]
-	tr.mu.Unlock()
-	if !open {
-		t.Fatal("degradation not open during window")
+	n.mu.Lock()
+	latency, seed := n.latency, n.seed
+	n.mu.Unlock()
+	if latency != 10*time.Millisecond || seed != 9 {
+		t.Fatalf("fault during window: latency %v, seed %d", latency, seed)
 	}
 	time.Sleep(60 * time.Millisecond)
-	tr.mu.Lock()
-	_, open = tr.hosts["h:1"]
-	tr.mu.Unlock()
-	if open {
-		t.Fatal("degradation not cleared after window")
+	if n.open() {
+		t.Fatal("fault not cleared after window")
 	}
 }
-
-type roundTripFunc func(*http.Request) (*http.Response, error)
-
-func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
 func TestParseScenario(t *testing.T) {
 	specs, err := ParseScenario(

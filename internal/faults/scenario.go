@@ -17,9 +17,10 @@ import (
 //
 // with shapes freeze | gc_pause | slow | crash | netdelay | netloss,
 // schedules periodic | random | oneshot, and keys interval, duration,
-// jitter (a fraction in [0, 1] of each gap and length), count, seed,
-// target, delay (slow's extra service time), latency and loss (the
-// network shapes). Example:
+// jitter (a fraction in [0, 1] of each gap and length), count, seed (of
+// the schedule's draws and the network shapes' loss draws), target,
+// delay (slow's extra service time), latency and loss (the network
+// shapes). Example:
 //
 //	freeze:periodic:interval=2s:duration=300ms:jitter=0.25:target=app1,
 //	netloss:oneshot:interval=5s:duration=1s:loss=0.5:target=app2
@@ -158,16 +159,16 @@ func parseFrac(key, s string) (float64, error) {
 // (httpcluster.AppServer).
 type App interface {
 	Name() string
-	URL() string
 	Staller
 	Delayer
 	Restarter
+	NetFaulter
 }
 
-// Bind resolves each spec against apps and binds its shape: the target
-// names an app server (the first when it names none), and the network
-// shapes degrade that server's host on tr.
-func Bind[A App](specs []Spec, apps []A, tr *Transport) ([]*Injector, error) {
+// Bind resolves each spec against apps and binds its shape to the app
+// server its target names (the first when it names none). The network
+// shapes seed their loss draws with the spec's seed.
+func Bind[A App](specs []Spec, apps []A) ([]*Injector, error) {
 	var out []*Injector
 	for _, spec := range specs {
 		i := slices.IndexFunc(apps, func(a A) bool { return spec.Target == "" || a.Name() == spec.Target })
@@ -186,7 +187,7 @@ func Bind[A App](specs []Spec, apps []A, tr *Transport) ([]*Injector, error) {
 		case "crash":
 			shape = Crash{Name: app.Name(), R: app}
 		default: // netdelay, netloss
-			shape = NetDegrade{T: tr, Host: strings.TrimPrefix(app.URL(), "http://"), Latency: spec.Latency, Loss: spec.Loss}
+			shape = NetDegrade{Name: app.Name(), N: app, Latency: spec.Latency, Loss: spec.Loss, Seed: spec.Sched.Seed}
 		}
 		out = append(out, NewInjector(shape, spec.Sched))
 	}

@@ -65,9 +65,9 @@ func request(raw []byte) (*Head, error) {
 func reply(raw []byte) (*Head, error) {
 	h := new(Head)
 	br := bufio.NewReaderSize(bytes.NewReader(raw), 4096)
-	err := ReadStatusLine(br, h, false)
+	err := ReadStatusLine(br, h)
 	if err == nil {
-		err = h.ReadFields(br, All)
+		err = h.ReadFields(br, nil)
 	}
 	return h, err
 }

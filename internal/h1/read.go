@@ -30,9 +30,9 @@ const (
 
 // Head is one message head. A driver keeps one per connection and reads
 // every head into it, so a connection's heads allocate nothing once its
-// buffers have grown. The request-target or the reply's status, and the
-// fields the head keeps, are copied into the head's own buffer and held
-// as positions in it, valid until the next read into the head.
+// buffers have grown. A request's target and the fields the head keeps
+// are copied into the head's own buffer and held as positions in it,
+// valid until the next read into the head.
 type Head struct {
 	Method       string // a request's
 	Status       int    // a reply's status code
@@ -44,9 +44,9 @@ type Head struct {
 	Close    bool  // the connection carries no message after this one
 	Continue bool  // a request waits for a 100 Continue before it sends its body
 
-	reply, head bool // a reply's head; a reply to a HEAD request
+	reply       bool // a reply's head
 	limit, size int  // the head's bound and the bytes read of it
-	line        span // the request-target, or the status code and reason
+	line        span // a request's target
 	fields      []field
 	buf         []byte // what line and fields point into
 }
@@ -93,7 +93,7 @@ var (
 // the method, a target and an HTTP/x.y version, split by single spaces.
 // The driver parses Target before ReadFields reads the rest of the head.
 func ReadRequestLine(br *bufio.Reader, h *Head) error {
-	h.reset(false, false, maxRequestHead)
+	h.reset(false, maxRequestHead)
 	line, err := h.readLine(br)
 	if err != nil {
 		return err
@@ -110,10 +110,9 @@ func ReadRequestLine(br *bufio.Reader, h *Head) error {
 }
 
 // ReadStatusLine resets h and reads a reply's status line into it, as
-// http.ReadResponse reads one. head says the request was a HEAD, whose
-// reply carries no body.
-func ReadStatusLine(br *bufio.Reader, h *Head, head bool) error {
-	h.reset(true, head, maxReplyHead)
+// http.ReadResponse reads one for a request that is not a HEAD.
+func ReadStatusLine(br *bufio.Reader, h *Head) error {
+	h.reset(true, maxReplyHead)
 	line, err := h.readLine(br)
 	if err != nil {
 		return err
@@ -127,7 +126,6 @@ func ReadStatusLine(br *bufio.Reader, h *Head, head bool) error {
 	if !ok1 || !ok2 {
 		return errStartLine
 	}
-	h.line = h.keep(status)
 	return nil
 }
 
@@ -241,7 +239,7 @@ func (h *Head) frame() error {
 	}
 	h.Close = closes || h.Major < 1 || h.Major == 1 && h.Minor == 0 && !keepAlive
 	switch {
-	case h.reply && (h.head || !BodyAllowed(h.Status)):
+	case h.reply && !BodyAllowed(h.Status):
 		h.Length = 0
 	case h.Chunked:
 		h.Length = -1
@@ -258,10 +256,6 @@ func (h *Head) frame() error {
 // Target is a request's target as sent.
 func (h *Head) Target() []byte { return h.bytes(h.line) }
 
-// StatusText is a reply's status line past its version: the code and
-// the reason, as http.Response.Status holds them.
-func (h *Head) StatusText() []byte { return h.bytes(h.line) }
-
 // NumFields is the number of fields the head kept.
 func (h *Head) NumFields() int { return len(h.fields) }
 
@@ -271,12 +265,12 @@ func (h *Head) Field(i int) (name, value []byte) {
 	return h.bytes(h.fields[i].name), h.bytes(h.fields[i].value)
 }
 
-func (h *Head) reset(reply, head bool, limit int) {
+func (h *Head) reset(reply bool, limit int) {
 	buf, fields := h.buf[:0], h.fields[:0]
 	if cap(buf) > 64<<10 { // the last head was unusually large: let it go
 		buf = nil
 	}
-	*h = Head{reply: reply, head: head, limit: limit, buf: buf, fields: fields}
+	*h = Head{reply: reply, limit: limit, buf: buf, fields: fields}
 }
 
 // readLine reads one line of the head, counting it against its bound.
@@ -589,9 +583,6 @@ func EqualFold(b []byte, s string) bool {
 	}
 	return true
 }
-
-// All keeps every field of a head.
-func All([]byte) bool { return true }
 
 // The byte classes of the checks below.
 const (

@@ -50,22 +50,6 @@ func WriteField(bw *bufio.Writer, name, value string) {
 	bw.WriteString("\r\n")
 }
 
-// WriteHeader writes every field of header but the ones a writer sets
-// from the message itself: Host, Content-Length, Transfer-Encoding and
-// Trailer. The caller has checked each name with ValidToken and each
-// value with ValidValue.
-func WriteHeader(bw *bufio.Writer, header http.Header) {
-	for name, values := range header {
-		switch name {
-		case "Host", "Content-Length", "Transfer-Encoding", "Trailer":
-			continue
-		}
-		for _, v := range values {
-			WriteField(bw, name, v)
-		}
-	}
-}
-
 // WriteLength writes a Content-Length field.
 func WriteLength(bw *bufio.Writer, n int64) {
 	bw.WriteString("Content-Length: ")

@@ -224,7 +224,8 @@ func newClientTransport() *http.Transport {
 // runClient is one closed-loop client: a request, the think time, the
 // next request. It keeps the one keep-alive connection a closed loop
 // needs on a transport of its own, so clients never contend for a shared
-// idle pool, and releases it on return.
+// idle pool, and releases it on return. A request that the end of ctx
+// cuts off records no outcome: the run ended it, not the system.
 func runClient(ctx context.Context, shard int, url string, think time.Duration, out *LoadStats) {
 	transport := newClientTransport()
 	defer transport.CloseIdleConnections()
@@ -234,8 +235,11 @@ func runClient(ctx context.Context, shard int, url string, think time.Duration, 
 	var timer *time.Timer
 	for ctx.Err() == nil {
 		start := time.Now()
-		ok := doRequest(ctx, httpClient, url)
-		out.Record(shard, time.Since(start), ok)
+		status, err := doRequest(ctx, httpClient, url)
+		if err != nil && ctx.Err() != nil {
+			return
+		}
+		out.Record(shard, time.Since(start), err == nil && status < 400)
 		if think <= 0 {
 			continue
 		}
@@ -253,16 +257,18 @@ func runClient(ctx context.Context, shard int, url string, think time.Duration, 
 	}
 }
 
-func doRequest(ctx context.Context, client *http.Client, url string) bool {
+// doRequest sends one GET and reads the whole reply. It returns the
+// status, and an error when the exchange or the body read failed.
+func doRequest(ctx context.Context, client *http.Client, url string) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return false
+		return 0, err
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return false
+		return 0, err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode < 400
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
 }

@@ -37,9 +37,9 @@ func (p *Proxy) Admission() *admission.Gate { return p.adm }
 // armProbing builds the pools and the wall prober when the proxy can
 // dispatch through prequal, and starts probing. The prober is
 // rate-coupled to the served counter and fetches through roundTrip, the
-// requests' own path over the (possibly fault-wrapped) transport, so
-// probes see the network the traffic sees. Each backend has a slot of its
-// own for its probes, which the prober runs one at a time.
+// requests' own upstream path, so probes meet what the traffic meets,
+// the app servers' injected network faults included. Each backend has a
+// slot of its own for its probes, which the prober runs one at a time.
 func (p *Proxy) armProbing(backends []*Backend) {
 	var reseed func()
 	armed := p.planes.ArmProbing(p.cfg.Probe, p.cfg.Policy.String(), p.cfg.Adapt, func(pools *probe.Pools) func() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/url"
@@ -63,7 +64,7 @@ type AppServerConfig struct {
 type AppServer struct {
 	cfg      AppServerConfig
 	addr     string
-	mux      *http.ServeMux
+	handler  http.Handler // the open network fault's gate, then the mux
 	workers  chan struct{}
 	stallMu  sync.RWMutex
 	served   atomic.Uint64
@@ -82,6 +83,9 @@ type AppServer struct {
 	// extraDelay is fault-injected additional service time per request
 	// (nanoseconds), the slow-response degradation shape.
 	extraDelay atomic.Int64
+
+	// netFault is the open network fault (SetNetFault); nil when none is.
+	netFault atomic.Pointer[netFault]
 
 	// ewmaLat is the request-latency EWMA served at GET /admin/probe,
 	// stored as float64 bits so readers and the CAS update loop stay
@@ -133,8 +137,13 @@ func StartAppServer(cfg AppServerConfig) (*AppServer, error) {
 		fmt.Fprintln(w, "ok")
 	})
 	a.adminMux(mux)
-	a.mux = mux
-	a.srv = newServer(mux)
+	a.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f := a.netFault.Load(); f != nil && !f.pass(w, r) {
+			return
+		}
+		mux.ServeHTTP(w, r)
+	})
+	a.srv = newServer(a.handler)
 	a.wg.Add(1)
 	go func(srv *http.Server, ln net.Listener) {
 		defer a.wg.Done()
@@ -186,6 +195,66 @@ func (a *AppServer) ExtraDelay() time.Duration {
 	return time.Duration(a.extraDelay.Load())
 }
 
+// SetNetFault opens, or with zero latency and loss clears, a network
+// fault on the server's connections — the netdelay and netloss fault
+// shapes. Every request, /admin/probe's included, waits latency before it
+// takes a worker, and is then lost with probability loss: its connection
+// is reset without a reply. The loss draws come from a source seeded by
+// seed (0: a fixed default), anew for each fault opened. Requests already
+// past the fault are not affected.
+func (a *AppServer) SetNetFault(latency time.Duration, loss float64, seed uint64) {
+	if latency <= 0 && loss <= 0 {
+		a.netFault.Store(nil)
+		return
+	}
+	if seed == 0 {
+		seed = 0x6e6574
+	}
+	a.netFault.Store(&netFault{latency: latency, loss: loss, rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))})
+}
+
+// netFault is one open network fault.
+type netFault struct {
+	latency time.Duration
+	loss    float64
+	mu      sync.Mutex
+	rng     *rand.Rand
+}
+
+// pass holds the request for the fault's latency, then draws its loss. It
+// reports false for a request that goes no further: one whose client left
+// during the wait, or one that is lost, whose connection it resets —
+// hijacked, its linger set to 0, closed.
+func (f *netFault) pass(w http.ResponseWriter, r *http.Request) bool {
+	if f.latency > 0 {
+		t := time.NewTimer(f.latency)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-r.Context().Done():
+			return false
+		}
+	}
+	if f.loss <= 0 {
+		return true
+	}
+	f.mu.Lock()
+	lost := f.rng.Float64() < f.loss
+	f.mu.Unlock()
+	if !lost {
+		return true
+	}
+	c, _, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		panic(http.ErrAbortHandler) // net/http closes the connection without a reply
+	}
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetLinger(0) // close sends a reset
+	}
+	_ = c.Close() // the loss
+	return false
+}
+
 // Crash closes the server abruptly — the listener stops accepting and
 // every open connection (including the proxy's pooled keep-alives) is
 // torn down, so in-flight requests fail the way a process crash fails
@@ -219,7 +288,7 @@ func (a *AppServer) Restart() error {
 		return fmt.Errorf("httpcluster: restart %s: %w", a.cfg.Name, err)
 	}
 	a.ln = ln
-	a.srv = newServer(a.mux)
+	a.srv = newServer(a.handler)
 	a.down = false
 	a.wg.Add(1)
 	go func(srv *http.Server, ln net.Listener) {
@@ -454,13 +523,12 @@ type ProxyConfig struct {
 	// never exist.
 	Probe *probe.Config
 	// Transport, when non-nil, carries the upstream requests and the
-	// probes in place of the pooled transport the proxy otherwise builds
-	// and owns (NewUpstreamTransport) — the injection point for
-	// internal/faults' network latency/loss RoundTripper. The caller
-	// keeps ownership: Proxy.Close leaves it alone. A supplied transport
-	// other than an *UpstreamTransport learns each attempt's deadline from
-	// a context derived from the client connection's, one per attempt;
-	// the proxy's own transport takes the deadline directly.
+	// probes in place of the pooled UpstreamTransport the proxy otherwise
+	// builds and owns. It exists for wrappers that observe the hop, such
+	// as the bench's traced arm. The caller keeps ownership: Proxy.Close
+	// leaves it alone. It learns each attempt's deadline from a context
+	// derived from the client connection's, one per attempt; the proxy's
+	// own transport takes the deadline directly.
 	Transport http.RoundTripper
 	// Resilience, when non-nil, arms the graceful-degradation path:
 	// per-attempt deadlines, bounded budgeted retries and fast-fail
@@ -503,10 +571,8 @@ type Proxy struct {
 	errors  [numCauses]atomic.Uint64 // error replies by cause
 	wg      sync.WaitGroup           // the adaptive ladder's ticker
 
-	// upstream carries every request and probe to the app tier; owned is
-	// the same transport when the proxy built it (ProxyConfig.Transport
-	// nil) and nil otherwise.
-	upstream       http.RoundTripper
+	// owned carries every request and probe to the app tier when
+	// ProxyConfig.Transport is nil, and is nil otherwise.
 	owned          *UpstreamTransport
 	attemptTimeout time.Duration
 
@@ -553,13 +619,17 @@ func StartProxy(cfg ProxyConfig, backends []*Backend) (*Proxy, error) {
 		workers: make(chan struct{}, cfg.Workers),
 		epoch:   time.Now(),
 
-		upstream:       cfg.Transport,
 		attemptTimeout: defaultAttemptTimeout,
 	}
 	p.planes = planes.New(p.now)
-	if p.upstream == nil {
-		p.owned = NewUpstreamTransport(backends)
-		p.upstream = p.owned
+	if cfg.Transport == nil {
+		// One idle connection per endpoint of the largest backend pool,
+		// as mod_jk keeps one connection per endpoint.
+		idle := 0
+		for _, be := range backends {
+			idle = max(idle, be.capacity)
+		}
+		p.owned = newUpstreamTransport(idle)
 	}
 	if cfg.Resilience != nil {
 		r := cfg.Resilience.withDefaults()

@@ -33,15 +33,11 @@ const upstreamIdleAge = 90 * time.Second
 // http only, and is a driver of the HTTP/1.1 codec in internal/h1, which
 // writes the request and reads the reply.
 //
-// Two entry points share the exchange. forward is the tiers' own hop: it
-// writes GET <base path><path> and Host from its arguments under the
-// caller's context, its exchangeSlot and an attempt deadline, and returns
-// the status and the body — no request object, no derived context, no
-// header map, and on a reused connection no allocation. RoundTrip is the
-// http.RoundTripper for everything else (tests, wrappers such as
-// internal/faults' Transport): it writes the request's method, headers
-// and body, and returns an *http.Response with Status, StatusCode,
-// Proto*, Header, ContentLength, Close and Request set.
+// Its one entry point, forward, is the tiers' own hop: it writes GET
+// <base path><path> and Host from its arguments under the caller's
+// context, its exchangeSlot and an attempt deadline, and returns the
+// status and the body — no request object, no derived context, no header
+// map, and on a reused connection no allocation.
 //
 // The exchange: pop the youngest idle connection to the host or dial one;
 // set the socket deadline to the earlier of the attempt deadline and the
@@ -49,12 +45,10 @@ const upstreamIdleAge = 90 * time.Second
 // slot's abort forces the deadline into the past and fails the pending
 // read or write at once; write the request; read the reply's head on the
 // connection's bufio.Reader into the connection's h1.Head, keeping the
-// framing fields and, for RoundTrip, every field. The body reads through
-// an h1.Body on the same buffer, and decides the connection's fate when it
-// is closed. forward's caller fires its slot when its context ends;
-// RoundTrip builds a slot per request and registers one context.AfterFunc
-// that fires it. DESIGN.md §17 lists where the exchange differs from
-// net/http's.
+// framing fields. The body reads through an h1.Body on the same buffer,
+// and decides the connection's fate when it is closed. The caller fires
+// its slot when its context ends. DESIGN.md §17 lists where the exchange
+// differs from net/http's.
 //
 // Reuse. A connection goes back on the stack only if all of these hold:
 // the body was read to EOF (a chunked body's trailer section included);
@@ -68,18 +62,18 @@ const upstreamIdleAge = 90 * time.Second
 //
 // Replay. The transport does not watch idle connections, so it learns
 // that the peer closed one only by using it. A reused connection that
-// fails before one byte of the reply arrived, on a request without a
-// body whose context is still live, is replayed exactly once on a fresh
-// dial. Every other error — a failure on a fresh connection, after the
-// first reply byte, or with a request body — goes to the caller.
+// fails before one byte of the reply arrived, while the context is still
+// live, is replayed exactly once on a fresh dial. Every other error — a
+// failure on a fresh connection, or after the first reply byte — goes to
+// the caller.
 //
 // CloseIdleConnections is the owner's release and is final: the transport
 // keeps working afterwards, but every exchange then dials its own
 // connection and closes it, so neither a request in flight at that moment
 // nor one that starts later leaves a socket behind.
 //
-// A response body's Read and Close may be called from different
-// goroutines, but to interrupt a Read cancel the request's context.
+// A reply body's Read and Close may be called from different goroutines,
+// but to interrupt a Read fire the slot.
 type UpstreamTransport struct {
 	maxIdle int
 	dial    func(ctx context.Context, network, addr string) (net.Conn, error)
@@ -107,8 +101,8 @@ func (c *upstreamConn) abort() { _ = c.nc.SetDeadline(time.Unix(1, 0)) }
 // connection of the exchange in flight, whether the caller has gone, and
 // the body of the slot's latest reply. A front connection owns one for
 // the proxy's hop, the app server one per request for its DB queries, the
-// prober one per target; RoundTrip builds one per request. Its abort may
-// run on any goroutine, at any time, any number of times.
+// prober one per target. Its abort may run on any goroutine, at any time,
+// any number of times.
 //
 // The hand-off: an exchange sets its connection's deadline, then stores
 // the connection in the slot and checks fired; abort sets fired, then
@@ -170,15 +164,11 @@ func (s *exchangeSlot) cause(ctx context.Context, err error) error {
 	return err
 }
 
-// upstreamRequest is what one exchange writes: the target is uri, then
-// path.
+// upstreamRequest is what one exchange writes: GET, the target uri then
+// path, and Host.
 type upstreamRequest struct {
-	method, uri, host string
-	path              []byte
-	header            http.Header // written as it stands, framing fields aside
-	close             bool        // ask the peer to close after its reply
-	body              io.Reader   // length bytes of it
-	length            int64
+	uri, host string
+	path      []byte
 }
 
 // newUpstreamTransport returns a transport that parks up to maxIdle
@@ -192,22 +182,6 @@ func newUpstreamTransport(maxIdle int) *UpstreamTransport {
 		dial:    (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
 		idle:    make(map[string][]*upstreamConn),
 	}
-}
-
-// NewUpstreamTransport returns the transport StartProxy builds for
-// itself when ProxyConfig.Transport is nil: one idle connection per
-// endpoint of the largest backend pool, as mod_jk keeps one connection
-// per endpoint. It is exported for callers that wrap the upstream hop
-// (internal/faults' Transport) and still want the pooled base; whoever
-// calls it owns the transport and closes its idle connections.
-func NewUpstreamTransport(backends []*Backend) *UpstreamTransport {
-	idle := 0
-	for _, be := range backends {
-		if be.capacity > idle {
-			idle = be.capacity
-		}
-	}
-	return newUpstreamTransport(idle)
 }
 
 // forward sends GET <base's escaped path><path> ("/" when both are empty)
@@ -226,54 +200,18 @@ func (t *UpstreamTransport) forward(ctx context.Context, s *exchangeSlot, deadli
 	if base.Scheme != "http" || base.Host == "" || !h1.ValidHost(base.Host) || !h1.ValidTarget(uri) || !h1.ValidTarget(path) {
 		return 0, 0, nil, fmt.Errorf("httpcluster: upstream transport: cannot send GET %q to %s", uri+string(path), base.Redacted())
 	}
-	rq := upstreamRequest{method: http.MethodGet, uri: uri, path: path, host: base.Host}
-	b, err := t.do(ctx, s, deadline, hostAddr(base), &rq, nil)
+	rq := upstreamRequest{uri: uri, path: path, host: base.Host}
+	b, err := t.do(ctx, s, deadline, hostAddr(base), &rq)
 	if err != nil {
 		return 0, 0, nil, err
 	}
 	return b.c.head.Status, b.c.head.Length, b, nil // the body owns the connection, and its head
 }
 
-// RoundTrip implements http.RoundTripper.
-func (t *UpstreamTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	bodyless := req.Body == nil || req.Body == http.NoBody
-	if !bodyless {
-		defer func() { _ = req.Body.Close() }() // only read here
-	}
-	addr, uri, err := checkRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	rq := upstreamRequest{method: req.Method, uri: uri, host: req.Host, header: req.Header, close: req.Close}
-	if rq.method == "" {
-		rq.method = http.MethodGet
-	}
-	if rq.host == "" {
-		rq.host = req.URL.Host
-	}
-	if !bodyless {
-		rq.body, rq.length = req.Body, req.ContentLength
-	}
-	// The body reaches code outside the package, so the request has a slot
-	// of its own: no stale call on the body can reach another exchange.
-	ctx, s := req.Context(), new(exchangeSlot)
-	stop := context.AfterFunc(ctx, s.abort)
-	resp := &http.Response{Header: make(http.Header), Request: req}
-	b, err := t.do(ctx, s, time.Time{}, addr, &rq, resp)
-	if err != nil {
-		stop()
-		return nil, err
-	}
-	b.stop = stop
-	resp.Body = b
-	return resp, nil
-}
-
 // do runs one exchange of rq with addr on s under ctx and deadline (the
 // zero time: ctx's alone), replaying it once on a fresh dial when a
-// reused connection fails before the reply began. A non-nil sink receives
-// the reply's head.
-func (t *UpstreamTransport) do(ctx context.Context, s *exchangeSlot, deadline time.Time, addr string, rq *upstreamRequest, sink *http.Response) (*upstreamBody, error) {
+// reused connection fails before the reply began.
+func (t *UpstreamTransport) do(ctx context.Context, s *exchangeSlot, deadline time.Time, addr string, rq *upstreamRequest) (*upstreamBody, error) {
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline = d
 	}
@@ -289,11 +227,11 @@ func (t *UpstreamTransport) do(ctx context.Context, s *exchangeSlot, deadline ti
 				return nil, exchangeError(ctx, s, addr, err)
 			}
 		}
-		early, err := t.exchange(ctx, s, deadline, c, rq, addr, sink)
+		early, err := t.exchange(ctx, s, deadline, c, rq, addr)
 		if err == nil {
 			return &s.body, nil
 		}
-		if !reused || !early || rq.length > 0 || ctx.Err() != nil || s.fired.Load() {
+		if !reused || !early || ctx.Err() != nil || s.fired.Load() {
 			return nil, exchangeError(ctx, s, addr, err)
 		}
 		reused, c = false, nil
@@ -317,7 +255,7 @@ func (t *UpstreamTransport) dialConn(ctx context.Context, deadline time.Time, ad
 // exchange writes rq on c and reads the reply's head into s's body. On
 // failure it closes c and reports whether that was before any byte of a
 // reply.
-func (t *UpstreamTransport) exchange(ctx context.Context, s *exchangeSlot, deadline time.Time, c *upstreamConn, rq *upstreamRequest, addr string, sink *http.Response) (early bool, err error) {
+func (t *UpstreamTransport) exchange(ctx context.Context, s *exchangeSlot, deadline time.Time, c *upstreamConn, rq *upstreamRequest, addr string) (early bool, err error) {
 	// The zero time clears the previous exchange's deadline. A socket that
 	// cannot take a deadline is closed; the write reports it. The deadline
 	// is set before the slot is armed, so it cannot undo an abort.
@@ -332,7 +270,9 @@ func (t *UpstreamTransport) exchange(ctx context.Context, s *exchangeSlot, deadl
 	}
 	if err == nil {
 		early = false
-		err = c.readHead(rq.method == http.MethodHead, sink)
+		if err = h1.ReadStatusLine(c.br, &c.head); err == nil {
+			err = c.head.ReadFields(c.br, nil)
+		}
 	}
 	if err != nil {
 		s.disarm(c)
@@ -340,92 +280,21 @@ func (t *UpstreamTransport) exchange(ctx context.Context, s *exchangeSlot, deadl
 		return early, err
 	}
 	h, b := &c.head, &s.body
-	b.t, b.s, b.c, b.ctx, b.stop, b.addr = t, s, c, ctx, nil, addr
+	b.t, b.s, b.c, b.ctx, b.addr = t, s, c, ctx, addr
 	// An informational reply would leave the final one unread.
-	b.keep = !h.Close && !rq.close && h.Status >= 200
+	b.keep = !h.Close && h.Status >= 200
 	b.body.Reset(c.br, h)
 	b.eof.Store(h.Length == 0)
 	b.done.Store(false)
 	return false, nil
 }
 
-// writeRequest sends the request line, the headers and the body, if any,
-// in as few writes as the buffer allows. The request has been checked.
+// writeRequest sends the request head in one write. The request has been
+// checked.
 func (c *upstreamConn) writeRequest(rq *upstreamRequest) error {
-	bw := c.bw
-	h1.WriteRequestLine(bw, rq.method, rq.uri, rq.path, rq.host)
-	h1.WriteHeader(bw, rq.header)
-	if rq.close {
-		h1.WriteField(bw, "Connection", "close")
-	}
-	if rq.length > 0 {
-		h1.WriteLength(bw, rq.length)
-	}
-	bw.WriteString("\r\n")
-	if rq.length > 0 {
-		if _, err := io.CopyN(bw, rq.body, rq.length); err != nil {
-			return fmt.Errorf("request body: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// readHead reads the reply's head into c.head. A non-nil sink also
-// receives its status, its protocol and every field but Transfer-Encoding
-// (and Content-Length beside a chunked body), as net/http hands them on.
-func (c *upstreamConn) readHead(head bool, sink *http.Response) error {
-	h := &c.head
-	var keep func([]byte) bool
-	if sink != nil {
-		keep = h1.All
-	}
-	err := h1.ReadStatusLine(c.br, h, head)
-	if err == nil {
-		err = h.ReadFields(c.br, keep)
-	}
-	if err != nil || sink == nil {
-		return err
-	}
-	sink.Status, sink.StatusCode, sink.Proto = string(h.StatusText()), h.Status, fmt.Sprintf("HTTP/%d.%d", h.Major, h.Minor)
-	sink.ProtoMajor, sink.ProtoMinor = h.Major, h.Minor
-	sink.ContentLength, sink.Close = h.Length, h.Close
-	for i := 0; i < h.NumFields(); i++ {
-		name, value := h.Field(i)
-		if h1.EqualFold(name, "Transfer-Encoding") || h.Chunked && h.Length < 0 && h1.EqualFold(name, "Content-Length") {
-			continue
-		}
-		key := http.CanonicalHeaderKey(string(name))
-		sink.Header[key] = append(sink.Header[key], string(value))
-	}
-	return nil
-}
-
-// checkRequest rejects what this transport cannot send — anything but
-// plain http to a host, a body of unknown length — and what net/http would
-// not send either: a method or field name that is not a token, a control
-// byte in a field value, a space or control byte in the target, a byte a
-// Host may not hold. It does so before a connection is touched.
-// It returns the address to dial and the request-URI.
-func checkRequest(req *http.Request) (addr, uri string, err error) {
-	u := req.URL
-	if u == nil || u.Scheme != "http" || u.Host == "" {
-		return "", "", fmt.Errorf("httpcluster: upstream transport: want an http://host URL, got %q", u)
-	}
-	uri = u.RequestURI()
-	ok := (req.Method == "" || h1.ValidToken(req.Method)) && h1.ValidTarget(uri) && h1.ValidHost(u.Host) && h1.ValidHost(req.Host)
-	for name, values := range req.Header {
-		ok = ok && h1.ValidToken(name)
-		for _, v := range values {
-			ok = ok && h1.ValidValue(v)
-		}
-	}
-	if !ok {
-		return "", "", fmt.Errorf("httpcluster: upstream transport: %s %s: invalid method, target, host, field name or field value", req.Method, u.Redacted())
-	}
-	if req.Body != nil && req.Body != http.NoBody && req.ContentLength <= 0 {
-		return "", "", fmt.Errorf("httpcluster: upstream transport: %s %s: request body without a Content-Length", req.Method, u.Redacted())
-	}
-	return hostAddr(u), uri, nil
+	h1.WriteRequestLine(c.bw, http.MethodGet, rq.uri, rq.path, rq.host)
+	c.bw.WriteString("\r\n")
+	return c.bw.Flush()
 }
 
 // hostAddr is the address to dial for u: its host, port 80 if it names
@@ -507,7 +376,6 @@ type upstreamBody struct {
 	s    *exchangeSlot
 	c    *upstreamConn
 	ctx  context.Context
-	stop func() bool // RoundTrip's AfterFunc's; nil on forward's
 	addr string
 	body h1.Body // the framing on c.br
 	eof  atomic.Bool
@@ -539,9 +407,6 @@ func (b *upstreamBody) Close() error {
 		return nil
 	}
 	live := b.s.disarm(b.c)
-	if b.stop != nil {
-		b.stop()
-	}
 	if live && b.keep && b.eof.Load() && b.c.br.Buffered() == 0 && b.t.pushIdle(b.addr, b.c) {
 		return nil
 	}

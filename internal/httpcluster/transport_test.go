@@ -2,7 +2,6 @@ package httpcluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -120,26 +119,23 @@ func chunkedReply(n int) string {
 	return b.String()
 }
 
-// exchange sends one request through rt and reads the whole reply.
-func exchange(ctx context.Context, rt http.RoundTripper, method, url string, body []byte, header http.Header) (status int, got []byte, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+// exchange sends GET rawURL through tr's forward on a slot of its own,
+// which ctx's end fires as a front connection's watch fires its slot, and
+// reads the whole reply.
+func exchange(ctx context.Context, tr *UpstreamTransport, rawURL string) (status int, got []byte, err error) {
+	base, err := url.Parse(rawURL)
 	if err != nil {
 		return 0, nil, err
 	}
-	for k, v := range header {
-		req.Header[k] = v
-	}
-	resp, err := rt.RoundTrip(req)
+	s := new(exchangeSlot)
+	defer context.AfterFunc(ctx, s.abort)()
+	status, _, body, err := tr.forward(ctx, s, time.Time{}, base, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	got, err = io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	return resp.StatusCode, got, err
+	got, err = io.ReadAll(body)
+	_ = body.Close()
+	return status, got, err
 }
 
 func idleConns(t *UpstreamTransport) int {
@@ -157,25 +153,24 @@ func idleConns(t *UpstreamTransport) int {
 // reuse rule allows.
 func TestUpstreamTransportReplies(t *testing.T) {
 	cases := []struct {
-		name, method string
-		raw          string
-		status       int
-		body         string
-		reused       bool
+		name   string
+		raw    string
+		status int
+		body   string
+		reused bool
 	}{
-		{"length 0", "GET", lengthReply(0), 200, "", true},
-		{"length 128", "GET", lengthReply(128), 200, strings.Repeat("x", 128), true},
-		{"length 16KiB", "GET", lengthReply(16384), 200, strings.Repeat("x", 16384), true},
-		{"chunked 0", "GET", chunkedReply(0), 200, "", true},
-		{"chunked 128", "GET", chunkedReply(128), 200, strings.Repeat("x", 128), true},
-		{"chunked 16KiB", "GET", chunkedReply(16384), 200, strings.Repeat("x", 16384), true},
-		{"connection close", "GET", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", 200, "ok", false},
-		{"HTTP/1.0", "GET", "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", 200, "ok", false},
-		{"HEAD", "HEAD", "HTTP/1.1 200 OK\r\nContent-Length: 128\r\n\r\n", 200, "", true},
-		{"204", "GET", "HTTP/1.1 204 No Content\r\n\r\n", 204, "", true},
-		{"304", "GET", "HTTP/1.1 304 Not Modified\r\nContent-Length: 128\r\n\r\n", 304, "", true},
-		{"500 with a body", "GET", "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops", 500, "oops", true},
-		{"bytes after the reply", "GET", lengthReply(2) + "junk", 200, "xx", false},
+		{"length 0", lengthReply(0), 200, "", true},
+		{"length 128", lengthReply(128), 200, strings.Repeat("x", 128), true},
+		{"length 16KiB", lengthReply(16384), 200, strings.Repeat("x", 16384), true},
+		{"chunked 0", chunkedReply(0), 200, "", true},
+		{"chunked 128", chunkedReply(128), 200, strings.Repeat("x", 128), true},
+		{"chunked 16KiB", chunkedReply(16384), 200, strings.Repeat("x", 16384), true},
+		{"connection close", "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 2\r\n\r\nok", 200, "ok", false},
+		{"HTTP/1.0", "HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\nok", 200, "ok", false},
+		{"204", "HTTP/1.1 204 No Content\r\n\r\n", 204, "", true},
+		{"304", "HTTP/1.1 304 Not Modified\r\nContent-Length: 128\r\n\r\n", 304, "", true},
+		{"500 with a body", "HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops", 500, "oops", true},
+		{"bytes after the reply", lengthReply(2) + "junk", 200, "xx", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -183,7 +178,7 @@ func TestUpstreamTransportReplies(t *testing.T) {
 			tr := newUpstreamTransport(2)
 			defer tr.CloseIdleConnections()
 			for i := 0; i < 3; i++ {
-				status, body, err := exchange(context.Background(), tr, tc.method, p.url()+"/x", nil, nil)
+				status, body, err := exchange(context.Background(), tr, p.url()+"/x")
 				if err != nil || status != tc.status || string(body) != tc.body {
 					t.Fatalf("exchange %d: status %d, %d body bytes, %v; want %d, %d, nil", i, status, len(body), err, tc.status, len(tc.body))
 				}
@@ -220,14 +215,14 @@ func TestUpstreamTransportTruncatedBody(t *testing.T) {
 			})
 			tr := newUpstreamTransport(2)
 			defer tr.CloseIdleConnections()
-			status, body, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil)
+			status, body, err := exchange(context.Background(), tr, p.url())
 			if !errors.Is(err, io.ErrUnexpectedEOF) || status != 200 || len(body) < 1024 {
 				t.Fatalf("status %d, %d bytes, error %v; want 200, the bytes sent and io.ErrUnexpectedEOF", status, len(body), err)
 			}
 			if n := idleConns(tr); n != 0 {
 				t.Fatalf("%d connections parked after a truncated reply", n)
 			}
-			if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil || p.accepted.Load() != 2 {
+			if _, _, err := exchange(context.Background(), tr, p.url()); err != nil || p.accepted.Load() != 2 {
 				t.Fatalf("next exchange: %v on connection %d of 2", err, p.accepted.Load())
 			}
 		})
@@ -256,7 +251,7 @@ func TestUpstreamTransportReplay(t *testing.T) {
 	// wantOpen connections: none once its close has happened.
 	first := func(t *testing.T, tr *UpstreamTransport, p *peer, wantOpen int64) {
 		t.Helper()
-		if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil {
+		if _, _, err := exchange(context.Background(), tr, p.url()); err != nil {
 			t.Fatal(err)
 		}
 		if !within(time.Second, func() bool { return p.open.Load() == wantOpen }) || idleConns(tr) != 1 {
@@ -269,7 +264,7 @@ func TestUpstreamTransportReplay(t *testing.T) {
 		tr := newUpstreamTransport(2)
 		defer tr.CloseIdleConnections()
 		first(t, tr, p, 0)
-		status, body, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil)
+		status, body, err := exchange(context.Background(), tr, p.url())
 		if err != nil || status != 200 || string(body) != "xx" {
 			t.Fatalf("status %d, body %q, %v over a connection the peer had closed", status, body, err)
 		}
@@ -282,20 +277,8 @@ func TestUpstreamTransportReplay(t *testing.T) {
 		tr := newUpstreamTransport(2)
 		defer tr.CloseIdleConnections()
 		first(t, tr, p, 1)
-		if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err == nil {
+		if _, _, err := exchange(context.Background(), tr, p.url()); err == nil {
 			t.Fatal("half a status line read as a reply")
-		}
-		if got := p.accepted.Load(); got != 1 {
-			t.Fatalf("%d connections, want 1: no redial", got)
-		}
-	})
-	t.Run("no replay with a request body", func(t *testing.T) {
-		p := peerDying(t, nil)
-		tr := newUpstreamTransport(2)
-		defer tr.CloseIdleConnections()
-		first(t, tr, p, 0)
-		if _, _, err := exchange(context.Background(), tr, "POST", p.url(), []byte("payload"), nil); err == nil {
-			t.Fatal("POST over a closed connection succeeded")
 		}
 		if got := p.accepted.Load(); got != 1 {
 			t.Fatalf("%d connections, want 1: no redial", got)
@@ -305,7 +288,7 @@ func TestUpstreamTransportReplay(t *testing.T) {
 		p := startPeer(t, func(int, int, *http.Request, []byte) reply { return reply{close: true} })
 		tr := newUpstreamTransport(2)
 		defer tr.CloseIdleConnections()
-		if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err == nil {
+		if _, _, err := exchange(context.Background(), tr, p.url()); err == nil {
 			t.Fatal("no reply read as a reply")
 		}
 		if got := p.accepted.Load(); got != 1 {
@@ -319,7 +302,7 @@ func TestUpstreamTransportReplay(t *testing.T) {
 		first(t, tr, p, 0)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, _, err := exchange(ctx, tr, "GET", p.url(), nil, nil); !errors.Is(err, context.Canceled) {
+		if _, _, err := exchange(ctx, tr, p.url()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("error %v, want context.Canceled", err)
 		}
 		if got := p.accepted.Load(); got != 1 {
@@ -360,7 +343,7 @@ func TestUpstreamTransportContext(t *testing.T) {
 			ctx, cancel := tc.ctx()
 			defer cancel()
 			start := time.Now()
-			_, _, err := exchange(ctx, tr, "GET", p.url(), nil, nil)
+			_, _, err := exchange(ctx, tr, p.url())
 			if took := time.Since(start); took > 20*time.Millisecond+50*time.Millisecond {
 				t.Errorf("returned %v after the context ended at 20ms, want within 50ms of it", took)
 			}
@@ -395,7 +378,7 @@ func TestUpstreamTransportIdleStack(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil {
+			if _, _, err := exchange(context.Background(), tr, p.url()); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -409,7 +392,7 @@ func TestUpstreamTransportIdleStack(t *testing.T) {
 		t.Fatalf("after a burst of %d: peer has %d open, %d parked; want %d and %d", burst, p.open.Load(), idleConns(tr), idleCap, idleCap)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil {
+		if _, _, err := exchange(context.Background(), tr, p.url()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +409,7 @@ func TestUpstreamTransportIdleStack(t *testing.T) {
 		}
 	}
 	tr.mu.Unlock()
-	if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil {
+	if _, _, err := exchange(context.Background(), tr, p.url()); err != nil {
 		t.Fatal(err)
 	}
 	if !within(time.Second, func() bool { return p.open.Load() == 1 }) || p.accepted.Load() != burst+1 || idleConns(tr) != 1 {
@@ -434,58 +417,58 @@ func TestUpstreamTransportIdleStack(t *testing.T) {
 	}
 }
 
-// TestUpstreamTransportWritesTheRequest: method, request-URI, Host, every
-// header and a 2 KiB body reach the peer as the request states them, and
-// what cannot be sent is refused before a connection is touched.
+// TestUpstreamTransportWritesTheRequest: the request-target (the base's
+// escaped path, then the path as it is) and Host reach the peer as forward
+// states them, with no other field and no body, and what cannot be sent
+// is refused before a connection is touched.
 func TestUpstreamTransportWritesTheRequest(t *testing.T) {
 	type seen struct {
 		method, uri, host string
 		header            http.Header
 		length            int64
-		body              []byte
 	}
 	got := make(chan seen, 1)
-	p := startPeer(t, func(_, _ int, req *http.Request, body []byte) reply {
-		got <- seen{req.Method, req.RequestURI, req.Host, req.Header, req.ContentLength, body}
+	p := startPeer(t, func(_, _ int, req *http.Request, _ []byte) reply {
+		got <- seen{req.Method, req.RequestURI, req.Host, req.Header, req.ContentLength}
 		return reply{raw: lengthReply(0)}
 	})
 	tr := newUpstreamTransport(1)
 	defer tr.CloseIdleConnections()
+	send := func(base *url.URL, path string) error {
+		_, _, body, err := tr.forward(context.Background(), new(exchangeSlot), time.Now().Add(5*time.Second), base, []byte(path))
+		if err == nil {
+			_, err = io.Copy(io.Discard, body)
+			_ = body.Close()
+		}
+		return err
+	}
 
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 128)
-	header := http.Header{"Cookie": {"JSESSIONID=abc.app1"}, "X-Priority": {"background", "second value"}}
-	if status, _, err := exchange(context.Background(), tr, "POST", p.url()+"/a%20b/c?q=1&r=x+y", payload, header); err != nil || status != 200 {
-		t.Fatalf("status %d, %v", status, err)
-	}
-	s := <-got
-	if s.method != "POST" || s.uri != "/a%20b/c?q=1&r=x+y" || s.host != p.ln.Addr().String() {
-		t.Errorf("peer read %s %s for host %q", s.method, s.uri, s.host)
-	}
-	if s.length != 2048 || !bytes.Equal(s.body, payload) {
-		t.Errorf("peer read Content-Length %d and %d body bytes, want the 2048 sent", s.length, len(s.body))
-	}
-	if c, x := s.header["Cookie"], s.header["X-Priority"]; len(c) != 1 || c[0] != "JSESSIONID=abc.app1" || len(x) != 2 || x[0] != "background" || x[1] != "second value" {
-		t.Errorf("peer read headers %v", s.header)
-	}
-	// A bodyless GET on the connection the POST left behind.
-	if _, _, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil {
+	if err := send(mustParse(t, p.url()+"/a%20b"), "/c%2Fd"); err != nil {
 		t.Fatal(err)
 	}
-	if s := <-got; s.method != "GET" || s.uri != "/" || s.length != 0 || p.accepted.Load() != 1 {
-		t.Errorf("second request: %s %s, length %d, on connection %d", s.method, s.uri, s.length, p.accepted.Load())
+	s := <-got
+	if s.method != "GET" || s.uri != "/a%20b/c%2Fd" || s.host != p.ln.Addr().String() || len(s.header) != 0 || s.length != 0 {
+		t.Errorf("peer read %s %s for host %q, headers %v, Content-Length %d", s.method, s.uri, s.host, s.header, s.length)
+	}
+	// A bare host on the connection the first request left behind.
+	if err := send(mustParse(t, p.url()), ""); err != nil {
+		t.Fatal(err)
+	}
+	if s := <-got; s.method != "GET" || s.uri != "/" || p.accepted.Load() != 1 {
+		t.Errorf("second request: %s %s, on connection %d", s.method, s.uri, p.accepted.Load())
 	}
 
 	accepted := p.accepted.Load()
-	for name, req := range map[string]*http.Request{
-		"https":                  {Method: "GET", URL: mustParse(t, "https://"+p.ln.Addr().String()+"/")},
-		"line break in a header": {Method: "GET", URL: mustParse(t, p.url()), Header: http.Header{"X-A": {"v\r\nX-B: w"}}},
-		"space in the method":    {Method: "GET /admin HTTP/1.1\r\nX:", URL: mustParse(t, p.url())},
-		"method not a token":     {Method: "GE(T", URL: mustParse(t, p.url())},
-		"name not a token":       {Method: "GET", URL: mustParse(t, p.url()), Header: http.Header{"X(Bad": {"v"}}},
-		"body of unknown length": {Method: "POST", URL: mustParse(t, p.url()), Body: io.NopCloser(strings.NewReader("x")), ContentLength: -1},
+	for name, tc := range map[string]struct {
+		base *url.URL
+		path string
+	}{
+		"https":                {mustParse(t, "https://"+p.ln.Addr().String()+"/"), ""},
+		"line break in a path": {mustParse(t, p.url()), "/x HTTP/1.1\r\nX-B: w"},
+		"space in a path":      {mustParse(t, p.url()), "/a b"},
+		"no host":              {&url.URL{Scheme: "http", Path: "/"}, ""},
 	} {
-		if resp, err := tr.RoundTrip(req); err == nil {
-			_ = resp.Body.Close()
+		if err := send(tc.base, tc.path); err == nil {
 			t.Errorf("%s: sent", name)
 		}
 	}
@@ -504,13 +487,12 @@ func mustParse(t *testing.T, raw string) *url.URL {
 }
 
 // TestUpstreamTransportMatchesNetHTTP sends the same scripted replies
-// three ways — through net/http's transport, through this one's RoundTrip
-// under a context deadline, and through its forward under an attempt
-// deadline — and requires equal status, body and kind of error, and for a
-// case sent twice the same number of connections. The two named
-// exceptions are a header line longer than the connection's read buffer,
-// and a field name holding a space: net/http reads both, this transport
-// fails the exchange.
+// two ways — through net/http's transport under a context deadline, and
+// through this one's forward under an attempt deadline — and requires
+// equal status, body and kind of error, and for a case sent twice the same
+// number of connections. The two named exceptions are a header line
+// longer than the connection's read buffer, and a field name holding a
+// space: net/http reads both, this transport fails the exchange.
 func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 	kind := func(err error) string {
 		switch {
@@ -575,20 +557,21 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 			p := startPeer(t, func(int, int, *http.Request, []byte) reply { return tc.answer })
 			std := newClientTransport()
 			defer std.CloseIdleConnections()
-			ours, fwd := newUpstreamTransport(1), newUpstreamTransport(1)
-			defer ours.CloseIdleConnections()
+			fwd := newUpstreamTransport(1)
 			defer fwd.CloseIdleConnections()
 			base := mustParse(t, p.url())
 			ways := []func() (int, []byte, error){
 				func() (int, []byte, error) {
 					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 					defer cancel()
-					return exchange(ctx, std, "GET", p.url(), nil, nil)
-				},
-				func() (int, []byte, error) {
-					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-					defer cancel()
-					return exchange(ctx, ours, "GET", p.url(), nil, nil)
+					req, _ := http.NewRequestWithContext(ctx, "GET", p.url(), nil)
+					resp, err := std.RoundTrip(req)
+					if err != nil {
+						return 0, nil, err
+					}
+					defer func() { _ = resp.Body.Close() }()
+					got, err := io.ReadAll(resp.Body)
+					return resp.StatusCode, got, err
 				},
 				func() (int, []byte, error) {
 					status, _, body, err := fwd.forward(context.Background(), new(exchangeSlot), time.Now().Add(100*time.Millisecond), base, []byte("/"))
@@ -600,7 +583,7 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 					return status, got, err
 				},
 			}
-			var res [3]result
+			var res [2]result
 			for i, way := range ways {
 				before := p.accepted.Load()
 				status, body, err := way()
@@ -618,13 +601,13 @@ func TestUpstreamTransportMatchesNetHTTP(t *testing.T) {
 				if want := (result{status: 200, body: "ok", kind: "none"}); res[0] != want {
 					t.Errorf("net/http: %+v, want %+v", res[0], want)
 				}
-				if want := (result{kind: "failed"}); res[1] != want || res[2] != want {
-					t.Errorf("RoundTrip: %+v\nforward:   %+v\nwant %+v", res[1], res[2], want)
+				if want := (result{kind: "failed"}); res[1] != want {
+					t.Errorf("forward: %+v, want %+v", res[1], want)
 				}
 				return
 			}
-			if res[0] != res[1] || res[0] != res[2] {
-				t.Errorf("net/http:  %+v\nRoundTrip: %+v\nforward:   %+v", res[0], res[1], res[2])
+			if res[0] != res[1] {
+				t.Errorf("net/http: %+v\nforward:  %+v", res[0], res[1])
 			}
 		})
 	}
@@ -715,26 +698,25 @@ func TestCloseIdleConnectionsCoversExchangesInFlight(t *testing.T) {
 		}
 		return reply{raw: lengthReply(128)}
 	})
-	tr := NewUpstreamTransport([]*Backend{NewBackend("app1", p.url(), 4)})
+	tr := newUpstreamTransport(4)
 	get := func() {
 		t.Helper()
-		if status, body, err := exchange(context.Background(), tr, "GET", p.url(), nil, nil); err != nil || status != 200 || len(body) != 128 {
+		if status, body, err := exchange(context.Background(), tr, p.url()); err != nil || status != 200 || len(body) != 128 {
 			t.Errorf("status %d, %d bytes, %v", status, len(body), err)
 		}
 	}
 	get() // parks connection 0
 	// Connection 0 is taken by the exchange that will be in flight, so
 	// park it again behind a second one: hold 0 busy while 1 is dialled.
-	req, _ := http.NewRequest("GET", p.url(), nil)
-	held, err := tr.RoundTrip(req)
+	_, _, held, err := tr.forward(context.Background(), new(exchangeSlot), time.Time{}, mustParse(t, p.url()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); get() }() // dials connection 1 and waits for the reply
 	<-replying
-	_, _ = io.Copy(io.Discard, held.Body)
-	_ = held.Body.Close() // parks connection 0
+	_, _ = io.Copy(io.Discard, held)
+	_ = held.Close() // parks connection 0
 	if p.open.Load() != 2 {
 		t.Fatalf("peer has %d connections open, want 2: one parked, one in flight", p.open.Load())
 	}
@@ -808,7 +790,7 @@ func TestUpstreamTransportCrashRestartStress(t *testing.T) {
 				h := n % hosts
 				before := epoch[h].Load()
 				rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Second)
-				status, body, err := exchange(rctx, tr, "GET", apps[h].URL()+"/x", nil, nil)
+				status, body, err := exchange(rctx, tr, apps[h].URL()+"/x")
 				rcancel()
 				sent.Add(1)
 				if err == nil && status == http.StatusOK && len(body) == 512 {

@@ -18,22 +18,22 @@ const defaultAttemptTimeout = 10 * time.Second
 // length (-1 when unknown); the caller closes the body. The deadline
 // covers the body read as well as the wait for the header.
 //
-// On the proxy's own transport (an *UpstreamTransport) the attempt is a
-// forward on the caller's slot s: the deadline goes to the socket and the
-// slot's abort ends the exchange, so a client that disconnects frees its
-// worker slot and endpoint at once, and a reused connection allocates
-// nothing. Any other http.RoundTripper can learn a deadline only from a
-// context, so that arm sends an *http.Request under a context derived
-// from ctx with the deadline, released when the body is closed; it trusts
-// a reply's ContentLength only when it is positive, as a hand-built reply
-// often leaves it zero.
+// Without a ProxyConfig.Transport the attempt is a forward on the
+// proxy's own transport, on the caller's slot s: the deadline goes to the
+// socket and the slot's abort ends the exchange, so a client that
+// disconnects frees its worker slot and endpoint at once, and a reused
+// connection allocates nothing. A supplied http.RoundTripper can learn a
+// deadline only from a context, so that arm sends an *http.Request under
+// a context derived from ctx with the deadline, released when the body is
+// closed; it trusts a reply's ContentLength only when it is positive, as a
+// hand-built reply often leaves it zero.
 func (p *Proxy) roundTrip(ctx context.Context, s *exchangeSlot, path []byte, be *Backend, deadline time.Time) (status int, length int64, body io.ReadCloser, err error) {
 	base := be.target
 	if base == nil {
 		return 0, 0, nil, fmt.Errorf("httpcluster: backend %s: unparseable URL %q", be.name, be.url)
 	}
-	if ut, ok := p.upstream.(*UpstreamTransport); ok {
-		return ut.forward(ctx, s, deadline, base, path)
+	if p.cfg.Transport == nil {
+		return p.owned.forward(ctx, s, deadline, base, path)
 	}
 	decoded, err := url.PathUnescape(string(path))
 	if err != nil { // the front parsed it
@@ -48,7 +48,7 @@ func (p *Proxy) roundTrip(ctx context.Context, s *exchangeSlot, path []byte, be 
 	}
 	u := &url.URL{Scheme: base.Scheme, Host: base.Host, Path: base.Path + decoded, RawPath: uri}
 	req := (&http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: make(http.Header)}).WithContext(ctx)
-	resp, err := p.upstream.RoundTrip(req)
+	resp, err := p.cfg.Transport.RoundTrip(req)
 	if err != nil {
 		cancel()
 		return 0, 0, nil, err

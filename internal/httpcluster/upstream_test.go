@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"millibalance/internal/admission"
-	"millibalance/internal/faults"
 	"millibalance/internal/probe"
 )
 
@@ -260,7 +259,7 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 		defer func() { _ = app.Close() }()
 		// The proxy reaches the app server's handlers through the
 		// counting listener; the server's own listener stays unused.
-		url, opened := countingFront(t, app.mux)
+		url, opened := countingFront(t, app.handler)
 		backends = append(backends, NewBackend(app.Name(), url, clients))
 		appOpened = append(appOpened, opened)
 	}
@@ -425,7 +424,7 @@ func TestCloseWithRequestsInFlightLeavesNoConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appURL, _, appOpen := trackingFront(t, app.mux, 0)
+	appURL, _, appOpen := trackingFront(t, app.handler, 0)
 	proxy, err := StartProxy(ProxyConfig{Workers: inFlight, Policy: PolicyCurrentLoad, Mechanism: MechanismModified},
 		[]*Backend{NewBackend("app1", appURL, inFlight)})
 	if err != nil {
@@ -473,7 +472,7 @@ func TestServerIdleCloseCostsOneRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = app.Close() }()
-	appURL, opened, open := trackingFront(t, app.mux, 20*time.Millisecond)
+	appURL, opened, open := trackingFront(t, app.handler, 20*time.Millisecond)
 	proxy, err := StartProxy(ProxyConfig{Workers: 2, Policy: PolicyCurrentLoad, Mechanism: MechanismModified},
 		[]*Backend{NewBackend("app1", appURL, 2)})
 	if err != nil {
@@ -549,9 +548,9 @@ func TestProxyAddedCostBudget(t *testing.T) {
 	}
 }
 
-// TestProbesShareTheFaultWrappedTransport: probes and requests go
-// through the one transport the proxy was handed, so network latency
-// injected there shows in both.
+// TestProbesShareTheFaultWrappedTransport: probes and requests take the
+// proxy's one upstream path, so network latency injected at the app
+// server shows in both.
 func TestProbesShareTheFaultWrappedTransport(t *testing.T) {
 	const injected = 60 * time.Millisecond
 	app, err := StartAppServer(AppServerConfig{Name: "app1", Workers: 8, ServiceTime: time.Millisecond})
@@ -560,13 +559,9 @@ func TestProbesShareTheFaultWrappedTransport(t *testing.T) {
 	}
 	defer func() { _ = app.Close() }()
 	backends := []*Backend{NewBackend("app1", app.URL(), 8)}
-	pooled := NewUpstreamTransport(backends)
-	defer pooled.CloseIdleConnections()
-	tr := faults.NewTransport(pooled, 1)
 	proxy, err := StartProxy(ProxyConfig{
 		Workers: 8, Policy: PolicyPrequal, Mechanism: MechanismModified,
-		Probe:     &probe.Config{Interval: 5 * time.Millisecond, TTL: 500 * time.Millisecond},
-		Transport: tr,
+		Probe: &probe.Config{Interval: 5 * time.Millisecond, TTL: 500 * time.Millisecond},
 	}, backends)
 	if err != nil {
 		t.Fatal(err)
@@ -585,9 +580,9 @@ func TestProbesShareTheFaultWrappedTransport(t *testing.T) {
 	if d := probed(); d >= injected {
 		t.Fatalf("probe took %v before any latency was injected", d)
 	}
-	tr.Degrade(strings.TrimPrefix(app.URL(), "http://"), injected, 0)
+	app.SetNetFault(injected, 0, 0)
 	if !within(2*time.Second, func() bool { return probed() >= injected }) {
-		t.Fatalf("freshest probe took %v with %v injected on the proxy's transport", probed(), injected)
+		t.Fatalf("freshest probe took %v with %v injected at the app server", probed(), injected)
 	}
 	start := time.Now()
 	if status, _, err := get(pooledClient(t), proxy.URL()+"/x"); err != nil || status != http.StatusOK {
@@ -695,21 +690,19 @@ func TestRoundTripBuildsOneRequestShape(t *testing.T) {
 					length: req.ContentLength, body: len(body) > 0}
 				return reply{raw: lengthReply(2)}
 			})
-			// The proxy drives any *UpstreamTransport it is handed through
-			// forward, as it does the one it builds; this one logs deadlines.
+			// The proxy's own transport, its dial wrapped to log deadlines
+			// before the first request reaches it.
 			be := NewBackend("app1", p.url()+"/base", 2)
-			tr := NewUpstreamTransport([]*Backend{be})
-			t.Cleanup(tr.CloseIdleConnections) // after the proxy's Close
+			proxy := start(t, ProxyConfig{Workers: 2, Resilience: resil}, be)
 			var deadlines deadlineLog
-			dial := tr.dial
-			tr.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
+			dial := proxy.owned.dial
+			proxy.owned.dial = func(ctx context.Context, network, addr string) (net.Conn, error) {
 				c, err := dial(ctx, network, addr)
 				if err != nil {
 					return nil, err
 				}
 				return &deadlineConn{Conn: c, log: &deadlines}, nil
 			}
-			proxy := start(t, ProxyConfig{Workers: 2, Transport: tr, Resilience: resil}, be)
 			sent := time.Now()
 			s := send(t, proxy, got)
 			s.deadline = deadlines.first()
@@ -794,6 +787,28 @@ func (c *deadlineConn) SetDeadline(d time.Time) error {
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestRunLoadDeadlineRecordsNoFailure: the requests in flight when the
+// run's context ends are the run's to cut off, not failures of the
+// system, so a healthy proxy ended by the deadline records none.
+func TestRunLoadDeadlineRecordsNoFailure(t *testing.T) {
+	app, err := StartAppServer(AppServerConfig{Name: "app1", Workers: 8, ServiceTime: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = app.Close() }()
+	proxy, err := StartProxy(ProxyConfig{Workers: 8}, []*Backend{NewBackend("app1", app.URL(), 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = proxy.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	stats := RunLoad(ctx, proxy.URL(), LoadGenConfig{Clients: 8, ThinkTime: time.Millisecond})
+	if stats.Total() == 0 || stats.Failures() != 0 {
+		t.Fatalf("%d requests, %d failed; want some and none", stats.Total(), stats.Failures())
+	}
+}
 
 // TestRunLoadThinkTime: a zero think time is a tight closed loop that
 // still stops with the context; a positive one is still waited out, on
